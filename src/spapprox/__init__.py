@@ -10,7 +10,6 @@ constants with sharpness witnesses, inverse-theorem bounds with constructive
 class-membership verdicts, and the verification oracles for all of the above.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .classes import (
     ClassSpec,
     IdentityConvention,

@@ -1,56 +1,26 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-The fallback is selected by setting the environment variable
-``SPAPPROX_NO_NUMBA`` to a non-empty value (or automatically when numba is
-not importable).  Both paths implement the same arithmetic; they may differ
-in the last ulp because of summation order.
+"""Hot numeric kernels (numpy).
 
 Kernel inventory:
 
-* ``modulus_scan``       -- max over a shift grid of the phi-weighted
-                            coefficient sum (the inner loop of every
-                            smoothness-modulus computation).
+* ``modulus_objective``  -- the phi-weighted coefficient sum over a shift
+                            grid (the inner loop of every smoothness-modulus
+                            computation), for the builtin phi families.
 * ``phi_pow``            -- elementwise phi(t)**p for the builtin phi
-                            families (numpy implementation, shared).
+                            families.
 * ``sigma_series_sum``   -- partial sum + rigorous tail bound of the
                             correction series used by the Jackson constant
                             chain for non-integer exponents.
-
-``NUMBA_ENABLED`` reports which path is active.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 PHI_ALPHA = 0
 PHI_THETA = 1
 PHI_STEKLOV = 2
-
-_DISABLED = os.environ.get("SPAPPROX_NO_NUMBA", "").strip().lower() not in ("", "0", "false")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
 
 
 def phi_pow(t, kind, param, theta_re, theta_im, p):
@@ -77,88 +47,27 @@ def phi_pow(t, kind, param, theta_re, theta_im, p):
     raise ValueError(f"unknown phi kind {kind}")
 
 
-@njit(cache=True)
-def _modulus_objective_jit(lams, amps_p, hs, kind, param, theta_re, theta_im, p, out):  # pragma: no cover - jitted
-    nth = theta_re.shape[0]
-    e = param * p
-    scale = 2.0 ** e
-    ie = int(e)
-    int_exp = (e == ie) and 1 <= ie <= 8
-    for ih in range(hs.shape[0]):
-        h = hs[ih]
-        acc = 0.0
-        for k in range(lams.shape[0]):
-            t = lams[k] * h
-            if kind == PHI_ALPHA:
-                s = abs(math.sin(0.5 * t))
-                if int_exp:
-                    w = s
-                    for _ in range(ie - 1):
-                        w *= s
-                else:
-                    w = s ** e
-                w *= scale
-            elif kind == PHI_THETA:
-                re = 0.0
-                im = 0.0
-                for j in range(nth):
-                    c = math.cos(j * t)
-                    s = math.sin(j * t)
-                    # e^{-ijt} = cos(jt) - i sin(jt)
-                    re += theta_re[j] * c + theta_im[j] * s
-                    im += -theta_re[j] * s + theta_im[j] * c
-                w = (re * re + im * im) ** (0.5 * p)
-            else:
-                if t == 0.0:
-                    base = 0.0
-                else:
-                    base = 1.0 - math.sin(t) / t
-                    if base < 0.0:
-                        base = 0.0
-                if int_exp:
-                    w = base
-                    for _ in range(ie - 1):
-                        w *= base
-                else:
-                    w = base ** e
-            acc += w * amps_p[k]
-        out[ih] = acc
-    return out
-
-
-def _modulus_objective_np(lams, amps_p, hs, kind, param, theta_re, theta_im, p, out):
+def modulus_objective(lams, amps_p, hs, kind, param, theta_re, theta_im, p):
+    """Array of sum_k phi(lam_k h)**p * amps_p[k] over the shift grid hs,
+    in chunks of shifts that keep the (shifts x frequencies) block small."""
+    lams = np.asarray(lams, dtype=np.float64)
+    amps_p = np.asarray(amps_p, dtype=np.float64)
+    hs = np.asarray(hs, dtype=np.float64)
+    param, p = float(param), float(p)
+    out = np.empty(hs.shape[0], dtype=np.float64)
     chunk = max(8, 65536 // max(1, lams.shape[0]))
     for start in range(0, hs.shape[0], chunk):
         hblk = hs[start:start + chunk]
-        t = np.multiply.outer(hblk, lams)
-        w = phi_pow(t, kind, param, theta_re, theta_im, p)
+        w = phi_pow(np.multiply.outer(hblk, lams), kind, param, theta_re, theta_im, p)
         out[start:start + hblk.shape[0]] = w @ amps_p
     return out
-
-
-def modulus_objective(lams, amps_p, hs, kind, param, theta_re, theta_im, p):
-    """Array of sum_k phi(lam_k h)**p * amps_p[k] over the shift grid hs."""
-    lams = np.ascontiguousarray(lams, dtype=np.float64)
-    amps_p = np.ascontiguousarray(amps_p, dtype=np.float64)
-    hs = np.ascontiguousarray(hs, dtype=np.float64)
-    theta_re = np.ascontiguousarray(theta_re, dtype=np.float64)
-    theta_im = np.ascontiguousarray(theta_im, dtype=np.float64)
-    out = np.empty(hs.shape[0], dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _modulus_objective_jit(
-            lams, amps_p, hs, kind, float(param), theta_re, theta_im, float(p), out
-        )
-    return _modulus_objective_np(
-        lams, amps_p, hs, kind, float(param), theta_re, theta_im, float(p), out
-    )
 
 
 # Upper bound for sum_{i>=1} 1/(2 i^2 - 1) = 1 + 1/7 + 1/17 + ... (~1.2026).
 _SUM_INV_ODD = 1.21
 
 
-@njit(cache=True)
-def _sigma_series_impl(s, tol, budget):  # pragma: no cover - jitted
+def _sigma_series_impl(s, tol, budget):
     a0 = int(s / 2.0) + 1
     # binomial C(s, m) up to m = 2*a0 by the multiplicative recurrence
     c = 1.0

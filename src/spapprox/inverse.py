@@ -92,20 +92,21 @@ def inverse_bound_alpha(
     lhs = omega_phi(f, phi_alpha(alpha), math.pi / lam[n], p) ** p
     tails = np.array([ladder_tail_norm(f, lam[v], p) ** p for v in range(1, n + 1)])
     lam_pos = lam[1:]
+    # the classic rhs also serves as the improved variant's reference
+    classic = ap * (2 * math.pi / lam[n]) ** ap * float(
+        np.sum(lam_pos ** (ap - 1) * np.diff(lam) * tails)
+    )
+    details = {"variant": variant, "n": n, "alpha": alpha}
     if variant == "classic":
-        coeff = ap * (2 * math.pi / lam[n]) ** ap
-        rhs = coeff * float(np.sum(lam_pos ** (ap - 1) * np.diff(lam) * tails))
+        rhs = classic
     elif variant == "improved":
         coeff = (math.pi / lam[n]) ** ap
         rhs = coeff * float(np.sum(np.diff(lam ** ap) * tails))
+        details["ratio_vs_classic"] = rhs / classic if classic > 0 else math.nan
     else:
         K = ladder.check_gap(n + 1)
         coeff = K * ap * (math.pi / lam[n]) ** ap
         rhs = coeff * float(np.sum(lam_pos ** (ap - 1) * tails))
-    details = {"variant": variant, "n": n, "alpha": alpha}
-    if variant == "improved":
-        classic = inverse_bound_alpha(f, alpha, p, ladder, n, "classic")
-        details["ratio_vs_classic"] = rhs / classic.rhs if classic.rhs > 0 else math.nan
     return InverseResult(lhs, rhs, _holds(lhs, rhs), details)
 
 

@@ -70,14 +70,19 @@ _I_CACHE: dict = {}
 
 
 def _phi_identity(phi: PhiFunction):
-    return (phi.kind, phi.param, phi.theta, phi.label)
+    """Builtin generators by their parameters; custom ones by the object
+    itself (a label says nothing about the function, and keeping the object
+    in the key means its address is never reused while the entry lives)."""
+    if phi.kind == "custom":
+        return phi
+    return (phi.kind, phi.param, phi.theta)
 
 
 def _weight_identity(v: WeightMeasure):
+    """Density weights by their density function (all the scaled integral
+    reads), piecewise-linear and atomic weights by their data."""
     if v.kind == "density":
-        if v.label in ("cos", "t"):
-            return ("density", v.label, v.tau)
-        return ("density", id(v), v.tau)
+        return ("density", v.vprime, v.tau)
     if v.kind == "pwl":
         return ("pwl", tuple(v.knots_t.tolist()), tuple(v.knots_v.tolist()))
     return ("atomic", tuple(v.points.tolist()), tuple(v.jumps.tolist()), v.tau)
@@ -163,13 +168,17 @@ def scaled_phi_integral(
     phi: PhiFunction, p: float, v: WeightMeasure, tau: float, ratio: float,
     quad_tol: float = 1e-11,
 ) -> float:
-    """integral_0^tau phi(ratio * t)^p dv(t), cached per (phi, p, v, ratio)."""
-    key = (_phi_identity(phi), p, _weight_identity(v), tau, ratio)
+    """integral_0^tau phi(ratio * t)^p dv(t), cached per (phi, p, v, ratio),
+    and per ``quad_tol`` on the adaptive route (the Gauss-Jacobi route for
+    fractional sine powers against densities does not read it)."""
+    smooth = phi.pow_p_smooth(p)
+    jacobi = not smooth and phi.kind == "alpha" and v.kind == "density"
+    key = (_phi_identity(phi), p, _weight_identity(v), tau, ratio,
+           None if jacobi else quad_tol)
     hit = _I_CACHE.get(key)
     if hit is not None:
         return hit
-    smooth = phi.pow_p_smooth(p)
-    if not smooth and phi.kind == "alpha" and v.kind == "density":
+    if jacobi:
         val = _alpha_scan_integral_jacobi(phi.param, p, v, tau, ratio)
     else:
         osc = max(1.0, ratio * tau / math.pi)

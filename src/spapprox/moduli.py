@@ -93,7 +93,7 @@ class PhiFunction:
         return np.asarray(self(t), dtype=np.float64) ** p
 
     def kernel_args(self):
-        """(kind_code, param, theta_re, theta_im) for the jit kernel, or None."""
+        """(kind_code, param, theta_re, theta_im) for the builtin-family kernel, or None."""
         if self.kind == "alpha":
             return (_kernels.PHI_ALPHA, self.param, np.zeros(1), np.zeros(1))
         if self.kind == "theta":
@@ -263,10 +263,20 @@ class WeightMeasure:
         return f"WeightMeasure({self.label}, tau={self.tau:g})"
 
 
+# The builtin densities are module-level functions, so every weight built
+# from them shares one density object (integral caches key on it).
+def _sine_density(t):
+    return np.sin(np.asarray(t, dtype=np.float64))
+
+
+def _unit_density(t):
+    return np.ones_like(np.asarray(t, dtype=np.float64))
+
+
 def weight_cos(tau: float = math.pi) -> WeightMeasure:
     """v(t) = 1 - cos t (density sin t)."""
     return WeightMeasure(
-        tau, "density", vprime=lambda t: np.sin(np.asarray(t, dtype=np.float64)),
+        tau, "density", vprime=_sine_density,
         v=lambda t: 1.0 - np.cos(np.asarray(t, dtype=np.float64)), label="cos",
     )
 
@@ -274,7 +284,7 @@ def weight_cos(tau: float = math.pi) -> WeightMeasure:
 def weight_linear(tau: float) -> WeightMeasure:
     """v(t) = t (unit density)."""
     return WeightMeasure(
-        tau, "density", vprime=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
+        tau, "density", vprime=_unit_density,
         v=lambda t: np.asarray(t, dtype=np.float64), label="t",
     )
 
@@ -409,10 +419,10 @@ def stieltjes(
 # moduli
 
 
-def _objective_grid(f: Spectrum, phi: PhiFunction, p: float, hs: np.ndarray) -> np.ndarray:
-    """sum_k phi(lam_k h)^p |A_k|^p over the shift grid."""
-    lams = f.scalar_frequencies()
-    amps_p = f.abs_coefficients() ** p
+def _objective_grid(
+    lams: np.ndarray, amps_p: np.ndarray, phi: PhiFunction, p: float, hs: np.ndarray
+) -> np.ndarray:
+    """sum_k phi(lam_k h)^p amps_p[k] over the shifts hs (amps_p = |A_k|^p)."""
     ka = phi.kernel_args()
     if ka is not None:
         kind, param, tre, tim = ka
@@ -426,35 +436,50 @@ def _objective_grid(f: Spectrum, phi: PhiFunction, p: float, hs: np.ndarray) -> 
     return out
 
 
-def _objective_at(f: Spectrum, phi: PhiFunction, p: float, h: float) -> float:
-    lams = f.scalar_frequencies()
-    amps_p = f.abs_coefficients() ** p
-    return float(phi.pow_p(lams * h, p) @ amps_p)
+# Refinement of sampled maxima: every round resamples each bracket at
+# _REFINE_CELLS + 1 equispaced points and keeps the two cells around the
+# best sample, shrinking the bracket 32-fold.  A bracket is done once it
+# spans at most _REFINE_PHASE radians of the fastest frequency's phase
+# (6e-10 in h at lam_max = 16), or 1e-13 |h| for shifts so large that
+# rounding h alone moves the phase by more; at a smooth maximum the best
+# sample's value is then exact to double precision.  _REFINE_ROUNDS caps
+# the loop (32^16 exceeds any ratio of grid cell to tolerance).
+_REFINE_CELLS = 64
+_REFINE_PHASE = 1e-8
+_REFINE_REL = 1e-13
+_REFINE_ROUNDS = 16
 
 
-def _golden_max(fn: Callable[[float], float], a: float, b: float, iters: int = 80) -> float:
-    return _golden_max_arg(fn, a, b, iters)[1]
+def _refine_maxima(
+    objective: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    lam_max: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best shift and objective value found inside each bracket [lo_i, hi_i].
 
-
-def _golden_max_arg(
-    fn: Callable[[float], float], a: float, b: float, iters: int = 80
-) -> tuple[float, float]:
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
-        if b - a < 1e-15 * max(1.0, abs(b)):
+    All brackets are refined together: each round makes one vectorized
+    objective call over (brackets x (_REFINE_CELLS + 1)) points."""
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    rows = np.arange(lo.shape[0])
+    frac = np.linspace(0.0, 1.0, _REFINE_CELLS + 1)
+    best_h = np.empty_like(lo)
+    best_v = np.full_like(lo, -np.inf)
+    for _ in range(_REFINE_ROUNDS):
+        pts = lo[:, None] + (hi - lo)[:, None] * frac
+        vals = objective(pts.ravel()).reshape(pts.shape)
+        j = np.argmax(vals, axis=1)
+        top = vals[rows, j]
+        better = top > best_v
+        best_v[better] = top[better]
+        best_h[better] = pts[rows, j][better]
+        lo = pts[rows, np.maximum(j - 1, 0)]
+        hi = pts[rows, np.minimum(j + 1, _REFINE_CELLS)]
+        tol = np.maximum(_REFINE_PHASE / lam_max, _REFINE_REL * np.abs(best_h))
+        if np.all(hi - lo <= tol):
             break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + gr * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - gr * (b - a)
-            f1 = fn(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+    return best_h, best_v
 
 
 def omega_phi(
@@ -468,9 +493,13 @@ def omega_phi(
     """Generalized modulus of smoothness at step delta.
 
     The sup over shifts is taken on a uniform grid (endpoint included, at
-    least 8 points per oscillation of the fastest frequency) followed by
-    golden-section refinement of the best local maxima.  Evenness of phi
-    halves the scan range; non-even generators are scanned symmetrically.
+    least 16 points per oscillation of the fastest frequency).  The two-cell
+    brackets around the strongest ``refine_brackets`` sampled local maxima
+    and around both grid ends are then refined together by repeated
+    resampling (see ``_refine_maxima``) until each spans at most 1e-8 rad of
+    the fastest frequency's phase, which at a smooth maximum pins the value
+    to double precision.  Evenness of phi halves the scan range; non-even
+    generators are scanned symmetrically.
     """
     if delta < 0:
         raise InputDomainError("delta must be >= 0")
@@ -478,47 +507,43 @@ def omega_phi(
         raise InputDomainError("p must be positive")
     if len(f) == 0 or delta == 0.0:
         return 0.0
-    lam_max = float(np.max(np.abs(f.scalar_frequencies())))
+    lams = f.scalar_frequencies()
+    lam_max = float(np.max(np.abs(lams)))
     if lam_max == 0.0:
         return 0.0
+    amps_p = f.abs_coefficients() ** p
+
+    def objective(hs):
+        return _objective_grid(lams, amps_p, phi, p, hs)
+
     oscillations = lam_max * delta / (2.0 * math.pi)
     n = max(n_grid, int(math.ceil(16 * oscillations)))
     if phi.is_even:
         hs = np.linspace(0.0, delta, n + 1)
     else:
         hs = np.linspace(-delta, delta, 2 * n + 1)
-    obj = _objective_grid(f, phi, p, hs)
-    # candidate brackets: the sampled local maxima (plus both endpoints),
-    # strongest first; golden-section each. The grid endpoint value itself
-    # is already exact.
+    obj = objective(hs)
     interior = np.where(
         (obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:])
     )[0] + 1
-    order = interior[np.argsort(obj[interior])][::-1][:refine_brackets]
-    candidates = set(int(i) for i in order)
-    candidates.add(0)
-    candidates.add(obj.shape[0] - 1)
-    result = float(np.max(obj))
-
-    def fn(h: float) -> float:
-        return _objective_at(f, phi, p, h)
-
-    for i in candidates:
-        lo = float(hs[max(0, i - 1)])
-        hi = float(hs[min(hs.shape[0] - 1, i + 1)])
-        result = max(result, _golden_max(fn, lo, hi))
-    return result ** (1.0 / p)
+    strongest = interior[np.argsort(obj[interior])][::-1][:refine_brackets]
+    idx = np.union1d(strongest, [0, hs.shape[0] - 1])
+    lo = hs[np.maximum(idx - 1, 0)]
+    hi = hs[np.minimum(idx + 1, hs.shape[0] - 1)]
+    _, refined = _refine_maxima(objective, lo, hi, lam_max)
+    return max(float(np.max(obj)), float(np.max(refined))) ** (1.0 / p)
 
 
 class OmegaEvaluator:
     """Reusable evaluator of delta -> omega_phi(f, phi, delta, p)^p.
 
-    The objective grid over [0, delta_max] is computed once, every interior
-    sampled local maximum is refined by golden section up front, and a query
-    then combines the running grid maximum, the refined peaks at or below
-    delta, and the exact objective value at delta itself.  Queries cost O(1)
-    spectrum evaluations, which makes weighted integrals of the modulus
-    cheap."""
+    The objective grid over [0, delta_max] is computed once, and every
+    interior sampled local maximum is refined up front, all brackets in one
+    batched resampling pass with the stopping rule of ``omega_phi``.  A
+    query then combines the running grid maximum, the refined peaks at or
+    below delta, and the exact objective value at delta itself.  Queries
+    cost O(1) spectrum evaluations, which makes weighted integrals of the
+    modulus cheap."""
 
     def __init__(self, f: Spectrum, phi: PhiFunction, p: float, delta_max: float, n_grid: int = 2048):
         if not p > 0:
@@ -528,30 +553,32 @@ class OmegaEvaluator:
         self.trivial = len(f) == 0 or delta_max <= 0
         if self.trivial:
             return
-        lam_max = float(np.max(np.abs(f.scalar_frequencies())))
+        self.lams = f.scalar_frequencies()
+        lam_max = float(np.max(np.abs(self.lams)))
         if lam_max == 0.0:
             self.trivial = True
             return
         if not phi.is_even:
             raise InputDomainError("the shared evaluator supports even generators only")
+        self.amps_p = f.abs_coefficients() ** p
         n = max(n_grid, int(math.ceil(16 * lam_max * delta_max / (2 * math.pi))))
         self.hs = np.linspace(0.0, self.delta_max, n + 1)
-        self.obj = _objective_grid(f, phi, p, self.hs)
+        self.obj = self._objective(self.hs)
         self.runmax = np.maximum.accumulate(self.obj)
         interior = np.where(
             (self.obj[1:-1] >= self.obj[:-2]) & (self.obj[1:-1] >= self.obj[2:])
         )[0] + 1
-        fn = lambda h: _objective_at(f, phi, p, h)
-        peaks = []
-        for i in interior:
-            lo, hi = float(self.hs[i - 1]), float(self.hs[i + 1])
-            h_star, val = _golden_max_arg(fn, lo, hi)
-            peaks.append((h_star, val))
-        peaks.sort()
-        self.peak_h = np.array([h for h, _ in peaks])
-        self.peak_v = np.array([v for _, v in peaks])
+        peak_h, peak_v = _refine_maxima(
+            self._objective, self.hs[interior - 1], self.hs[interior + 1], lam_max
+        )
+        order = np.argsort(peak_h, kind="stable")
+        self.peak_h = peak_h[order]
+        self.peak_v = peak_v[order]
         if self.peak_v.size:
             self.peak_runmax = np.maximum.accumulate(self.peak_v)
+
+    def _objective(self, hs: np.ndarray) -> np.ndarray:
+        return _objective_grid(self.lams, self.amps_p, self.phi, self.p, hs)
 
     def power_values(self, deltas: np.ndarray) -> np.ndarray:
         """omega^p at each step (vectorized; steps within [0, delta_max])."""
@@ -560,7 +587,7 @@ class OmegaEvaluator:
             return np.zeros_like(deltas)
         if float(np.max(deltas, initial=0.0)) > self.delta_max * (1 + 1e-12):
             raise InputDomainError("query beyond the evaluator range")
-        best = _objective_grid(self.f, self.phi, self.p, np.clip(deltas, 0.0, None))
+        best = self._objective(np.clip(deltas, 0.0, None))
         idx = np.searchsorted(self.hs, deltas, side="right") - 1
         valid = idx >= 0
         best[valid] = np.maximum(best[valid], self.runmax[idx[valid]])

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from spapprox import ExplicitSeqPsi, Spectrum, phi_alpha
-from spapprox.moduli import omega_phi
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # trigger jit compilation once so individual test timings stay honest
-    f = Spectrum.real({1.0: 1.0, -1.0: 0.5})
-    omega_phi(f, phi_alpha(1.0), 1.0, 2.0, n_grid=64)
-    yield
+from spapprox import ExplicitSeqPsi
 
 
 @pytest.fixture

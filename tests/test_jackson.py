@@ -10,6 +10,7 @@ from spapprox import (
     JacksonSetup,
     RadialPsi,
     Spectrum,
+    WeightMeasure,
     chernykh_constants,
     jackson_I,
     jackson_bound,
@@ -17,6 +18,7 @@ from spapprox import (
     jackson_sharpness_witness,
     kappa,
     phi_alpha,
+    phi_custom,
     phi_steklov,
     sigma_series,
     sine_moment,
@@ -24,7 +26,7 @@ from spapprox import (
     weight_cos,
     weight_linear,
 )
-from spapprox.jackson import scaled_phi_integral
+from spapprox.jackson import _I_CACHE, scaled_phi_integral
 from spapprox.oracle import oracle_quadrature
 from spapprox.testing import random_spectrum
 
@@ -218,3 +220,59 @@ def test_steklov_generator_scan_runs():
     res = jackson_I(setup)
     assert res.value > 0
     assert res.certificate["k_range"] == [2, 128]
+
+
+def test_integral_cache_tells_custom_generators_apart():
+    # two custom generators with the default label: the second is four
+    # times the first, and so is its integral against the sine density
+    # (int_0^pi |sin(t/2)| sin t dt = 4/3)
+    one = phi_custom(lambda t: np.abs(np.sin(0.5 * t)))
+    four = phi_custom(lambda t: 4.0 * np.abs(np.sin(0.5 * t)))
+    assert one.label == four.label
+    a = scaled_phi_integral(one, 1.0, weight_cos(), math.pi, 1.0)
+    b = scaled_phi_integral(four, 1.0, weight_cos(), math.pi, 1.0)
+    assert a == pytest.approx(4.0 / 3.0, rel=1e-10)
+    assert b == pytest.approx(16.0 / 3.0, rel=1e-10)
+
+
+def test_integral_cache_tells_custom_weights_apart():
+    # custom density weights made and dropped one after another, so a new
+    # weight may land at a freed address; each must get its own integral
+    # (int_0^pi 4 sin^2(t/2) dt = 2 pi per unit of density)
+    phi = phi_alpha(2.0)
+
+    def flat(scale):
+        return WeightMeasure(
+            math.pi, "density", label="flat",
+            vprime=lambda t: scale * np.ones_like(np.asarray(t, dtype=np.float64)),
+        )
+
+    for i in range(12):
+        scale = 1.0 + i % 3
+        w = flat(scale)
+        got = scaled_phi_integral(phi, 1.0, w, math.pi, 1.0)
+        assert got == pytest.approx(2.0 * math.pi * scale, rel=1e-10)
+        del w
+
+
+def test_integral_cache_keys_quad_tol_on_adaptive_route():
+    # a kinked custom generator takes the adaptive Gauss-Legendre route; a
+    # loose-tolerance result must not be served to a tight request.
+    # int_0^pi |sin 3t| sin t dt = 3 sqrt(3) / 4
+    phi = phi_custom(lambda t: np.abs(np.sin(3.0 * t)))
+    exact = 3.0 * math.sqrt(3.0) / 4.0
+    loose = scaled_phi_integral(phi, 1.0, weight_cos(), math.pi, 1.0, quad_tol=1e-1)
+    assert abs(loose - exact) > 1e-6
+    tight = scaled_phi_integral(phi, 1.0, weight_cos(), math.pi, 1.0, quad_tol=1e-9)
+    assert tight == pytest.approx(exact, abs=1e-8)
+
+
+def test_integral_cache_shares_jacobi_route_across_quad_tol():
+    # the Gauss-Jacobi route (fractional sine power, density weight) does
+    # not read quad_tol, so a second tolerance is a cache hit
+    phi = phi_alpha(1.3)
+    first = scaled_phi_integral(phi, 1.0, weight_cos(), math.pi, 2.5, quad_tol=1e-11)
+    size = len(_I_CACHE)
+    again = scaled_phi_integral(phi_alpha(1.3), 1.0, weight_cos(), math.pi, 2.5, quad_tol=1e-6)
+    assert again == first
+    assert len(_I_CACHE) == size

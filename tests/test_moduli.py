@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spapprox import (
     DegenerateWeightError,
@@ -209,3 +211,86 @@ def test_custom_phi_goes_through_numpy_path():
     f = Spectrum.real({1.0: 1.0, -1.0: 1.0})
     got = omega_phi(f, ph, math.pi / 2, 2.0)
     assert got == pytest.approx(2 ** 0.5 * 1.0, abs=1e-10)
+
+
+# first positive root of tan t = t, by Newton's method in plain floats
+def _sinc_argmin():
+    t = 4.5
+    for _ in range(50):
+        t -= (math.tan(t) - t) / (math.tan(t) ** 2)
+    return t
+
+
+@pytest.mark.parametrize("p", [1.0, 1.7])
+@pytest.mark.parametrize("a", [0.7, 1.0, 2.5])
+def test_modulus_interior_max_single_frequency_alpha(a, p):
+    # 2^a |sin(lam h / 2)|^a peaks at h = pi / lam, inside (0, delta) and
+    # off the scan grid, so only refinement reaches the closed form 2^a |A|
+    lam, amp, delta = 3.7, 0.8 - 0.45j, 2.0
+    assert math.pi < lam * delta < 3.0 * math.pi
+    f = Spectrum.real({lam: amp})
+    want = 2.0 ** a * abs(amp)
+    ph = phi_alpha(a)
+    assert omega_phi(f, ph, delta, p) == pytest.approx(want, rel=1e-12)
+    assert OmegaEvaluator(f, ph, p, delta).value(delta) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.7])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_modulus_interior_max_single_frequency_steklov(m, p):
+    # 1 - sinc t is largest at the first root t* of tan t = t, where
+    # sinc t* = cos t*; with lam delta > t* the maximum is interior
+    t_star = _sinc_argmin()
+    assert abs(t_star - 4.4934094579) < 1e-9
+    lam, amp, delta = 2.3, 1.25, 2.9
+    assert t_star < lam * delta < 7.7
+    f = Spectrum.real({0.0: 0.4, lam: amp})
+    want = (1.0 - math.cos(t_star)) ** m * amp
+    ph = phi_steklov(m)
+    assert omega_phi(f, ph, delta, p) == pytest.approx(want, rel=1e-12)
+    assert OmegaEvaluator(f, ph, p, delta).value(delta) == pytest.approx(want, rel=1e-12)
+
+
+def _even_custom():
+    return phi_custom(
+        lambda t: np.abs(np.sin(0.5 * t)) * (1.0 + 0.6 * np.cos(t) ** 2), label="sine-bump",
+    )
+
+
+_GENERATORS = {
+    "alpha": lambda: phi_alpha(1.4),
+    "theta": lambda: phi_theta((1.0, -0.5 + 0.8j, -0.5 - 0.8j)),
+    "steklov": lambda: phi_steklov(2),
+    "custom": _even_custom,
+}
+
+
+@st.composite
+def _spectra(draw):
+    ks = draw(st.lists(st.integers(-10, 10), min_size=1, max_size=6, unique=True))
+    amps = draw(st.lists(st.floats(0.05, 2.0), min_size=len(ks), max_size=len(ks)))
+    return Spectrum.real({float(k): a for k, a in zip(ks, amps)})
+
+
+@given(
+    f=_spectra(),
+    kind=st.sampled_from(sorted(_GENERATORS)),
+    p=st.sampled_from([1.0, 1.5, 2.0]),
+    d1=st.floats(0.05, math.pi),
+    d2=st.floats(0.05, math.pi),
+)
+@settings(max_examples=25, deadline=None)
+def test_modulus_invariants(f, kind, p, d1, d2):
+    lo, hi = min(d1, d2), max(d1, d2)
+    ph = _GENERATORS[kind]()
+    w_lo = omega_phi(f, ph, lo, p)
+    w_hi = omega_phi(f, ph, hi, p)
+    # nondecreasing in delta
+    assert w_lo <= w_hi * (1.0 + 1e-12)
+    # the dense-grid oracle samples the same sup without refinement
+    assert abs(w_hi - oracle_modulus(f, ph, hi, p)) < 1e-6
+    # the shared evaluator answers every step below its range as one-shot
+    if ph.is_even:
+        ev = OmegaEvaluator(f, ph, p, hi)
+        assert ev.value(lo) == pytest.approx(w_lo, rel=1e-12, abs=1e-14)
+        assert ev.value(hi) == pytest.approx(w_hi, rel=1e-12, abs=1e-14)
