@@ -16,12 +16,13 @@ be compared against the closed forms to full precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputDomainError, PreconditionError
+from .errors import BudgetError, ConvergenceError, InputDomainError, PreconditionError
 from . import _kernels
 from .ladder import FrequencyLadder
 from .moduli import (
@@ -30,6 +31,7 @@ from .moduli import (
     WeightMeasure,
     averaged_omega,
     omega_phi,
+    smooth_density_integrals,
     stieltjes,
 )
 from .psi import PsiSystem, psi_derivative
@@ -66,7 +68,23 @@ class JacksonI:
     certificate: dict
 
 
-_I_CACHE: dict = {}
+class _FifoCache(dict):
+    """Dict holding at most ``cap`` entries; a store beyond that evicts the
+    oldest one first."""
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def put(self, key, value):
+        if key not in self and len(self) >= self.cap:
+            del self[next(iter(self))]
+        self[key] = value
+
+
+# Scaled integrals keyed by (request, ratio): a scan stores up to
+# k_factor * n + 1 entries under one request.
+_I_CACHE = _FifoCache(2 ** 15)
 
 
 def _phi_identity(phi: PhiFunction):
@@ -88,15 +106,9 @@ def _weight_identity(v: WeightMeasure):
     return ("atomic", tuple(v.points.tolist()), tuple(v.jumps.tolist()), v.tau)
 
 
-_JACOBI_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _jacobi_rule(a: float, b: float, m: int = 24) -> tuple[np.ndarray, np.ndarray]:
     """Golub-Welsch nodes/weights for the weight (1-x)^a (1+x)^b on [-1, 1]."""
-    key = (round(a, 14), round(b, 14), m)
-    hit = _JACOBI_CACHE.get(key)
-    if hit is not None:
-        return hit
     k = np.arange(m, dtype=np.float64)
     s = 2.0 * k + a + b
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -119,49 +131,137 @@ def _jacobi_rule(a: float, b: float, m: int = 24) -> tuple[np.ndarray, np.ndarra
         * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
     )
     weights = mu0 * vecs[0, :] ** 2
-    _JACOBI_CACHE[key] = (nodes, weights)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return nodes, weights
 
 
-def _alpha_scan_integral_jacobi(
-    alpha: float, p: float, v: WeightMeasure, tau: float, ratio: float
-) -> float:
-    """integral_0^tau (2|sin(ratio t/2)|)^{alpha p} v'(t) dt for fractional
-    exponents: each sign-interval of the sine is integrated with a
-    Gauss-Jacobi rule absorbing the algebraic endpoint zeros exactly.
+def _jacobi_pieces(
+    gamma: float, vprime, ratio: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    right_zero: bool,
+) -> np.ndarray:
+    """integral over [lo_j, hi_j] of (2|sin(ratio_j t/2)|)^gamma v'(t) / 2^gamma
+    for a batch of sign-intervals of the sine, starting at a zero.
 
-    On an interval where u = ratio t/2 - pi m runs over [0, u1] (u1 <= pi),
+    On a piece where u = ratio t/2 - pi m runs over [0, u1] (u1 <= pi),
     sin u = u (pi - u) g(u) with g smooth and positive, so the integrand is
-    (1-x)^a (1+x)^g-weighted times a smooth factor."""
-    gamma = alpha * p
-    period = 2.0 * math.pi / ratio
-    full = int(math.floor(tau / period * (1.0 + 1e-15)))
-    pieces = [(m * period, (m + 1) * period, True) for m in range(full)]
-    if full * period < tau * (1.0 - 1e-15):
-        pieces.append((full * period, tau, False))
+    (1-x)^a (1+x)^gamma-weighted times a smooth factor; a = gamma when the
+    piece also ends at a zero (u1 = pi), else 0."""
+    nodes, weights = _jacobi_rule(gamma if right_zero else 0.0, gamma)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    t = mid[:, None] + half[:, None] * nodes
+    u = ratio[:, None] * (t - lo[:, None]) / 2.0
+    g = np.sin(u) / (u * (math.pi - u))
+    g = np.where(np.isfinite(g) & (g > 0), g, 1.0 / math.pi)
+    dens = np.asarray(vprime(t.ravel()), dtype=np.float64).reshape(t.shape)
+    smooth = g ** gamma * dens
+    # with u = u_half (1+x): u^gamma contributes u_half^gamma (1+x)^gamma;
+    # on a full piece (pi-u)^gamma = (u_half (1-x))^gamma joins the Jacobi
+    # weight, otherwise it stays in the smooth factor
+    u_half = ratio * half / 2.0
+    scale = u_half ** gamma
+    if right_zero:
+        scale *= u_half ** gamma
+    else:
+        smooth = smooth * (math.pi - u) ** gamma
+    return (weights * smooth).sum(axis=1) * half * scale
 
-    total = 0.0
-    for lo, hi, right_zero in pieces:
-        a_exp = gamma if right_zero else 0.0
-        nodes, weights = _jacobi_rule(a_exp, gamma)
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        t = mid + half * nodes
-        u = ratio * (t - lo) / 2.0
-        g = np.sin(u) / (u * (math.pi - u))
-        g = np.where(np.isfinite(g) & (g > 0), g, 1.0 / math.pi)
-        smooth = g ** gamma * np.asarray(v.vprime(t), dtype=np.float64)
-        # with u = u_half (1+x): u^gamma contributes u_half^gamma (1+x)^gamma;
-        # for a full piece u1 = pi and (pi-u)^gamma = (u_half (1-x))^gamma
-        # joins the Jacobi weight, otherwise it stays in the smooth factor
-        u_half = ratio * half / 2.0
-        scale = u_half ** gamma
-        if right_zero:
-            scale *= u_half ** gamma
-        else:
-            smooth = smooth * (math.pi - u) ** gamma
-        total += float(np.sum(weights * smooth)) * half * scale
+
+def _alpha_scan_integrals_jacobi(
+    alpha: float, p: float, v: WeightMeasure, tau: float, ratios: np.ndarray
+) -> np.ndarray:
+    """integral_0^tau (2|sin(r t/2)|)^{alpha p} v'(t) dt for each ratio r, for
+    fractional exponents: each sign-interval of the sine is integrated with a
+    24-node Gauss-Jacobi rule absorbing the algebraic endpoint zeros exactly.
+
+    The full periods of all ratios form one (pieces x 24) array under the
+    (gamma, gamma) rule, the partial last pieces one array under the
+    (0, gamma) rule; np.bincount adds each ratio's pieces in order."""
+    gamma = alpha * p
+    ratios = np.asarray(ratios, dtype=np.float64)
+    rows = np.arange(ratios.shape[0])
+    period = 2.0 * math.pi / ratios
+    full = np.floor(tau / period * (1.0 + 1e-15)).astype(np.int64)
+    owner = np.repeat(rows, full)
+    m = (np.arange(owner.shape[0]) - (np.cumsum(full) - full)[owner]).astype(np.float64)
+    lo, hi = m * period[owner], (m + 1.0) * period[owner]
+    vals = _jacobi_pieces(gamma, v.vprime, ratios[owner], lo, hi, True)
+    start = full * period
+    tail = start < tau * (1.0 - 1e-15)
+    tail_vals = _jacobi_pieces(
+        gamma, v.vprime, ratios[tail], start[tail], np.full(int(tail.sum()), tau), False
+    )
+    # each ratio's full pieces come first, its partial piece last
+    total = np.bincount(
+        np.concatenate((owner, rows[tail])), np.concatenate((vals, tail_vals)),
+        minlength=ratios.shape[0],
+    )
     return 2.0 ** gamma * total
+
+
+# ratios per batch, which bounds the arrays of a pass: a Jacobi chunk of an
+# n = 8 scan at tau = pi holds up to about 1,000 sine periods (x 24 nodes), a
+# smooth chunk 8 panel-doubling sequences of up to ~500 panels (x 12 nodes)
+_JACOBI_CHUNK = 32
+_SMOOTH_CHUNK = 8
+
+
+def _scaled_phi_integrals(
+    phi: PhiFunction, p: float, v: WeightMeasure, tau: float, ratios,
+    quad_tol: float = 1e-11,
+) -> list[float]:
+    """integral_0^tau phi(r t)^p dv(t) for every ratio r, through the cache.
+
+    Cached ratios are looked up; the rest are computed in chunks of ratios,
+    one batched pass per chunk: fractional sine powers against densities on
+    the Gauss-Jacobi route (which does not read ``quad_tol``), smooth sine
+    and sliding-mean powers against densities by panel doubling of all the
+    chunk's ratios together.  Other generators and weights take one
+    ``stieltjes`` call per ratio (a difference symbol evaluates a
+    (points x terms) complex array, too large to batch)."""
+    smooth = phi.pow_p_smooth(p)
+    jacobi = not smooth and phi.kind == "alpha" and v.kind == "density"
+    request = (_phi_identity(phi), p, _weight_identity(v), tau,
+               None if jacobi else quad_tol)
+    out = [_I_CACHE.get((request, r)) for r in ratios]
+    todo = list(dict.fromkeys(r for r, val in zip(ratios, out) if val is None))
+    if not todo:
+        return out
+
+    if jacobi:
+        chunk = _JACOBI_CHUNK
+
+        def compute(rs):
+            return _alpha_scan_integrals_jacobi(phi.param, p, v, tau, rs)
+    elif smooth and v.kind == "density" and phi.kind in ("alpha", "steklov"):
+        chunk = _SMOOTH_CHUNK
+
+        def compute(rs):
+            rs = np.asarray(rs, dtype=np.float64)
+            return smooth_density_integrals(
+                lambda t, rows: phi.pow_p(rs[rows] * t, p), v, tau, quad_tol,
+                np.maximum(1.0, rs * tau / math.pi),
+            )
+    else:
+        chunk = 1
+
+        def compute(rs):
+            ratio = rs[0]
+            osc = max(1.0, ratio * tau / math.pi)
+            val, _ = stieltjes(
+                lambda t: phi.pow_p(ratio * np.asarray(t, dtype=np.float64), p),
+                v, (0.0, tau), tol=quad_tol, osc=osc, graded=not smooth,
+            )
+            return [val]
+
+    found = {}
+    for start in range(0, len(todo), chunk):
+        rs = todo[start:start + chunk]
+        for r, val in zip(rs, compute(rs)):
+            found[r] = float(val)
+            _I_CACHE.put((request, r), found[r])
+    return [found[r] if val is None else val for r, val in zip(ratios, out)]
 
 
 def scaled_phi_integral(
@@ -169,47 +269,38 @@ def scaled_phi_integral(
     quad_tol: float = 1e-11,
 ) -> float:
     """integral_0^tau phi(ratio * t)^p dv(t), cached per (phi, p, v, ratio),
-    and per ``quad_tol`` on the adaptive route (the Gauss-Jacobi route for
-    fractional sine powers against densities does not read it)."""
-    smooth = phi.pow_p_smooth(p)
-    jacobi = not smooth and phi.kind == "alpha" and v.kind == "density"
-    key = (_phi_identity(phi), p, _weight_identity(v), tau, ratio,
-           None if jacobi else quad_tol)
-    hit = _I_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if jacobi:
-        val = _alpha_scan_integral_jacobi(phi.param, p, v, tau, ratio)
-    else:
-        osc = max(1.0, ratio * tau / math.pi)
-        val, _ = stieltjes(
-            lambda t: phi.pow_p(ratio * np.asarray(t, dtype=np.float64), p),
-            v, (0.0, tau), tol=quad_tol, osc=osc, graded=not smooth,
-        )
-    _I_CACHE[key] = val
-    return val
+    and per ``quad_tol`` except on the Gauss-Jacobi route; a batch of one of
+    ``_scaled_phi_integrals``."""
+    return _scaled_phi_integrals(phi, p, v, tau, [ratio], quad_tol)[0]
+
+
+_MEAN_CACHE = _FifoCache(256)
 
 
 def _phi_period_mean(phi: PhiFunction, p: float) -> float | None:
     """Mean of phi^p over its period (2*pi for the builtin oscillatory
-    generators); None when no period is known.  Evenness folds the period
-    integral onto [0, pi], keeping the only possible cusp at the left
-    endpoint where the graded rule handles it."""
-    if phi.kind in ("alpha", "theta") and phi.is_even:
-        from .errors import BudgetError
-
-        try:
-            grid_val, _ = stieltjes(
-                lambda t: phi.pow_p(t, p),
-                WeightMeasure(math.pi, "density",
-                              vprime=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
-                              v=lambda t: np.asarray(t, dtype=np.float64), label="t"),
-                (0.0, math.pi), tol=1e-10, osc=4.0, graded=not phi.pow_p_smooth(p),
-            )
-        except BudgetError:
-            return None
-        return grid_val / math.pi
-    return None
+    generators); None when no period is known or the quadrature runs out of
+    budget, cached per (phi, p).  Evenness folds the period integral onto
+    [0, pi], keeping the only possible cusp at the left endpoint where the
+    graded rule handles it."""
+    if not (phi.kind in ("alpha", "theta") and phi.is_even):
+        return None
+    key = (_phi_identity(phi), p)
+    if key in _MEAN_CACHE:
+        return _MEAN_CACHE[key]
+    try:
+        grid_val, _ = stieltjes(
+            lambda t: phi.pow_p(t, p),
+            WeightMeasure(math.pi, "density",
+                          vprime=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
+                          v=lambda t: np.asarray(t, dtype=np.float64), label="t"),
+            (0.0, math.pi), tol=1e-10, osc=4.0, graded=not phi.pow_p_smooth(p),
+        )
+        mean = grid_val / math.pi
+    except BudgetError:
+        mean = None
+    _MEAN_CACHE.put(key, mean)
+    return mean
 
 
 def jackson_I(
@@ -220,22 +311,27 @@ def jackson_I(
 ) -> JacksonI:
     """Scan k in [n, k_factor*n] for the minimal scaled integral.
 
-    Ties are resolved to the smallest k (within ``tie_tol`` relative).  For
-    density weights and periodic generators, the equidistribution mean of
-    phi^p times the total mass is reported; when it exceeds the found
-    minimum the certificate notes that values beyond the scan range are
-    heuristically dominated ("tail-dominated").  The policy is always
+    The integrals of the whole scan come from one ``_scaled_phi_integrals``
+    call (one batched pass per chunk of ratios); the scan then walks them in
+    order of k.  Ties are resolved to the smallest k (within ``tie_tol``
+    relative).  For density weights and periodic generators, the
+    equidistribution mean of phi^p times the total mass is reported; when it
+    exceeds the found minimum the certificate notes that values beyond the
+    scan range are heuristically dominated ("tail-dominated").  The policy is always
     recorded, never silent.
     """
     n = setup.n
     lam_n = setup.ladder.value(n)
     k_max = k_factor * n
+    ks = range(n, k_max + 1)
+    vals = _scaled_phi_integrals(
+        setup.phi, setup.p, setup.v, setup.tau,
+        [setup.ladder.value(k) / lam_n for k in ks], quad_tol,
+    )
     best_val = math.inf
     best_k = n
     second = math.inf
-    for k in range(n, k_max + 1):
-        ratio = setup.ladder.value(k) / lam_n
-        val = scaled_phi_integral(setup.phi, setup.p, setup.v, setup.tau, ratio, quad_tol)
+    for k, val in zip(ks, vals):
         if val < best_val * (1.0 - tie_tol):
             second = best_val
             best_val, best_k = val, k
@@ -421,15 +517,26 @@ class SigmaSeries:
 def sigma_series(s: float, tol: float = 1e-8, budget: int = 1_000_000) -> SigmaSeries:
     """Correction series for non-integer exponents; identically zero at
     natural s (every generalized binomial coefficient past column s
-    vanishes), returned without summation."""
+    vanishes), returned without summation.
+
+    The tail bound decays like a^{-(s + 1/2)} in the term index a (about
+    1/a at s = 1/2).  When its closed form after ``budget`` terms is still
+    above ``tol``, no partial sum within the budget can meet it, and
+    ``ConvergenceError`` is raised before summing."""
     if not s > 0:
         raise InputDomainError("s must be positive")
     if abs(s - round(s)) < 1e-12:
         return SigmaSeries(0.0, 0.0, 0)
+    # the margin covers the log-gamma rounding of the closed form
+    floor = _kernels.sigma_bound_floor(s, budget)
+    if floor > tol * (1.0 + 1e-6):
+        needed = budget * (floor / tol) ** (1.0 / (s + 0.5))
+        raise ConvergenceError(
+            f"correction series tail bound is still {floor:.3e} after {budget} "
+            f"terms, above {tol:.3e}; about {needed:.2e} terms would be needed"
+        )
     value, bound, terms, converged = _kernels.sigma_series_sum(s, tol, budget)
     if not converged:
-        from .errors import ConvergenceError
-
         raise ConvergenceError(
             f"correction series tail bound {bound:.3e} not below {tol:.3e} "
             f"within {budget} terms"

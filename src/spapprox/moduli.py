@@ -304,40 +304,92 @@ def weight_atomic(points, jumps, tau: float | None = None) -> WeightMeasure:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _gauss_panels(g: Callable, a: float, b: float, panels: int) -> float:
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = np.asarray(g(t.ravel()), dtype=np.float64).reshape(t.shape)
-    return float(np.sum((vals @ _GL_WEIGHTS) * half))
+# budget of the whole-interval doubling (per interval, in panels)
+_WHOLE_BUDGET = 2 ** 16
+
+
+def _panel_bounds(a: np.ndarray, b: np.ndarray, panels: np.ndarray):
+    """Left and right ends of every panel of a batch of intervals, interval
+    i split into panels_i equal panels.  The ends are the edges of
+    np.linspace(a_i, b_i, panels_i + 1), bit for bit: index times
+    (b_i - a_i) / panels_i, plus a_i, with the last edge set to b_i."""
+    stops = np.cumsum(panels)
+    pos = np.arange(stops[-1], dtype=np.float64) - np.repeat(stops - panels, panels)
+    step = np.repeat((b - a) / panels, panels)
+    start = np.repeat(a, panels)
+    lo = pos * step + start
+    hi = (pos + 1.0) * step + start
+    hi[stops - 1] = b
+    return lo, hi
+
+
+def _gauss_panels(g: Callable, a: np.ndarray, b: np.ndarray, panels: np.ndarray) -> np.ndarray:
+    """Composite 12-point Gauss-Legendre sums over a batch of intervals
+    [a_i, b_i], interval i split into panels_i equal panels.
+
+    g(t, rows) is called once, on the nodes of every interval together;
+    rows[j] is the batch index of node t[j].  Each interval's sum is reduced
+    on its own rows, exactly as for a batch of one."""
+    lo, hi = _panel_bounds(a, b, panels)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    t = mid[:, None] + half[:, None] * _GL_NODES
+    rows = np.repeat(np.arange(panels.shape[0]), panels * _GL_NODES.shape[0])
+    vals = np.asarray(g(t.ravel(), rows), dtype=np.float64).reshape(t.shape)
+    out = np.empty(panels.shape[0])
+    stop = 0
+    for i, k in enumerate(panels.tolist()):
+        out[i] = np.sum((vals[stop:stop + k] @ _GL_WEIGHTS) * half[stop:stop + k])
+        stop += k
+    return out
 
 
 def _adaptive_block(
-    g: Callable, a: float, b: float, tol: float, panels0: int, budget: int
-) -> tuple[float, float]:
-    panels = max(2, panels0)
+    g: Callable, a, b, tol, panels0, budget: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Panel doubling over a batch of intervals, g as in ``_gauss_panels``.
+
+    Interval i starts at max(2, panels0_i) panels and doubles until two
+    successive sums differ by at most tol_i; the intervals still open are
+    evaluated together each round.  Returns (values, error estimates)."""
+    panels = np.maximum(2, np.atleast_1d(np.asarray(panels0, dtype=np.int64)))
+    shape = panels.shape
+    a, b, tol = (np.broadcast_to(np.asarray(x, dtype=np.float64), shape) for x in (a, b, tol))
     prev = _gauss_panels(g, a, b, panels)
-    while True:
-        panels *= 2
-        if panels > budget:
+    vals = np.empty_like(prev)
+    errs = np.empty_like(prev)
+    ids = np.arange(shape[0])
+    while ids.size:
+        panels[ids] *= 2
+        over = ids[panels[ids] > budget]
+        if over.size:
             raise BudgetError(
-                f"quadrature budget exceeded ({panels} panels for tolerance {tol:g})"
+                f"quadrature budget exceeded ({panels[over[0]]} panels "
+                f"for tolerance {tol[over[0]]:g})"
             )
-        cur = _gauss_panels(g, a, b, panels)
-        err = abs(cur - prev)
-        if err <= tol:
-            return cur, err
-        prev = cur
+        cur = _gauss_panels(lambda t, rows: g(t, ids[rows]), a[ids], b[ids], panels[ids])
+        err = np.abs(cur - prev[ids])
+        done = err <= tol[ids]
+        vals[ids[done]] = cur[done]
+        errs[ids[done]] = err[done]
+        prev[ids] = cur
+        ids = ids[~done]
+    return vals, errs
+
+
+def _one(g: Callable) -> Callable:
+    """A plain integrand g(t) as a batch-of-one integrand g(t, rows)."""
+    return lambda t, rows: g(t)
 
 
 def _adaptive_whole(
-    g: Callable, a: float, b: float, tol: float, panels0: int, budget: int = 2 ** 16
+    g: Callable, a: float, b: float, tol: float, panels0: int, budget: int = _WHOLE_BUDGET
 ) -> tuple[float, float]:
     """Whole-interval panel doubling (for integrands smooth on [a, b])."""
     if b <= a:
         return 0.0, 0.0
-    return _adaptive_block(g, a, b, tol, panels0, budget)
+    val, err = _adaptive_block(_one(g), a, b, tol, panels0, budget)
+    return float(val[0]), float(err[0])
 
 
 def _gauss_adaptive(
@@ -345,21 +397,46 @@ def _gauss_adaptive(
 ) -> tuple[float, float]:
     """Adaptive composite Gauss-Legendre with dyadic grading toward the left
     endpoint (integrands routinely carry an algebraic cusp at 0); each block
-    is refined by panel doubling until its tolerance share is met."""
+    is refined by panel doubling until its tolerance share is met, all
+    blocks as one batch."""
     if b <= a:
         return 0.0, 0.0
     span = b - a
     levels = 40
     edges = [a] + [a + span * 2.0 ** (-j) for j in range(levels, -1, -1)]
+    fracs = [(hi - lo) / span for lo, hi in zip(edges[:-1], edges[1:])]
+    vals, errs = _adaptive_block(
+        _one(g), edges[:-1], edges[1:],
+        [tol * max(frac, 1.0 / 256.0) for frac in fracs],
+        [max(2, int(math.ceil(panels0 * frac))) for frac in fracs], budget,
+    )
     total, err = 0.0, 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        frac = (hi - lo) / span
-        block_tol = tol * max(frac, 1.0 / 256.0)
-        p0 = max(2, int(math.ceil(panels0 * frac)))
-        v, e = _adaptive_block(g, lo, hi, block_tol, p0, budget)
+    for v, e in zip(vals.tolist(), errs.tolist()):
         total += v
         err += e
     return total, err
+
+
+def _density_panels(osc):
+    """Starting panel count of the density rule: two per oscillation, at
+    least four."""
+    return np.maximum(4, np.ceil(2.0 * np.asarray(osc, dtype=np.float64)).astype(np.int64))
+
+
+def smooth_density_integrals(
+    g: Callable, v: WeightMeasure, b: float, tol: float, osc: np.ndarray
+) -> np.ndarray:
+    """integral_0^b g(t, i) dv(t) for a batch of integrands i = 0, 1, ...
+    smooth on [0, b] against a density weight, each exactly as
+    ``stieltjes(.., osc=osc[i], graded=False)`` would integrate it, with all
+    the batch's panel-doubling sequences evaluated together (g as in
+    ``_gauss_panels``)."""
+    vals, _ = _adaptive_block(
+        lambda t, rows: np.asarray(g(t, rows), dtype=np.float64)
+        * np.asarray(v.vprime(t), dtype=np.float64),
+        0.0, b, tol, _density_panels(osc), _WHOLE_BUDGET,
+    )
+    return vals
 
 
 def stieltjes(
@@ -385,10 +462,9 @@ def stieltjes(
         raise InputDomainError("empty integration interval")
     adapt = _gauss_adaptive if graded else _adaptive_whole
     if v.kind == "density":
-        panels0 = max(4, int(math.ceil(2.0 * osc)))
         return adapt(
             lambda t: np.asarray(g(t), dtype=np.float64) * np.asarray(v.vprime(t), dtype=np.float64),
-            a, b, tol, panels0,
+            a, b, tol, int(_density_panels(osc)),
         )
     if v.kind == "pwl":
         total, err = 0.0, 0.0

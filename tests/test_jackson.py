@@ -1,11 +1,17 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
 from spapprox import (
     ConvergenceError,
     ExplicitSeqPsi,
+    FrequencyLadder,
     InputDomainError,
     JacksonSetup,
     RadialPsi,
@@ -26,7 +32,15 @@ from spapprox import (
     weight_cos,
     weight_linear,
 )
-from spapprox.jackson import _I_CACHE, scaled_phi_integral
+from spapprox import jackson
+from spapprox.errors import BudgetError
+from spapprox.jackson import (
+    _I_CACHE,
+    _jacobi_rule,
+    _phi_period_mean,
+    _scaled_phi_integrals,
+    scaled_phi_integral,
+)
 from spapprox.oracle import oracle_quadrature
 from spapprox.testing import random_spectrum
 
@@ -276,3 +290,171 @@ def test_integral_cache_shares_jacobi_route_across_quad_tol():
     again = scaled_phi_integral(phi_alpha(1.3), 1.0, weight_cos(), math.pi, 2.5, quad_tol=1e-6)
     assert again == first
     assert len(_I_CACHE) == size
+
+
+# ---------------------------------------------------------------------------
+# batched scan, bounded caches, fail-fast series: independent references
+
+
+@pytest.mark.parametrize(
+    "a, b", [(0.0, 0.7), (1.7, 1.7), (3.9, 3.9), (0.0, 3.9), (2.5, 0.3)]
+)
+def test_jacobi_rule_matches_scipy(a, b):
+    nodes, weights = _jacobi_rule(a, b)
+    ref_nodes, ref_weights = roots_jacobi(24, a, b)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=0)
+    assert _jacobi_rule.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("weight, alpha, p", [("cos", 1.3, 1.0), ("t", 0.7, 2.0), ("cos", 0.55, 1.0)])
+@pytest.mark.parametrize("ratio", [1.0, 2.5, 7.0, 13.0 / 3.0])
+def test_scaled_integral_matches_mpmath_quad(weight, alpha, p, ratio):
+    # fractional gamma = alpha p: the Gauss-Jacobi route, with full sine
+    # periods and a partial last piece for most ratios; mpmath integrates
+    # (2 |sin(r t / 2)|)^gamma v'(t) split at the sine zeros 2 pi m / r
+    v = weight_cos() if weight == "cos" else weight_linear(3 * math.pi / 4)
+    got = scaled_phi_integral(phi_alpha(alpha), p, v, v.tau, ratio)
+    with mpmath.workdps(30):
+        r = mpmath.mpf(ratio)
+        gamma = mpmath.mpf(alpha) * p
+        tau = mpmath.pi if weight == "cos" else 3 * mpmath.pi / 4
+
+        def density(t):
+            return mpmath.sin(t) if weight == "cos" else 1
+
+        def f(t):
+            return (2 * abs(mpmath.sin(r * t / 2))) ** gamma * density(t)
+
+        zeros = [2 * mpmath.pi * m / r for m in range(1, int(ratio) + 1)]
+        points = [mpmath.mpf(0)] + [z for z in zeros if z < tau] + [tau]
+        ref = float(mpmath.quad(f, points))
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+def _wobble(shift):
+    return FrequencyLadder(lambda k: k + shift * math.sin(k), label="wobble")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    route=st.sampled_from(["jacobi", "smooth"]),
+    weight=st.sampled_from(["cos", "t"]),
+    n=st.integers(1, 5),
+    shift=st.sampled_from([0.0, 0.3, 0.45]),
+    chunk=st.integers(1, 9),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_batched_integrals_independent_of_chunking_and_order(route, weight, n, shift, chunk, seed):
+    # integer (shift 0) and non-integer ladders; each ratio's value in a
+    # shuffled, re-chunked batch equals its batch of one
+    phi, p = (phi_alpha(1.3), 1.0) if route == "jacobi" else (phi_alpha(2.0 / 1.7), 1.7)
+    v = weight_cos() if weight == "cos" else weight_linear(3 * math.pi / 4)
+    ladder = _wobble(shift)
+    ratios = [ladder.value(k) / ladder.value(n) for k in range(n, 6 * n + 1)]
+    order = np.random.default_rng(seed).permutation(len(ratios))
+    shuffled = [ratios[i] for i in order]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jackson, "_JACOBI_CHUNK", chunk)
+        mp.setattr(jackson, "_SMOOTH_CHUNK", chunk)
+        _I_CACHE.clear()
+        batch = _scaled_phi_integrals(phi, p, v, v.tau, shuffled)
+    for r, val in zip(shuffled, batch):
+        _I_CACHE.clear()
+        assert val == pytest.approx(scaled_phi_integral(phi, p, v, v.tau, r), rel=1e-14, abs=0)
+
+
+# (alpha, p, weight, n) -> (k_star, value) of the per-k scan loop that the
+# batched scan replaced, on the ladder lam_k = k + 0.3 sin k
+_WOBBLE_REFERENCE = {
+    (1.3, 1.0, "cos", 3): (192, 2.8800493977695094),
+    (0.7, 2.0, "t", 2): (2, 2.727237611085975),
+    (1.0, 2.0, "cos", 3): (3, 4.0),
+    (2.0, 1.5, "t", 2): (2, 4.842626101603879),
+    (1.5, 2.0, "cos", 5): (5, 6.400000000000008),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WOBBLE_REFERENCE))
+def test_scan_on_wobble_ladder_matches_per_k_loop(case):
+    alpha, p, weight, n = case
+    v = weight_cos() if weight == "cos" else weight_linear(3 * math.pi / 4)
+    _I_CACHE.clear()
+    res = jackson_I(JacksonSetup(n=n, phi=phi_alpha(alpha), p=p, tau=v.tau, v=v,
+                                 ladder=_wobble(0.3)))
+    k_star, value = _WOBBLE_REFERENCE[case]
+    assert res.k_star == k_star
+    assert res.value == pytest.approx(value, rel=1e-13)
+
+
+def test_integral_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(_I_CACHE, "cap", 8)
+    _I_CACHE.clear()
+    phi, v = phi_alpha(1.3), weight_cos()
+    ratios = [1.0 + 0.25 * k for k in range(20)]
+    first = _scaled_phi_integrals(phi, 1.0, v, math.pi, ratios)
+    assert len(_I_CACHE) == 8
+    # oldest first: only the last eight ratios are left
+    assert sorted(key[1] for key in _I_CACHE) == ratios[-8:]
+    again = scaled_phi_integral(phi, 1.0, v, math.pi, ratios[0])
+    assert again == first[0]
+    assert len(_I_CACHE) == 8
+
+
+def test_period_mean_is_cached(monkeypatch):
+    # mean of (2 |sin(t/2)|)^g over a period: 2^g Gamma((g+1)/2) / (sqrt(pi) Gamma(g/2+1))
+    g = 0.9137
+    closed = 2.0 ** g * math.gamma((g + 1) / 2) / (math.sqrt(math.pi) * math.gamma(g / 2 + 1))
+    first = _phi_period_mean(phi_alpha(g), 1.0)
+    assert first == pytest.approx(closed, rel=1e-9)
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("period mean recomputed")
+
+    def out_of_budget(*args, **kwargs):
+        raise BudgetError("quadrature budget exceeded")
+
+    monkeypatch.setattr(jackson, "stieltjes", recompute)
+    assert _phi_period_mean(phi_alpha(g), 1.0) == first
+    # a budget failure is cached as None too
+    monkeypatch.setattr(jackson, "stieltjes", out_of_budget)
+    assert _phi_period_mean(phi_alpha(g), 1.3) is None
+    monkeypatch.setattr(jackson, "stieltjes", recompute)
+    assert _phi_period_mean(phi_alpha(g), 1.3) is None
+
+
+def test_sigma_series_default_arguments_fail_fast():
+    # at s = 1/2 the tail bound falls about as 1/a, so the default tolerance
+    # 1e-8 is out of reach of the default budget of 1e6 terms
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        sigma_series(0.5)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _sigma_reference(s: float) -> float:
+    """sum_{a >= a0} -C(s, 2a) 4^{-a} [odd 2 C(2a, a)
+    - sum_{i=1}^{a} C(2a, a-i) 4 / (2 i^2 - 1)], a0 = floor(s/2) + 1,
+    odd = 1 when floor(s) is odd, by mpmath.nsum at 30 digits with exact
+    integer binomials."""
+    a0 = int(s / 2) + 1
+    odd = 1 if int(s) % 2 == 1 else 0
+    with mpmath.workdps(30):
+        sm = mpmath.mpf(s)
+
+        def term(a):
+            a = int(a)
+            inner = mpmath.fsum(
+                mpmath.mpf(math.comb(2 * a, a - i)) / (2 * i * i - 1) for i in range(1, a + 1)
+            )
+            central = mpmath.mpf(math.comb(2 * a, a))
+            return -mpmath.binomial(sm, 2 * a) * (odd * 2 * central - 4 * inner) / mpmath.mpf(4) ** a
+
+        return float(mpmath.nsum(term, [a0, mpmath.inf]))
+
+
+@pytest.mark.parametrize("s", [2.5, 3.3, 3.7])
+def test_sigma_series_matches_mpmath_nsum(s):
+    res = sigma_series(s, tol=1e-12)
+    assert res.tail_bound <= 1e-12
+    assert abs(res.value - _sigma_reference(s)) <= res.tail_bound

@@ -25,7 +25,8 @@ from spapprox import (
     weight_linear,
     weight_pwl,
 )
-from spapprox.moduli import OmegaEvaluator
+from spapprox.errors import BudgetError
+from spapprox.moduli import OmegaEvaluator, _adaptive_block, _panel_bounds
 from spapprox.oracle import oracle_modulus, oracle_quadrature
 from spapprox.testing import random_spectrum
 
@@ -294,3 +295,37 @@ def test_modulus_invariants(f, kind, p, d1, d2):
         ev = OmegaEvaluator(f, ph, p, hi)
         assert ev.value(lo) == pytest.approx(w_lo, rel=1e-12, abs=1e-14)
         assert ev.value(hi) == pytest.approx(w_hi, rel=1e-12, abs=1e-14)
+
+
+def test_panel_bounds_reproduce_linspace():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        m = int(rng.integers(1, 6))
+        a = rng.uniform(-5.0, 5.0, m) * 10.0 ** rng.integers(-12, 3, m)
+        b = a + rng.uniform(0.01, 10.0, m) * 10.0 ** rng.integers(-6, 3, m)
+        panels = rng.integers(1, 600, m)
+        lo, hi = _panel_bounds(a, b, panels)
+        edges = [np.linspace(x, y, k + 1) for x, y, k in zip(a, b, panels)]
+        assert np.array_equal(lo, np.concatenate([e[:-1] for e in edges]))
+        assert np.array_equal(hi, np.concatenate([e[1:] for e in edges]))
+
+
+def test_adaptive_block_batch_matches_batches_of_one():
+    # int_0^b cos(c t) dt = sin(c b) / c; every interval keeps its own
+    # doubling sequence, so a batch gives each interval's batch-of-one value
+    c = np.array([0.5, 3.0, 17.0, 40.0])
+    b = np.array([1.0, 2.0, 0.7, 3.0])
+    p0 = np.array([2, 4, 8, 16])
+
+    def g(t, rows):
+        return np.cos(c[rows] * t)
+
+    vals, errs = _adaptive_block(g, 0.0, b, 1e-12, p0, 2 ** 16)
+    np.testing.assert_allclose(vals, np.sin(c * b) / c, rtol=0, atol=1e-11)
+    assert np.all(errs <= 1e-12)
+    for i in range(4):
+        one, _ = _adaptive_block(lambda t, rows: np.cos(c[i] * t), 0.0, b[i], 1e-12, p0[i], 2 ** 16)
+        assert vals[i] == pytest.approx(one[0], rel=1e-14, abs=0)
+    # an interval that cannot meet its tolerance stops the whole batch
+    with pytest.raises(BudgetError):
+        _adaptive_block(g, 0.0, b, 0.0, p0, 64)
