@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -43,8 +43,6 @@ from .errors import (
 )
 from .psi import (
     CharSeq,
-    ExplicitTablePsi,
-    ExplicitSeqPsi,
     PsiSystem,
     RadialPsi,
     build_charseq,
@@ -102,32 +100,6 @@ class ClassSpec:
                 "(test-only explicit system); theorem-level values are formal",
             )
         return ()
-
-
-class _RearrCache:
-    """Lazily materialized decreasing rearrangement with cumulative sums."""
-
-    def __init__(self, psi: PsiSystem):
-        self._iter = psi.stream()
-        self._vals: list[float] = []
-        self._exhausted = False
-
-    def upto(self, k: int) -> np.ndarray:
-        while len(self._vals) < k and not self._exhausted:
-            try:
-                v, _ = next(self._iter)
-                self._vals.append(v)
-            except StopIteration:
-                self._exhausted = True
-        if len(self._vals) >= k:
-            return np.array(self._vals[:k], dtype=np.float64)
-        out = np.zeros(k, dtype=np.float64)
-        out[: len(self._vals)] = self._vals
-        return out
-
-    def value(self, j: int) -> float:
-        arr = self.upto(j)
-        return float(arr[j - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +239,7 @@ def class_sigma(
     if n < 1:
         raise InputDomainError("n must be >= 1")
     warnings = spec.grade_warnings()
-    cache = _RearrCache(spec.psi)
+    stream = spec.psi.stream()
     qexp = spec.q
     best = -math.inf
     best_s = None
@@ -291,16 +263,16 @@ def class_sigma(
     step = 64
     inv_cum = 0.0
     e_cum = 0.0
+    rr: list[float] = []  # the rearrangement so far, zero past a finite end
     inv_cums: list[float] = []  # cumulative rr^{-q}, 1-based
     e_cums: list[float] = []  # cumulative rr^{e} (q > p only)
     while s_hi - n < budget:
         s_lo = s_hi + 1
         s_hi = min(s_hi + step, n + budget)
         step = min(2 * step, chunk)
-        vals = cache.upto(s_hi)
-        while len(inv_cums) < s_hi:
-            j = len(inv_cums)
-            v = float(vals[j])
+        rr.extend(float(v) for v, _ in itertools.islice(stream, s_hi - len(rr)))
+        rr.extend([0.0] * (s_hi - len(rr)))
+        for v in rr[len(inv_cums):]:
             inv_cum += inv_power(v)
             inv_cums.append(inv_cum)
             if spec.regime == "q>p":
@@ -326,7 +298,7 @@ def class_sigma(
             best = float(obj[i])
             best_s = int(ss[i])
         # certified early stop
-        mid = cache.value(max(1, (s_hi + 1) // 2))
+        mid = rr[max(1, (s_hi + 1) // 2) - 1]
         if spec.regime == "q<=p":
             env = (
                 2.0 ** (spec.p / spec.q)

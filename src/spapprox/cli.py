@@ -37,12 +37,12 @@ from .errors import (
     SpapproxError,
 )
 from .inverse import inverse_bound_alpha, inverse_bound_general
-from .jackson import JacksonSetup, chernykh_constants, jackson_I, jackson_constant
+from .jackson import JacksonSetup, jackson_I, jackson_constant
 from .ladder import FrequencyLadder
 from .minilang import parse_phi, parse_psi, parse_tau, parse_weight
 from .moduli import omega_phi
 from .psi import build_charseq
-from .reports import ExtremalReport, reports_to_csv, reports_to_json, write_reports
+from .reports import ExtremalReport, write_reports
 from .spectrum import load_spectrum
 from .verify import run_suite
 

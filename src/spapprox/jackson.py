@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceError, InputDomainError, PreconditionError
+from .errors import BudgetError, ConvergenceError, InputDomainError
 from . import _kernels
 from .ladder import FrequencyLadder
 from .moduli import (
@@ -30,9 +30,9 @@ from .moduli import (
     PhiFunction,
     WeightMeasure,
     averaged_omega,
-    omega_phi,
     smooth_density_integrals,
     stieltjes,
+    weight_linear,
 )
 from .psi import PsiSystem, psi_derivative
 from .spectrum import Spectrum, ladder_tail_norm
@@ -291,9 +291,7 @@ def _phi_period_mean(phi: PhiFunction, p: float) -> float | None:
     try:
         grid_val, _ = stieltjes(
             lambda t: phi.pow_p(t, p),
-            WeightMeasure(math.pi, "density",
-                          vprime=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
-                          v=lambda t: np.asarray(t, dtype=np.float64), label="t"),
+            weight_linear(math.pi),
             (0.0, math.pi), tol=1e-10, osc=4.0, graded=not phi.pow_p_smooth(p),
         )
         mean = grid_val / math.pi

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np

@@ -20,18 +20,11 @@ omega_phi at the right endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _kernels
-from .errors import (
-    BudgetError,
-    DegenerateWeightError,
-    InputDomainError,
-    ParseError,
-)
+from .errors import BudgetError, DegenerateWeightError, InputDomainError
 from .spectrum import DifferenceScheme, Spectrum
 
 _SINC_MIN_ARG = 4.493409457909064  # first positive root of tan t = t
@@ -45,6 +38,8 @@ _SINC_MIN = math.cos(_SINC_MIN_ARG)
 class PhiFunction:
     """Even nonnegative bounded generator with phi(0) = 0.
 
+    ``evaluator(t, e)`` returns phi(t)**e elementwise; it is the only place
+    phi is evaluated (``__call__`` is e = 1, ``pow_p`` is e = p).
     ``monotone_to`` is the right end of a declared interval [0, a] on which
     phi is nondecreasing with phi(a) = sup; it is required by the sharpness
     and inverse-theorem operations.
@@ -53,7 +48,7 @@ class PhiFunction:
     def __init__(
         self,
         kind: str,
-        evaluator: Callable[[np.ndarray], np.ndarray],
+        evaluator: Callable[[np.ndarray, float], np.ndarray],
         *,
         param: float = 0.0,
         theta: tuple = (),
@@ -85,23 +80,11 @@ class PhiFunction:
         self.zero_set_suspicious = bool(np.mean(vals < 1e-14) > 0.2)
 
     def __call__(self, t):
-        scalar = np.isscalar(t)
-        out = self._eval(np.asarray(t, dtype=np.float64))
-        return float(out) if scalar else out
+        out = self._eval(np.asarray(t, dtype=np.float64), 1.0)
+        return float(out) if np.isscalar(t) else out
 
     def pow_p(self, t, p: float):
-        return np.asarray(self(t), dtype=np.float64) ** p
-
-    def kernel_args(self):
-        """(kind_code, param, theta_re, theta_im) for the builtin-family kernel, or None."""
-        if self.kind == "alpha":
-            return (_kernels.PHI_ALPHA, self.param, np.zeros(1), np.zeros(1))
-        if self.kind == "theta":
-            th = np.array(self.theta, dtype=np.complex128)
-            return (_kernels.PHI_THETA, 0.0, th.real.copy(), th.imag.copy())
-        if self.kind == "steklov":
-            return (_kernels.PHI_STEKLOV, self.param, np.zeros(1), np.zeros(1))
-        return None
+        return self._eval(np.asarray(t, dtype=np.float64), p)
 
     def require_monotone(self, tau: float):
         if self.monotone_to is None or tau > self.monotone_to * (1 + 1e-12):
@@ -135,8 +118,8 @@ def phi_alpha(alpha: float) -> PhiFunction:
     if not alpha > 0:
         raise InputDomainError("alpha must be positive")
 
-    def ev(t):
-        return (2.0 ** alpha) * np.abs(np.sin(0.5 * t)) ** alpha
+    def ev(t, e):
+        return (2.0 ** (alpha * e)) * np.abs(np.sin(0.5 * t)) ** (alpha * e)
 
     return PhiFunction(
         "alpha", ev, param=alpha, sup=2.0 ** alpha, monotone_to=math.pi,
@@ -149,10 +132,9 @@ def phi_theta(theta: Sequence[complex] | DifferenceScheme) -> PhiFunction:
     scheme = theta if isinstance(theta, DifferenceScheme) else DifferenceScheme(tuple(theta))
     th = np.array(scheme.theta, dtype=np.complex128)
 
-    def ev(t):
-        t = np.asarray(t, dtype=np.float64)
+    def ev(t, e):
         j = np.arange(th.shape[0], dtype=np.float64)
-        return np.abs(np.exp(-1j * np.multiply.outer(t, j)) @ th)
+        return np.abs(np.exp(-1j * np.multiply.outer(t, j)) @ th) ** e
 
     # classical alternating-binomial weights give 2^m |sin(t/2)|^m
     m = len(scheme.theta) - 1
@@ -160,7 +142,7 @@ def phi_theta(theta: Sequence[complex] | DifferenceScheme) -> PhiFunction:
         scheme.theta[j] == (-1) ** j * math.comb(m, j) for j in range(m + 1)
     )
     grid = np.linspace(0.0, 2.0 * math.pi, 4097)
-    sup = float(np.max(ev(grid)))
+    sup = float(np.max(ev(grid, 1.0)))
     return PhiFunction(
         "theta", ev, theta=scheme.theta, sup=sup,
         monotone_to=math.pi if classical else None,
@@ -173,11 +155,11 @@ def phi_steklov(m: int) -> PhiFunction:
     if m < 1:
         raise InputDomainError("Steklov order must be >= 1")
 
-    def ev(t):
-        t = np.asarray(t, dtype=np.float64)
+    def ev(t, e):
         with np.errstate(invalid="ignore", divide="ignore"):
             sinc = np.where(t == 0.0, 1.0, np.sin(t) / np.where(t == 0.0, 1.0, t))
-        return np.clip(1.0 - sinc, 0.0, None) ** m
+        # 1 - sinc is nonnegative; clip the -0.0 noise at t ~ 0
+        return np.clip(1.0 - sinc, 0.0, None) ** (m * e)
 
     return PhiFunction(
         "steklov", ev, param=float(m), sup=(1.0 - _SINC_MIN) ** m,
@@ -191,8 +173,8 @@ def phi_custom(
     monotone_to: float | None = None,
     label: str = "custom",
 ) -> PhiFunction:
-    def ev(t):
-        return np.asarray(fn(np.asarray(t, dtype=np.float64)), dtype=np.float64)
+    def ev(t, e):
+        return np.asarray(fn(t), dtype=np.float64) ** e
 
     return PhiFunction("custom", ev, sup=sup, monotone_to=monotone_to, label=label)
 
@@ -498,11 +480,8 @@ def stieltjes(
 def _objective_grid(
     lams: np.ndarray, amps_p: np.ndarray, phi: PhiFunction, p: float, hs: np.ndarray
 ) -> np.ndarray:
-    """sum_k phi(lam_k h)^p amps_p[k] over the shifts hs (amps_p = |A_k|^p)."""
-    ka = phi.kernel_args()
-    if ka is not None:
-        kind, param, tre, tim = ka
-        return _kernels.modulus_objective(lams, amps_p, hs, kind, param, tre, tim, p)
+    """sum_k phi(lam_k h)^p amps_p[k] over the shifts hs (amps_p = |A_k|^p),
+    in chunks of shifts that keep the (shifts x frequencies) block small."""
     out = np.empty(hs.shape[0], dtype=np.float64)
     chunk = max(8, 65536 // max(1, lams.shape[0]))
     for start in range(0, hs.shape[0], chunk):

@@ -27,8 +27,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -136,15 +136,6 @@ def _power_tail(s: float, K: int) -> tuple[float, float]:
     return est, bound
 
 
-def _poly_geom_tail(dpow: int, x: float, B: int) -> float:
-    """Upper bound for sum_{m>B} m^dpow * x^m with 0 < x < 1."""
-    # m^dpow <= (B+1)^dpow * rho^(m-B-1) with rho = ((B+2)/(B+1))^dpow
-    rho = ((B + 2.0) / (B + 1.0)) ** dpow
-    if x * rho >= 1.0:
-        raise ConvergenceError("geometric tail bound unavailable (ratio >= 1)")
-    return (B + 1.0) ** dpow * x ** (B + 1) / (1.0 - x * rho)
-
-
 # ---------------------------------------------------------------------------
 # product axes
 
@@ -166,13 +157,6 @@ class AxisPow:
 
     def value(self, k: int) -> float:
         return 1.0 / self.weight(k)
-
-    @property
-    def max_value(self) -> float:
-        return 1.0
-
-    def tail_sup(self, R: int) -> float:
-        return float(max(R, 1)) ** (-self.beta)
 
     def power_sum(self, e: float) -> tuple[float, float]:
         s = self.beta * e
@@ -199,13 +183,6 @@ class AxisGeom:
 
     def value(self, k: int) -> float:
         return self.ratio ** abs(k)
-
-    @property
-    def max_value(self) -> float:
-        return 1.0
-
-    def tail_sup(self, R: int) -> float:
-        return self.ratio ** max(R, 0)
 
     def power_sum(self, e: float) -> tuple[float, float]:
         x = self.ratio ** e
@@ -241,6 +218,7 @@ class PsiSystem:
     variant: str
     theorem_grade: bool  # satisfies nonzero + vanishing hypotheses everywhere
     max_box: int
+    finite = False  # finitely many nonzero magnitudes, so stream() may end
 
     def magnitude(self, k) -> float:
         raise NotImplementedError
@@ -305,10 +283,6 @@ class ProductPsi(PsiSystem):
             v *= a.value(kj)
         return v
 
-    def _axis_positions(self, j: int, upto: int) -> list[int]:
-        gen = _axis_canonical_order()
-        return [next(gen) for _ in range(upto)]
-
     def stream(self) -> Iterator[tuple[float, tuple]]:
         # sorted-product enumeration: a max-heap over per-axis position
         # vectors, deduplicated by position (distinct indices may share
@@ -348,16 +322,6 @@ class ProductPsi(PsiSystem):
             rel_hi *= 1.0 + b / v
             rel_lo *= max(0.0, 1.0 - b / v)
         return total, total * max(rel_hi - 1.0, 1.0 - rel_lo)
-
-    def tail_sup_outside(self, R: int) -> float:
-        best = 0.0
-        for j, a in enumerate(self.axes):
-            other = 1.0
-            for i, b in enumerate(self.axes):
-                if i != j:
-                    other *= b.max_value
-            best = max(best, a.tail_sup(R + 1) * other)
-        return best
 
 
 class RadialPsi(PsiSystem):
@@ -498,8 +462,9 @@ class RadialPsi(PsiSystem):
             if B < t0:
                 raise ConvergenceError("certification box does not reach power bound range")
             # conservative: treat as a power profile scaled by C (upper bound)
-            upper, b = self._pow_tail_weighted_scaled(beta * e, B, C ** e)
-            return partial + upper / 2.0, upper / 2.0 + b
+            est, bnd = self._pow_tail_weighted(beta * e, B)
+            upper = est * C ** e
+            return partial + upper / 2.0, upper / 2.0 + bnd * C ** e
         if form is None:
             raise ConvergenceError(
                 "no certified tail rule for a callable radial profile; "
@@ -540,15 +505,13 @@ class RadialPsi(PsiSystem):
         mid = 0.5 * (upper + lower)
         return partial + mid, 0.5 * (upper - lower) + ub + lb
 
-    def _pow_tail_weighted_scaled(self, s: float, B: int, scale: float) -> tuple[float, float]:
-        est, bnd = self._pow_tail_weighted(s, B)
-        return est * scale, bnd * scale
-
 
 class ExplicitTablePsi(PsiSystem):
     """Finite positive table on lattice indices, zero beyond (test-only: the
     zero tail violates the everywhere-nonzero hypothesis, so theorem-level
     operations flag this variant)."""
+
+    finite = True
 
     def __init__(self, entries: dict, d: int | None = None):
         norm: dict[tuple, float] = {}
@@ -619,6 +582,7 @@ class ExplicitSeqPsi(PsiSystem):
         elif kind == "zero":
             self._cont = lambda j: 0.0
             self.theorem_grade = False
+            self.finite = True
             if not self.head:
                 raise InputDomainError("zero-tail sequence needs a nonempty head")
         else:
@@ -702,6 +666,7 @@ class PhasedPsi(PsiSystem):
         self.d = base.d
         self.variant = base.variant + "+phase"
         self.theorem_grade = base.theorem_grade
+        self.finite = base.finite
         self.max_box = base.max_box
 
     def magnitude(self, k) -> float:
@@ -722,9 +687,6 @@ class PhasedPsi(PsiSystem):
 
     def nu(self, n: int) -> float:
         return self.base.nu(n)
-
-    def tail_sup_outside(self, R: int) -> float:
-        return self.base.tail_sup_outside(R)
 
 
 # ---------------------------------------------------------------------------
@@ -835,25 +797,22 @@ def build_charseq(
 
 
 def rearrangement(psi: PsiSystem, K: int) -> np.ndarray:
-    """First K values of the decreasing rearrangement (with multiplicity)."""
+    """First K values of the decreasing rearrangement (with multiplicity);
+    fewer when a finite system runs out."""
     if K < 1:
         raise InputDomainError("K must be >= 1")
     vals = np.fromiter(
         (v for v, _ in itertools.islice(psi.stream(), K)), dtype=np.float64, count=-1
     )
-    if vals.shape[0] < K and not isinstance(psi, (ExplicitTablePsi,)) and not (
-        isinstance(psi, ExplicitSeqPsi) and psi.continuation[0] == "zero"
-    ):
+    if vals.shape[0] < K and not psi.finite:
         raise CertificationError("enumeration ended prematurely")
     return vals
 
 
 def rearrangement_padded(psi: PsiSystem, K: int) -> np.ndarray:
     """Like :func:`rearrangement` but zero-padded for exhausted finite systems."""
-    vals = list(v for v, _ in itertools.islice(psi.stream(), K))
-    while len(vals) < K:
-        vals.append(0.0)
-    return np.array(vals, dtype=np.float64)
+    vals = rearrangement(psi, K)
+    return np.pad(vals, (0, K - vals.shape[0]))
 
 
 # ---------------------------------------------------------------------------

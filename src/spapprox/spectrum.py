@@ -13,7 +13,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -156,9 +156,6 @@ class Spectrum:
 
     def abs_coefficients(self) -> np.ndarray:
         return np.abs(np.array(self._coeffs, dtype=np.complex128))
-
-    def map_coefficients(self, fn: Callable) -> "Spectrum":
-        return Spectrum(self.kind, {k: fn(k, c) for k, c in self.items()}, self.d)
 
 
 # ---------------------------------------------------------------------------

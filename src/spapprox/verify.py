@@ -24,7 +24,6 @@ from .classes import (
 )
 from .jackson import (
     JacksonSetup,
-    chernykh_constants,
     jackson_I,
     jackson_bound,
     jackson_constant,
@@ -35,7 +34,7 @@ from .jackson import (
 )
 from .ladder import FrequencyLadder
 from .inverse import inverse_bound_alpha, inverse_bound_general, sharpness_single_frequency
-from .moduli import omega_phi, phi_alpha, weight_cos, weight_linear
+from .moduli import phi_alpha, weight_cos, weight_linear
 from .psi import AxisPow, ProductPsi, build_charseq
 from .spectrum import greedy_select
 from .testing import (

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spapprox import _kernels
+from spapprox import _kernels, phi_alpha, phi_custom, phi_steklov, phi_theta
+from spapprox.moduli import _objective_grid
 
 
 def _random_args(seed):
@@ -14,39 +15,56 @@ def _random_args(seed):
     return lams, amps, hs
 
 
+# generator families of the reference below
+ALPHA, THETA, STEKLOV, CUSTOM = range(4)
+
+
+def _custom(t):
+    return np.sqrt(np.abs(np.sin(t))) + 1.0 - np.cos(t)
+
+
+def _make_phi(kind, param, theta_re, theta_im):
+    if kind == ALPHA:
+        return phi_alpha(param)
+    if kind == THETA:
+        return phi_theta([complex(a, b) for a, b in zip(theta_re, theta_im)])
+    if kind == STEKLOV:
+        return phi_steklov(int(param))
+    return phi_custom(_custom)
+
+
 def _phi_pow_reference(t, kind, param, theta_re, theta_im, p):
     """phi(t)**p for one shift-frequency product, with math only."""
-    if kind == _kernels.PHI_ALPHA:
+    if kind == ALPHA:
         return (2.0 * abs(math.sin(0.5 * t))) ** (param * p)
-    if kind == _kernels.PHI_THETA:
+    if kind == THETA:
         re = sum(a * math.cos(j * t) + b * math.sin(j * t)
                  for j, (a, b) in enumerate(zip(theta_re, theta_im)))
         im = sum(b * math.cos(j * t) - a * math.sin(j * t)
                  for j, (a, b) in enumerate(zip(theta_re, theta_im)))
         return math.hypot(re, im) ** p
+    if kind == CUSTOM:
+        return (math.sqrt(abs(math.sin(t))) + 1.0 - math.cos(t)) ** p
     base = 0.0 if t == 0.0 else max(0.0, 1.0 - math.sin(t) / t)
     return base ** (param * p)
 
 
 @pytest.mark.parametrize("kind,param,theta", [
-    (_kernels.PHI_ALPHA, 1.5, ((), ())),
-    (_kernels.PHI_THETA, 0.0, ((1.0, -2.0, 1.0), (0.0, 0.5, -0.5))),
-    (_kernels.PHI_STEKLOV, 2.0, ((), ())),
+    (ALPHA, 1.5, ((), ())),
+    (THETA, 0.0, ((1.0, -2.0, 1.0), (0.0, 0.5, -0.5))),
+    (STEKLOV, 2.0, ((), ())),
+    (CUSTOM, 0.0, ((), ())),
 ])
 def test_modulus_objective_paths_agree(kind, param, theta):
-    # the vectorized kernel against a plain double loop over shifts and
-    # frequencies that shares no numpy code with it
+    # the objective grid of PhiFunction.pow_p against a plain double loop
+    # over shifts and frequencies that shares no numpy code with it
     lams, amps, hs = _random_args(42)
-    tre = np.array(theta[0] if theta[0] else [0.0])
-    tim = np.array(theta[1] if theta[1] else [0.0])
     p = 1.7
-    got = _kernels.modulus_objective(lams, amps, hs, kind, param, tre, tim, p)
-    lam_list, amp_list = lams.tolist(), amps.tolist()
-    tre_list, tim_list = tre.tolist(), tim.tolist()
+    got = _objective_grid(lams, amps, _make_phi(kind, param, *theta), p, hs)
     for h, value in zip(hs.tolist(), got.tolist()):
         want = math.fsum(
-            _phi_pow_reference(lam * h, kind, param, tre_list, tim_list, p) * a
-            for lam, a in zip(lam_list, amp_list)
+            _phi_pow_reference(lam * h, kind, param, theta[0], theta[1], p) * a
+            for lam, a in zip(lams.tolist(), amps.tolist())
         )
         assert value == pytest.approx(want, rel=1e-12, abs=1e-13)
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spapprox import (
     AxisGeom,
@@ -189,3 +191,80 @@ def test_rearrangement_multiset_matches_box_sort():
 def test_padded_rearrangement_for_finite_tables():
     t = ExplicitTablePsi({0: 1.0, 1: 0.5})
     assert list(rearrangement_padded(t, 4)) == [1.0, 0.5, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("base", [
+    ExplicitTablePsi({0: 1.0, 1: 0.5}),
+    ExplicitSeqPsi.table([1.0, 0.5]),
+], ids=["table", "seq-table"])
+def test_rearrangement_of_phased_finite_system(base):
+    # a phase does not make a finite system infinite: its stream still ends
+    phased = PhasedPsi(base, lambda k: 1.0)
+    assert list(rearrangement(phased, 4)) == [1.0, 0.5]
+    assert list(rearrangement_padded(phased, 4)) == [1.0, 0.5, 0.0, 0.0]
+
+
+# shapes of product axes and radial profiles: ("pow", beta) or ("geom", ratio)
+_POW = st.tuples(st.just("pow"), st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.5, 3.0))
+_AXIS = _POW | st.tuples(st.just("geom"), st.sampled_from([0.3, 0.5]) | st.floats(0.2, 0.8))
+# RadialPsi's constructor spot-checks the profile up to t = 512 and rejects
+# ratios whose 512th power underflows to 0.0 (below about 0.25)
+_PROFILE = _POW | st.tuples(st.just("geom"), st.sampled_from([0.3, 0.5]) | st.floats(0.3, 0.8))
+
+
+def _shape_value(shape, t):
+    """|t|'^-beta or ratio^|t|, with |t|' = max(|t|, 1)."""
+    kind, param = shape
+    if kind == "pow":
+        return max(abs(t), 1.0) ** -param
+    return param ** abs(t)
+
+
+def _box_sort(value_at, axis_sup, d, K):
+    """First K values of a plain sort of value_at over a box [-B_1, B_1] x
+    ... x [-B_d, B_d], grown until no point outside it can exceed the K-th
+    value; axis_sup(j, b) bounds every value at a point with |k_j| >= b."""
+    radii = [1] * d
+    while True:
+        vals = sorted(
+            (value_at(k) for k in itertools.product(*(range(-b, b + 1) for b in radii))),
+            reverse=True,
+        )
+        short = [j for j in range(d) if len(vals) < K or axis_sup(j, radii[j] + 1) > vals[K - 1]]
+        if not short:
+            return vals[:K]
+        for j in short:
+            radii[j] *= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(axes=st.lists(_AXIS, min_size=1, max_size=3), K=st.integers(1, 100))
+def test_product_rearrangement_matches_full_sort(axes, K):
+    psi = ProductPsi([AxisPow(b) if kind == "pow" else AxisGeom(b) for kind, b in axes])
+    want = _box_sort(
+        lambda k: math.prod(_shape_value(shape, kj) for shape, kj in zip(axes, k)),
+        lambda j, b: _shape_value(axes[j], b),
+        len(axes), K,
+    )
+    assert rearrangement(psi, K).tolist() == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    profile=_PROFILE, r=st.sampled_from([1.0, 2.0, math.inf]),
+    d=st.integers(1, 2), K=st.integers(1, 100),
+)
+def test_radial_rearrangement_matches_full_sort(profile, r, d, K):
+    def norm(k):
+        if r == math.inf:
+            return float(max(abs(x) for x in k))
+        return sum(abs(x) ** r for x in k) ** (1.0 / r)
+
+    psi = RadialPsi(profile, d=d, r=r)
+    # the origin reads the profile at 1; |k_j| >= b implies |k|_r >= b
+    want = _box_sort(
+        lambda k: _shape_value(profile, max(norm(k), 1.0)),
+        lambda j, b: _shape_value(profile, b),
+        d, K,
+    )
+    assert rearrangement(psi, K).tolist() == pytest.approx(want, rel=1e-13, abs=0)

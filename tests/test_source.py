@@ -1,0 +1,74 @@
+"""Static checks on the package source (``ast`` only): every imported name
+is used, and every private module-level function is referenced somewhere
+in the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "spapprox"
+MODULES = sorted(SRC.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+
+
+def _annotation_strings(tree):
+    """Names read by string annotations such as ``-> "Spectrum"``."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations.append(node.returns)
+            annotations.extend(
+                a.annotation
+                for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                if a is not None
+            )
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for ann in filter(None, annotations):
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                inner = ast.parse(sub.value, mode="eval")
+                names.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return names
+
+
+def _read_names(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _annotation_strings(tree)
+
+
+@pytest.mark.parametrize("name", [p.name for p in MODULES if p.name != "__init__.py"])
+def test_no_unused_imports(name):
+    tree = TREES[name]
+    used = _read_names(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{bound} (line {node.lineno})")
+    assert not unused, f"{name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_private_functions_are_referenced():
+    referenced = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    orphans = [
+        f"{name}:{node.name}"
+        for name, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not orphans, f"private functions nothing in src/ calls: {', '.join(orphans)}"
