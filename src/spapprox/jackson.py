@@ -30,7 +30,7 @@ from .moduli import (
     PhiFunction,
     WeightMeasure,
     averaged_omega,
-    smooth_density_integrals,
+    density_integrals,
     stieltjes,
     weight_linear,
 )
@@ -201,8 +201,8 @@ def _alpha_scan_integrals_jacobi(
 
 
 # ratios per batch, which bounds the arrays of a pass: a Jacobi chunk of an
-# n = 8 scan at tau = pi holds up to about 1,000 sine periods (x 24 nodes), a
-# smooth chunk 8 panel-doubling sequences of up to ~500 panels (x 12 nodes)
+# n = 8 scan at tau = pi holds up to about 1,000 sine periods (x 24 nodes),
+# a Gauss-Legendre chunk the open panels of 8 adaptive integrals (x 24 nodes)
 _JACOBI_CHUNK = 32
 _SMOOTH_CHUNK = 8
 
@@ -215,13 +215,13 @@ def _scaled_phi_integrals(
 
     Cached ratios are looked up; the rest are computed in chunks of ratios,
     one batched pass per chunk: fractional sine powers against densities on
-    the Gauss-Jacobi route (which does not read ``quad_tol``), smooth sine
-    and sliding-mean powers against densities by panel doubling of all the
-    chunk's ratios together.  Other generators and weights take one
-    ``stieltjes`` call per ratio (a difference symbol evaluates a
-    (points x terms) complex array, too large to batch)."""
-    smooth = phi.pow_p_smooth(p)
-    jacobi = not smooth and phi.kind == "alpha" and v.kind == "density"
+    the Gauss-Jacobi route (which does not read ``quad_tol``), the other
+    sine and sliding-mean powers against densities and piecewise-linear
+    weights by ``density_integrals``, all the chunk's ratios together.
+    Other generators and weights take one ``stieltjes`` call per ratio (a
+    difference symbol evaluates a (points x terms) complex array, too large
+    to batch)."""
+    jacobi = phi.kind == "alpha" and v.kind == "density" and not phi.pow_p_smooth(p)
     request = (_phi_identity(phi), p, _weight_identity(v), tau,
                None if jacobi else quad_tol)
     out = [_I_CACHE.get((request, r)) for r in ratios]
@@ -234,15 +234,15 @@ def _scaled_phi_integrals(
 
         def compute(rs):
             return _alpha_scan_integrals_jacobi(phi.param, p, v, tau, rs)
-    elif smooth and v.kind == "density" and phi.kind in ("alpha", "steklov"):
+    elif v.kind != "atomic" and phi.kind in ("alpha", "steklov"):
         chunk = _SMOOTH_CHUNK
 
         def compute(rs):
             rs = np.asarray(rs, dtype=np.float64)
-            return smooth_density_integrals(
-                lambda t, rows: phi.pow_p(rs[rows] * t, p), v, tau, quad_tol,
+            return density_integrals(
+                lambda t, rows: phi.pow_p(rs[rows] * t, p), v, 0.0, tau, quad_tol,
                 np.maximum(1.0, rs * tau / math.pi),
-            )
+            )[0]
     else:
         chunk = 1
 
@@ -251,7 +251,7 @@ def _scaled_phi_integrals(
             osc = max(1.0, ratio * tau / math.pi)
             val, _ = stieltjes(
                 lambda t: phi.pow_p(ratio * np.asarray(t, dtype=np.float64), p),
-                v, (0.0, tau), tol=quad_tol, osc=osc, graded=not smooth,
+                v, (0.0, tau), tol=quad_tol, osc=osc,
             )
             return [val]
 
@@ -281,8 +281,7 @@ def _phi_period_mean(phi: PhiFunction, p: float) -> float | None:
     """Mean of phi^p over its period (2*pi for the builtin oscillatory
     generators); None when no period is known or the quadrature runs out of
     budget, cached per (phi, p).  Evenness folds the period integral onto
-    [0, pi], keeping the only possible cusp at the left endpoint where the
-    graded rule handles it."""
+    [0, pi]."""
     if not (phi.kind in ("alpha", "theta") and phi.is_even):
         return None
     key = (_phi_identity(phi), p)
@@ -292,7 +291,7 @@ def _phi_period_mean(phi: PhiFunction, p: float) -> float | None:
         grid_val, _ = stieltjes(
             lambda t: phi.pow_p(t, p),
             weight_linear(math.pi),
-            (0.0, math.pi), tol=1e-10, osc=4.0, graded=not phi.pow_p_smooth(p),
+            (0.0, math.pi), tol=1e-10, osc=4.0,
         )
         mean = grid_val / math.pi
     except BudgetError:
@@ -379,9 +378,9 @@ def jackson_bound(
         E <= ((v(tau)-v(0))/I)^{1/p} nu(n) OmegaAvg(f', tau/n)
 
     where f' is the psi-derivative; with f omitted the sharp class constant
-    ((v(tau)-v(0))/I)^{1/p} nu(n) is returned.  ``quad_tol`` steers the
-    scanned-integral quadrature (loosen it for generators with interior
-    algebraic cusps, i.e. non-even fractional exponents).
+    ((v(tau)-v(0))/I)^{1/p} nu(n) is returned.  ``quad_tol`` steers only
+    the scanned-integral quadrature; the modulus integrals keep the default
+    tolerance of ``stieltjes`` and ``averaged_omega``.
     """
     I = jackson_I(setup, quad_tol=quad_tol)
     lam_n = setup.ladder.value(setup.n)
@@ -397,9 +396,7 @@ def jackson_bound(
             return evaluator.power_values(t / lam_n)
 
         osc = max(1.0, lam_max * setup.tau / lam_n / (2 * math.pi))
-        integral, _ = stieltjes(
-            integrand, setup.v, (0.0, setup.tau), tol=max(1e-9, quad_tol), osc=osc
-        )
+        integral, _ = stieltjes(integrand, setup.v, (0.0, setup.tau), osc=osc)
         rhs = (integral / I.value) ** (1.0 / setup.p)
         factors["modulus_integral"] = integral
     else:
@@ -410,10 +407,7 @@ def jackson_bound(
         if f is None:
             return JacksonBound(const * nu, None, None, factors)
         fd = psi_derivative(f, setup.psi)
-        modulus = averaged_omega(
-            fd, setup.phi, setup.tau, setup.v, setup.tau / setup.n, setup.p,
-            tol=max(1e-9, quad_tol),
-        )
+        modulus = averaged_omega(fd, setup.phi, setup.tau, setup.v, setup.tau / setup.n, setup.p)
         factors["averaged_modulus"] = modulus
         rhs = const * nu * modulus
     lhs = ladder_tail_norm(f, lam_n, setup.p)

@@ -93,10 +93,11 @@ class PhiFunction:
             )
 
     def pow_p_smooth(self, p: float) -> bool:
-        """Whether phi(t)**p is free of algebraic cusps (steers quadrature
-        grading).  True when the power collapses to an integer power of a
-        smooth function: alpha*p even for the sine family, p even for
-        difference symbols, m*p integer for the sliding-mean family."""
+        """Whether phi(t)**p is free of algebraic cusps (a fractional sine
+        power takes the Gauss-Jacobi route of the Jackson scan).  True when
+        the power collapses to an integer power of a smooth function:
+        alpha*p even for the sine family, p even for difference symbols,
+        m*p integer for the sliding-mean family."""
         def near_int(x: float, even: bool = False) -> bool:
             r = round(x)
             return abs(x - r) < 1e-12 and (not even or r % 2 == 0)
@@ -209,6 +210,11 @@ class WeightMeasure:
             if np.any(np.diff(ts) <= 0) or np.any(np.diff(vs) < 0):
                 raise InputDomainError("weight knots must be increasing in t, nondecreasing in v")
             self.knots_t, self.knots_v = ts, vs
+            slopes = np.diff(vs) / np.diff(ts)
+            # the piecewise-constant density of the slopes
+            self.vprime = lambda t: slopes[
+                np.clip(np.searchsorted(ts, t, side="right") - 1, 0, slopes.shape[0] - 1)
+            ]
         elif kind == "atomic":
             pts = np.asarray(data["points"], dtype=np.float64)
             jmp = np.asarray(data["jumps"], dtype=np.float64)
@@ -231,8 +237,8 @@ class WeightMeasure:
         if self.kind == "density":
             if self.v is not None:
                 return float(self.v(b)) - float(self.v(a))
-            val, _ = _gauss_adaptive(lambda t: np.ones_like(t) * self.vprime(t), a, b, 1e-13, 4)
-            return val
+            val, _ = density_integrals(lambda t, rows: np.ones_like(t), self, a, b, 1e-13, 1.0)
+            return float(val[0])
         if self.kind == "pwl":
             return float(self._pwl_value(b) - self._pwl_value(a))
         sel = (self.points > a) & (self.points <= b)
@@ -281,13 +287,18 @@ def weight_atomic(points, jumps, tau: float | None = None) -> WeightMeasure:
 
 
 # ---------------------------------------------------------------------------
-# quadrature (main route: adaptive composite Gauss-Legendre)
+# quadrature: one locally adaptive Gauss-Legendre routine for every integral
+# against a density, in the style of QUADPACK's QAG (Piessens,
+# de Doncker-Kapenga, Ueberhuber and Kahaner, 1983), batched over integrals
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
-
-# budget of the whole-interval doubling (per interval, in panels)
-_WHOLE_BUDGET = 2 ** 16
+# panels one integral may hold
+_BUDGET = 2 ** 16
+# rounding level of a panel's value, per unit of |left half| + |right half|:
+# integrands such as |sin(r t / 2)|^10 at r t ~ 200 carry evaluation noise
+# of several hundred eps, which no bisection can remove
+_ROUNDING = 1024.0 * np.finfo(np.float64).eps
 
 
 def _panel_bounds(a: np.ndarray, b: np.ndarray, panels: np.ndarray):
@@ -305,120 +316,114 @@ def _panel_bounds(a: np.ndarray, b: np.ndarray, panels: np.ndarray):
     return lo, hi
 
 
-def _gauss_panels(g: Callable, a: np.ndarray, b: np.ndarray, panels: np.ndarray) -> np.ndarray:
-    """Composite 12-point Gauss-Legendre sums over a batch of intervals
-    [a_i, b_i], interval i split into panels_i equal panels.
+def _gl_sums(g: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """12-point Gauss-Legendre sums over the panels [lo_j, hi_j].
 
-    g(t, rows) is called once, on the nodes of every interval together;
-    rows[j] is the batch index of node t[j].  Each interval's sum is reduced
-    on its own rows, exactly as for a batch of one."""
-    lo, hi = _panel_bounds(a, b, panels)
-    mid = 0.5 * (lo + hi)
+    g(t, rows) is called once, on the nodes of every panel together;
+    rows[k] is the integral (owner) that node t[k] belongs to.  Each panel's
+    sum reads only its own nodes, in the same order wherever the panel sits
+    in the batch (einsum, unlike a BLAS matrix-vector product)."""
     half = 0.5 * (hi - lo)
-    t = mid[:, None] + half[:, None] * _GL_NODES
-    rows = np.repeat(np.arange(panels.shape[0]), panels * _GL_NODES.shape[0])
+    t = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+    rows = np.repeat(owner, _GL_NODES.shape[0])
     vals = np.asarray(g(t.ravel(), rows), dtype=np.float64).reshape(t.shape)
-    out = np.empty(panels.shape[0])
-    stop = 0
-    for i, k in enumerate(panels.tolist()):
-        out[i] = np.sum((vals[stop:stop + k] @ _GL_WEIGHTS) * half[stop:stop + k])
-        stop += k
-    return out
+    return np.einsum("ij,j->i", vals, _GL_WEIGHTS) * half
 
 
 def _adaptive_block(
-    g: Callable, a, b, tol, panels0, budget: int
+    g: Callable, a, b, tol, panels0, budget: int, cuts=()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Panel doubling over a batch of intervals, g as in ``_gauss_panels``.
+    """integral_{a_i}^{b_i} g(t, i) dt for a batch of integrals i by locally
+    adaptive bisection (g as in ``_gl_sums``).
 
-    Interval i starts at max(2, panels0_i) panels and doubles until two
-    successive sums differ by at most tol_i; the intervals still open are
-    evaluated together each round.  Returns (values, error estimates)."""
+    Integral i starts from max(2, panels0_i) equal panels, and each of the
+    ``cuts`` inside (a_i, b_i) is one more panel edge.  A panel's value is
+    the sum of the 12-point rules on its two halves; its error is the gap
+    between that sum and the rule on the whole panel.  A panel is accepted
+    once its error is at most its width's share of tol_i or at most the
+    rounding level of its value; otherwise its halves are the next round's
+    panels, with their rules as whole-panel values.  Every round evaluates
+    the open panels of all integrals as one array.  The decisions for
+    integral i read only its own panels, and its accepted panels are added
+    in position order, so a batch returns exactly the values of its batches
+    of one.  Bisection ends at the latest where a panel's midpoint rounds to
+    one of its ends: a half is then the panel itself, whose error is 0.
+    Raises ``BudgetError`` when an integral would hold more than ``budget``
+    panels.  Returns (values, error estimates)."""
     panels = np.maximum(2, np.atleast_1d(np.asarray(panels0, dtype=np.int64)))
-    shape = panels.shape
-    a, b, tol = (np.broadcast_to(np.asarray(x, dtype=np.float64), shape) for x in (a, b, tol))
-    prev = _gauss_panels(g, a, b, panels)
-    vals = np.empty_like(prev)
-    errs = np.empty_like(prev)
-    ids = np.arange(shape[0])
-    while ids.size:
-        panels[ids] *= 2
-        over = ids[panels[ids] > budget]
+    count = panels.shape[0]
+    a, b, tol = (np.broadcast_to(np.asarray(x, dtype=np.float64), (count,)) for x in (a, b, tol))
+    lo, hi = _panel_bounds(a, b, panels)
+    owner = np.repeat(np.arange(count), panels)
+    cuts = np.asarray(cuts, dtype=np.float64)
+    if cuts.size:
+        cut_owner = np.repeat(np.arange(count), cuts.size)
+        cut_at = np.tile(cuts, count)
+        inside = (cut_at > a[cut_owner]) & (cut_at < b[cut_owner])
+        owner = np.concatenate((owner, cut_owner[inside]))
+        lo = np.concatenate((lo, cut_at[inside]))
+        order = np.lexsort((lo, owner))
+        owner, lo = owner[order], lo[order]
+        last = np.append(owner[1:] != owner[:-1], True)
+        hi = np.append(lo[1:], 0.0)
+        hi[last] = b[owner[last]]
+    rate = tol / np.where(b > a, b - a, 1.0)
+    held = np.bincount(owner, minlength=count)
+    accepted = []
+    whole = None
+    while True:
+        mid = 0.5 * (lo + hi)
+        if whole is None:
+            whole, left, right = _gl_sums(
+                g, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)), np.tile(owner, 3),
+            ).reshape(3, -1)
+        else:
+            left, right = _gl_sums(
+                g, np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.tile(owner, 2),
+            ).reshape(2, -1)
+        val = left + right
+        err = np.abs(val - whole)
+        ok = (err <= rate[owner] * (hi - lo)) | (err <= _ROUNDING * (np.abs(left) + np.abs(right)))
+        accepted.append((owner[ok], lo[ok], val[ok], err[ok]))
+        if ok.all():
+            break
+        split = ~ok
+        lo, mid, hi, owner = lo[split], mid[split], hi[split], owner[split]
+        held += np.bincount(owner, minlength=count)
+        over = np.flatnonzero(held > budget)
         if over.size:
             raise BudgetError(
-                f"quadrature budget exceeded ({panels[over[0]]} panels "
+                f"quadrature budget exceeded ({held[over[0]]} panels "
                 f"for tolerance {tol[over[0]]:g})"
             )
-        cur = _gauss_panels(lambda t, rows: g(t, ids[rows]), a[ids], b[ids], panels[ids])
-        err = np.abs(cur - prev[ids])
-        done = err <= tol[ids]
-        vals[ids[done]] = cur[done]
-        errs[ids[done]] = err[done]
-        prev[ids] = cur
-        ids = ids[~done]
-    return vals, errs
+        whole = np.concatenate((left[split], right[split]))
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        owner = np.tile(owner, 2)
+    # the first round's panels are in position order already
+    owner, at, val, err = (np.concatenate(x) for x in zip(*accepted))
+    if len(accepted) > 1:
+        order = np.lexsort((at, owner))
+        owner, val, err = owner[order], val[order], err[order]
+    return np.bincount(owner, val, minlength=count), np.bincount(owner, err, minlength=count)
 
 
-def _one(g: Callable) -> Callable:
-    """A plain integrand g(t) as a batch-of-one integrand g(t, rows)."""
-    return lambda t, rows: g(t)
+def density_integrals(
+    g: Callable, v: WeightMeasure, a, b, tol, osc
+) -> tuple[np.ndarray, np.ndarray]:
+    """integral_a^b g(t, i) dv(t) for a batch of integrands i = 0, 1, ...
+    against a density or piecewise-linear weight (g as in ``_gl_sums``).
 
-
-def _adaptive_whole(
-    g: Callable, a: float, b: float, tol: float, panels0: int, budget: int = _WHOLE_BUDGET
-) -> tuple[float, float]:
-    """Whole-interval panel doubling (for integrands smooth on [a, b])."""
-    if b <= a:
-        return 0.0, 0.0
-    val, err = _adaptive_block(_one(g), a, b, tol, panels0, budget)
-    return float(val[0]), float(err[0])
-
-
-def _gauss_adaptive(
-    g: Callable, a: float, b: float, tol: float, panels0: int, budget: int = 2 ** 13
-) -> tuple[float, float]:
-    """Adaptive composite Gauss-Legendre with dyadic grading toward the left
-    endpoint (integrands routinely carry an algebraic cusp at 0); each block
-    is refined by panel doubling until its tolerance share is met, all
-    blocks as one batch."""
-    if b <= a:
-        return 0.0, 0.0
-    span = b - a
-    levels = 40
-    edges = [a] + [a + span * 2.0 ** (-j) for j in range(levels, -1, -1)]
-    fracs = [(hi - lo) / span for lo, hi in zip(edges[:-1], edges[1:])]
-    vals, errs = _adaptive_block(
-        _one(g), edges[:-1], edges[1:],
-        [tol * max(frac, 1.0 / 256.0) for frac in fracs],
-        [max(2, int(math.ceil(panels0 * frac))) for frac in fracs], budget,
-    )
-    total, err = 0.0, 0.0
-    for v, e in zip(vals.tolist(), errs.tolist()):
-        total += v
-        err += e
-    return total, err
-
-
-def _density_panels(osc):
-    """Starting panel count of the density rule: two per oscillation, at
-    least four."""
-    return np.maximum(4, np.ceil(2.0 * np.asarray(osc, dtype=np.float64)).astype(np.int64))
-
-
-def smooth_density_integrals(
-    g: Callable, v: WeightMeasure, b: float, tol: float, osc: np.ndarray
-) -> np.ndarray:
-    """integral_0^b g(t, i) dv(t) for a batch of integrands i = 0, 1, ...
-    smooth on [0, b] against a density weight, each exactly as
-    ``stieltjes(.., osc=osc[i], graded=False)`` would integrate it, with all
-    the batch's panel-doubling sequences evaluated together (g as in
-    ``_gauss_panels``)."""
-    vals, _ = _adaptive_block(
+    One ``_adaptive_block`` call integrates g v' for the whole batch, from
+    two starting panels per oscillation of ``osc[i]`` (at least four); a
+    piecewise-linear weight is the piecewise-constant density of its
+    slopes, and its knots are panel edges.  Returns (values, error
+    estimates)."""
+    panels = np.maximum(4, np.ceil(2.0 * np.asarray(osc, dtype=np.float64)).astype(np.int64))
+    return _adaptive_block(
         lambda t, rows: np.asarray(g(t, rows), dtype=np.float64)
         * np.asarray(v.vprime(t), dtype=np.float64),
-        0.0, b, tol, _density_panels(osc), _WHOLE_BUDGET,
+        a, b, tol, panels, _BUDGET, v.knots_t if v.kind == "pwl" else (),
     )
-    return vals
 
 
 def stieltjes(
@@ -427,44 +432,22 @@ def stieltjes(
     interval: tuple[float, float] | None = None,
     tol: float = 1e-10,
     osc: float = 1.0,
-    graded: bool = True,
 ) -> tuple[float, float]:
     """Riemann-Stieltjes integral of g against dv over ``interval``.
 
-    Returns (value, absolute error estimate).  ``osc`` is an oscillation-count
-    hint used to seed the panel count for the adaptive rule; ``graded``
-    selects grading of the panels toward the left endpoint (needed for
-    integrands with an algebraic cusp there, skippable for smooth ones).
-    Densities integrate g * v'; piecewise-linear weights integrate per
-    segment with the slope as a constant factor; atomic weights reduce to a
-    weighted sum over atoms in (a, b].
+    Returns (value, absolute error estimate).  Density and piecewise-linear
+    weights go through ``density_integrals`` as a batch of one: the
+    adaptive Gauss-Legendre rule integrates g v', a piecewise-linear weight
+    as the piecewise-constant density of its slopes, and ``osc`` is an
+    oscillation-count hint that seeds the panel count.  Atomic weights
+    reduce to a weighted sum over atoms in (a, b].
     """
     a, b = interval if interval is not None else (0.0, v.tau)
     if b < a:
         raise InputDomainError("empty integration interval")
-    adapt = _gauss_adaptive if graded else _adaptive_whole
-    if v.kind == "density":
-        return adapt(
-            lambda t: np.asarray(g(t), dtype=np.float64) * np.asarray(v.vprime(t), dtype=np.float64),
-            a, b, tol, int(_density_panels(osc)),
-        )
-    if v.kind == "pwl":
-        total, err = 0.0, 0.0
-        ts, vs = v.knots_t, v.knots_v
-        for i in range(ts.shape[0] - 1):
-            lo, hi = max(a, float(ts[i])), min(b, float(ts[i + 1]))
-            if hi <= lo:
-                continue
-            slope = (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
-            if slope == 0.0:
-                continue
-            seg, seg_err = adapt(
-                lambda t: np.asarray(g(t), dtype=np.float64) * slope, lo, hi, tol, max(2, int(osc)),
-            )
-            total += seg
-            err += seg_err
-        return total, err
-    # atomic
+    if v.kind != "atomic":
+        val, err = density_integrals(lambda t, rows: g(t), v, a, b, tol, osc)
+        return float(val[0]), float(err[0])
     sel = (v.points > a) & (v.points <= b)
     pts = v.points[sel]
     if pts.size == 0:

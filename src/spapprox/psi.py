@@ -364,7 +364,10 @@ class RadialPsi(PsiSystem):
         self.power_bound = power_bound
         self.variant = f"radial[{self._describe_form()}, r={self.r:g}, d={self.d}]"
         self.theorem_grade = True
-        self._spot_check()
+        if self.form is None:
+            # the tuple forms are valid by construction (and rho**512 may
+            # underflow to 0.0 for a valid geometric ratio)
+            self._spot_check()
 
     def _describe_form(self) -> str:
         if self.form:

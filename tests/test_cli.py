@@ -84,6 +84,16 @@ def test_cli_jackson_closed_form(capsys):
     assert rep["certificate"]["match"] is True
 
 
+def test_cli_jackson_pwl_weight_default_tolerance(tmp_path, capsys):
+    # the scanned powers have cusps inside both segments of the weight
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"knots_t": [0.0, 1.0, math.pi], "knots_v": [0.0, 0.5, 2.0]}))
+    assert run(["jackson", "--phi", "alpha:1.3", "--p", "1", "--v", f"pwl:{path}",
+                "--n", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reports"][0]["s_star"] == 5
+
+
 def test_cli_modulus_constant(tmp_path, capsys):
     path = tmp_path / "const.json"
     save_spectrum(Spectrum.real({0.0: 1.0}), str(path))

@@ -31,6 +31,7 @@ from spapprox import (
     weight_atomic,
     weight_cos,
     weight_linear,
+    weight_pwl,
 )
 from spapprox import jackson
 from spapprox.errors import BudgetError
@@ -399,6 +400,41 @@ def test_integral_cache_is_bounded(monkeypatch):
     again = scaled_phi_integral(phi, 1.0, v, math.pi, ratios[0])
     assert again == first[0]
     assert len(_I_CACHE) == 8
+
+
+def test_kinked_custom_generator_at_default_arguments():
+    # |sin 3t| has kinks at pi/3 and 2 pi/3 inside (0, pi); against the
+    # sine density the integral is 3 sqrt(3) / 4
+    got = scaled_phi_integral(
+        phi_custom(lambda t: np.abs(np.sin(3 * t))), 1, weight_cos(), math.pi, 1
+    )
+    with mpmath.workdps(30):
+        ref = float(mpmath.quad(
+            lambda t: abs(mpmath.sin(3 * t)) * mpmath.sin(t),
+            [0, mpmath.pi / 3, 2 * mpmath.pi / 3, mpmath.pi],
+        ))
+    assert ref == pytest.approx(3 * math.sqrt(3) / 4, rel=1e-15)
+    assert got == pytest.approx(ref, rel=1e-11)
+
+
+def test_pwl_weight_scan_with_interior_cusps_at_default_arguments():
+    # (2 |sin(r t / 2)|)^1.3 has cusps at the sine zeros 2 pi m / r inside
+    # the segments of the piecewise-linear weight; mpmath integrates the
+    # minimizing ratio r = k* / n split at the knot t = 1 and at those zeros
+    v = weight_pwl([0.0, 1.0, math.pi], [0.0, 0.5, 2.0])
+    res = jackson_I(JacksonSetup(n=2, phi=phi_alpha(1.3), p=1.0, tau=math.pi, v=v))
+    assert res.k_star == 5
+    with mpmath.workdps(30):
+        r = mpmath.mpf(res.k_star) / 2
+        slopes = (mpmath.mpf(0.5), mpmath.mpf(1.5) / (mpmath.pi - 1))
+
+        def f(t):
+            return (2 * abs(mpmath.sin(r * t / 2))) ** mpmath.mpf(1.3) * slopes[t > 1]
+
+        zeros = [2 * mpmath.pi * m / r for m in range(1, int(r) + 1)]
+        points = sorted([mpmath.mpf(0), mpmath.mpf(1), mpmath.pi] + [z for z in zeros if z < mpmath.pi])
+        ref = float(mpmath.quad(f, points))
+    assert res.value == pytest.approx(ref, rel=1e-12)
 
 
 def test_period_mean_is_cached(monkeypatch):

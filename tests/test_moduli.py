@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from spapprox import (
     DegenerateWeightError,
@@ -199,6 +200,39 @@ def test_averaged_extremal_closed_form():
     assert om == pytest.approx(target_p ** (1 / p), abs=1e-9)
 
 
+# frequency: (re, im) of a random twelve-term spectrum whose running-maximum
+# modulus has kinks inside (0, 3 pi / 4), where its plateaus start and end
+_KINKED_SPECTRUM = {
+    0.0: (-0.9775708151850006, 0.2106069830241471),
+    12.0: (-0.028804159448781824, -0.06079036592679776),
+    -4.0: (0.24663365156473385, -0.03533314658123455),
+    1.0: (0.09640653343466596, -0.7047588945020524),
+    -1.0: (0.17704968959104642, -0.6889359378667645),
+    11.0: (0.024651449113929642, -0.0668780027956223),
+    -11.0: (-0.056097831974371015, 0.043970381498494665),
+    8.0: (0.11560932154761165, -0.09160665743668757),
+    -8.0: (-0.12968344055803166, -0.07028157767475882),
+    7.0: (-0.15141530375110118, 0.08817714653834394),
+    -7.0: (-0.12931265998007432, -0.11823721643611414),
+    -6.0: (-0.14403093532309685, 0.04207233117031747),
+}
+
+
+def test_stieltjes_kinked_modulus_integral_matches_scipy():
+    # the plain Jackson bound's modulus integral (n = 1): scipy's QUADPACK
+    # shares no code with stieltjes
+    f = Spectrum.real({k: complex(*c) for k, c in _KINKED_SPECTRUM.items()})
+    v = weight_linear(3 * math.pi / 4)
+    ev = OmegaEvaluator(f, phi_alpha(1.8352047405794611), 1.0, v.tau)
+
+    def integrand(t):
+        return ev.power_values(np.atleast_1d(np.asarray(t, dtype=np.float64)))
+
+    got, _ = stieltjes(integrand, v, (0.0, v.tau), tol=1e-10, osc=12.0 * v.tau / (2 * math.pi))
+    ref, _ = quad(lambda t: float(integrand(t)[0]), 0.0, v.tau, epsabs=1e-13, epsrel=1e-13, limit=5000)
+    assert abs(got - ref) < 1e-9
+
+
 def test_omega_evaluator_matches_one_shot(rng):
     f = random_spectrum(rng, max_index=10)
     ph = phi_alpha(1.2)
@@ -297,6 +331,39 @@ def test_modulus_invariants(f, kind, p, d1, d2):
         assert ev.value(hi) == pytest.approx(w_hi, rel=1e-12, abs=1e-14)
 
 
+@st.composite
+def _weights(draw):
+    """A density, piecewise-linear or atomic weight on [0, tau]."""
+    tau = draw(st.sampled_from([math.pi, 3 * math.pi / 4]))
+    kind = draw(st.sampled_from(["cos", "t", "pwl", "atomic"]))
+    if kind == "cos":
+        return weight_cos(tau)
+    if kind == "t":
+        return weight_linear(tau)
+    inner = draw(st.lists(st.integers(1, 99), max_size=4, unique=True))
+    ts = [0.0] + [tau * k / 100 for k in sorted(inner)] + [tau]
+    if kind == "pwl":
+        rises = draw(st.lists(st.floats(0.0, 2.0), min_size=len(ts) - 1, max_size=len(ts) - 1))
+        assume(sum(rises) > 0.0)
+        return weight_pwl(ts, np.concatenate(([0.0], np.cumsum(rises))))
+    jumps = draw(st.lists(st.floats(0.1, 2.0), min_size=len(ts) - 1, max_size=len(ts) - 1))
+    return weight_atomic(ts[1:], jumps, tau)
+
+
+@given(
+    f=_spectra(),
+    kind=st.sampled_from(["alpha", "custom", "steklov"]),
+    p=st.sampled_from([1.0, 1.5, 2.0]),
+    v=_weights(),
+    u=st.floats(0.05, math.pi),
+)
+@settings(max_examples=25, deadline=None)
+def test_averaged_modulus_at_most_endpoint_modulus(f, kind, p, v, u):
+    # the normalized average of omega^p over steps up to u is at most omega^p(u)
+    ph = _GENERATORS[kind]()
+    assert averaged_omega(f, ph, v.tau, v, u, p) <= omega_phi(f, ph, u, p) * (1 + 1e-9)
+
+
 def test_panel_bounds_reproduce_linspace():
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -311,8 +378,8 @@ def test_panel_bounds_reproduce_linspace():
 
 
 def test_adaptive_block_batch_matches_batches_of_one():
-    # int_0^b cos(c t) dt = sin(c b) / c; every interval keeps its own
-    # doubling sequence, so a batch gives each interval's batch-of-one value
+    # int_0^b cos(c t) dt = sin(c b) / c; every interval's panels are
+    # bisected on their own, so a batch gives each interval's batch-of-one value
     c = np.array([0.5, 3.0, 17.0, 40.0])
     b = np.array([1.0, 2.0, 0.7, 3.0])
     p0 = np.array([2, 4, 8, 16])
@@ -326,6 +393,12 @@ def test_adaptive_block_batch_matches_batches_of_one():
     for i in range(4):
         one, _ = _adaptive_block(lambda t, rows: np.cos(c[i] * t), 0.0, b[i], 1e-12, p0[i], 2 ** 16)
         assert vals[i] == pytest.approx(one[0], rel=1e-14, abs=0)
-    # an interval that cannot meet its tolerance stops the whole batch
+    # an interval that cannot meet its tolerance stops the whole batch:
+    # sin(1 / (t - x0)) oscillates without end toward the irrational x0
+    x0 = 1.0 / math.sqrt(8.0)
+
+    def wild(t, rows):
+        return np.where(rows == 2, np.sin(1.0 / (t - x0)), g(t, rows))
+
     with pytest.raises(BudgetError):
-        _adaptive_block(g, 0.0, b, 0.0, p0, 64)
+        _adaptive_block(wild, 0.0, b, 1e-12, p0, 64)

@@ -39,6 +39,17 @@ def test_charseq_geometric_radial_levels():
     assert cs.g(2) == {(0,), (1,), (-1,)}
 
 
+def test_radial_geometric_profile_whose_far_values_underflow():
+    # 0.2**512 is 0.0 in double precision; the profile is still valid
+    psi = RadialPsi(("geom", 0.2), d=1, origin="exact")
+    head = [value for value, _ in itertools.islice(psi.stream(), 5)]
+    assert head == pytest.approx([1.0, 0.2, 0.2, 0.04, 0.04], rel=1e-15)
+    assert list(rearrangement(psi, 5)) == head
+    # callable profiles are still spot-checked
+    with pytest.raises(InputDomainError):
+        RadialPsi(lambda t: float(t), d=1)
+
+
 def test_charseq_hyperbolic_counts_match_full_sort():
     hyp = ProductPsi([AxisPow(1), AxisPow(1)])
     cs = build_charseq(hyp, levels=6)
@@ -207,9 +218,7 @@ def test_rearrangement_of_phased_finite_system(base):
 # shapes of product axes and radial profiles: ("pow", beta) or ("geom", ratio)
 _POW = st.tuples(st.just("pow"), st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.5, 3.0))
 _AXIS = _POW | st.tuples(st.just("geom"), st.sampled_from([0.3, 0.5]) | st.floats(0.2, 0.8))
-# RadialPsi's constructor spot-checks the profile up to t = 512 and rejects
-# ratios whose 512th power underflows to 0.0 (below about 0.25)
-_PROFILE = _POW | st.tuples(st.just("geom"), st.sampled_from([0.3, 0.5]) | st.floats(0.3, 0.8))
+_PROFILE = _POW | st.tuples(st.just("geom"), st.sampled_from([0.3, 0.5]) | st.floats(0.2, 0.8))
 
 
 def _shape_value(shape, t):
