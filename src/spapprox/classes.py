@@ -468,20 +468,13 @@ def _suffix(sums: dict, m: int) -> float:
     return math.fsum(v for lvl, v in sums.items() if lvl >= m)
 
 
-def direct_identity_check(
-    f: Spectrum,
-    psi: PsiSystem,
-    n: int,
-    convention: IdentityConvention = DEFAULT_CONVENTION,
-    p: float = 1.0,
+def _identity_check(
+    f: Spectrum, psi: PsiSystem, n: int, convention: IdentityConvention, p: float, inverse: bool
 ) -> IdentityResult:
-    """Level-n tail of f versus the level-value-weighted series of the tails
-    of its psi-derivative: lhs = E_n^p(f) and
-
-        rhs = eps_n^p E_n^p(f') + sum_{k>n} (eps_k^p - eps_{k-1}^p) E_k^p(f')
-
-    where f' is the psi-derivative and E_m^p sums coefficient powers over
-    levels >= m (+ configured offsets).  Exact for the shipped convention."""
+    """Both series identities: the lhs is the level-n tail of f (direct) or
+    of its psi-derivative f' (inverse), and the rhs weights the tails of the
+    other spectrum by differences of level values raised to p (direct) or
+    -p (inverse)."""
     if n < 1:
         raise InputDomainError("n must be >= 1")
     fd = psi_derivative(f, psi)
@@ -500,17 +493,37 @@ def direct_identity_check(
     def tail(sums: dict, m: int) -> float:
         return _suffix(sums, max(1, m + convention.tail_offset))
 
-    lhs = tail(sums_f, n)
-    if lhs == 0.0 and tail(sums_d, n) == 0.0:
+    lhs_sums, series_sums, power = (sums_d, sums_f, -p) if inverse else (sums_f, sums_d, p)
+    lhs = tail(lhs_sums, n)
+    if lhs == 0.0 and tail(series_sums, n) == 0.0:
         return IdentityResult(0.0, 0.0, 0.0, convention)
-    terms = [eps_pow(n, p) * tail(sums_d, n)]
+    terms = [eps_pow(n, power) * tail(series_sums, n)]
     for k in range(n + 1, K + abs(convention.tail_offset) + 2):
-        t = tail(sums_d, k)
+        t = tail(series_sums, k)
         if t == 0.0:
             break
-        terms.append((eps_pow(k, p) - eps_pow(k - 1, p)) * t)
+        terms.append((eps_pow(k, power) - eps_pow(k - 1, power)) * t)
     rhs = math.fsum(terms)
-    return IdentityResult(lhs, rhs, abs(lhs - rhs), convention)
+    # finite spectra: tails vanish beyond the deepest occupied level
+    convergence_ok = not inverse or tail(sums_f, K + 1 - convention.tail_offset) == 0.0
+    return IdentityResult(lhs, rhs, abs(lhs - rhs), convention, convergence_ok)
+
+
+def direct_identity_check(
+    f: Spectrum,
+    psi: PsiSystem,
+    n: int,
+    convention: IdentityConvention = DEFAULT_CONVENTION,
+    p: float = 1.0,
+) -> IdentityResult:
+    """Level-n tail of f versus the level-value-weighted series of the tails
+    of its psi-derivative: lhs = E_n^p(f) and
+
+        rhs = eps_n^p E_n^p(f') + sum_{k>n} (eps_k^p - eps_{k-1}^p) E_k^p(f')
+
+    where f' is the psi-derivative and E_m^p sums coefficient powers over
+    levels >= m (+ configured offsets).  Exact for the shipped convention."""
+    return _identity_check(f, psi, n, convention, p, inverse=False)
 
 
 def inverse_identity_check(
@@ -527,37 +540,7 @@ def inverse_identity_check(
 
     The smallness hypothesis (level-value-normalized tails of f vanish) holds
     automatically for finite spectra and is reported as ``convergence_ok``."""
-    if n < 1:
-        raise InputDomainError("n must be >= 1")
-    fd = psi_derivative(f, psi)
-    sums_f, cs = _shell_power_sums(f, psi, p, min_levels=n + 2)
-    sums_d, _ = _shell_power_sums(fd, psi, p)
-    K = max(sums_f, default=0)
-
-    def eps_pow(i: int, power: float) -> float:
-        j = i + convention.eps_offset
-        if j < 1:
-            return math.nan
-        if j > cs.n_levels:
-            raise PreconditionError("characteristic data does not reach the required depth")
-        return cs.eps[j - 1] ** power
-
-    def tail(sums: dict, m: int) -> float:
-        return _suffix(sums, max(1, m + convention.tail_offset))
-
-    lhs = tail(sums_d, n)
-    if lhs == 0.0 and tail(sums_f, n) == 0.0:
-        return IdentityResult(0.0, 0.0, 0.0, convention, True)
-    terms = [eps_pow(n, -p) * tail(sums_f, n)]
-    for k in range(n + 1, K + abs(convention.tail_offset) + 2):
-        t = tail(sums_f, k)
-        if t == 0.0:
-            break
-        terms.append((eps_pow(k, -p) - eps_pow(k - 1, -p)) * t)
-    rhs = math.fsum(terms)
-    # finite spectra: tails vanish beyond the deepest occupied level
-    convergence_ok = tail(sums_f, K + 1 - convention.tail_offset) == 0.0
-    return IdentityResult(lhs, rhs, abs(lhs - rhs), convention, convergence_ok)
+    return _identity_check(f, psi, n, convention, p, inverse=True)
 
 
 def pin_convention(

@@ -37,6 +37,11 @@ def _holds(lhs: float, rhs: float) -> bool:
     return bool(lhs <= rhs + _HOLD_ABS + _HOLD_REL * abs(rhs))
 
 
+def _tail_powers(f: Spectrum, lam: np.ndarray, p: float) -> np.ndarray:
+    """E_v^p for v = 1..n, the tails over |frequency| >= lam_v (lam = lam_0..lam_n)."""
+    return np.array([ladder_tail_norm(f, lam[v], p) ** p for v in range(1, lam.shape[0])])
+
+
 def inverse_bound_general(
     f: Spectrum,
     phi: PhiFunction,
@@ -60,7 +65,7 @@ def inverse_bound_general(
     lam = ladder.values(n)
     lhs = omega_phi(f, phi, tau / lam[n], p) ** p
     weights = phi.pow_p(tau * lam / lam[n], p)
-    tails = np.array([ladder_tail_norm(f, lam[v], p) ** p for v in range(1, n + 1)])
+    tails = _tail_powers(f, lam, p)
     rhs = float(np.sum((weights[1:] - weights[:-1]) * tails))
     return InverseResult(lhs, rhs, _holds(lhs, rhs), {"n": n, "tau": tau})
 
@@ -90,7 +95,7 @@ def inverse_bound_alpha(
     ap = alpha * p
     lam = ladder.values(n)
     lhs = omega_phi(f, phi_alpha(alpha), math.pi / lam[n], p) ** p
-    tails = np.array([ladder_tail_norm(f, lam[v], p) ** p for v in range(1, n + 1)])
+    tails = _tail_powers(f, lam, p)
     lam_pos = lam[1:]
     # the classic rhs also serves as the improved variant's reference
     classic = ap * (2 * math.pi / lam[n]) ** ap * float(
@@ -127,7 +132,7 @@ def sharpness_single_frequency(
     lam_n = ladder.value(n)
     num = omega_phi(f, phi_alpha(alpha), math.pi / lam_n, p)
     lam = ladder.values(n)
-    tails = np.array([ladder_tail_norm(f, lam[v], p) ** p for v in range(1, n + 1)])
+    tails = _tail_powers(f, lam, p)
     series = float(np.sum(np.diff(lam ** (alpha * p)) * tails))
     return num / (series ** (1.0 / p) * lam_n ** (-alpha))
 

@@ -26,7 +26,6 @@ from .errors import BudgetError, ConvergenceError, InputDomainError
 from . import _kernels
 from .ladder import FrequencyLadder
 from .moduli import (
-    OmegaEvaluator,
     PhiFunction,
     WeightMeasure,
     averaged_omega,
@@ -369,47 +368,38 @@ def jackson_bound(
 ) -> JacksonBound:
     """Right-hand side of the direct inequality, itemized.
 
-    Without a psi system the plain form is used (requires f):
+    Both forms are rhs = ((v(tau)-v(0))/I)^{1/p} nu OmegaAvg(g, u) with the
+    weight-averaged modulus of ``averaged_omega``.  Without a psi system the
+    plain form (requires f) takes g = f, nu = 1 and u = tau/lam_n, that is
 
         E^p <= (1/I) integral_0^tau omega_phi^p(f, t/lam_n) dv(t).
 
-    With a psi system, the class form with the tail supremum nu(n):
+    With a psi system the class form takes the psi-derivative g = f', the
+    tail supremum nu = nu(n) and u = tau/n:
 
-        E <= ((v(tau)-v(0))/I)^{1/p} nu(n) OmegaAvg(f', tau/n)
+        E <= ((v(tau)-v(0))/I)^{1/p} nu(n) OmegaAvg(f', tau/n);
 
-    where f' is the psi-derivative; with f omitted the sharp class constant
-    ((v(tau)-v(0))/I)^{1/p} nu(n) is returned.  ``quad_tol`` steers only
-    the scanned-integral quadrature; the modulus integrals keep the default
-    tolerance of ``stieltjes`` and ``averaged_omega``.
+    with f omitted the sharp class constant ((v(tau)-v(0))/I)^{1/p} nu(n)
+    is returned.  ``quad_tol`` steers only the scanned-integral quadrature;
+    the modulus integral keeps the default tolerance of ``averaged_omega``.
     """
     I = jackson_I(setup, quad_tol=quad_tol)
     lam_n = setup.ladder.value(setup.n)
-    factors: dict = {"I": I.value, "k_star": I.k_star, "lam_n": lam_n}
+    const = jackson_constant(setup, I)
+    factors: dict = {"I": I.value, "k_star": I.k_star, "lam_n": lam_n, "constant": const}
     if setup.psi is None:
         if f is None:
             raise InputDomainError("the plain form needs a spectrum f")
-        lam_max = float(np.max(np.abs(f.scalar_frequencies()))) if len(f) else 0.0
-        evaluator = OmegaEvaluator(f, setup.phi, setup.p, setup.tau / lam_n)
-
-        def integrand(t):
-            t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-            return evaluator.power_values(t / lam_n)
-
-        osc = max(1.0, lam_max * setup.tau / lam_n / (2 * math.pi))
-        integral, _ = stieltjes(integrand, setup.v, (0.0, setup.tau), osc=osc)
-        rhs = (integral / I.value) ** (1.0 / setup.p)
-        factors["modulus_integral"] = integral
+        nu, g, u = 1.0, f, setup.tau / lam_n
     else:
         nu = setup.psi.nu(setup.n)
-        const = jackson_constant(setup, I)
         factors["nu"] = nu
-        factors["constant"] = const
         if f is None:
             return JacksonBound(const * nu, None, None, factors)
-        fd = psi_derivative(f, setup.psi)
-        modulus = averaged_omega(fd, setup.phi, setup.tau, setup.v, setup.tau / setup.n, setup.p)
-        factors["averaged_modulus"] = modulus
-        rhs = const * nu * modulus
+        g, u = psi_derivative(f, setup.psi), setup.tau / setup.n
+    modulus = averaged_omega(g, setup.phi, setup.tau, setup.v, u, setup.p)
+    factors["averaged_modulus"] = modulus
+    rhs = const * nu * modulus
     lhs = ladder_tail_norm(f, lam_n, setup.p)
     return JacksonBound(rhs, lhs, rhs - lhs, factors)
 
@@ -456,30 +446,19 @@ def jackson_sharpness_witness(
     lam_n = setup.ladder.value(n)
     fn = extremal_two_frequency(lam_n, gamma, amplitude)
     lhs = ladder_tail_norm(fn, lam_n, p)
-    evaluator = OmegaEvaluator(fn, setup.phi, p, tau / lam_n)
-
-    def integrand(t):
-        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        return evaluator.power_values(t / lam_n)
-
-    osc = max(1.0, tau / math.pi)
-    integral, _ = stieltjes(integrand, setup.v, (0.0, tau), tol=1e-12, osc=osc)
-    ratio_integral = lhs / integral ** (1.0 / p)
-    closed_integral = base ** (-1.0 / p)
-
     mass = setup.v.total_mass()
+    # the raw integral's p-th root is the mass-normalized average times mass^{1/p}
+    omega_avg = averaged_omega(fn, setup.phi, tau, setup.v, tau / lam_n, p, tol=1e-12)
+    ratio_integral = lhs / (omega_avg * mass ** (1.0 / p))
+    closed_integral = base ** (-1.0 / p)
     if setup.psi is None:
         nu = 1.0
-        omega_avg = (integral / mass) ** (1.0 / p)
     else:
         nu = setup.psi.nu(n)
-        flat = psi_derivative(
-            Spectrum.lattice({0: gamma, n: amplitude, -n: amplitude}), setup.psi
-        )
+        witness = Spectrum.lattice({0: gamma, n: amplitude, -n: amplitude})
+        flat = psi_derivative(witness, setup.psi)
         omega_avg = averaged_omega(flat, setup.phi, tau, setup.v, tau / n, p)
-        lhs = ladder_tail_norm(
-            Spectrum.lattice({0: gamma, n: amplitude, -n: amplitude}), lam_n, p
-        )
+        lhs = ladder_tail_norm(witness, lam_n, p)
     ratio_averaged = lhs / omega_avg
     closed_averaged = (mass / base) ** (1.0 / p) * nu
     return SharpnessResult(

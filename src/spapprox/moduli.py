@@ -76,8 +76,6 @@ class PhiFunction:
             raise InputDomainError("phi must be finite and nonnegative")
         even_gap = float(np.max(np.abs(self(-grid) - vals)))
         self.is_even = even_gap <= 1e-10 * max(1.0, float(np.max(np.abs(vals))))
-        # the zero set should be negligible: spot check interior points
-        self.zero_set_suspicious = bool(np.mean(vals < 1e-14) > 0.2)
 
     def __call__(self, t):
         out = self._eval(np.asarray(t, dtype=np.float64), 1.0)
@@ -520,42 +518,30 @@ def _refine_maxima(
     return best_h, best_v
 
 
-def omega_phi(
-    f: Spectrum,
-    phi: PhiFunction,
-    delta: float,
-    p: float = 1.0,
-    n_grid: int = 2048,
-    refine_brackets: int = 8,
-) -> float:
-    """Generalized modulus of smoothness at step delta.
+# sampled local maxima that ``omega_phi`` refines, besides both grid ends
+_OMEGA_BRACKETS = 8
 
-    The sup over shifts is taken on a uniform grid (endpoint included, at
-    least 16 points per oscillation of the fastest frequency).  The two-cell
-    brackets around the strongest ``refine_brackets`` sampled local maxima
-    and around both grid ends are then refined together by repeated
-    resampling (see ``_refine_maxima``) until each spans at most 1e-8 rad of
-    the fastest frequency's phase, which at a smooth maximum pins the value
-    to double precision.  Evenness of phi halves the scan range; non-even
-    generators are scanned symmetrically.
-    """
-    if delta < 0:
-        raise InputDomainError("delta must be >= 0")
-    if not p > 0:
-        raise InputDomainError("p must be positive")
-    if len(f) == 0 or delta == 0.0:
-        return 0.0
+
+def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, n_grid: int):
+    """The shift objective of f sampled on a uniform grid over [0, delta]
+    (over [-delta, delta] for non-even phi), endpoints included, at least
+    ``n_grid`` cells and 16 points per oscillation of the fastest frequency.
+
+    Returns (objective, lam_max, grid, samples, indices of the interior
+    sampled local maxima), or None when the modulus vanishes identically
+    (no terms, delta <= 0, or only the zero frequency)."""
+    if len(f) == 0 or delta <= 0:
+        return None
     lams = f.scalar_frequencies()
     lam_max = float(np.max(np.abs(lams)))
     if lam_max == 0.0:
-        return 0.0
+        return None
     amps_p = f.abs_coefficients() ** p
 
     def objective(hs):
         return _objective_grid(lams, amps_p, phi, p, hs)
 
-    oscillations = lam_max * delta / (2.0 * math.pi)
-    n = max(n_grid, int(math.ceil(16 * oscillations)))
+    n = max(n_grid, int(math.ceil(16 * (lam_max * delta / (2.0 * math.pi)))))
     if phi.is_even:
         hs = np.linspace(0.0, delta, n + 1)
     else:
@@ -564,7 +550,35 @@ def omega_phi(
     interior = np.where(
         (obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:])
     )[0] + 1
-    strongest = interior[np.argsort(obj[interior])][::-1][:refine_brackets]
+    return objective, lam_max, hs, obj, interior
+
+
+def omega_phi(
+    f: Spectrum,
+    phi: PhiFunction,
+    delta: float,
+    p: float = 1.0,
+    n_grid: int = 2048,
+) -> float:
+    """Generalized modulus of smoothness at step delta.
+
+    The sup over shifts is taken on the grid of ``_sampled_objective``.
+    The two-cell brackets around the 8 strongest sampled local maxima and
+    around both grid ends are then refined together by repeated resampling
+    (see ``_refine_maxima``) until each spans at most 1e-8 rad of the
+    fastest frequency's phase, which at a smooth maximum pins the value to
+    double precision.  Evenness of phi halves the scan range; non-even
+    generators are scanned symmetrically.
+    """
+    if delta < 0:
+        raise InputDomainError("delta must be >= 0")
+    if not p > 0:
+        raise InputDomainError("p must be positive")
+    scan = _sampled_objective(f, phi, p, delta, n_grid)
+    if scan is None:
+        return 0.0
+    objective, lam_max, hs, obj, interior = scan
+    strongest = interior[np.argsort(obj[interior])][::-1][:_OMEGA_BRACKETS]
     idx = np.union1d(strongest, [0, hs.shape[0] - 1])
     lo = hs[np.maximum(idx - 1, 0)]
     hi = hs[np.minimum(idx + 1, hs.shape[0] - 1)]
@@ -575,48 +589,34 @@ def omega_phi(
 class OmegaEvaluator:
     """Reusable evaluator of delta -> omega_phi(f, phi, delta, p)^p.
 
-    The objective grid over [0, delta_max] is computed once, and every
-    interior sampled local maximum is refined up front, all brackets in one
-    batched resampling pass with the stopping rule of ``omega_phi``.  A
-    query then combines the running grid maximum, the refined peaks at or
-    below delta, and the exact objective value at delta itself.  Queries
-    cost O(1) spectrum evaluations, which makes weighted integrals of the
-    modulus cheap."""
+    The grid of ``_sampled_objective`` over [0, delta_max] is sampled once,
+    and every interior sampled local maximum is refined up front, all
+    brackets in one batched resampling pass with the stopping rule of
+    ``omega_phi``.  A query then combines the running grid maximum, the
+    refined peaks at or below delta, and the exact objective value at delta
+    itself.  Queries cost O(1) spectrum evaluations, which makes weighted
+    integrals of the modulus (``averaged_omega``) cheap.  Even generators
+    only."""
 
     def __init__(self, f: Spectrum, phi: PhiFunction, p: float, delta_max: float, n_grid: int = 2048):
         if not p > 0:
             raise InputDomainError("p must be positive")
-        self.f, self.phi, self.p = f, phi, p
+        self.p = p
         self.delta_max = float(delta_max)
-        self.trivial = len(f) == 0 or delta_max <= 0
+        scan = _sampled_objective(f, phi, p, self.delta_max, n_grid)
+        self.trivial = scan is None
         if self.trivial:
-            return
-        self.lams = f.scalar_frequencies()
-        lam_max = float(np.max(np.abs(self.lams)))
-        if lam_max == 0.0:
-            self.trivial = True
             return
         if not phi.is_even:
             raise InputDomainError("the shared evaluator supports even generators only")
-        self.amps_p = f.abs_coefficients() ** p
-        n = max(n_grid, int(math.ceil(16 * lam_max * delta_max / (2 * math.pi))))
-        self.hs = np.linspace(0.0, self.delta_max, n + 1)
-        self.obj = self._objective(self.hs)
-        self.runmax = np.maximum.accumulate(self.obj)
-        interior = np.where(
-            (self.obj[1:-1] >= self.obj[:-2]) & (self.obj[1:-1] >= self.obj[2:])
-        )[0] + 1
+        self._objective, lam_max, self.hs, obj, interior = scan
+        self.runmax = np.maximum.accumulate(obj)
         peak_h, peak_v = _refine_maxima(
             self._objective, self.hs[interior - 1], self.hs[interior + 1], lam_max
         )
         order = np.argsort(peak_h, kind="stable")
         self.peak_h = peak_h[order]
-        self.peak_v = peak_v[order]
-        if self.peak_v.size:
-            self.peak_runmax = np.maximum.accumulate(self.peak_v)
-
-    def _objective(self, hs: np.ndarray) -> np.ndarray:
-        return _objective_grid(self.lams, self.amps_p, self.phi, self.p, hs)
+        self.peak_runmax = np.maximum.accumulate(peak_v[order])
 
     def power_values(self, deltas: np.ndarray) -> np.ndarray:
         """omega^p at each step (vectorized; steps within [0, delta_max])."""
@@ -636,11 +636,8 @@ class OmegaEvaluator:
         best[deltas <= 0.0] = 0.0
         return best
 
-    def power_value(self, delta: float) -> float:
-        return float(self.power_values(np.array([delta]))[0])
-
     def value(self, delta: float) -> float:
-        return self.power_value(delta) ** (1.0 / self.p)
+        return float(self.power_values(np.array([delta]))[0]) ** (1.0 / self.p)
 
 
 def averaged_omega(
@@ -655,8 +652,11 @@ def averaged_omega(
     """Weight-averaged modulus: the normalized p-mean of omega_phi(f, .)^p
     over steps up to u, integrated against v(tau t / u).
 
-    Never exceeds omega_phi(f, u) (the integrand is maximal at the endpoint
-    and the average is normalized by the total mass).
+    The one weighted integral of the modulus: an ``OmegaEvaluator`` over
+    [0, u] answers the queries of one ``stieltjes`` call, seeded with two
+    panels per oscillation of the fastest frequency over [0, u].  Never
+    exceeds omega_phi(f, u) (the integrand is maximal at the endpoint and
+    the average is normalized by the total mass).
     """
     if not u > 0:
         raise InputDomainError("u must be positive")

@@ -143,7 +143,6 @@ def oracle_charseq(psi: PsiSystem, box: int) -> CharSeq:
         eps=tuple(eps),
         delta=tuple(delta),
         shells=tuple(tuple(s) for s in shells),
-        complete_levels=len(eps),
     )
 
 

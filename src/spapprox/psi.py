@@ -192,12 +192,12 @@ class AxisGeom:
         return f"geom({self.ratio:g})"
 
 
-def _axis_canonical_order() -> Iterator[int]:
-    """0, -1, 1, -2, 2, ... (value-descending order for symmetric axes)."""
-    yield 0
-    for k in itertools.count(1):
-        yield -k
-        yield k
+def _axis_index(pos: int) -> int:
+    """Lattice index at 0-based position pos of 0, -1, 1, -2, 2, ... (the
+    value-descending order of symmetric axes); inverse of ``_seq_position``."""
+    if pos % 2:
+        return -((pos + 1) // 2)
+    return pos // 2
 
 
 def _seq_position(k: int) -> int:
@@ -287,20 +287,8 @@ class ProductPsi(PsiSystem):
         # sorted-product enumeration: a max-heap over per-axis position
         # vectors, deduplicated by position (distinct indices may share
         # values, so the visited set is keyed by index, never by value)
-        orders = [list(itertools.islice(_axis_canonical_order(), 4)) for _ in range(self.d)]
-        gens = [_axis_canonical_order() for _ in range(self.d)]
-        for g, o in zip(gens, orders):
-            for _ in range(len(o)):
-                next(g)
-
-        def axis_index(j: int, pos: int) -> int:
-            o, g = orders[j], gens[j]
-            while len(o) <= pos:
-                o.append(next(g))
-            return o[pos]
-
         def point(pos: tuple[int, ...]) -> tuple:
-            return tuple(axis_index(j, pj) for j, pj in enumerate(pos))
+            return tuple(_axis_index(pj) for pj in pos)
 
         start = (0,) * self.d
         heap = [(-self.magnitude(point(start)), start)]
@@ -629,13 +617,11 @@ class ExplicitSeqPsi(PsiSystem):
         return self.seq(_seq_position(k[0]))
 
     def stream(self) -> Iterator[tuple[float, tuple]]:
-        order = _axis_canonical_order()
         for j in itertools.count(1):
-            k = next(order)
             v = self.seq(j)
             if v == 0.0:
                 return
-            yield v, (k,)
+            yield v, (_axis_index(j - 1),)
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
         kind = self.continuation[0]
@@ -703,7 +689,6 @@ class CharSeq:
     eps: tuple[float, ...]
     delta: tuple[int, ...]
     shells: tuple[tuple[tuple, ...], ...]  # shell n = g_n \ g_{n-1}
-    complete_levels: int  # how many leading levels are certified complete
 
     def __post_init__(self):
         if any(a <= b for a, b in zip(self.eps, self.eps[1:])):
@@ -795,7 +780,6 @@ def build_charseq(
         eps=tuple(eps),
         delta=tuple(delta),
         shells=tuple(tuple(s) for s in shells),
-        complete_levels=len(eps),
     )
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import InputDomainError, ParseError
 
 LatticeKey = tuple[int, ...]
-FreqKey = "LatticeKey | float"
 
 
 def _norm_lattice_key(k, d: int | None) -> tuple[LatticeKey, int]:

@@ -20,6 +20,31 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _random_entries(rng: np.random.Generator, freq, max_index, size, rho, beta, with_constant) -> dict:
+    """Entries {+-freq(k): coefficient} over distinct indices 1 <= k <=
+    max_index, with magnitudes rho^k u_k k^{-beta}, u_k uniform in [0.5, 1],
+    uniform random phases, and maybe a constant term at freq(0)."""
+    if rho is None:
+        rho = float(rng.uniform(0.55, 0.95))
+    if beta is None:
+        beta = float(rng.uniform(0.0, 1.5))
+    if size is None:
+        size = int(rng.integers(2, 9))
+    ks = rng.choice(np.arange(1, max_index + 1), size=min(size, max_index), replace=False)
+    entries: dict = {}
+    if with_constant and rng.uniform() < 0.7:
+        entries[freq(0)] = _random_coef(rng, 1.0)
+    for k in ks:
+        amp = rho ** float(k) * float(rng.uniform(0.5, 1.0)) * float(k) ** (-beta)
+        lam = freq(int(k))
+        for sgn in (1, -1):
+            if rng.uniform() < 0.85:
+                entries[sgn * lam] = _random_coef(rng, amp)
+    if not entries:
+        entries = {freq(1): _random_coef(rng, 1.0)}
+    return entries
+
+
 def random_spectrum(
     seed,
     kind: str = "real",
@@ -32,25 +57,8 @@ def random_spectrum(
     """Random finite spectrum with magnitudes rho^k u_k k^{-beta}, u_k
     uniform in [0.5, 1], and uniform random phases; covers geometric and
     polynomial decay regimes (and their mixtures)."""
-    rng = rng_from(seed)
-    if rho is None:
-        rho = float(rng.uniform(0.55, 0.95))
-    if beta is None:
-        beta = float(rng.uniform(0.0, 1.5))
-    if size is None:
-        size = int(rng.integers(2, 9))
-    ks = rng.choice(np.arange(1, max_index + 1), size=min(size, max_index), replace=False)
-    entries: dict = {}
-    if with_constant and rng.uniform() < 0.7:
-        entries[0.0 if kind == "real" else 0] = _random_coef(rng, 1.0)
-    for k in ks:
-        amp = rho ** float(k) * float(rng.uniform(0.5, 1.0)) * float(k) ** (-beta)
-        for sgn in (1, -1):
-            if rng.uniform() < 0.85:
-                key = float(sgn * k) if kind == "real" else int(sgn * k)
-                entries[key] = _random_coef(rng, amp)
-    if not entries:
-        entries = {1.0 if kind == "real" else 1: _random_coef(rng, 1.0)}
+    freq = float if kind == "real" else int
+    entries = _random_entries(rng_from(seed), freq, max_index, size, rho, beta, with_constant)
     return Spectrum.real(entries) if kind == "real" else Spectrum.lattice(entries)
 
 
@@ -70,25 +78,7 @@ def random_spectrum_on_ladder(
 ) -> Spectrum:
     """Like :func:`random_spectrum`, but the frequencies are drawn from the
     given ladder (as the inverse-theorem hypotheses require)."""
-    rng = rng_from(seed)
-    if rho is None:
-        rho = float(rng.uniform(0.55, 0.95))
-    if beta is None:
-        beta = float(rng.uniform(0.0, 1.5))
-    if size is None:
-        size = int(rng.integers(2, 9))
-    ks = rng.choice(np.arange(1, max_index + 1), size=min(size, max_index), replace=False)
-    entries: dict = {}
-    if with_constant and rng.uniform() < 0.7:
-        entries[0.0] = _random_coef(rng, 1.0)
-    for k in ks:
-        amp = rho ** float(k) * float(rng.uniform(0.5, 1.0)) * float(k) ** (-beta)
-        lam = ladder.value(int(k))
-        for sgn in (1, -1):
-            if rng.uniform() < 0.85:
-                entries[sgn * lam] = _random_coef(rng, amp)
-    if not entries:
-        entries = {ladder.value(1): _random_coef(rng, 1.0)}
+    entries = _random_entries(rng_from(seed), ladder.value, max_index, size, rho, beta, with_constant)
     return Spectrum.real(entries)
 
 

@@ -235,3 +235,60 @@ def test_reported_values_ignore_phase(rng):
     s1 = class_sigma(ClassSpec(base, 1.0, 1.0), 2)
     s2 = class_sigma(ClassSpec(phased, 1.0, 1.0), 2)
     assert s1.value == s2.value
+
+
+nan = math.nan
+
+# (lhs, rhs, residual, convergence_ok) of the direct and the inverse identity
+# per (eps_offset, tail_offset), recorded before both identities shared one
+# implementation; None where a PreconditionError was raised
+IDENTITY_PINS = {
+    (3, 0, 1): {
+        (-1, -1): [(1.8875874652554938, nan, nan, True), (4.459663693244699, nan, nan, True)],
+        (-1, 0): [(1.8875874652554938, nan, nan, True), (4.459663693244699, nan, nan, True)],
+        (-1, 1): [(0.47137274632201986, nan, nan, True), (3.043448974311225, nan, nan, True)],
+        (0, -1): [None, None],
+        (0, 0): [(1.8875874652554938, 1.8875874652554936, 2.220446049250313e-16, True),
+                 (4.459663693244699, 4.459663693244699, 0.0, True)],
+        (0, 1): [(0.47137274632201986, 1.601743025424827, 1.1303702791028072, True),
+                 (3.043448974311225, 1.2153087094731494, 1.8281402648380758, True)],
+        (1, -1): [None, None],
+        (1, 0): [None, None],
+        (1, 1): [(0.47137274632201986, 0.47137274632201986, 0.0, True),
+                 (3.043448974311225, 3.043448974311225, 0.0, True)],
+    },
+    (4, 1, 2): {
+        (-1, -1): [(2.2194662965492897, 2.2194662965492897, 0.0, True),
+                   (6.029971766357123, 6.029971766357123, 0.0, True)],
+        (-1, 0): [(1.2762451863369544, 1.8920196921890682, 0.6157745058521138, True),
+                  (5.086750656144788, 3.810505469807834, 1.2762451863369537, True)],
+        (-1, 1): [(0.9787972527545084, 1.996673267213324, 1.0178760144588157, True),
+                  (4.4918547889798965, 2.5342602834708794, 1.9575945055090171, True)],
+        (0, -1): [None, None],
+        (0, 0): [(1.2762451863369544, 1.276245186336954, 4.440892098500626e-16, True),
+                 (5.086750656144788, 5.086750656144789, 8.881784197001252e-16, True)],
+        (0, 1): [(0.9787972527545084, 1.297123825024177, 0.31832657226966865, True),
+                 (4.4918547889798965, 3.513057536225388, 0.9787972527545086, True)],
+        (1, -1): [None, None],
+        (1, 0): [None, None],
+        (1, 1): [(0.9787972527545084, 0.9787972527545086, 2.220446049250313e-16, True),
+                 (4.4918547889798965, 4.4918547889798965, 0.0, True)],
+    },
+}
+
+
+@pytest.mark.parametrize("seed,family,n", sorted(IDENTITY_PINS))
+def test_identity_values_pinned_for_every_convention(seed, family, n):
+    psi = identity_psi_families()[family]
+    f, _ = random_integral_pair(seed, psi)
+    for (eo, to), want in IDENTITY_PINS[(seed, family, n)].items():
+        conv = IdentityConvention(eps_offset=eo, tail_offset=to)
+        for check, pinned in zip((direct_identity_check, inverse_identity_check), want):
+            if pinned is None:
+                with pytest.raises(PreconditionError):
+                    check(f, psi, n, conv)
+                continue
+            r = check(f, psi, n, conv)
+            got = (r.lhs, r.rhs, r.residual, r.convergence_ok)
+            for a, b in zip(got, pinned):
+                assert a == b or (math.isnan(a) and math.isnan(b)), (check.__name__, eo, to, got)

@@ -151,3 +151,17 @@ def test_cli_verify_small_suite(capsys):
     assert run(["verify", "nterm"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True and doc["suite"] == "nterm"
+
+
+def test_run_suite_raises_a_suites_type_error(monkeypatch):
+    from spapprox import verify
+
+    def suite(seed=verify.DEFAULT_SEED):
+        if seed != verify.DEFAULT_SEED:
+            raise TypeError("suite failed on this seed")
+        return {"suite": "fake", "passed": True, "checks": [], "seed": seed}
+
+    monkeypatch.setitem(verify.SUITES, "fake", suite)
+    with pytest.raises(TypeError, match="suite failed"):
+        verify.run_suite("fake", seed=verify.DEFAULT_SEED + 1)
+    assert verify.run_suite("fake")["seed"] == verify.DEFAULT_SEED

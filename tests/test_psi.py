@@ -27,7 +27,7 @@ from spapprox import (
     tail_sum,
 )
 from spapprox.oracle import oracle_charseq
-from spapprox.psi import rearrangement_padded
+from spapprox.psi import _axis_index, _seq_position, rearrangement_padded
 
 
 def test_charseq_geometric_radial_levels():
@@ -277,3 +277,8 @@ def test_radial_rearrangement_matches_full_sort(profile, r, d, K):
         d, K,
     )
     assert rearrangement(psi, K).tolist() == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_axis_index_inverts_seq_position():
+    assert [_axis_index(j) for j in range(5)] == [0, -1, 1, -2, 2]
+    assert all(_seq_position(_axis_index(j)) == j + 1 for j in range(10_000))

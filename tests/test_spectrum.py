@@ -21,7 +21,9 @@ from spapprox import (
     spectrum_to_json_dict,
     steklov_multiplier,
 )
+from spapprox.ladder import FrequencyLadder
 from spapprox.oracle import oracle_nterm_exhaustive
+from spapprox.testing import random_spectrum, random_spectrum_on_ladder
 
 
 def test_norm_single_unit_coefficient():
@@ -176,3 +178,58 @@ def test_spectrum_never_mixes_kinds():
         Spectrum("real", {}, d=2)
     with pytest.raises(InputDomainError):
         Spectrum.lattice({(1, 2): 1.0, (3,): 1.0})
+
+
+# seeded spectra recorded before the generators shared one entry generator
+PINNED_SPECTRA = [
+    ("real", [
+        (0.0, (0.9534395623107652+0.3015841524693505j)),
+        (-1.0, (-0.8160959901741318-0.01725191590810997j)),
+        (1.0, (-0.21541577812528537-0.7873413086555759j)),
+        (-2.0, (0.1383152200104354-0.10666571149144924j)),
+        (2.0, (0.11963879625116684-0.12726049082918084j)),
+        (-3.0, (-0.07385742325673367-0.14883807826642684j)),
+        (3.0, (-0.1296106508278503+0.10396524276963126j)),
+        (4.0, (-0.007679864401188912+0.05663341853217215j)),
+        (-5.0, (0.07072601894925502-0.011572919936927639j)),
+        (5.0, (0.0069639657050646515+0.07132745203591391j)),
+    ]),
+    ("lattice", [
+        ((0,), (-0.4262473469883942-0.9046066544003285j)),
+        ((1,), (0.5270445396273529+0.41888225647537486j)),
+        ((-2,), (-0.29350896437851265+0.0050389316373748326j)),
+        ((2,), (0.2110866750017689+0.203998329991426j)),
+        ((-3,), (0.14165338215722728-0.019010515142093662j)),
+        ((3,), (0.08414718423212825-0.1155263249149453j)),
+        ((-4,), (0.09008810343773421-0.12421603793229288j)),
+        ((4,), (0.14649564139456675+0.04565651665424361j)),
+        ((-5,), (-0.0568325076538666+0.03215494083144736j)),
+        ((5,), (-0.05581498240415719-0.03389043943834766j)),
+    ]),
+    ("ladder", [
+        (-1.0, (-0.021991247717568052+0.718525629433302j)),
+        (1.0, (-0.23512582256829623+0.6793221199771727j)),
+        (-2.8284271247461903, (0.0037689588786217272+0.24136050992450286j)),
+        (2.8284271247461903, (-0.2404408859715452-0.021384133259573394j)),
+        (-5.196152422706632, (0.0559489912354179+0.08842166373961437j)),
+        (5.196152422706632, (0.10438431108496345-0.007252298812092713j)),
+        (8.0, (-0.043254156367093996-0.015112690558825404j)),
+        (-11.180339887498949, (-0.029612903410129402+0.006384053134028334j)),
+        (11.180339887498949, (0.02953516155941268+0.006734568616856035j)),
+    ]),
+]
+
+
+@pytest.mark.parametrize("kind,want", PINNED_SPECTRA, ids=[k for k, _ in PINNED_SPECTRA])
+def test_seeded_generators_pinned(kind, want):
+    if kind == "real":
+        f = random_spectrum(5, kind="real", max_index=5)
+    elif kind == "lattice":
+        f = random_spectrum(6, kind="lattice", max_index=5)
+    else:
+        f = random_spectrum_on_ladder(7, FrequencyLadder(lambda k: k ** 1.5), max_index=5)
+    assert list(f.items()) == want
+    if kind == "lattice":
+        assert all(type(x) is int for k in f.frequencies for x in k)
+    else:
+        assert all(type(k) is float for k in f.frequencies)
