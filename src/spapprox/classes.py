@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import (
     BudgetError,
+    CertificationError,
     ConvergenceError,
     InputDomainError,
     PreconditionError,
@@ -45,10 +46,10 @@ from .psi import (
     CharSeq,
     PsiSystem,
     RadialPsi,
+    _tail_after,
     build_charseq,
     psi_derivative,
     rearrangement_padded,
-    tail_sum,
 )
 from .reports import ExtremalReport
 from .spectrum import Spectrum
@@ -68,7 +69,7 @@ class ClassSpec:
     def __post_init__(self):
         if not (self.p > 0 and self.q > 0):
             raise InputDomainError("exponents p, q must be positive")
-        self._w21: tuple[float, float] | None = None
+        self._total: tuple[float, float] | None = None  # raw power_sum_total
 
     @property
     def regime(self) -> str:
@@ -80,18 +81,24 @@ class ClassSpec:
             raise InputDomainError("tail exponent defined only for q > p")
         return self.p * self.q / (self.q - self.p)
 
-    def certify_summability(self) -> tuple[float, float]:
-        """For q > p: certify sum |psi|^{pq/(q-p)} < infinity (value, bound)."""
+    def tail(self, head: Sequence[float] = ()) -> tuple[float, float]:
+        """For q > p: (value, bound) of sum |psi|^{pq/(q-p)} outside the head
+        magnitudes; the lattice total is certified once per spec."""
         if self.q <= self.p:
             raise InputDomainError("no summability condition needed for q <= p")
-        if self._w21 is None:
-            try:
-                self._w21 = tail_sum(self.psi, self.tail_exponent, 1, tol=self.tail_tol)
-            except ConvergenceError as e:
-                raise PreconditionError(
-                    f"summability of |psi|^(pq/(q-p)) not certified: {e}"
-                ) from e
-        return self._w21
+        e = self.tail_exponent
+        try:
+            if self._total is None:
+                self._total = self.psi.power_sum_total(e)
+            return _tail_after(self._total, head, e, self.tail_tol)
+        except ConvergenceError as err:
+            raise PreconditionError(
+                f"summability of |psi|^(pq/(q-p)) not certified: {err}"
+            ) from err
+
+    def certify_summability(self) -> tuple[float, float]:
+        """For q > p: certify sum |psi|^{pq/(q-p)} < infinity (value, bound)."""
+        return self.tail()
 
     def grade_warnings(self) -> tuple:
         if not self.psi.theorem_grade:
@@ -106,12 +113,20 @@ class ClassSpec:
 # best approximations and widths
 
 
-def _tail_norm_outside(spec: ClassSpec, excluded: frozenset) -> tuple[float, dict]:
+def _tail_report(spec: ClassSpec, quantity: str, n: int, warnings: tuple,
+                 head: Sequence[float] = (), **cert) -> ExtremalReport:
+    """q > p: the class tail norm outside ``head``, or past the first
+    ``tail_from`` - 1 rearrangement values when that key is given."""
     e = spec.tail_exponent
-    total, bound = spec.certify_summability()
-    head = math.fsum(spec.psi.magnitude(k) ** e for k in excluded)
-    val = max(total - head, 0.0) ** (1.0 / e)
-    return val, {"tail_exponent": e, "tail_bound": bound}
+    spec.certify_summability()  # fail before streaming the head
+    if cert.get("tail_from", 1) > 1:
+        head = rearrangement_padded(spec.psi, cert["tail_from"] - 1)
+    val, bound = spec.tail(head)
+    return ExtremalReport(
+        quantity, val ** (1.0 / e), n=n, regime=spec.regime,
+        certificate={**cert, "tail_exponent": e, "tail_bound": bound},
+        warnings=warnings,
+    )
 
 
 def class_best_approx(
@@ -147,12 +162,8 @@ def class_best_approx(
                 certificate={"form": "set", "note": "psi exhausted inside gamma"},
                 warnings=warnings,
             )
-        val, cert = _tail_norm_outside(spec, gset)
-        cert["form"] = "set"
-        return ExtremalReport(
-            "best_approx", val, n=len(gset), regime=spec.regime,
-            certificate=cert, warnings=warnings,
-        )
+        head = [spec.psi.magnitude(k) for k in gset]
+        return _tail_report(spec, "best_approx", len(gset), warnings, head, form="set")
     if level < 1:
         raise InputDomainError("level must be >= 1")
     cs = build_charseq(spec.psi, levels=level)
@@ -161,16 +172,8 @@ def class_best_approx(
             "best_approx", cs.eps[level - 1], n=level, regime=spec.regime,
             certificate={"form": "level"}, warnings=warnings,
         )
-    e = spec.tail_exponent
-    spec.certify_summability()
     start = 1 if level == 1 else cs.delta[level - 2] + 1
-    val, bound = tail_sum(spec.psi, e, start, tol=spec.tail_tol)
-    return ExtremalReport(
-        "best_approx", val ** (1.0 / e), n=level, regime=spec.regime,
-        certificate={"form": "level", "tail_exponent": e, "tail_bound": bound,
-                     "tail_from": start},
-        warnings=warnings,
-    )
+    return _tail_report(spec, "best_approx", level, warnings, form="level", tail_from=start)
 
 
 def class_widths(spec: ClassSpec, n: int) -> ExtremalReport:
@@ -186,14 +189,7 @@ def class_widths(spec: ClassSpec, n: int) -> ExtremalReport:
             "width", val, n=n, regime=spec.regime,
             certificate={"rearrangement_index": n + 1}, warnings=warnings,
         )
-    e = spec.tail_exponent
-    spec.certify_summability()
-    val, bound = tail_sum(spec.psi, e, n + 1, tol=spec.tail_tol)
-    return ExtremalReport(
-        "width", val ** (1.0 / e), n=n, regime=spec.regime,
-        certificate={"tail_exponent": e, "tail_bound": bound, "tail_from": n + 1},
-        warnings=warnings,
-    )
+    return _tail_report(spec, "width", n, warnings, tail_from=n + 1)
 
 
 def kolmogorov_ladder(spec: ClassSpec, n: int) -> ExtremalReport:
@@ -447,8 +443,6 @@ def _shell_power_sums(
     positive = [m for m in mags if m > 0]
     if len(positive) < len(mags):
         raise PreconditionError("psi vanishes on part of the support")
-    from .errors import CertificationError
-
     try:
         if positive:
             cs = build_charseq(psi, levels=min_levels, down_to_value=min(positive))

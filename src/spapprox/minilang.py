@@ -18,6 +18,8 @@ import json
 import math
 import re
 
+import numpy as np
+
 from .errors import ParseError
 from .moduli import (
     PhiFunction,
@@ -91,15 +93,18 @@ def parse_psi(text: str) -> PsiSystem:
                 key, _, val = part.partition("=")
                 key = key.strip().lower()
                 val = val.strip()
-                if key in ("r", "norm"):
-                    kwargs["r"] = math.inf if val in ("inf", "sup") else float(val)
-                elif key == "d":
-                    kwargs["d"] = int(val)
-                elif key == "origin":
+                try:
+                    if key in ("r", "norm"):
+                        kwargs["r"] = math.inf if val in ("inf", "sup") else float(val)
+                    elif key == "d":
+                        kwargs["d"] = int(val)
+                except ValueError:
+                    raise ParseError(f"radial key {key!r} needs a number, got {val!r}") from None
+                if key == "origin":
                     kwargs["origin"] = val
                 elif key == "psi":
                     form = _parse_radial_form(val)
-                else:
+                elif key not in ("r", "norm", "d"):
                     raise ParseError(f"unknown radial key {key!r}")
             else:
                 form = _parse_radial_form(part)
@@ -175,18 +180,15 @@ def parse_weight(text: str, tau: float) -> WeightMeasure:
     if t == "t":
         return weight_linear(tau)
     head, _, path = t.partition(":")
-    if head == "pwl" and path:
+    fields = {"pwl": ("knots_t", "knots_v"), "atomic": ("points", "jumps")}.get(head)
+    if fields and path:
         doc = _load_json(path)
         try:
-            return weight_pwl(doc["knots_t"], doc["knots_v"])
-        except KeyError as e:
-            raise ParseError(f"pwl weight file missing {e}") from None
-    if head == "atomic" and path:
-        doc = _load_json(path)
-        try:
-            return weight_atomic(doc["points"], doc["jumps"], tau=doc.get("tau", tau))
-        except KeyError as e:
-            raise ParseError(f"atomic weight file missing {e}") from None
+            a, b = (np.asarray(doc[name], dtype=np.float64) for name in fields)
+            tau = float(doc.get("tau", tau)) if head == "atomic" else tau
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"{head} weight file: missing or non-numeric field ({e})") from None
+        return weight_pwl(a, b) if head == "pwl" else weight_atomic(a, b, tau=tau)
     raise ParseError(f"unknown weight {text!r} (want cos, t, pwl:FILE or atomic:FILE)")
 
 

@@ -191,7 +191,6 @@ class WeightMeasure:
         self.tau = float(tau)
         self.kind = kind
         self.label = label or kind
-        self._data = data
         if kind == "density":
             self.vprime = data["vprime"]  # vectorized, nonnegative
             self.v = data.get("v")
@@ -276,11 +275,11 @@ def weight_linear(tau: float) -> WeightMeasure:
 
 
 def weight_pwl(knots_t, knots_v) -> WeightMeasure:
-    return WeightMeasure(float(np.max(knots_t)), "pwl", knots_t=knots_t, knots_v=knots_v, label="pwl")
+    return WeightMeasure(float(np.max(knots_t, initial=0.0)), "pwl", knots_t=knots_t, knots_v=knots_v, label="pwl")
 
 
 def weight_atomic(points, jumps, tau: float | None = None) -> WeightMeasure:
-    tau = float(np.max(points)) if tau is None else float(tau)
+    tau = float(np.max(points, initial=0.0)) if tau is None else float(tau)
     return WeightMeasure(tau, "atomic", points=points, jumps=jumps, label="atomic")
 
 

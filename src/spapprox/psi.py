@@ -217,7 +217,6 @@ class PsiSystem:
     d: int
     variant: str
     theorem_grade: bool  # satisfies nonzero + vanishing hypotheses everywhere
-    max_box: int
     finite = False  # finitely many nonzero magnitudes, so stream() may end
 
     def magnitude(self, k) -> float:
@@ -253,14 +252,13 @@ class PsiSystem:
 
 
 class ProductPsi(PsiSystem):
-    def __init__(self, axes: Sequence, max_box: int | None = None):
+    def __init__(self, axes: Sequence):
         if not axes:
             raise InputDomainError("product system needs at least one axis")
         self.axes = list(axes)
         self.d = len(axes)
         self.variant = "product[" + ",".join(a.describe() for a in self.axes) + "]"
         self.theorem_grade = True
-        self.max_box = max_box or default_max_box(self.d)
         self._all_pow = all(isinstance(a, AxisPow) for a in self.axes)
         self._all_geom_same = (
             all(isinstance(a, AxisGeom) for a in self.axes)
@@ -321,13 +319,11 @@ class RadialPsi(PsiSystem):
         profile: Callable[[float], float] | tuple,
         d: int,
         r: float = math.inf,
-        max_box: int | None = None,
         power_bound: tuple[float, float, float] | None = None,
         origin: str = "clamp",
     ):
         self.d = int(d)
         self.r = float(r) if r != math.inf else math.inf
-        self.max_box = max_box or default_max_box(self.d)
         if origin not in ("clamp", "exact"):
             raise InputDomainError("origin must be 'clamp' or 'exact'")
         self.origin = origin
@@ -394,6 +390,7 @@ class RadialPsi(PsiSystem):
 
     def stream(self) -> Iterator[tuple[float, tuple]]:
         R = 4
+        max_box = default_max_box(self.d)
         emitted: set = set()
         buffer: list[tuple[float, tuple]] = []
         while True:
@@ -411,11 +408,11 @@ class RadialPsi(PsiSystem):
                     yield v, k
                 else:
                     break
-            if R >= self.max_box:
+            if R >= max_box:
                 raise CertificationError(
-                    f"radial enumeration not certifiable within box {self.max_box}"
+                    f"radial enumeration not certifiable within box {max_box}"
                 )
-            R = min(self.max_box, R * 2)
+            R = min(max_box, R * 2)
 
     def _shell_monomials(self) -> list[tuple[float, int]]:
         """(coefficient, power) pairs with sum c m^j = (2m+1)^d - (2m-1)^d,
@@ -441,8 +438,8 @@ class RadialPsi(PsiSystem):
         return est, bnd
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
+        # inside every default certification box
         B = 20000 if self.d == 1 else (96 if self.d == 2 else 24)
-        B = min(B, self.max_box)
         partial = math.fsum(
             self.magnitude(k) ** e
             for k in itertools.product(range(-B, B + 1), repeat=self.d)
@@ -522,7 +519,6 @@ class ExplicitTablePsi(PsiSystem):
         self.d = int(d)
         self.variant = f"explicit-table[{len(norm)} entries]"
         self.theorem_grade = False
-        self.max_box = default_max_box(self.d)
 
     def magnitude(self, k) -> float:
         k = self.key(k)
@@ -587,7 +583,6 @@ class ExplicitSeqPsi(PsiSystem):
             prev = v
         self.d = 1
         self.variant = f"explicit-seq[{kind}]"
-        self.max_box = default_max_box(1)
 
     @classmethod
     def power(cls, s: float, scale: float = 1.0) -> "ExplicitSeqPsi":
@@ -656,7 +651,6 @@ class PhasedPsi(PsiSystem):
         self.variant = base.variant + "+phase"
         self.theorem_grade = base.theorem_grade
         self.finite = base.finite
-        self.max_box = base.max_box
 
     def magnitude(self, k) -> float:
         return self.base.magnitude(k)
@@ -847,16 +841,21 @@ def tail_sum(
         raise ConvergenceError("terms do not decay: exponent must be positive")
     if start < 1:
         raise InputDomainError("start index must be >= 1")
-    total, bound = psi.power_sum_total(exponent)
-    if start > 1:
-        prefix = math.fsum(v ** exponent for v in rearrangement_padded(psi, start - 1))
-    else:
-        prefix = 0.0
-    value = total - prefix
-    noise = 1e-15 * (abs(total) + prefix)
-    bound = bound + noise
+    certified = psi.power_sum_total(exponent)
+    head = rearrangement_padded(psi, start - 1) if start > 1 else ()
+    return _tail_after(certified, head, exponent, tol)
+
+
+def _tail_after(certified: tuple[float, float], head: Sequence[float],
+                exponent: float, tol: float) -> tuple[float, float]:
+    """(value, bound) of a certified (total, bound) power sum less the head
+    values raised to ``exponent``; the bound absorbs the rounding of the
+    subtraction.  Raises ``ConvergenceError`` when it exceeds ``tol``."""
+    total, bound = certified
+    prefix = math.fsum(v ** exponent for v in head)
+    bound = bound + 1e-15 * (abs(total) + prefix)
     if bound > tol:
         raise ConvergenceError(
             f"tail bound {bound:.3e} above requested tolerance {tol:.3e}"
         )
-    return max(value, 0.0), bound
+    return max(total - prefix, 0.0), bound

@@ -341,26 +341,23 @@ def spectrum_to_json_dict(f: Spectrum) -> dict:
 def spectrum_from_json_dict(doc: dict) -> Spectrum:
     try:
         kind = doc["kind"]
-        raw = doc["entries"]
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"spectrum document missing field: {e}") from None
+        raw = list(doc["entries"])
+        d = int(doc.get("d", 1)) if kind == "lattice" else None
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ParseError(f"spectrum document missing or bad field: {e}") from None
+    if kind not in ("lattice", "real"):
+        raise ParseError(f"unknown spectrum kind {kind!r}")
     entries: dict = {}
-    if kind == "lattice":
-        d = int(doc.get("d", 1))
-        for item in raw:
-            k = tuple(int(x) for x in item["k"])
-            if k in entries:
-                raise ParseError(f"duplicate frequency {k} in spectrum file")
-            entries[k] = complex(float(item["re"]), float(item.get("im", 0.0)))
-        return Spectrum.lattice(entries, d)
-    if kind == "real":
-        for item in raw:
-            lam = float(item["lambda"])
-            if lam in entries:
-                raise ParseError(f"duplicate frequency {lam} in spectrum file")
-            entries[lam] = complex(float(item["re"]), float(item.get("im", 0.0)))
-        return Spectrum.real(entries)
-    raise ParseError(f"unknown spectrum kind {kind!r}")
+    for i, item in enumerate(raw):
+        try:
+            k = tuple(int(x) for x in item["k"]) if kind == "lattice" else float(item["lambda"])
+            c = complex(float(item["re"]), float(item.get("im", 0.0)))
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise ParseError(f"spectrum entry {i}: missing or non-numeric field ({e})") from None
+        if k in entries:
+            raise ParseError(f"duplicate frequency {k} in spectrum file")
+        entries[k] = c
+    return Spectrum(kind, entries, d)
 
 
 def load_spectrum(path: str) -> Spectrum:

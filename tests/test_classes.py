@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -211,6 +212,12 @@ def test_order_estimate_band():
     assert rep.bounded and rep.band_quotient < 10
 
 
+def test_order_estimate_q_gt_p_callable_profile():
+    # class_sigma q > p certifies the callable profile's tail via power_bound
+    rep = order_estimate_check(lambda t: t ** -2.0, 1, math.inf, 1.0, 2.0, [2, 4, 8],
+                               power_bound=(1.0, 2.0, 1.0))
+    assert rep.delta2_ok and rep.bounded
+
 def test_order_estimate_delta2_warning():
     ok, _ = dyadic_doubling_check(lambda t: math.exp(-t))
     assert not ok
@@ -292,3 +299,112 @@ def test_identity_values_pinned_for_every_convention(seed, family, n):
             got = (r.lhs, r.rhs, r.residual, r.convergence_ok)
             for a, b in zip(got, pinned):
                 assert a == b or (math.isnan(a) and math.isnan(b)), (check.__name__, eo, to, got)
+
+
+def _lattice_workload_systems():
+    return {
+        "hyperbolic": ProductPsi([AxisPow(1.0), AxisPow(1.0)]),
+        "anisotropic": ProductPsi([AxisPow(1.0), AxisPow(2.0)]),
+        "radial1": RadialPsi(("pow", 2.0), d=1),
+        "radial2": RadialPsi(("pow", 3.0), d=2),
+        "harmonic": ExplicitSeqPsi.harmonic(),
+        "geom2": RadialPsi(("geom", 0.5), d=2, r=2),
+    }
+
+
+def test_one_power_sum_per_class_spec(monkeypatch):
+    psi = RadialPsi(("pow", 3.0), d=2)
+    calls = []
+    original = RadialPsi.power_sum_total
+    monkeypatch.setattr(
+        RadialPsi, "power_sum_total", lambda self, e: calls.append(e) or original(self, e)
+    )
+    spec = ClassSpec(psi, 1.0, 2.0)
+    class_sigma(spec, 3)
+    class_widths(spec, 0)
+    class_widths(spec, 3)
+    class_best_approx(spec, level=3)
+    class_best_approx(spec, gamma=[(0, 0), (1, 0)])
+    assert calls == [2.0]
+
+
+# q > p (p, q = 1, 2; tail exponent 2) on the lattice-workload systems and a
+# geometric radial d = 2, r = 2 system, recorded before ClassSpec kept its
+# certified total: (value, tail_bound) of the empty-head tail (width n = 0 =
+# best level 1) and of width n = 3; (value, tail_bound, tail_from) of best
+# level 3; (value, envelope, at_s) of sigma n = 3
+_PINNED_TAILS = {
+    "hyperbolic": {
+        "total": (4.289868133696474, 1.9819928390684222e-13),
+        "width": (3.924661591080748, 2.0119928390684224e-13),
+        "level": (2.5304087820951904, 2.1019928390684222e-13, 22),
+        "sigma": (3.827919618344208, 12.775267822066915, 963),
+    },
+    "anisotropic": {
+        "total": (3.6845509950345297, 7.98940121097719e-14),
+        "width": (3.2520633503992418, 8.28940121097719e-14),
+        "level": (1.753828964012723, 9.039401210977189e-14, 16),
+        "sigma": (3.134631722389401, 9.70147152707836, 195),
+    },
+    "radial1": {
+        "total": (1.7789453244611755, 3.164646571601965e-15),
+        "width": (0.40576651836034566, 6.1646465716019654e-15),
+        "level": (0.19911420698251728, 6.289646571601966e-15, 6),
+        "sigma": (0.3934184113252011, 0.008642780905838254, 67),
+    },
+    "radial2": {
+        "total": (3.04883945808057, 2.2062876476890966e-12),
+        "width": (2.509067962640515, 2.209287647689097e-12),
+        "level": (0.21312447336949372, 2.215537647689097e-12, 26),
+        "sigma": (2.3548719797791606, 1.3714820283916396, 67),
+    },
+    "harmonic": {
+        "total": (1.2825498301623366, 1.2147487340828833e-12),
+        "width": (0.5327503690644685, 1.2161098451939943e-12),
+        "level": (0.6284377987115658, 1.2159987340828833e-12, 3),
+        "sigma": (0.5046348076298945, 0.16672574418599573, 195),
+    },
+    "geom2": {
+        "total": (1.6805437943748143, 2.824227444811698e-15),
+        "width": (1.4402178463037103, 3.574227444811698e-15),
+        "level": (1.005527015797686, 4.637370310124395e-15, 10),
+        "sigma": (1.3735819760071466, 0.7160545783467511, 195),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_TAILS))
+def test_q_gt_p_tails_pinned(name):
+    psi = _lattice_workload_systems()[name]
+    pins = _PINNED_TAILS[name]
+    spec = ClassSpec(psi, 1.0, 2.0)
+    total, total_bound = pins["total"]
+    reps = {
+        "width0": class_widths(spec, 0),
+        "level1": class_best_approx(spec, level=1),
+        "width": class_widths(spec, 3),
+        "level": class_best_approx(spec, level=3),
+        "sigma": class_sigma(spec, 3),
+    }
+    tail = {"tail_exponent": 2.0}
+    want = {
+        "width0": (total, {**tail, "tail_bound": total_bound, "tail_from": 1}),
+        "level1": (total, {**tail, "tail_bound": total_bound, "tail_from": 1, "form": "level"}),
+        "width": (pins["width"][0], {**tail, "tail_bound": pins["width"][1], "tail_from": 4}),
+        "level": (pins["level"][0], {**tail, "tail_bound": pins["level"][1],
+                                     "tail_from": pins["level"][2], "form": "level"}),
+        "sigma": (pins["sigma"][0], {"scan_budget": 1_000_000, "stop": "tail-envelope",
+                                     "envelope": pins["sigma"][1], "at_s": pins["sigma"][2],
+                                     "summability_bound": total_bound}),
+    }
+    for key, rep in reps.items():
+        assert (rep.value, rep.certificate) == want[key], key
+    assert reps["sigma"].s_star == 4
+    # the set form outside the width head: same value as the width; its
+    # tail_bound now carries the head's rounding (it used to be total_bound)
+    gamma = [k for _, k in itertools.islice(psi.stream(), 3)]
+    rep = class_best_approx(spec, gamma=gamma)
+    assert (rep.value, rep.certificate) == (
+        pins["width"][0], {**tail, "tail_bound": pins["width"][1], "form": "set"}
+    )
+    assert rep.certificate["tail_bound"] > total_bound

@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spapprox.cli import main
 from spapprox.minilang import parse_phi, parse_psi, parse_tau, parse_weight
@@ -165,3 +168,47 @@ def test_run_suite_raises_a_suites_type_error(monkeypatch):
     with pytest.raises(TypeError, match="suite failed"):
         verify.run_suite("fake", seed=verify.DEFAULT_SEED + 1)
     assert verify.run_suite("fake")["seed"] == verify.DEFAULT_SEED
+
+
+@pytest.mark.parametrize("doc_name,doc,args", [
+    ("f.json", {"kind": "real", "entries": [{"re": 1.0}]},
+     ["modulus", "--input", "{path}", "--phi", "alpha:1", "--delta", "1"]),
+    ("f.json", {"kind": "real", "entries": [{"lambda": 1.0, "re": "abc"}]},
+     ["modulus", "--input", "{path}", "--phi", "alpha:1", "--delta", "1"]),
+    ("v.json", {"knots_t": [0.0, math.pi], "knots_v": "ab"},
+     ["jackson", "--phi", "alpha:1", "--p", "1", "--n", "2", "--v", "pwl:{path}"]),
+    ("v.json", {"knots_t": [], "knots_v": []},
+     ["jackson", "--phi", "alpha:1", "--p", "1", "--n", "2", "--v", "pwl:{path}"]),
+    (None, None, ["charseq", "--psi", "radial:pow(-2),d=x"]),
+], ids=["missing-lambda", "string-re", "string-knots-v", "empty-knots", "string-radial-d"])
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, doc_name, doc, args):
+    if doc is not None:
+        path = tmp_path / doc_name
+        path.write_text(json.dumps(doc))
+        args = [a.format(path=path) for a in args]
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_FIELD = st.one_of(
+    st.none(), st.text(max_size=4), st.lists(st.integers(-3, 3), max_size=3),
+    st.integers(-3, 3), st.floats(-3.0, 3.0),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    kind=st.sampled_from(["real", "lattice"]),
+    entries=st.lists(
+        st.fixed_dictionaries({}, optional={"k": _FIELD, "lambda": _FIELD, "re": _FIELD,
+                                            "im": _FIELD}),
+        max_size=3,
+    ),
+)
+def test_modulus_of_malformed_spectrum_never_raises(kind, entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"kind": kind, "entries": entries}, fh)
+        code = main(["modulus", "--input", path, "--phi", "alpha:1", "--delta", "1"])
+    assert code in (0, 2)

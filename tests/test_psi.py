@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +187,29 @@ def test_tail_sum_product_and_radial():
     val, bound = tail_sum(rad, 1.0, 1, tol=1e-7)
     direct = 1.0 + 2 * sum(k ** -2.0 for k in range(1, 200000))
     assert val == pytest.approx(direct, abs=1e-4)
+
+
+def _callable_pow2(d, t0=1):
+    return RadialPsi(lambda t: t ** -2.0, d=d, power_bound=(1, 2, t0))
+
+
+def test_callable_radial_tail_d1_closed_form():
+    # sum over Z of max(|k|, 1)^-4 = 1 + 2 zeta(4)
+    val, bound = tail_sum(_callable_pow2(1), 2.0)
+    assert abs(val - (1.0 + math.pi ** 4 / 45.0)) <= bound
+
+
+def test_callable_radial_tail_d2_sup_norm():
+    # sup-norm shells of radius m hold 8m points: 1 + 8 zeta(3)
+    val, bound = tail_sum(_callable_pow2(2), 2.0, tol=1e-3)
+    assert abs(val - float(1 + 8 * mpmath.zeta(3))) <= bound
+    form_val, _ = tail_sum(RadialPsi(("pow", 2.0), d=2), 2.0, tol=1e-3)
+    assert abs(val - form_val) <= bound
+
+
+def test_callable_radial_tail_needs_box_to_reach_t0():
+    with pytest.raises(ConvergenceError):
+        tail_sum(_callable_pow2(2, t0=1000), 2.0, tol=1.0)
 
 
 def test_rearrangement_multiset_matches_box_sort():

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from spapprox import (
     best_tail_approx,
     difference_multiplier,
     greedy_select,
+    load_spectrum,
     partial_sum,
+    save_spectrum,
     sp_norm,
     spectrum_from_json_dict,
     spectrum_to_json_dict,
@@ -172,6 +176,29 @@ def test_json_round_trip_and_duplicate_rejection():
     with pytest.raises(Exception):
         spectrum_from_json_dict(bad)
 
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COEF = st.builds(complex, _FINITE, _FINITE)
+_SPECTRA = st.one_of(
+    st.dictionaries(_FINITE, _COEF, max_size=6).map(Spectrum.real),
+    st.integers(1, 3).flatmap(lambda d: st.dictionaries(
+        st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * d), _COEF, max_size=6,
+    ).map(lambda entries: Spectrum.lattice(entries, d))),
+)
+
+
+def _bits(f: Spectrum) -> tuple:
+    return (f.kind, f.d, repr(f.frequencies), repr(f.coefficients))
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_SPECTRA)
+def test_json_round_trip_is_exact(f):
+    assert _bits(spectrum_from_json_dict(spectrum_to_json_dict(f))) == _bits(f)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        save_spectrum(f, path)
+        assert _bits(load_spectrum(path)) == _bits(f)
 
 def test_spectrum_never_mixes_kinds():
     with pytest.raises(InputDomainError):
