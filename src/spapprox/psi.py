@@ -15,11 +15,16 @@ library.  Three variants are provided:
   is given directly (power / geometric closed forms, or a head table with a
   tail rule).
 
-Enumeration of the decreasing rearrangement is lazy and *certified*: a value
-is emitted only once the variant's tail bound proves that no unscanned index
-can exceed it.  Magnitudes are evaluated in a canonical order (integer
-accumulation where possible) so that equal-by-construction values compare
-equal as doubles; level grouping uses exact comparison.
+Enumeration of the decreasing rearrangement is lazy and *certified*.  The
+product, radial and sequence variants share one max-heap walk over per-axis
+positions: along every axis the order 0, -1, 1, -2, 2, ... never increases
+the magnitude, so each unvisited index is dominated by one on the heap and
+every pop is the largest magnitude left.  A popped magnitude that is not
+positive ends the stream of a finite system; on an infinite system it can
+only be an underflow, and the walk raises ``CertificationError`` at once.
+Magnitudes are evaluated in a canonical order (integer accumulation where
+possible) so that equal-by-construction values compare equal as doubles;
+level grouping uses exact comparison.
 """
 
 from __future__ import annotations
@@ -39,14 +44,6 @@ from .errors import (
     InputDomainError,
 )
 from .spectrum import Spectrum
-
-# Default certification boxes (sup-norm radius) per dimension.
-DEFAULT_MAX_BOX = {1: 2 ** 20, 2: 2 ** 10, 3: 2 ** 7}
-
-
-def default_max_box(d: int) -> int:
-    return DEFAULT_MAX_BOX.get(d, 2 ** 5)
-
 
 # ---------------------------------------------------------------------------
 # lattice norms and counting
@@ -207,6 +204,36 @@ def _seq_position(k: int) -> int:
     return 2 * abs(k) if k < 0 else 2 * k + 1
 
 
+def _monotone_walk(d: int, magnitude: Callable[[tuple], float],
+                   finite: bool) -> Iterator[tuple[float, tuple]]:
+    """Certified (magnitude, index) pairs in nonincreasing order for a
+    magnitude that never increases along any axis's order 0, -1, 1, -2, ...
+
+    A max-heap keyed by (-value, position vector) holds the frontier; a
+    child differs from its parent in one position, so its index is the
+    parent's with one coordinate changed.  Visited positions are keyed by
+    position, never by value (distinct indices may share values)."""
+    start = (0,) * d
+    heap = [(-magnitude(start), start, start)]
+    visited = {start}
+    while heap:
+        negv, pos, k = heapq.heappop(heap)
+        if not -negv > 0:
+            if finite:
+                return
+            raise CertificationError(
+                f"magnitude {-negv!r} at index {k} of an infinite system is not "
+                "positive (underflow); the rearrangement cannot be continued"
+            )
+        yield -negv, k
+        for j in range(d):
+            child = pos[:j] + (pos[j] + 1,) + pos[j + 1:]
+            if child not in visited:
+                visited.add(child)
+                ck = k[:j] + (_axis_index(child[j]),) + k[j + 1:]
+                heapq.heappush(heap, (-magnitude(ck), child, ck))
+
+
 # ---------------------------------------------------------------------------
 # psi-system variants
 
@@ -282,23 +309,7 @@ class ProductPsi(PsiSystem):
         return v
 
     def stream(self) -> Iterator[tuple[float, tuple]]:
-        # sorted-product enumeration: a max-heap over per-axis position
-        # vectors, deduplicated by position (distinct indices may share
-        # values, so the visited set is keyed by index, never by value)
-        def point(pos: tuple[int, ...]) -> tuple:
-            return tuple(_axis_index(pj) for pj in pos)
-
-        start = (0,) * self.d
-        heap = [(-self.magnitude(point(start)), start)]
-        visited = {start}
-        while heap:
-            negv, pos = heapq.heappop(heap)
-            yield -negv, point(pos)
-            for j in range(self.d):
-                child = pos[:j] + (pos[j] + 1,) + pos[j + 1:]
-                if child not in visited:
-                    visited.add(child)
-                    heapq.heappush(heap, (-self.magnitude(point(child)), child))
+        return _monotone_walk(self.d, self.magnitude, self.finite)
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
         total, rel_hi, rel_lo = 1.0, 1.0, 1.0
@@ -384,35 +395,11 @@ class RadialPsi(PsiSystem):
             raise InputDomainError(f"index {k} has wrong dimension for d={self.d}")
         return self.profile(lattice_norm(k, self.r))
 
-    def tail_sup_outside(self, R: int) -> float:
-        # outside the sup-norm box of radius R every point has |k|_r >= R+1
-        return self.profile(float(R + 1))
-
     def stream(self) -> Iterator[tuple[float, tuple]]:
-        R = 4
-        max_box = default_max_box(self.d)
-        emitted: set = set()
-        buffer: list[tuple[float, tuple]] = []
-        while True:
-            pts = itertools.product(range(-R, R + 1), repeat=self.d)
-            buffer = [
-                (self.magnitude(k), k)
-                for k in pts
-                if k not in emitted
-            ]
-            buffer.sort(key=lambda vk: (-vk[0], vk[1]))
-            cutoff = self.tail_sup_outside(R)
-            for v, k in buffer:
-                if v > cutoff:
-                    emitted.add(k)
-                    yield v, k
-                else:
-                    break
-            if R >= max_box:
-                raise CertificationError(
-                    f"radial enumeration not certifiable within box {max_box}"
-                )
-            R = min(max_box, R * 2)
+        # the profile is nonincreasing and |k|_r grows with each |k_j|
+        return _monotone_walk(
+            self.d, lambda k: self.profile(lattice_norm(k, self.r)), self.finite
+        )
 
     def _shell_monomials(self) -> list[tuple[float, int]]:
         """(coefficient, power) pairs with sum c m^j = (2m+1)^d - (2m-1)^d,
@@ -438,7 +425,6 @@ class RadialPsi(PsiSystem):
         return est, bnd
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
-        # inside every default certification box
         B = 20000 if self.d == 1 else (96 if self.d == 2 else 24)
         partial = math.fsum(
             self.magnitude(k) ** e
@@ -612,11 +598,7 @@ class ExplicitSeqPsi(PsiSystem):
         return self.seq(_seq_position(k[0]))
 
     def stream(self) -> Iterator[tuple[float, tuple]]:
-        for j in itertools.count(1):
-            v = self.seq(j)
-            if v == 0.0:
-                return
-            yield v, (_axis_index(j - 1),)
+        return _monotone_walk(1, self.magnitude, self.finite)
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
         kind = self.continuation[0]

@@ -22,11 +22,19 @@ from .errors import InputDomainError, ParseError
 LatticeKey = tuple[int, ...]
 
 
+def _lattice_component(x) -> int:
+    """x as an int; integral values such as 2.0 are accepted, 1.7 is not."""
+    i = int(x)
+    if i != x:
+        raise InputDomainError(f"lattice index component {x!r} is not an integer")
+    return i
+
+
 def _norm_lattice_key(k, d: int | None) -> tuple[LatticeKey, int]:
     if isinstance(k, (int, np.integer)):
         k = (int(k),)
     else:
-        k = tuple(int(x) for x in k)
+        k = tuple(_lattice_component(x) for x in k)
     if d is None:
         d = len(k)
     if len(k) != d or d < 1:
@@ -350,10 +358,11 @@ def spectrum_from_json_dict(doc: dict) -> Spectrum:
     entries: dict = {}
     for i, item in enumerate(raw):
         try:
-            k = tuple(int(x) for x in item["k"]) if kind == "lattice" else float(item["lambda"])
+            k = (tuple(_lattice_component(x) for x in item["k"]) if kind == "lattice"
+                 else float(item["lambda"]))
             c = complex(float(item["re"]), float(item.get("im", 0.0)))
         except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise ParseError(f"spectrum entry {i}: missing or non-numeric field ({e})") from None
+            raise ParseError(f"spectrum entry {i}: missing or malformed field ({e})") from None
         if k in entries:
             raise ParseError(f"duplicate frequency {k} in spectrum file")
         entries[k] = c

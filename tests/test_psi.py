@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -51,6 +52,20 @@ def test_radial_geometric_profile_whose_far_values_underflow():
         RadialPsi(lambda t: float(t), d=1)
 
 
+@pytest.mark.parametrize("psi", [
+    ProductPsi([AxisGeom(0.2)]),
+    RadialPsi(("geom", 0.2), d=1, origin="exact"),
+], ids=["product", "radial"])
+def test_underflow_fails_fast(psi):
+    # 0.2**463 underflows to 0.0 after about 925 items; an infinite system
+    # cannot certify anything past that, so both calls raise at once
+    for call in (lambda: rearrangement(psi, 1000), lambda: build_charseq(psi, levels=470)):
+        start = time.perf_counter()
+        with pytest.raises(CertificationError):
+            call()
+        assert time.perf_counter() - start < 1.0
+
+
 def test_charseq_hyperbolic_counts_match_full_sort():
     hyp = ProductPsi([AxisPow(1), AxisPow(1)])
     cs = build_charseq(hyp, levels=6)
@@ -90,6 +105,53 @@ def test_product_stream_nonincreasing_long():
     for v, _ in itertools.islice(prod.stream(), 100_000):
         assert v <= prev
         prev = v
+
+
+# first 64 (value, index) pairs, recorded before the product, radial and
+# sequence streams shared one walk
+PINNED_PRODUCT = [
+    (1.0, [(0, 0), (0, -1), (0, 1), (-1, 0), (-1, -1), (-1, 1), (1, 0), (1, -1), (1, 1)]),
+    (0.5, [(-2, 0), (-2, -1), (-2, 1), (2, 0), (2, -1), (2, 1)]),
+    (0.3333333333333333, [(-3, 0), (-3, -1), (-3, 1), (3, 0), (3, -1), (3, 1)]),
+    (0.25, [(0, -2), (0, 2), (-1, -2), (-1, 2), (1, -2), (1, 2), (-4, 0), (-4, -1), (-4, 1),
+            (4, 0), (4, -1), (4, 1)]),
+    (0.2, [(-5, 0), (-5, -1), (-5, 1), (5, 0), (5, -1), (5, 1)]),
+    (0.16666666666666666, [(-6, 0), (-6, -1), (-6, 1), (6, 0), (6, -1), (6, 1)]),
+    (0.14285714285714285, [(-7, 0), (-7, -1), (-7, 1), (7, 0), (7, -1), (7, 1)]),
+    (0.125, [(-2, -2), (-2, 2), (2, -2), (2, 2), (-8, 0), (-8, -1), (-8, 1), (8, 0),
+             (8, -1), (8, 1)]),
+    (0.1111111111111111, [(0, -3), (0, 3), (-1, -3)]),
+]
+PINNED_HARMONIC_INDICES = [
+    0, -1, 1, -2, 2, -3, 3, -4, 4, -5, 5, -6, 6, -7, 7, -8, 8, -9, 9, -10, 10, -11, 11, -12,
+    12, -13, 13, -14, 14, -15, 15, -16, 16, -17, 17, -18, 18, -19, 19, -20, 20, -21, 21,
+    -22, 22, -23, 23, -24, 24, -25, 25, -26, 26, -27, 27, -28, 28, -29, 29, -30, 30, -31,
+    31, -32,
+]
+PINNED_HARMONIC_VALUES = [
+    1.0, 0.5, 0.3333333333333333, 0.25, 0.2, 0.16666666666666666, 0.14285714285714285,
+    0.125, 0.1111111111111111, 0.1, 0.09090909090909091, 0.08333333333333333,
+    0.07692307692307693, 0.07142857142857142, 0.06666666666666667, 0.0625,
+    0.058823529411764705, 0.05555555555555555, 0.05263157894736842, 0.05,
+    0.047619047619047616, 0.045454545454545456, 0.043478260869565216, 0.041666666666666664,
+    0.04, 0.038461538461538464, 0.037037037037037035, 0.03571428571428571,
+    0.034482758620689655, 0.03333333333333333, 0.03225806451612903, 0.03125,
+    0.030303030303030304, 0.029411764705882353, 0.02857142857142857, 0.027777777777777776,
+    0.02702702702702703, 0.02631578947368421, 0.02564102564102564, 0.025,
+    0.024390243902439025, 0.023809523809523808, 0.023255813953488372, 0.022727272727272728,
+    0.022222222222222223, 0.021739130434782608, 0.02127659574468085, 0.020833333333333332,
+    0.02040816326530612, 0.02, 0.0196078431372549, 0.019230769230769232,
+    0.018867924528301886, 0.018518518518518517, 0.01818181818181818, 0.017857142857142856,
+    0.017543859649122806, 0.017241379310344827, 0.01694915254237288, 0.016666666666666666,
+    0.01639344262295082, 0.016129032258064516, 0.015873015873015872, 0.015625,
+]
+
+
+def test_product_and_sequence_streams_pinned():
+    prod = list(itertools.islice(ProductPsi([AxisPow(1), AxisPow(2)]).stream(), 64))
+    assert prod == [(v, k) for v, ks in PINNED_PRODUCT for k in ks]
+    harm = list(itertools.islice(ExplicitSeqPsi.harmonic().stream(), 64))
+    assert harm == [(v, (k,)) for v, k in zip(PINNED_HARMONIC_VALUES, PINNED_HARMONIC_INDICES)]
 
 
 def test_product_sign_multiplicities_match_symmetry():
@@ -254,18 +316,19 @@ def _shape_value(shape, t):
 
 
 def _box_sort(value_at, axis_sup, d, K):
-    """First K values of a plain sort of value_at over a box [-B_1, B_1] x
-    ... x [-B_d, B_d], grown until no point outside it can exceed the K-th
+    """Plain value-descending sort of (value_at(k), k) over a box [-B_1, B_1]
+    x ... x [-B_d, B_d], grown until no point outside it can exceed the K-th
     value; axis_sup(j, b) bounds every value at a point with |k_j| >= b."""
     radii = [1] * d
     while True:
-        vals = sorted(
-            (value_at(k) for k in itertools.product(*(range(-b, b + 1) for b in radii))),
-            reverse=True,
+        pairs = sorted(
+            ((value_at(k), k) for k in itertools.product(*(range(-b, b + 1) for b in radii))),
+            key=lambda vk: -vk[0],
         )
-        short = [j for j in range(d) if len(vals) < K or axis_sup(j, radii[j] + 1) > vals[K - 1]]
+        short = [j for j in range(d)
+                 if len(pairs) < K or axis_sup(j, radii[j] + 1) > pairs[K - 1][0]]
         if not short:
-            return vals[:K]
+            return pairs
         for j in short:
             radii[j] *= 2
 
@@ -279,28 +342,40 @@ def test_product_rearrangement_matches_full_sort(axes, K):
         lambda j, b: _shape_value(axes[j], b),
         len(axes), K,
     )
-    assert rearrangement(psi, K).tolist() == pytest.approx(want, rel=1e-13, abs=0)
+    assert rearrangement(psi, K).tolist() == pytest.approx(
+        [v for v, _ in want[:K]], rel=1e-13, abs=0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    profile=_PROFILE, r=st.sampled_from([1.0, 2.0, math.inf]),
-    d=st.integers(1, 2), K=st.integers(1, 100),
+    profile=_PROFILE, r=st.sampled_from([0.5, 1.0, 2.0, math.inf]),
+    d=st.integers(1, 3), K=st.integers(1, 100), exact=st.booleans(),
 )
-def test_radial_rearrangement_matches_full_sort(profile, r, d, K):
+def test_radial_rearrangement_matches_full_sort(profile, r, d, K, exact):
     def norm(k):
         if r == math.inf:
             return float(max(abs(x) for x in k))
         return sum(abs(x) ** r for x in k) ** (1.0 / r)
 
-    psi = RadialPsi(profile, d=d, r=r)
-    # the origin reads the profile at 1; |k_j| >= b implies |k|_r >= b
+    # a geometric profile is finite at 0, so its origin may read it there
+    origin = "exact" if exact and profile[0] == "geom" else "clamp"
+    floor = 0.0 if origin == "exact" else 1.0
+    psi = RadialPsi(profile, d=d, r=r, origin=origin)
+    # |k_j| >= b implies |k|_r >= b for every r in (0, inf]
     want = _box_sort(
-        lambda k: _shape_value(profile, max(norm(k), 1.0)),
+        lambda k: _shape_value(profile, max(norm(k), floor)),
         lambda j, b: _shape_value(profile, b),
         d, K,
     )
-    assert rearrangement(psi, K).tolist() == pytest.approx(want, rel=1e-13, abs=0)
+    got = list(itertools.islice(psi.stream(), K))
+    assert [v for v, _ in got] == pytest.approx([v for v, _ in want[:K]], rel=1e-13, abs=0)
+    # the walk derives indices from positions: every complete tie group holds
+    # exactly the box points of that magnitude
+    box = [k for _, k in want]
+    for v, group in itertools.groupby(got, key=lambda vk: vk[0]):
+        if v == got[-1][0]:
+            break
+        assert {k for _, k in group} == {k for k in box if psi.magnitude(k) == v}
 
 
 def test_axis_index_inverts_seq_position():

@@ -72,3 +72,13 @@ def test_private_functions_are_referenced():
         and node.name not in referenced
     ]
     assert not orphans, f"private functions nothing in src/ calls: {', '.join(orphans)}"
+
+
+def test_psi_classes_define_their_own_stream_and_power_sum():
+    # perfbench/tracing.py wraps vars(cls)["stream"] and
+    # vars(cls)["power_sum_total"] of each psi class, so neither may move
+    # into the PsiSystem base class
+    from spapprox import ExplicitSeqPsi, ExplicitTablePsi, PhasedPsi, ProductPsi, RadialPsi
+
+    for cls in (ProductPsi, RadialPsi, ExplicitTablePsi, ExplicitSeqPsi, PhasedPsi):
+        assert {"stream", "power_sum_total"} <= set(vars(cls)), cls.__name__

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from spapprox import (
     DifferenceScheme,
     InputDomainError,
+    ParseError,
     Spectrum,
     apply_difference,
     apply_steklov_difference,
@@ -115,15 +116,28 @@ def test_greedy_tie_flag_and_oracle_value():
     assert g.value == pytest.approx(oracle_val, abs=0)
 
 
-@given(st.integers(0, 8), st.sampled_from([1.0, 1.5, 2.0]))
-@settings(max_examples=40, deadline=None)
-def test_greedy_matches_exhaustive_small(n, p):
-    rng = np.random.default_rng(n * 17 + int(p * 10))
-    keys = rng.choice(np.arange(-6, 7), size=6, replace=False)
-    f = Spectrum.lattice({int(k): complex(*rng.normal(size=2)) for k in keys})
+# coefficients are a magnitude from a small set times a unit, so abs() is
+# exact and equal magnitudes (ties at the cut) are common
+_TIED_COEF = st.builds(
+    lambda m, u: m * u, st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.sampled_from([1, -1, 1j, -1j]),
+)
+_TIED_SPECTRA = st.one_of(
+    st.dictionaries(st.integers(-24, 24).map(lambda x: x / 4), _TIED_COEF, max_size=8)
+    .map(Spectrum.real),
+    st.integers(1, 2).flatmap(lambda d: st.dictionaries(
+        st.tuples(*[st.integers(-3, 3)] * d), _TIED_COEF, max_size=8,
+    ).map(lambda entries: Spectrum.lattice(entries, d))),
+)
+
+
+@given(f=_TIED_SPECTRA, n=st.integers(0, 9), p=st.sampled_from([1.0, 1.5, 2.0, math.inf]))
+@settings(max_examples=200, deadline=None)
+def test_greedy_matches_exhaustive_small(f, n, p):
     g = greedy_select(f, n, p)
     _, val = oracle_nterm_exhaustive(f, n, p)
-    assert g.value == pytest.approx(val, abs=0)
+    assert g.value == val
+    mags = sorted((abs(c) for c in f.coefficients), reverse=True)
+    assert g.tie == (0 < n < len(mags) and mags[n - 1] == mags[n])
 
 
 def test_difference_multiplier_examples():
@@ -199,6 +213,19 @@ def test_json_round_trip_is_exact(f):
         path = os.path.join(tmp, "f.json")
         save_spectrum(f, path)
         assert _bits(load_spectrum(path)) == _bits(f)
+
+def test_fractional_lattice_index_is_rejected():
+    assert Spectrum.lattice({(2.0,): 1.0}).frequencies == ((2,),)
+    with pytest.raises(InputDomainError):
+        Spectrum.lattice({(1.7,): 1.0})
+    with pytest.raises(InputDomainError):
+        Spectrum.lattice({(0, 0.5): 1.0}, d=2)
+    doc = {"kind": "lattice", "entries": [{"k": [2.0], "re": 1.0}]}
+    assert spectrum_from_json_dict(doc).frequencies == ((2,),)
+    with pytest.raises(ParseError, match="entry 1"):
+        spectrum_from_json_dict({"kind": "lattice", "entries": [
+            {"k": [0], "re": 1.0}, {"k": [1.7], "re": 1.0}]})
+
 
 def test_spectrum_never_mixes_kinds():
     with pytest.raises(InputDomainError):
