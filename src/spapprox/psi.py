@@ -64,7 +64,76 @@ def lattice_norm(k: Sequence[int], r: float) -> float:
         if ri == 1:
             return float(total)
         return float(total) ** (1.0 / ri)
-    return float(sum(float(m) ** r for m in mags)) ** (1.0 / r)
+    # added largest first, one rounding per term (``sum`` of floats is
+    # compensated from Python 3.12 on), as _orbit_norms adds its columns
+    acc = 0.0
+    for m in mags:
+        acc += float(m) ** r
+    return acc ** (1.0 / r)
+
+
+def _pow(x: np.ndarray, y: float) -> np.ndarray:
+    """x ** y elementwise through the C library's ``pow``, which Python's
+    float ``**`` calls: numpy's own power may differ from it in the last
+    bit, and the power sums reproduce the scalar magnitudes exactly."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return np.fromiter(map(math.pow, memoryview(x), itertools.repeat(y)),
+                       np.float64, x.shape[0])
+
+
+def _orbit_representatives(d: int, B: int) -> tuple[np.ndarray, np.ndarray]:
+    """One index per orbit of the signed-permutation group on the box
+    [-B, B]^d, as the rows B >= k_1 >= ... >= k_d >= 0, and the size
+    2^{#nonzero} d! / prod(run lengths)! of each orbit.
+
+    Rows grow one coordinate at a time (a row whose last entry is m gets
+    the m + 1 continuations 0..m), so memory stays proportional to the
+    C(B+d, d) representatives, never to the (2B+1)^d box."""
+    reps = np.arange(B, -1, -1, dtype=np.int64)[:, None]
+    for _ in range(d - 1):
+        counts = reps[:, -1] + 1
+        starts = np.cumsum(counts) - counts
+        nxt = np.arange(int(counts.sum())) - np.repeat(starts, counts)
+        reps = np.column_stack([np.repeat(reps, counts, axis=0), nxt])
+    # prod(run lengths)! is the product of every entry's place in its run
+    place = np.ones(reps.shape[0], dtype=np.int64)
+    ties = np.ones(reps.shape[0], dtype=np.int64)
+    for j in range(1, d):
+        place = np.where(reps[:, j] == reps[:, j - 1], place + 1, 1)
+        ties *= place
+    return reps, (math.factorial(d) // ties) << np.count_nonzero(reps, axis=1)
+
+
+def _orbit_norms(reps: np.ndarray, r: float) -> np.ndarray:
+    """``lattice_norm`` of each row of ``_orbit_representatives``, by the
+    same arithmetic, so every box point gets the double its scalar
+    magnitude reads: exact integer power sums for integer r <= 6 (Python
+    integers once int64 could overflow), float powers added largest first
+    otherwise, and the root through the C library's ``pow``."""
+    if r == math.inf:
+        return reps[:, 0].astype(np.float64)
+    ri = int(r)
+    if ri == r and ri <= 6:
+        fits = reps.shape[1] * int(reps[0, 0]) ** ri < 2 ** 63
+        total = ((reps if fits else reps.astype(object)) ** ri).sum(axis=1)
+        total = total.astype(np.float64)
+        return total if ri == 1 else _pow(total, 1.0 / ri)
+    powers = _pow(np.arange(reps[0, 0] + 1), r)[reps]
+    acc = np.zeros(reps.shape[0])
+    for column in powers.T:
+        acc += column
+    return _pow(acc, 1.0 / r)
+
+
+def _orbit_fsum(terms: np.ndarray, sizes: np.ndarray) -> float:
+    """Correctly rounded sum of each term counted its orbit size times.
+
+    A size is split into its binary digits and a term times a power of two
+    is exact, so the addends sum exactly to the box's sum and fsum rounds
+    it once, at most log2(d! 2^d) + 1 addends per term."""
+    parts = [terms[((sizes >> j) & 1).astype(bool)] * 2.0 ** j
+             for j in range(int(sizes.max()).bit_length())]
+    return math.fsum(memoryview(np.concatenate(parts)))
 
 
 def lattice_ball_count(d: int, r: float, m: float, budget: int = 2 ** 31) -> int:
@@ -162,7 +231,7 @@ class AxisPow:
                 f"axis power sum diverges: beta*e = {s} <= 1"
             )
         K = 20000
-        partial = math.fsum(float(k) ** (-s) for k in range(1, K + 1))
+        partial = math.fsum(memoryview(_pow(np.arange(1, K + 1), -s)))
         tail, bound = _power_tail(s, K)
         return 1.0 + 2.0 * (partial + tail), 2.0 * bound
 
@@ -335,6 +404,10 @@ class RadialPsi(PsiSystem):
     ):
         self.d = int(d)
         self.r = float(r) if r != math.inf else math.inf
+        if self.d < 1:
+            raise InputDomainError("dimension must be >= 1")
+        if not self.r > 0:
+            raise InputDomainError(f"norm order must be in (0, inf], got {r}")
         if origin not in ("clamp", "exact"):
             raise InputDomainError("origin must be 'clamp' or 'exact'")
         self.origin = origin
@@ -346,6 +419,10 @@ class RadialPsi(PsiSystem):
                 beta = float(profile[1])
                 if beta <= 0:
                     raise InputDomainError("radial power exponent must be positive")
+                if origin == "exact":
+                    raise InputDomainError(
+                        "a radial power profile is infinite at t = 0; use origin='clamp'"
+                    )
                 self._func = lambda t: float(t) ** (-beta)
             elif kind == "geom":
                 rho = float(profile[1])
@@ -424,12 +501,21 @@ class RadialPsi(PsiSystem):
             bnd += coef * b
         return est, bnd
 
-    def power_sum_total(self, e: float) -> tuple[float, float]:
-        B = 20000 if self.d == 1 else (96 if self.d == 2 else 24)
-        partial = math.fsum(
-            self.magnitude(k) ** e
-            for k in itertools.product(range(-B, B + 1), repeat=self.d)
-        )
+    def _box_sum(self, e: float, B: int) -> float:
+        """Sum of magnitude^e over the box [-B, B]^d, with one profile
+        evaluation per orbit of the signed-permutation group (its members
+        share |k|_r, as ``lattice_norm`` canonicalizes)."""
+        reps, sizes = _orbit_representatives(self.d, B)
+        t = _orbit_norms(reps, self.r)
+        if self.origin == "clamp":
+            t = np.maximum(t, 1.0)
+        values = np.fromiter(map(self._func, memoryview(t)), np.float64, t.shape[0])
+        return _orbit_fsum(_pow(values, e), sizes)
+
+    def _tail_outside(self, e: float, B: int) -> tuple[float, float]:
+        """(estimate, bound) for the sum of magnitude^e outside [-B, B]^d;
+        raises ``ConvergenceError`` when it diverges or has no certified
+        rule, before any box work."""
         form = self.form
         if form is None and self.power_bound is not None:
             C, beta, t0 = self.power_bound
@@ -438,7 +524,7 @@ class RadialPsi(PsiSystem):
             # conservative: treat as a power profile scaled by C (upper bound)
             est, bnd = self._pow_tail_weighted(beta * e, B)
             upper = est * C ** e
-            return partial + upper / 2.0, upper / 2.0 + bnd * C ** e
+            return upper / 2.0, upper / 2.0 + bnd * C ** e
         if form is None:
             raise ConvergenceError(
                 "no certified tail rule for a callable radial profile; "
@@ -451,12 +537,12 @@ class RadialPsi(PsiSystem):
             # [m, d^{1/r} m]; for r = inf or d = 1 the value is exact
             upper_est, upper_bnd = self._pow_tail_weighted(s, B)
             if self.r == math.inf or self.d == 1:
-                return partial + upper_est, upper_bnd
+                return upper_est, upper_bnd
             c = float(self.d) ** (1.0 / self.r)
             lower_est = upper_est * c ** (-s)
             mid = 0.5 * (upper_est + lower_est)
             half = 0.5 * (upper_est - lower_est)
-            return partial + mid, half + upper_bnd
+            return mid, half + upper_bnd
         # geometric profile: extend the shell sum until increments vanish
         x = param ** e
 
@@ -474,10 +560,15 @@ class RadialPsi(PsiSystem):
 
         upper, ub = shell_tail(x)
         if self.r == math.inf or self.d == 1:
-            return partial + upper, ub
+            return upper, ub
         lower, lb = shell_tail(x ** (float(self.d) ** (1.0 / self.r)))
         mid = 0.5 * (upper + lower)
-        return partial + mid, 0.5 * (upper - lower) + ub + lb
+        return mid, 0.5 * (upper - lower) + ub + lb
+
+    def power_sum_total(self, e: float) -> tuple[float, float]:
+        B = 20000 if self.d == 1 else (96 if self.d == 2 else 24)
+        tail, bound = self._tail_outside(e, B)
+        return self._box_sum(e, B) + tail, bound
 
 
 class ExplicitTablePsi(PsiSystem):
@@ -612,7 +703,8 @@ class ExplicitSeqPsi(PsiSystem):
             if s <= 1:
                 raise ConvergenceError(f"sequence power sum diverges: s*e = {s} <= 1")
             P = 4096
-            partial = math.fsum(self.seq(j) ** e for j in range(K + 1, K + P + 1))
+            cont = np.fromiter(map(self._cont, range(K + 1, K + P + 1)), np.float64, P)
+            partial = math.fsum(memoryview(_pow(cont, e)))
             tail, bound = _power_tail(s, K + P)
             return head_sum + partial + scale * tail, scale * bound
         # geometric continuation

@@ -180,10 +180,11 @@ def test_run_suite_raises_a_suites_type_error(monkeypatch):
     ("v.json", {"knots_t": [], "knots_v": []},
      ["jackson", "--phi", "alpha:1", "--p", "1", "--n", "2", "--v", "pwl:{path}"]),
     (None, None, ["charseq", "--psi", "radial:pow(-2),d=x"]),
+    (None, None, ["charseq", "--psi", "radial:pow(-2),d=2,r=2,origin=exact"]),
     ("f.json", {"kind": "lattice", "entries": [{"k": [1.7], "re": 1.0}]},
      ["modulus", "--input", "{path}", "--phi", "alpha:1", "--delta", "1"]),
 ], ids=["missing-lambda", "string-re", "string-knots-v", "empty-knots", "string-radial-d",
-        "fractional-k"])
+        "radial-pow-exact-origin", "fractional-k"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, doc_name, doc, args):
     if doc is not None:
         path = tmp_path / doc_name

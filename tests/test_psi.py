@@ -29,7 +29,14 @@ from spapprox import (
     tail_sum,
 )
 from spapprox.oracle import oracle_charseq
-from spapprox.psi import _axis_index, _seq_position, rearrangement_padded
+from spapprox.psi import (
+    _axis_index,
+    _orbit_norms,
+    _orbit_representatives,
+    _seq_position,
+    lattice_norm,
+    rearrangement_padded,
+)
 
 
 def test_charseq_geometric_radial_levels():
@@ -272,6 +279,110 @@ def test_callable_radial_tail_d2_sup_norm():
 def test_callable_radial_tail_needs_box_to_reach_t0():
     with pytest.raises(ConvergenceError):
         tail_sum(_callable_pow2(2, t0=1000), 2.0, tol=1.0)
+
+
+@pytest.mark.parametrize("psi,e", [
+    (RadialPsi(("pow", 1.0), d=2), 1.5),  # shell exponent s - j = 0.5 <= 1
+    (RadialPsi(lambda t: t ** -2.0, d=2), 2.0),  # callable without power_bound
+    (_callable_pow2(2, t0=1000), 2.0),  # box B = 96 < t0
+], ids=["divergent-pow", "callable-no-bound", "box-below-t0"])
+def test_radial_power_sum_fails_before_the_box(monkeypatch, psi, e):
+    def box_sum(self, e, B):
+        raise AssertionError("the box was summed before the tail was certified")
+
+    monkeypatch.setattr(RadialPsi, "_box_sum", box_sum)
+    with pytest.raises(ConvergenceError):
+        psi.power_sum_total(e)
+
+
+def test_radial_power_sum_d4_is_fast():
+    start = time.perf_counter()
+    RadialPsi(("pow", 2.0), d=4, r=2.0).power_sum_total(3.0)
+    assert time.perf_counter() - start < 1.0
+
+
+def _lattice_sum_eucl(sigma):
+    """sum over Z^2 minus 0 of |k|_2^(-2 sigma) = 4 zeta(sigma) beta(sigma)
+    (Borwein, Glasser, McPhedran, Wan and Zucker, Lattice Sums Then and Now,
+    CUP 2013), with beta the Dirichlet beta function."""
+    return 4 * mpmath.zeta(sigma) * mpmath.dirichlet(sigma, [0, 1, 0, -1])
+
+
+def _lattice_sum_sup(sigma):
+    """sum over Z^2 minus 0 of |k|_inf^(-sigma) = 8 zeta(sigma - 1): the
+    sup-norm shell of radius m holds 8m points."""
+    return 8 * mpmath.zeta(sigma - 1)
+
+
+@pytest.mark.parametrize("beta,e,r,reference,sigma", [
+    (3.0, 2.0, 2.0, _lattice_sum_eucl, 3.0),
+    (1.5, 2.0, 2.0, _lattice_sum_eucl, 1.5),
+    (2.0, 1.5, 2.0, _lattice_sum_eucl, 1.5),
+    (3.0, 1.0, math.inf, _lattice_sum_sup, 3.0),
+    (1.5, 3.0, math.inf, _lattice_sum_sup, 4.5),
+    (2.0, 1.2, math.inf, _lattice_sum_sup, 2.4),
+], ids=["eucl-3", "eucl-1.5", "eucl-1.5-e", "sup-3", "sup-4.5", "sup-2.4"])
+def test_radial_power_sum_against_closed_form_lattice_sums(beta, e, r, reference, sigma):
+    total, bound = RadialPsi(("pow", beta), d=2, r=r).power_sum_total(e)
+    with mpmath.workdps(30):
+        want = reference(mpmath.mpf(sigma))
+    # the clamped origin carries profile(1)^e = 1
+    assert abs(total - 1.0 - float(want)) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 4), B=st.integers(0, 5),
+       r=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 6.0, 7.0, math.inf]))
+def test_orbit_representatives_cover_the_box(d, B, r):
+    reps, sizes = _orbit_representatives(d, B)
+    assert int(sizes.sum()) == (2 * B + 1) ** d
+    from_orbits = sorted(
+        tuple(row) for row, size in zip(reps.tolist(), sizes.tolist()) for _ in range(size)
+    )
+    from_box = sorted(
+        tuple(sorted((abs(x) for x in k), reverse=True))
+        for k in itertools.product(range(-B, B + 1), repeat=d)
+    )
+    assert from_orbits == from_box
+    # every orbit member reads the representative's norm, bit for bit
+    assert _orbit_norms(reps, r).tolist() == [lattice_norm(k, r) for k in reps.tolist()]
+
+
+def test_orbit_norms_past_int64():
+    # 2000^6 > 2^63, so the integer power sums are taken in Python integers
+    reps, _ = _orbit_representatives(1, 2000)
+    assert _orbit_norms(reps, 6.0).tolist() == [lattice_norm(k, 6.0) for k in reps.tolist()]
+
+
+def _plain_norm(k, r):
+    if r == math.inf:
+        return float(max(abs(x) for x in k))
+    return sum(abs(x) ** r for x in k) ** (1.0 / r)
+
+
+@pytest.mark.parametrize("profile,r,e", [
+    (("pow", 3.0), 2.0, 1.5),
+    (("pow", 1.3), 1.5, 2.7),
+    (("pow", 2.0), 1.0, 3.0),
+    (("geom", 0.7), 0.5, 2.0),
+    (("geom", 0.5), math.inf, 1.0),
+    (lambda t: (1.0 + t) ** -2.5, 3.0, 2.0),
+], ids=["pow-r2", "pow-r1.5", "pow-r1", "geom-r0.5", "geom-inf", "callable-r3"])
+def test_radial_box_sum_matches_full_box_fsum(profile, r, e):
+    B = 30
+    psi = RadialPsi(profile, d=2, r=r)
+    func = profile if callable(profile) else lambda t: _shape_value(profile, t)
+    plain = math.fsum(
+        func(max(_plain_norm(k, r), 1.0)) ** e
+        for k in itertools.product(range(-B, B + 1), repeat=2)
+    )
+    scalar = math.fsum(
+        psi.magnitude(k) ** e for k in itertools.product(range(-B, B + 1), repeat=2)
+    )
+    got = psi._box_sum(e, B)
+    assert got == pytest.approx(plain, rel=1e-15, abs=0)
+    # the same arithmetic per point as the scalar magnitude, so the same sum
+    assert got == scalar
 
 
 def test_rearrangement_multiset_matches_box_sort():
