@@ -79,7 +79,6 @@ from .psi import (
     PsiSystem,
     RadialPsi,
     build_charseq,
-    lattice_ball_count,
     psi_derivative,
     psi_integral,
     rearrangement,

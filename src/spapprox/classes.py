@@ -96,10 +96,6 @@ class ClassSpec:
                 f"summability of |psi|^(pq/(q-p)) not certified: {err}"
             ) from err
 
-    def certify_summability(self) -> tuple[float, float]:
-        """For q > p: certify sum |psi|^{pq/(q-p)} < infinity (value, bound)."""
-        return self.tail()
-
     def grade_warnings(self) -> tuple:
         if not self.psi.theorem_grade:
             return (
@@ -118,7 +114,7 @@ def _tail_report(spec: ClassSpec, quantity: str, n: int, warnings: tuple,
     """q > p: the class tail norm outside ``head``, or past the first
     ``tail_from`` - 1 rearrangement values when that key is given."""
     e = spec.tail_exponent
-    spec.certify_summability()  # fail before streaming the head
+    spec.tail()  # certify summability before streaming the head
     if cert.get("tail_from", 1) > 1:
         head = rearrangement_padded(spec.psi, cert["tail_from"] - 1)
     val, bound = spec.tail(head)
@@ -243,7 +239,7 @@ def class_sigma(
 
     if spec.regime == "q>p":
         e = spec.tail_exponent
-        total, tbound = spec.certify_summability()
+        total, tbound = spec.tail()  # certified before any head read
         expo_head = spec.q / (spec.q - spec.p)
         expo_sum = spec.p / (spec.q - spec.p)
 

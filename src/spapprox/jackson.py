@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +68,10 @@ class JacksonI:
     certificate: dict
 
 
-class _FifoCache(dict):
+class _FifoCache(OrderedDict):
     """Dict holding at most ``cap`` entries; a store beyond that evicts the
-    oldest one first."""
+    oldest one first (``popitem`` takes constant time, where deleting a
+    plain dict's first key walks past the slots of earlier deletions)."""
 
     def __init__(self, cap: int):
         super().__init__()
@@ -77,7 +79,7 @@ class _FifoCache(dict):
 
     def put(self, key, value):
         if key not in self and len(self) >= self.cap:
-            del self[next(iter(self))]
+            self.popitem(last=False)
         self[key] = value
 
 

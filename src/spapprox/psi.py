@@ -18,8 +18,9 @@ library.  Three variants are provided:
 Enumeration of the decreasing rearrangement is lazy and *certified*.  The
 product, radial and sequence variants share one max-heap walk over per-axis
 positions: along every axis the order 0, -1, 1, -2, 2, ... never increases
-the magnitude, so each unvisited index is dominated by one on the heap and
-every pop is the largest magnitude left.  A popped magnitude that is not
+the magnitude, so each index not yet reached is dominated by one on the heap
+and every pop is the largest magnitude left.  Each system runs one walk, and
+every stream on it replays and extends that walk.  A magnitude that is not
 positive ends the stream of a finite system; on an infinite system it can
 only be an underflow, and the walk raises ``CertificationError`` at once.
 Magnitudes are evaluated in a canonical order (integer accumulation where
@@ -38,7 +39,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    BudgetError,
     CertificationError,
     ConvergenceError,
     InputDomainError,
@@ -46,7 +46,7 @@ from .errors import (
 from .spectrum import Spectrum
 
 # ---------------------------------------------------------------------------
-# lattice norms and counting
+# lattice norms and orbit sums
 
 
 def lattice_norm(k: Sequence[int], r: float) -> float:
@@ -136,63 +136,6 @@ def _orbit_fsum(terms: np.ndarray, sizes: np.ndarray) -> float:
     return math.fsum(memoryview(np.concatenate(parts)))
 
 
-def lattice_ball_count(d: int, r: float, m: float, budget: int = 2 ** 31) -> int:
-    """Exact number of lattice points with |k|_r <= m."""
-    if d < 1:
-        raise InputDomainError("dimension must be >= 1")
-    if m < 0:
-        return 0
-    if r != math.inf and r <= 0:
-        raise InputDomainError(f"norm order must be in (0, inf], got {r}")
-    if d * (2 * m + 1) ** d > budget:
-        raise BudgetError(
-            f"lattice ball enumeration d={d}, m={m} exceeds work budget {budget}"
-        )
-    mf = math.floor(m)
-    if d == 1:
-        return 2 * mf + 1
-    if r == math.inf:
-        return (2 * mf + 1) ** d
-
-    ri = int(r)
-    exact = ri == r and ri <= 6
-
-    def kmax_for(rem) -> int:
-        # largest t >= 0 with t^r <= rem (exact integer compare when possible)
-        if rem < 0:
-            return -1
-        t = int(float(rem) ** (1.0 / r))
-        if exact:
-            while (t + 1) ** ri <= rem:
-                t += 1
-            while t > 0 and t ** ri > rem:
-                t -= 1
-        else:
-            while float(t + 1) ** r <= rem:
-                t += 1
-            while t > 0 and float(t) ** r > rem:
-                t -= 1
-        return t
-
-    def count(dim: int, rem) -> int:
-        if dim == 1:
-            t = kmax_for(rem)
-            return 0 if t < 0 else 2 * t + 1
-        top = kmax_for(rem)
-        if top < 0:
-            return 0
-        total = count(dim - 1, rem)  # k = 0 slab
-        for k in range(1, top + 1):
-            total += 2 * count(dim - 1, rem - k ** ri if exact else rem - float(k) ** r)
-        return total
-
-    if exact and float(m).is_integer():
-        rem0 = int(round(m)) ** ri
-    else:
-        rem0 = float(m) ** r
-    return count(d, rem0)
-
-
 def _power_tail(s: float, K: int) -> tuple[float, float]:
     """(estimate, rigorous bound on |error|) for sum_{k>K} k^{-s}, s > 1."""
     if s <= 1:
@@ -273,34 +216,51 @@ def _seq_position(k: int) -> int:
     return 2 * abs(k) if k < 0 else 2 * k + 1
 
 
-def _monotone_walk(d: int, magnitude: Callable[[tuple], float],
-                   finite: bool) -> Iterator[tuple[float, tuple]]:
+def _monotone_walk(psi: "PsiSystem", magnitude: Callable[[tuple], float]
+                   ) -> Iterator[tuple[float, tuple]]:
     """Certified (magnitude, index) pairs in nonincreasing order for a
     magnitude that never increases along any axis's order 0, -1, 1, -2, ...
 
-    A max-heap keyed by (-value, position vector) holds the frontier; a
-    child differs from its parent in one position, so its index is the
-    parent's with one coordinate changed.  Visited positions are keyed by
-    position, never by value (distinct indices may share values)."""
-    start = (0,) * d
-    heap = [(-magnitude(start), start, start)]
-    visited = {start}
-    while heap:
-        negv, pos, k = heapq.heappop(heap)
-        if not -negv > 0:
-            if finite:
-                return
-            raise CertificationError(
-                f"magnitude {-negv!r} at index {k} of an infinite system is not "
-                "positive (underflow); the rearrangement cannot be continued"
-            )
-        yield -negv, k
-        for j in range(d):
-            child = pos[:j] + (pos[j] + 1,) + pos[j + 1:]
-            if child not in visited:
-                visited.add(child)
+    A max-heap keyed by (-value, position vector) holds the frontier.  The
+    parent of a position is that position with its last nonzero coordinate
+    lowered by one, so a popped position pushes children only along the axes
+    from its last nonzero one on, and each position is pushed exactly once.
+    The pairs found so far and the heap are the system's own ``_walk``: a
+    stream first replays the pairs, then pops from the shared heap and
+    appends, so every stream on one system reads one enumeration.  The heap
+    top is checked before it is popped, so a non-positive top ends or raises
+    at the same index for every reader."""
+    if psi._walk is None:
+        start = (0,) * psi.d
+        psi._walk = ([], [(-magnitude(start), start, start)])
+    found, heap = psi._walk
+    d, i = psi.d, 0
+    while True:
+        if i == len(found):
+            negv, pos, k = heap[0]
+            if not -negv > 0:
+                if psi.finite:
+                    return
+                raise CertificationError(
+                    f"magnitude {-negv!r} at index {k} of an infinite system is not "
+                    "positive (underflow); the rearrangement cannot be continued"
+                )
+            last = d - 1
+            while last and not pos[last]:
+                last -= 1
+            # evaluate every child before the state changes, so a magnitude
+            # that raises leaves the walk as it was
+            children = []
+            for j in range(last, d):
+                child = pos[:j] + (pos[j] + 1,) + pos[j + 1:]
                 ck = k[:j] + (_axis_index(child[j]),) + k[j + 1:]
-                heapq.heappush(heap, (-magnitude(ck), child, ck))
+                children.append((-magnitude(ck), child, ck))
+            heapq.heapreplace(heap, children[0])
+            for child in children[1:]:
+                heapq.heappush(heap, child)
+            found.append((-negv, k))
+        yield found[i]
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +268,18 @@ def _monotone_walk(d: int, magnitude: Callable[[tuple], float],
 
 
 class PsiSystem:
-    """Common interface; see module docstring for the variants."""
+    """Common interface; see module docstring for the variants.
+
+    A system is immutable after construction: its streams share one walk,
+    which keeps every magnitude it has read."""
 
     d: int
     variant: str
     theorem_grade: bool  # satisfies nonzero + vanishing hypotheses everywhere
     finite = False  # finitely many nonzero magnitudes, so stream() may end
+    # (pairs found, frontier heap) of _monotone_walk; data only, since a
+    # generator or closure over the system stored here would make a cycle
+    _walk: tuple[list, list] | None = None
 
     def magnitude(self, k) -> float:
         raise NotImplementedError
@@ -351,8 +317,8 @@ class ProductPsi(PsiSystem):
     def __init__(self, axes: Sequence):
         if not axes:
             raise InputDomainError("product system needs at least one axis")
-        self.axes = list(axes)
-        self.d = len(axes)
+        self.axes = tuple(axes)
+        self.d = len(self.axes)
         self.variant = "product[" + ",".join(a.describe() for a in self.axes) + "]"
         self.theorem_grade = True
         self._all_pow = all(isinstance(a, AxisPow) for a in self.axes)
@@ -378,7 +344,7 @@ class ProductPsi(PsiSystem):
         return v
 
     def stream(self) -> Iterator[tuple[float, tuple]]:
-        return _monotone_walk(self.d, self.magnitude, self.finite)
+        return _monotone_walk(self, self.magnitude)
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
         total, rel_hi, rel_lo = 1.0, 1.0, 1.0
@@ -474,9 +440,7 @@ class RadialPsi(PsiSystem):
 
     def stream(self) -> Iterator[tuple[float, tuple]]:
         # the profile is nonincreasing and |k|_r grows with each |k_j|
-        return _monotone_walk(
-            self.d, lambda k: self.profile(lattice_norm(k, self.r)), self.finite
-        )
+        return _monotone_walk(self, lambda k: self.profile(lattice_norm(k, self.r)))
 
     def _shell_monomials(self) -> list[tuple[float, int]]:
         """(coefficient, power) pairs with sum c m^j = (2m+1)^d - (2m-1)^d,
@@ -689,7 +653,7 @@ class ExplicitSeqPsi(PsiSystem):
         return self.seq(_seq_position(k[0]))
 
     def stream(self) -> Iterator[tuple[float, tuple]]:
-        return _monotone_walk(1, self.magnitude, self.finite)
+        return _monotone_walk(self, self.magnitude)
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
         kind = self.continuation[0]

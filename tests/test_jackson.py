@@ -37,6 +37,7 @@ from spapprox import jackson
 from spapprox.errors import BudgetError
 from spapprox.jackson import (
     _I_CACHE,
+    _FifoCache,
     _jacobi_rule,
     _phi_period_mean,
     _scaled_phi_integrals,
@@ -400,6 +401,18 @@ def test_integral_cache_is_bounded(monkeypatch):
     again = scaled_phi_integral(phi, 1.0, v, math.pi, ratios[0])
     assert again == first[0]
     assert len(_I_CACHE) == 8
+
+
+def test_fifo_cache_keeps_the_last_cap_keys_in_order():
+    cap = 1024
+    cache = _FifoCache(cap)
+    for key in range(10 * cap):
+        cache.put(key, -key)
+    assert list(cache.items()) == [(key, -key) for key in range(9 * cap, 10 * cap)]
+    # storing a key it holds replaces the value in place and evicts nothing
+    cache.put(9 * cap, "again")
+    assert list(cache) == list(range(9 * cap, 10 * cap))
+    assert cache[9 * cap] == "again"
 
 
 def test_kinked_custom_generator_at_default_arguments():

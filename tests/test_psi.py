@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import time
+import weakref
 
 import mpmath
 import numpy as np
@@ -11,7 +13,6 @@ from hypothesis import strategies as st
 from spapprox import (
     AxisGeom,
     AxisPow,
-    BudgetError,
     CertificationError,
     ConvergenceError,
     ExplicitSeqPsi,
@@ -22,7 +23,6 @@ from spapprox import (
     RadialPsi,
     Spectrum,
     build_charseq,
-    lattice_ball_count,
     psi_derivative,
     psi_integral,
     rearrangement,
@@ -202,28 +202,6 @@ def test_phase_only_changes_transforms(rng):
     assert max(abs(back.coefficient(k) - c) for k, c in f.items()) < 1e-14
 
 
-def test_lattice_ball_examples():
-    assert lattice_ball_count(2, math.inf, 3) == 49
-    assert lattice_ball_count(2, 1, 2) == 13
-    assert lattice_ball_count(1, 2.7, 5) == 11
-    with pytest.raises(BudgetError):
-        lattice_ball_count(4, 2, 10 ** 4)
-
-
-def test_lattice_ball_two_sided_volume_bounds():
-    # M_r (m - c1)^d < count <= M_r (m + c2)^d with the unit-ball volumes
-    # M_inf = 2^d and M_1 = 2^d / d!; c1 = c2 = 1 works on this range
-    for d in (1, 2, 3):
-        for r, M in ((math.inf, 2.0 ** d), (1.0, 2.0 ** d / math.factorial(d))):
-            for m in (4, 9, 17, 33, 64):
-                cnt = lattice_ball_count(d, r, m)
-                assert M * (m - 1) ** d < cnt <= M * (m + 1) ** d
-        for m in (4, 9, 17, 33, 64):
-            cnt = lattice_ball_count(d, 2.0, m)
-            ball_vol = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-            assert ball_vol * (m - 1) ** d < cnt <= ball_vol * (m + 1.1) ** d
-
-
 def test_oracle_charseq_agreement_radial():
     psi = RadialPsi(("pow", 2.0), d=2, r=2.0)
     cs = build_charseq(psi, levels=8)
@@ -385,15 +363,112 @@ def test_radial_box_sum_matches_full_box_fsum(profile, r, e):
     assert got == scalar
 
 
+def _walk_position(k):
+    """Position vector of index k in the axis order 0, -1, 1, -2, 2, ..."""
+    return tuple(-2 * x - 1 if x < 0 else 2 * x for x in k)
+
+
 def test_rearrangement_multiset_matches_box_sort():
-    psi = RadialPsi(("pow", 1.0), d=2, r=1.0)
-    cs = build_charseq(psi, levels=6)
-    vals = sorted(
-        (psi.magnitude((a, b)) for a in range(-40, 41) for b in range(-40, 41)),
-        reverse=True,
-    )
-    flat = [e for e, shell in zip(cs.eps, cs.shells) for _ in shell]
-    assert flat == vals[: len(flat)]
+    # every point outside the box [-40, 40]^2 has magnitude <= 1/41 on both
+    for psi in (RadialPsi(("pow", 1.0), d=2, r=1.0),
+                ProductPsi([AxisPow(1.0), AxisGeom(0.5)])):
+        cs = build_charseq(psi, levels=6)
+        box = sorted(
+            ((psi.magnitude(k), k) for k in itertools.product(range(-40, 41), repeat=2)),
+            key=lambda vk: (-vk[0], _walk_position(vk[1])),
+        )
+        flat = [e for e, shell in zip(cs.eps, cs.shells) for _ in shell]
+        assert flat == [v for v, _ in box[: len(flat)]]
+        # the walk pops in exactly (-value, position) order
+        n = sum(1 for v, _ in box if v > 1.0 / 41)
+        assert list(itertools.islice(psi.stream(), n)) == box[:n]
+
+
+# systems whose streams share one walk: product, radial and sequence forms
+_WALKED = {
+    "product": lambda: ProductPsi([AxisPow(1.0), AxisPow(2.0)]),
+    "radial": lambda: RadialPsi(("pow", 3.0), d=2, r=2.0),
+    "sequence": ExplicitSeqPsi.harmonic,
+}
+
+
+@pytest.mark.parametrize("make", list(_WALKED.values()), ids=list(_WALKED))
+def test_interleaved_streams_read_one_walk(make):
+    psi = make()
+    a, b = psi.stream(), psi.stream()
+    got_a, got_b = [], []
+    for step in range(1, 40):
+        got_a.extend(itertools.islice(a, step))
+        got_b.extend(itertools.islice(b, 3 * step % 7 + 1))
+    n = max(len(got_a), len(got_b))
+    got_c = list(itertools.islice(psi.stream(), n))
+    assert got_a == got_c[: len(got_a)]
+    assert got_b == got_c[: len(got_b)]
+    assert got_c == list(itertools.islice(make().stream(), n))
+
+
+def test_second_read_evaluates_no_magnitude():
+    calls = 0
+
+    def profile(t):
+        nonlocal calls
+        calls += 1
+        return (1.0 + t) ** -3.0
+
+    psi = RadialPsi(profile, d=2, r=2.0, power_bound=(1.0, 3.0, 1.0))
+    first = rearrangement(psi, 10_000)
+    calls = 0
+    again = rearrangement(psi, 10_000)
+    assert calls == 0
+    assert again.tolist() == first.tolist()
+
+
+@pytest.mark.parametrize("axis,error,length", [
+    # 0.2**463 is the first power that underflows
+    (AxisGeom(0.2), CertificationError, 1 + 2 * 462),
+    # 6.0**400 overflows while the children of index 5 are evaluated, which
+    # leaves the shared walk as it was
+    (AxisPow(400.0), OverflowError, 10),
+], ids=["underflow", "overflow"])
+def test_failing_walk_raises_at_the_same_index_for_every_reader(axis, error, length):
+    psi = ProductPsi([axis])
+    prefixes = []
+    for _ in range(3):
+        got = []
+        with pytest.raises(error):
+            for pair in psi.stream():
+                got.append(pair)
+        prefixes.append(got)
+    assert prefixes[0] == prefixes[1] == prefixes[2]
+    assert len(prefixes[0]) == length
+    assert prefixes[0][-1][0] > 0.0
+
+
+@pytest.mark.parametrize("psi,length", [
+    (ExplicitTablePsi({0: 1.0, 1: 0.5, -1: 0.5}), 3),
+    (ExplicitSeqPsi.table([1.0, 0.5, 0.25]), 3),
+    (PhasedPsi(ExplicitSeqPsi.table([1.0, 0.5, 0.25]), lambda k: 1.0), 3),
+], ids=["table", "seq-table", "phased-seq-table"])
+def test_finite_streams_end_at_the_same_length_for_every_reader(psi, length):
+    partial = list(itertools.islice(psi.stream(), 1))
+    reads = [list(psi.stream()) for _ in range(3)]
+    assert len(reads[0]) == length
+    assert reads[1] == reads[2] == reads[0]
+    assert partial == reads[0][:1]
+
+
+@pytest.mark.parametrize("make", list(_WALKED.values()), ids=list(_WALKED))
+def test_a_read_system_is_freed_without_the_cycle_collector(make):
+    gc.disable()
+    try:
+        psi = make()
+        rearrangement(psi, 100)
+        build_charseq(psi, levels=3)
+        ref = weakref.ref(psi)
+        del psi
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_padded_rearrangement_for_finite_tables():
