@@ -55,6 +55,8 @@ from .reports import ExtremalReport
 from .spectrum import Spectrum
 
 SIGMA_SCAN_BUDGET = 1_000_000
+# the n-term scan reads the rearrangement in doubling steps of at most this
+_SIGMA_STEP_CAP = 4096
 
 
 @dataclass
@@ -214,7 +216,6 @@ def class_sigma(
     spec: ClassSpec,
     n: int,
     budget: int = SIGMA_SCAN_BUDGET,
-    chunk: int = 4096,
 ) -> ExtremalReport:
     """Best n-term approximation of the class.
 
@@ -261,7 +262,7 @@ def class_sigma(
     while s_hi - n < budget:
         s_lo = s_hi + 1
         s_hi = min(s_hi + step, n + budget)
-        step = min(2 * step, chunk)
+        step = min(2 * step, _SIGMA_STEP_CAP)
         rr.extend(float(v) for v, _ in itertools.islice(stream, s_hi - len(rr)))
         rr.extend([0.0] * (s_hi - len(rr)))
         for v in rr[len(inv_cums):]:

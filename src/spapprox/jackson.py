@@ -30,14 +30,17 @@ from .moduli import (
     PhiFunction,
     WeightMeasure,
     averaged_omega,
-    density_integrals,
-    stieltjes,
+    weight_integrals,
     weight_linear,
 )
 from .psi import PsiSystem, psi_derivative
 from .spectrum import Spectrum, ladder_tail_norm
 
 _SCAN_FACTOR = 64
+# relative gap below which two scanned integrals tie (the smaller k wins)
+_TIE_TOL = 1e-9
+# relative gap within which the scan infimum counts as attained at k = n
+_EQUIV_TOL = 1e-8
 
 
 @dataclass
@@ -216,50 +219,35 @@ def _scaled_phi_integrals(
 
     Cached ratios are looked up; the rest are computed in chunks of ratios,
     one batched pass per chunk: fractional sine powers against densities on
-    the Gauss-Jacobi route (which does not read ``quad_tol``), the other
-    sine and sliding-mean powers against densities and piecewise-linear
-    weights by ``density_integrals``, all the chunk's ratios together.
-    Other generators and weights take one ``stieltjes`` call per ratio (a
-    difference symbol evaluates a (points x terms) complex array, too large
-    to batch)."""
-    jacobi = phi.kind == "alpha" and v.kind == "density" and not phi.pow_p_smooth(p)
+    the Gauss-Jacobi route (which does not read ``quad_tol``), every other
+    generator and weight by ``weight_integrals``, all the chunk's ratios
+    together (exact atom sums, which do not read ``quad_tol`` either, for
+    atomic weights)."""
+    gamma = phi.param * p
+    # an even integer alpha*p makes phi^p a trig polynomial, free of cusps
+    jacobi = phi.kind == "alpha" and v.kind == "density" and not (
+        abs(gamma - round(gamma)) < 1e-12 and round(gamma) % 2 == 0
+    )
     request = (_phi_identity(phi), p, _weight_identity(v), tau,
-               None if jacobi else quad_tol)
+               None if jacobi or v.kind == "atomic" else quad_tol)
     out = [_I_CACHE.get((request, r)) for r in ratios]
     todo = list(dict.fromkeys(r for r, val in zip(ratios, out) if val is None))
     if not todo:
         return out
 
-    if jacobi:
-        chunk = _JACOBI_CHUNK
-
-        def compute(rs):
-            return _alpha_scan_integrals_jacobi(phi.param, p, v, tau, rs)
-    elif v.kind != "atomic" and phi.kind in ("alpha", "steklov"):
-        chunk = _SMOOTH_CHUNK
-
-        def compute(rs):
-            rs = np.asarray(rs, dtype=np.float64)
-            return density_integrals(
+    chunk = _JACOBI_CHUNK if jacobi else _SMOOTH_CHUNK
+    found = {}
+    for start in range(0, len(todo), chunk):
+        batch = todo[start:start + chunk]
+        rs = np.asarray(batch, dtype=np.float64)
+        if jacobi:
+            vals = _alpha_scan_integrals_jacobi(phi.param, p, v, tau, rs)
+        else:
+            vals = weight_integrals(
                 lambda t, rows: phi.pow_p(rs[rows] * t, p), v, 0.0, tau, quad_tol,
                 np.maximum(1.0, rs * tau / math.pi),
             )[0]
-    else:
-        chunk = 1
-
-        def compute(rs):
-            ratio = rs[0]
-            osc = max(1.0, ratio * tau / math.pi)
-            val, _ = stieltjes(
-                lambda t: phi.pow_p(ratio * np.asarray(t, dtype=np.float64), p),
-                v, (0.0, tau), tol=quad_tol, osc=osc,
-            )
-            return [val]
-
-    found = {}
-    for start in range(0, len(todo), chunk):
-        rs = todo[start:start + chunk]
-        for r, val in zip(rs, compute(rs)):
+        for r, val in zip(batch, vals):
             found[r] = float(val)
             _I_CACHE.put((request, r), found[r])
     return [found[r] if val is None else val for r, val in zip(ratios, out)]
@@ -270,48 +258,35 @@ def scaled_phi_integral(
     quad_tol: float = 1e-11,
 ) -> float:
     """integral_0^tau phi(ratio * t)^p dv(t), cached per (phi, p, v, ratio),
-    and per ``quad_tol`` except on the Gauss-Jacobi route; a batch of one of
+    and per ``quad_tol`` on the adaptive route; a batch of one of
     ``_scaled_phi_integrals``."""
     return _scaled_phi_integrals(phi, p, v, tau, [ratio], quad_tol)[0]
 
 
-_MEAN_CACHE = _FifoCache(256)
-
-
 def _phi_period_mean(phi: PhiFunction, p: float) -> float | None:
     """Mean of phi^p over its period (2*pi for the builtin oscillatory
-    generators); None when no period is known or the quadrature runs out of
-    budget, cached per (phi, p).  Evenness folds the period integral onto
-    [0, pi]."""
+    generators): evenness folds the period integral onto [0, pi], a
+    ratio-1 request of ``scaled_phi_integral`` against the unit density
+    there, cached with the scan's integrals.  None when no period is known
+    or the quadrature runs out of budget."""
     if not (phi.kind in ("alpha", "theta") and phi.is_even):
         return None
-    key = (_phi_identity(phi), p)
-    if key in _MEAN_CACHE:
-        return _MEAN_CACHE[key]
     try:
-        grid_val, _ = stieltjes(
-            lambda t: phi.pow_p(t, p),
-            weight_linear(math.pi),
-            (0.0, math.pi), tol=1e-10, osc=4.0,
-        )
-        mean = grid_val / math.pi
+        return scaled_phi_integral(phi, p, weight_linear(math.pi), math.pi, 1.0, 1e-10) / math.pi
     except BudgetError:
-        mean = None
-    _MEAN_CACHE.put(key, mean)
-    return mean
+        return None
 
 
 def jackson_I(
     setup: JacksonSetup,
     k_factor: int = _SCAN_FACTOR,
     quad_tol: float = 1e-11,
-    tie_tol: float = 1e-9,
 ) -> JacksonI:
     """Scan k in [n, k_factor*n] for the minimal scaled integral.
 
     The integrals of the whole scan come from one ``_scaled_phi_integrals``
     call (one batched pass per chunk of ratios); the scan then walks them in
-    order of k.  Ties are resolved to the smallest k (within ``tie_tol``
+    order of k.  Ties are resolved to the smallest k (within ``_TIE_TOL``
     relative).  For density weights and periodic generators, the
     equidistribution mean of phi^p times the total mass is reported; when it
     exceeds the found minimum the certificate notes that values beyond the
@@ -330,7 +305,7 @@ def jackson_I(
     best_k = n
     second = math.inf
     for k, val in zip(ks, vals):
-        if val < best_val * (1.0 - tie_tol):
+        if val < best_val * (1.0 - _TIE_TOL):
             second = best_val
             best_val, best_k = val, k
         elif val < second:
@@ -429,7 +404,6 @@ def jackson_sharpness_witness(
     setup: JacksonSetup,
     gamma: complex = 0.3 + 0.2j,
     amplitude: float = 1.0,
-    equiv_tol: float = 1e-8,
 ) -> SharpnessResult:
     """Attained ratios of the two-frequency witness versus the closed forms.
 
@@ -443,7 +417,7 @@ def jackson_sharpness_witness(
     setup.phi.require_monotone(setup.tau)
     I = jackson_I(setup)
     base = scaled_phi_integral(setup.phi, setup.p, setup.v, setup.tau, 1.0)
-    equivalence_ok = abs(I.value - base) <= equiv_tol * max(1.0, abs(base))
+    equivalence_ok = abs(I.value - base) <= _EQUIV_TOL * max(1.0, abs(base))
     n, p, tau = setup.n, setup.p, setup.tau
     lam_n = setup.ladder.value(n)
     fn = extremal_two_frequency(lam_n, gamma, amplitude)

@@ -90,24 +90,6 @@ class PhiFunction:
                 f"phi={self.label} is not declared nondecreasing up to tau={tau:g}"
             )
 
-    def pow_p_smooth(self, p: float) -> bool:
-        """Whether phi(t)**p is free of algebraic cusps (a fractional sine
-        power takes the Gauss-Jacobi route of the Jackson scan).  True when
-        the power collapses to an integer power of a smooth function:
-        alpha*p even for the sine family, p even for difference symbols,
-        m*p integer for the sliding-mean family."""
-        def near_int(x: float, even: bool = False) -> bool:
-            r = round(x)
-            return abs(x - r) < 1e-12 and (not even or r % 2 == 0)
-
-        if self.kind == "alpha":
-            return near_int(self.param * p, even=True)
-        if self.kind == "theta":
-            return near_int(p, even=True)
-        if self.kind == "steklov":
-            return near_int(self.param * p)
-        return False
-
     def __repr__(self):
         return f"PhiFunction({self.label})"
 
@@ -234,7 +216,7 @@ class WeightMeasure:
         if self.kind == "density":
             if self.v is not None:
                 return float(self.v(b)) - float(self.v(a))
-            val, _ = density_integrals(lambda t, rows: np.ones_like(t), self, a, b, 1e-13, 1.0)
+            val, _ = weight_integrals(lambda t, rows: np.ones_like(t), self, a, b, 1e-13, 1.0)
             return float(val[0])
         if self.kind == "pwl":
             return float(self._pwl_value(b) - self._pwl_value(a))
@@ -404,18 +386,32 @@ def _adaptive_block(
     return np.bincount(owner, val, minlength=count), np.bincount(owner, err, minlength=count)
 
 
-def density_integrals(
-    g: Callable, v: WeightMeasure, a, b, tol, osc
+def weight_integrals(
+    g: Callable, v: WeightMeasure, a: float, b: float, tol, osc
 ) -> tuple[np.ndarray, np.ndarray]:
-    """integral_a^b g(t, i) dv(t) for a batch of integrands i = 0, 1, ...
-    against a density or piecewise-linear weight (g as in ``_gl_sums``).
+    """integral_a^b g(t, i) dv(t) for a batch of integrands i = 0, 1, ...,
+    one per entry of ``osc`` (g as in ``_gl_sums``).
 
-    One ``_adaptive_block`` call integrates g v' for the whole batch, from
-    two starting panels per oscillation of ``osc[i]`` (at least four); a
-    piecewise-linear weight is the piecewise-constant density of its
-    slopes, and its knots are panel edges.  Returns (values, error
+    Against a density or piecewise-linear weight, one ``_adaptive_block``
+    call integrates g v' for the whole batch, from two starting panels per
+    oscillation of ``osc[i]`` (at least four); a piecewise-linear weight is
+    the piecewise-constant density of its slopes, and its knots are panel
+    edges.  Against an atomic weight each value is the exact sum over the
+    atoms in (a, b], from one call of g on every (atom, integrand) pair,
+    and g is not called when no atom lies there.  Returns (values, error
     estimates)."""
-    panels = np.maximum(4, np.ceil(2.0 * np.asarray(osc, dtype=np.float64)).astype(np.int64))
+    osc = np.atleast_1d(np.asarray(osc, dtype=np.float64))
+    if v.kind == "atomic":
+        count = osc.shape[0]
+        sel = (v.points > a) & (v.points <= b)
+        if not sel.any():
+            return np.zeros(count), np.zeros(count)
+        pts = v.points[sel]
+        vals = np.asarray(
+            g(np.tile(pts, count), np.repeat(np.arange(count), pts.shape[0])), dtype=np.float64
+        ).reshape(count, pts.shape[0])
+        return (vals * v.jumps[sel]).sum(axis=1), np.zeros(count)
+    panels = np.maximum(4, np.ceil(2.0 * osc).astype(np.int64))
     return _adaptive_block(
         lambda t, rows: np.asarray(g(t, rows), dtype=np.float64)
         * np.asarray(v.vprime(t), dtype=np.float64),
@@ -432,25 +428,16 @@ def stieltjes(
 ) -> tuple[float, float]:
     """Riemann-Stieltjes integral of g against dv over ``interval``.
 
-    Returns (value, absolute error estimate).  Density and piecewise-linear
-    weights go through ``density_integrals`` as a batch of one: the
-    adaptive Gauss-Legendre rule integrates g v', a piecewise-linear weight
-    as the piecewise-constant density of its slopes, and ``osc`` is an
-    oscillation-count hint that seeds the panel count.  Atomic weights
-    reduce to a weighted sum over atoms in (a, b].
+    Returns (value, absolute error estimate): ``weight_integrals`` as a
+    batch of one, with ``osc`` an oscillation-count hint that seeds the
+    panel count of the adaptive rule (atomic weights, summed exactly over
+    their atoms, ignore it and ``tol``).
     """
     a, b = interval if interval is not None else (0.0, v.tau)
     if b < a:
         raise InputDomainError("empty integration interval")
-    if v.kind != "atomic":
-        val, err = density_integrals(lambda t, rows: g(t), v, a, b, tol, osc)
-        return float(val[0]), float(err[0])
-    sel = (v.points > a) & (v.points <= b)
-    pts = v.points[sel]
-    if pts.size == 0:
-        return 0.0, 0.0
-    vals = np.asarray(g(pts), dtype=np.float64)
-    return float(np.sum(vals * v.jumps[sel])), 0.0
+    val, err = weight_integrals(lambda t, rows: g(t), v, a, b, tol, osc)
+    return float(val[0]), float(err[0])
 
 
 # ---------------------------------------------------------------------------

@@ -158,11 +158,19 @@ class AxisPow:
         self.beta = float(beta)
 
     def weight(self, k: int) -> float:
-        """Canonical reciprocal weight |k|'^beta (exact for beta = 1)."""
+        """Canonical reciprocal weight |k|'^beta (exact for beta = 1); a
+        weight past the double range raises ``CertificationError``, as the
+        underflow of its magnitude would."""
         kp = max(abs(k), 1)
         if self.beta == 1.0:
             return float(kp)
-        return float(kp) ** self.beta
+        try:
+            return float(kp) ** self.beta
+        except OverflowError:
+            raise CertificationError(
+                f"axis weight |{k}|^{self.beta:g} overflows; the magnitude "
+                "cannot be represented"
+            ) from None
 
     def value(self, k: int) -> float:
         return 1.0 / self.weight(k)
@@ -759,28 +767,24 @@ class CharSeq:
 def build_charseq(
     psi: PsiSystem,
     levels: int | None = None,
-    min_total: int | None = None,
     down_to_value: float | None = None,
 ) -> CharSeq:
     """Materialize characteristic data from the certified enumeration.
 
-    Stop once ``levels`` distinct magnitudes (or ``min_total`` indices, or
-    all values >= ``down_to_value``) have been produced *and* the following
-    value is strictly smaller, which certifies the last level's multiplicity.
+    Stop once ``levels`` distinct magnitudes (or all values >=
+    ``down_to_value``) have been produced *and* the following value is
+    strictly smaller, which certifies the last level's multiplicity.
     """
-    if levels is None and min_total is None and down_to_value is None:
-        raise InputDomainError("specify levels, min_total or down_to_value")
+    if levels is None and down_to_value is None:
+        raise InputDomainError("specify levels or down_to_value")
     if levels is not None and levels < 1:
         raise InputDomainError("levels must be >= 1")
     eps: list[float] = []
     delta: list[int] = []
     shells: list[list[tuple]] = []
-    total = 0
 
     def targets_met() -> bool:
         if levels is not None and len(eps) < levels:
-            return False
-        if min_total is not None and total < min_total:
             return False
         if down_to_value is not None and (not eps or eps[-1] > down_to_value):
             return False
@@ -790,14 +794,12 @@ def build_charseq(
     for v, k in psi.stream():
         if eps and v == eps[-1]:
             shells[-1].append(k)
-            total += 1
             continue
         if targets_met():
             break
         eps.append(v)
         shells.append([k])
         delta.append(0)
-        total += 1
     else:
         exhausted = True
     if not targets_met() and exhausted and levels is not None and len(eps) < levels:

@@ -62,6 +62,14 @@ def test_cli_charseq_and_exit_codes(tmp_path, capsys):
     assert run(["charseq", "--psi", "explicit:harmonic", "--count", "0"]) == 2
 
 
+def test_cli_charseq_overflowing_axis_is_a_certification_error(capsys):
+    # 6**400 is past the double range: one typed error line, exit code 3
+    assert run(["charseq", "--psi", "product:[pow(-400)]", "--count", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_class_sigma(capsys):
     assert run(["class", "--quantity", "sigma", "--psi", "explicit:harmonic",
                 "--p", "1", "--q", "1", "--n", "1"]) == 0

@@ -26,6 +26,7 @@ from spapprox import (
     phi_alpha,
     phi_custom,
     phi_steklov,
+    phi_theta,
     sigma_series,
     sine_moment,
     weight_atomic,
@@ -34,7 +35,6 @@ from spapprox import (
     weight_pwl,
 )
 from spapprox import jackson
-from spapprox.errors import BudgetError
 from spapprox.jackson import (
     _I_CACHE,
     _FifoCache,
@@ -338,20 +338,29 @@ def _wobble(shift):
     return FrequencyLadder(lambda k: k + shift * math.sin(k), label="wobble")
 
 
+_ATOMIC = weight_atomic([0.3, 1.1, 2.0, 2.9], [0.5, 1.0, 0.25, 0.75], tau=math.pi)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
-    route=st.sampled_from(["jacobi", "smooth"]),
-    weight=st.sampled_from(["cos", "t"]),
+    generator=st.sampled_from(["fractional", "even", "theta"]),
+    weight=st.sampled_from(["cos", "t", "atomic"]),
     n=st.integers(1, 5),
     shift=st.sampled_from([0.0, 0.3, 0.45]),
     chunk=st.integers(1, 9),
     seed=st.integers(0, 2 ** 16),
 )
-def test_batched_integrals_independent_of_chunking_and_order(route, weight, n, shift, chunk, seed):
+def test_batched_integrals_independent_of_chunking_and_order(generator, weight, n, shift, chunk, seed):
+    # fractional sine powers against densities take the Gauss-Jacobi route,
+    # everything else (atomic sums included) the batched weight integrals;
     # integer (shift 0) and non-integer ladders; each ratio's value in a
     # shuffled, re-chunked batch equals its batch of one
-    phi, p = (phi_alpha(1.3), 1.0) if route == "jacobi" else (phi_alpha(2.0 / 1.7), 1.7)
-    v = weight_cos() if weight == "cos" else weight_linear(3 * math.pi / 4)
+    phi, p = {
+        "fractional": (phi_alpha(1.3), 1.0),
+        "even": (phi_alpha(2.0 / 1.7), 1.7),
+        "theta": (phi_theta([1.0, -2.0 + 0.5j, 1.0 - 0.5j]), 1.5),
+    }[generator]
+    v = {"cos": weight_cos(), "t": weight_linear(3 * math.pi / 4), "atomic": _ATOMIC}[weight]
     ladder = _wobble(shift)
     ratios = [ladder.value(k) / ladder.value(n) for k in range(n, 6 * n + 1)]
     order = np.random.default_rng(seed).permutation(len(ratios))
@@ -364,6 +373,27 @@ def test_batched_integrals_independent_of_chunking_and_order(route, weight, n, s
     for r, val in zip(shuffled, batch):
         _I_CACHE.clear()
         assert val == pytest.approx(scaled_phi_integral(phi, p, v, v.tau, r), rel=1e-14, abs=0)
+
+
+def test_atomic_scan_is_the_plain_sum_over_atoms():
+    # sum_j (2 |sin(r t_j / 2)|)^(alpha p) J_j, in plain Python floats
+    alpha, p, n = 1.3, 1.5, 3
+    points, jumps = [0.3, 1.1, 2.0, 2.9], [0.5, 1.0, 0.25, 0.75]
+    v = weight_atomic(points, jumps, tau=math.pi)
+
+    def reference(r):
+        return math.fsum((2.0 * abs(math.sin(r * t / 2.0))) ** (alpha * p) * J
+                         for t, J in zip(points, jumps))
+
+    ratios = [1.0, 1.5, 7.0 / 3.0, 10.0]
+    _I_CACHE.clear()
+    got = _scaled_phi_integrals(phi_alpha(alpha), p, v, math.pi, ratios)
+    for r, val in zip(ratios, got):
+        assert val == pytest.approx(reference(r), rel=1e-15, abs=0)
+    res = jackson_I(JacksonSetup(n=n, phi=phi_alpha(alpha), p=p, tau=math.pi, v=v))
+    refs = [reference(k / n) for k in range(n, 64 * n + 1)]
+    assert res.value == pytest.approx(min(refs), rel=1e-15, abs=0)
+    assert res.k_star == n + int(np.argmin(refs))
 
 
 # (alpha, p, weight, n) -> (k_star, value) of the per-k scan loop that the
@@ -451,25 +481,22 @@ def test_pwl_weight_scan_with_interior_cusps_at_default_arguments():
 
 
 def test_period_mean_is_cached(monkeypatch):
-    # mean of (2 |sin(t/2)|)^g over a period: 2^g Gamma((g+1)/2) / (sqrt(pi) Gamma(g/2+1))
+    # mean of (2 |sin(t/2)|)^g over a period: 2^g Gamma((g+1)/2) / (sqrt(pi) Gamma(g/2+1));
+    # g = 0.9137 takes the Gauss-Jacobi route, g = 2 the adaptive one, with
+    # mean C(2, 1) = 2
     g = 0.9137
     closed = 2.0 ** g * math.gamma((g + 1) / 2) / (math.sqrt(math.pi) * math.gamma(g / 2 + 1))
-    first = _phi_period_mean(phi_alpha(g), 1.0)
-    assert first == pytest.approx(closed, rel=1e-9)
+    first = {g: _phi_period_mean(phi_alpha(g), 1.0), 2.0: _phi_period_mean(phi_alpha(2.0), 1.0)}
+    assert first[g] == pytest.approx(closed, rel=1e-13)
+    assert first[2.0] == pytest.approx(2.0, rel=1e-13)
 
     def recompute(*args, **kwargs):
         raise AssertionError("period mean recomputed")
 
-    def out_of_budget(*args, **kwargs):
-        raise BudgetError("quadrature budget exceeded")
-
-    monkeypatch.setattr(jackson, "stieltjes", recompute)
-    assert _phi_period_mean(phi_alpha(g), 1.0) == first
-    # a budget failure is cached as None too
-    monkeypatch.setattr(jackson, "stieltjes", out_of_budget)
-    assert _phi_period_mean(phi_alpha(g), 1.3) is None
-    monkeypatch.setattr(jackson, "stieltjes", recompute)
-    assert _phi_period_mean(phi_alpha(g), 1.3) is None
+    monkeypatch.setattr(jackson, "_alpha_scan_integrals_jacobi", recompute)
+    monkeypatch.setattr(jackson, "weight_integrals", recompute)
+    for key, mean in first.items():
+        assert _phi_period_mean(phi_alpha(key), 1.0) == mean
 
 
 def test_sigma_series_default_arguments_fail_fast():

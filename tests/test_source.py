@@ -82,3 +82,23 @@ def test_psi_classes_define_their_own_stream_and_power_sum():
 
     for cls in (ProductPsi, RadialPsi, ExplicitTablePsi, ExplicitSeqPsi, PhasedPsi):
         assert {"stream", "power_sum_total"} <= set(vars(cls)), cls.__name__
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py wraps these names from outside the package; a
+    # name that no longer resolves breaks traced benchmark runs
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{mod}.{attr}" for mod, attr in tracing.FUNCTION_SPANS
+        if not hasattr(importlib.import_module(f"spapprox.{mod}"), attr)
+    ]
+    for mod, cls, meth in tracing.METHOD_SPANS:
+        if meth not in vars(getattr(importlib.import_module(f"spapprox.{mod}"), cls, object)):
+            missing.append(f"{mod}.{cls}.{meth}")
+    assert not missing, f"traced names missing from spapprox: {', '.join(missing)}"
