@@ -101,10 +101,11 @@ def _phi_identity(phi: PhiFunction):
 
 
 def _weight_identity(v: WeightMeasure):
-    """Density weights by their density function (all the scaled integral
-    reads), piecewise-linear and atomic weights by their data."""
+    """Density weights by their density and cosine-moment functions (all the
+    scaled integral reads), piecewise-linear and atomic weights by their
+    data."""
     if v.kind == "density":
-        return ("density", v.vprime, v.tau)
+        return ("density", v.vprime, v.cos_moments, v.tau)
     if v.kind == "pwl":
         return ("pwl", tuple(v.knots_t.tolist()), tuple(v.knots_v.tolist()))
     return ("atomic", tuple(v.points.tolist()), tuple(v.jumps.tolist()), v.tau)
@@ -204,6 +205,26 @@ def _alpha_scan_integrals_jacobi(
     return 2.0 ** gamma * total
 
 
+def _even_power(phi: PhiFunction, p: float) -> int | None:
+    """s when phi^p is (2 - 2 cos t)^s, a sine power with alpha p = 2 s an
+    even integer (a trig polynomial, free of cusps); else None."""
+    gamma = phi.param * p
+    if phi.kind == "alpha" and abs(gamma - round(gamma)) < 1e-12 and round(gamma) % 2 == 0:
+        return round(gamma) // 2
+    return None
+
+
+def _even_scan_integrals(s: int, v: WeightMeasure, tau: float, ratios: np.ndarray) -> list[float]:
+    """integral_0^tau (2 - 2 cos(r t))^s dv(t) for each ratio r, exactly:
+    the power is C(2s, s) + 2 sum_{j=1..s} (-1)^j C(2s, s+j) cos(j r t), so
+    each integral is a finite sum of the weight's closed-form cosine moments
+    M(j r) (M(0) is the mass), its s + 1 terms added by fsum."""
+    coef = np.array([(1 if j == 0 else 2 * (-1) ** j) * math.comb(2 * s, s + j) for j in range(s + 1)],
+                    dtype=np.float64)
+    terms = coef * v.cos_moments(np.multiply.outer(ratios, np.arange(s + 1.0)), tau)
+    return [math.fsum(row) for row in terms.tolist()]
+
+
 # ratios per batch, which bounds the arrays of a pass: a Jacobi chunk of an
 # n = 8 scan at tau = pi holds up to about 1,000 sine periods (x 24 nodes),
 # a Gauss-Legendre chunk the open panels of 8 adaptive integrals (x 24 nodes)
@@ -217,30 +238,30 @@ def _scaled_phi_integrals(
 ) -> list[float]:
     """integral_0^tau phi(r t)^p dv(t) for every ratio r, through the cache.
 
-    Cached ratios are looked up; the rest are computed in chunks of ratios,
-    one batched pass per chunk: fractional sine powers against densities on
-    the Gauss-Jacobi route (which does not read ``quad_tol``), every other
-    generator and weight by ``weight_integrals``, all the chunk's ratios
-    together (exact atom sums, which do not read ``quad_tol`` either, for
-    atomic weights)."""
-    gamma = phi.param * p
-    # an even integer alpha*p makes phi^p a trig polynomial, free of cusps
-    jacobi = phi.kind == "alpha" and v.kind == "density" and not (
-        abs(gamma - round(gamma)) < 1e-12 and round(gamma) % 2 == 0
-    )
+    Cached ratios are looked up; the rest are computed in chunks, one
+    batched pass per chunk, on one of three routes: even sine powers against
+    weights with closed-form cosine moments as exact moment sums (one chunk
+    of ratios x (s + 1) moments), fractional sine powers against densities
+    by Gauss-Jacobi rules, everything else by ``weight_integrals`` (exact
+    atom sums for atomic weights).  Only its adaptive rule reads ``quad_tol``."""
+    s = _even_power(phi, p)
+    trig = s is not None and v.cos_moments is not None
+    jacobi = phi.kind == "alpha" and s is None and v.kind == "density"
     request = (_phi_identity(phi), p, _weight_identity(v), tau,
-               None if jacobi or v.kind == "atomic" else quad_tol)
+               None if trig or jacobi or v.kind == "atomic" else quad_tol)
     out = [_I_CACHE.get((request, r)) for r in ratios]
     todo = list(dict.fromkeys(r for r, val in zip(ratios, out) if val is None))
     if not todo:
         return out
 
-    chunk = _JACOBI_CHUNK if jacobi else _SMOOTH_CHUNK
+    chunk = len(todo) if trig else _JACOBI_CHUNK if jacobi else _SMOOTH_CHUNK
     found = {}
     for start in range(0, len(todo), chunk):
         batch = todo[start:start + chunk]
         rs = np.asarray(batch, dtype=np.float64)
-        if jacobi:
+        if trig:
+            vals = _even_scan_integrals(s, v, tau, rs)
+        elif jacobi:
             vals = _alpha_scan_integrals_jacobi(phi.param, p, v, tau, rs)
         else:
             vals = weight_integrals(
@@ -265,10 +286,14 @@ def scaled_phi_integral(
 
 def _phi_period_mean(phi: PhiFunction, p: float) -> float | None:
     """Mean of phi^p over its period (2*pi for the builtin oscillatory
-    generators): evenness folds the period integral onto [0, pi], a
-    ratio-1 request of ``scaled_phi_integral`` against the unit density
-    there, cached with the scan's integrals.  None when no period is known
-    or the quadrature runs out of budget."""
+    generators).  For phi^p = (2 - 2 cos t)^s it is C(2s, s) exactly;
+    otherwise evenness folds the period integral onto [0, pi], a ratio-1
+    request of ``scaled_phi_integral`` against the unit density there,
+    cached with the scan's integrals.  None when no period is known or the
+    quadrature runs out of budget."""
+    s = _even_power(phi, p)
+    if s is not None:
+        return float(math.comb(2 * s, s))
     if not (phi.kind in ("alpha", "theta") and phi.is_even):
         return None
     try:

@@ -165,7 +165,10 @@ def phi_custom(
 
 
 class WeightMeasure:
-    """Bounded nondecreasing non-constant weight on [0, tau]."""
+    """Bounded nondecreasing non-constant weight on [0, tau].
+
+    ``cos_moments(a, b)``: integral_0^b cos(a t) dv(t) elementwise over the
+    array a in closed form, or None (custom densities, atomic weights)."""
 
     def __init__(self, tau: float, kind: str, label: str = "", **data):
         if not tau > 0:
@@ -176,6 +179,7 @@ class WeightMeasure:
         if kind == "density":
             self.vprime = data["vprime"]  # vectorized, nonnegative
             self.v = data.get("v")
+            self.cos_moments = data.get("cos_moments")
             dens = np.asarray(self.vprime(np.linspace(0, tau, 257)), dtype=np.float64)
             if np.any(dens < -1e-12):
                 raise InputDomainError("weight density must be nonnegative")
@@ -194,6 +198,15 @@ class WeightMeasure:
             self.vprime = lambda t: slopes[
                 np.clip(np.searchsorted(ts, t, side="right") - 1, 0, slopes.shape[0] - 1)
             ]
+
+            def cos_moments(a, b):
+                lo, hi = np.clip(ts[:-1], 0.0, b), np.clip(ts[1:], 0.0, b)
+                a = np.asarray(a, dtype=np.float64)[..., None]
+                safe = np.where(a == 0.0, 1.0, a)
+                pieces = np.where(a == 0.0, hi - lo, (np.sin(a * hi) - np.sin(a * lo)) / safe)
+                return (pieces * slopes).sum(axis=-1)
+
+            self.cos_moments = cos_moments
         elif kind == "atomic":
             pts = np.asarray(data["points"], dtype=np.float64)
             jmp = np.asarray(data["jumps"], dtype=np.float64)
@@ -203,6 +216,7 @@ class WeightMeasure:
                 raise InputDomainError("atoms must lie in [0, tau]")
             order = np.argsort(pts)
             self.points, self.jumps = pts[order], jmp[order]
+            self.cos_moments = None
         else:
             raise InputDomainError(f"unknown weight kind {kind!r}")
         if self.total_mass() <= 0:
@@ -240,10 +254,28 @@ def _unit_density(t):
     return np.ones_like(np.asarray(t, dtype=np.float64))
 
 
+def _sine_cos_moments(a, b):
+    """integral_0^b cos(a t) sin t dt = (g(1 + a) + g(1 - a)) / 2 with
+    g(x) = 2 sin^2(x b / 2) / x and g(0) = 0; unlike the expanded form
+    (1 - cos b cos ab - a sin b sin ab) / (1 - a^2) it keeps its digits as
+    a -> 1."""
+    a = np.asarray(a, dtype=np.float64)
+    x = np.stack((1.0 + a, 1.0 - a))
+    safe = np.where(x == 0.0, 1.0, x)
+    g = np.where(x == 0.0, 0.0, 2.0 * np.sin(0.5 * x * b) ** 2 / safe)
+    return 0.5 * (g[0] + g[1])
+
+
+def _unit_cos_moments(a, b):
+    """integral_0^b cos(a t) dt = sin(a b) / a, and b at a = 0."""
+    a = np.asarray(a, dtype=np.float64)
+    return np.where(a == 0.0, b, np.sin(a * b) / np.where(a == 0.0, 1.0, a))
+
+
 def weight_cos(tau: float = math.pi) -> WeightMeasure:
     """v(t) = 1 - cos t (density sin t)."""
     return WeightMeasure(
-        tau, "density", vprime=_sine_density,
+        tau, "density", vprime=_sine_density, cos_moments=_sine_cos_moments,
         v=lambda t: 1.0 - np.cos(np.asarray(t, dtype=np.float64)), label="cos",
     )
 
@@ -251,7 +283,7 @@ def weight_cos(tau: float = math.pi) -> WeightMeasure:
 def weight_linear(tau: float) -> WeightMeasure:
     """v(t) = t (unit density)."""
     return WeightMeasure(
-        tau, "density", vprime=_unit_density,
+        tau, "density", vprime=_unit_density, cos_moments=_unit_cos_moments,
         v=lambda t: np.asarray(t, dtype=np.float64), label="t",
     )
 

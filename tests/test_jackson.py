@@ -283,13 +283,15 @@ def test_integral_cache_keys_quad_tol_on_adaptive_route():
     assert tight == pytest.approx(exact, abs=1e-8)
 
 
-def test_integral_cache_shares_jacobi_route_across_quad_tol():
-    # the Gauss-Jacobi route (fractional sine power, density weight) does
-    # not read quad_tol, so a second tolerance is a cache hit
-    phi = phi_alpha(1.3)
+@pytest.mark.parametrize("alpha", [1.3, 2.0])
+def test_integral_cache_shares_jacobi_route_across_quad_tol(alpha):
+    # the Gauss-Jacobi route (fractional sine power, density weight) and the
+    # cosine-moment route (even sine power) do not read quad_tol, so a
+    # second tolerance is a cache hit
+    phi = phi_alpha(alpha)
     first = scaled_phi_integral(phi, 1.0, weight_cos(), math.pi, 2.5, quad_tol=1e-11)
     size = len(_I_CACHE)
-    again = scaled_phi_integral(phi_alpha(1.3), 1.0, weight_cos(), math.pi, 2.5, quad_tol=1e-6)
+    again = scaled_phi_integral(phi_alpha(alpha), 1.0, weight_cos(), math.pi, 2.5, quad_tol=1e-6)
     assert again == first
     assert len(_I_CACHE) == size
 
@@ -309,28 +311,72 @@ def test_jacobi_rule_matches_scipy(a, b):
     assert _jacobi_rule.cache_info().maxsize is not None
 
 
-@pytest.mark.parametrize("weight, alpha, p", [("cos", 1.3, 1.0), ("t", 0.7, 2.0), ("cos", 0.55, 1.0)])
-@pytest.mark.parametrize("ratio", [1.0, 2.5, 7.0, 13.0 / 3.0])
-def test_scaled_integral_matches_mpmath_quad(weight, alpha, p, ratio):
-    # fractional gamma = alpha p: the Gauss-Jacobi route, with full sine
-    # periods and a partial last piece for most ratios; mpmath integrates
-    # (2 |sin(r t / 2)|)^gamma v'(t) split at the sine zeros 2 pi m / r
-    v = weight_cos() if weight == "cos" else weight_linear(3 * math.pi / 4)
+# weights of the mpmath reference: name -> (tau, knots of a piecewise-linear
+# weight or None); the piecewise-linear weight starts left of 0
+_REFERENCE_WEIGHTS = {
+    "cos": (math.pi, None),
+    "cos2": (2.0, None),
+    "t": (3 * math.pi / 4, None),
+    "pwl": (math.pi, ([-0.5, 1.0, 2.0, math.pi], [0.0, 0.5, 0.7, 2.0])),
+}
+
+
+def _reference_weight(name):
+    tau, knots = _REFERENCE_WEIGHTS[name]
+    if knots is not None:
+        return weight_pwl(*knots)
+    return weight_linear(tau) if name == "t" else weight_cos(tau)
+
+
+# (ratio, weight, alpha, p): fractional alpha p on the Gauss-Jacobi route;
+# even alpha p = 2 s on the cosine-moment route, at ratios 1, 7/3, 1 + 1e-9
+# (moments M(a) at a -> 1) and r tau = 400 for s = 1 and 5
+_MPMATH_CASES = [
+    (ratio, weight, alpha, p)
+    for weight, alpha, p in [("cos", 1.3, 1.0), ("t", 0.7, 2.0), ("cos", 0.55, 1.0)]
+    for ratio in [1.0, 2.5, 7.0, 13.0 / 3.0]
+] + [
+    (ratio, weight, 2 * s / 1.7, 1.7)
+    for s in range(1, 6)
+    for weight in _REFERENCE_WEIGHTS
+    for ratio in [1.0, 7.0 / 3.0, 1.0 + 1e-9] + ([400 / _REFERENCE_WEIGHTS[weight][0]] if s in (1, 5) else [])
+]
+
+
+@pytest.mark.parametrize("ratio, weight, alpha, p", _MPMATH_CASES)
+def test_scaled_integral_matches_mpmath_quad(ratio, weight, alpha, p):
+    # fractional gamma = alpha p takes full sine periods and a partial last
+    # piece for most ratios; mpmath integrates (2 |sin(r t / 2)|)^gamma v'(t)
+    # split at the sine zeros 2 pi m / r and at the interior knots
+    v = _reference_weight(weight)
     got = scaled_phi_integral(phi_alpha(alpha), p, v, v.tau, ratio)
+    tau_f, knots = _REFERENCE_WEIGHTS[weight]
     with mpmath.workdps(30):
         r = mpmath.mpf(ratio)
         gamma = mpmath.mpf(alpha) * p
-        tau = mpmath.pi if weight == "cos" else 3 * mpmath.pi / 4
+        tau = mpmath.pi if weight == "cos" else mpmath.mpf(tau_f)
+        inner = []
+        if knots is not None:
+            ts, vs = [mpmath.mpf(x) for x in knots[0]], [mpmath.mpf(x) for x in knots[1]]
+            inner = [t for t in ts if 0 < t < tau]
 
         def density(t):
-            return mpmath.sin(t) if weight == "cos" else 1
+            if weight.startswith("cos"):
+                return mpmath.sin(t)
+            if knots is None:
+                return 1
+            i = max(j for j in range(len(ts) - 1) if ts[j] <= t)
+            return (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
 
         def f(t):
             return (2 * abs(mpmath.sin(r * t / 2))) ** gamma * density(t)
 
         zeros = [2 * mpmath.pi * m / r for m in range(1, int(ratio) + 1)]
-        points = [mpmath.mpf(0)] + [z for z in zeros if z < tau] + [tau]
-        ref = float(mpmath.quad(f, points))
+        points = sorted([mpmath.mpf(0), tau] + inner + [z for z in zeros if z < tau])
+        # tanh-sinh for the cusps of fractional powers at the sine zeros,
+        # Gauss-Legendre (faster at r tau = 400) for smooth even powers
+        even = abs(alpha * p - round(alpha * p)) < 1e-12
+        ref = float(mpmath.quad(f, points, method="gauss-legendre" if even else "tanh-sinh"))
     assert got == pytest.approx(ref, rel=1e-12)
 
 
@@ -344,23 +390,26 @@ _ATOMIC = weight_atomic([0.3, 1.1, 2.0, 2.9], [0.5, 1.0, 0.25, 0.75], tau=math.p
 @settings(max_examples=25, deadline=None)
 @given(
     generator=st.sampled_from(["fractional", "even", "theta"]),
-    weight=st.sampled_from(["cos", "t", "atomic"]),
+    weight=st.sampled_from(["cos", "t", "pwl", "atomic"]),
     n=st.integers(1, 5),
     shift=st.sampled_from([0.0, 0.3, 0.45]),
     chunk=st.integers(1, 9),
     seed=st.integers(0, 2 ** 16),
 )
 def test_batched_integrals_independent_of_chunking_and_order(generator, weight, n, shift, chunk, seed):
-    # fractional sine powers against densities take the Gauss-Jacobi route,
-    # everything else (atomic sums included) the batched weight integrals;
-    # integer (shift 0) and non-integer ladders; each ratio's value in a
-    # shuffled, re-chunked batch equals its batch of one
+    # three routes: even sine powers against cos, t and pwl weights sum
+    # closed-form cosine moments, fractional sine powers against densities
+    # take Gauss-Jacobi rules, everything else (fractional against pwl,
+    # theta, atomic sums) the batched weight integrals; integer (shift 0)
+    # and non-integer ladders; each ratio's value in a shuffled, re-chunked
+    # batch equals its batch of one
     phi, p = {
         "fractional": (phi_alpha(1.3), 1.0),
         "even": (phi_alpha(2.0 / 1.7), 1.7),
         "theta": (phi_theta([1.0, -2.0 + 0.5j, 1.0 - 0.5j]), 1.5),
     }[generator]
-    v = {"cos": weight_cos(), "t": weight_linear(3 * math.pi / 4), "atomic": _ATOMIC}[weight]
+    v = {"cos": weight_cos(), "t": weight_linear(3 * math.pi / 4),
+         "pwl": _reference_weight("pwl"), "atomic": _ATOMIC}[weight]
     ladder = _wobble(shift)
     ratios = [ladder.value(k) / ladder.value(n) for k in range(n, 6 * n + 1)]
     order = np.random.default_rng(seed).permutation(len(ratios))
@@ -482,21 +531,45 @@ def test_pwl_weight_scan_with_interior_cusps_at_default_arguments():
 
 def test_period_mean_is_cached(monkeypatch):
     # mean of (2 |sin(t/2)|)^g over a period: 2^g Gamma((g+1)/2) / (sqrt(pi) Gamma(g/2+1));
-    # g = 0.9137 takes the Gauss-Jacobi route, g = 2 the adaptive one, with
-    # mean C(2, 1) = 2
+    # g = 0.9137 takes the Gauss-Jacobi route; g = 2 and g = 6 are even
+    # powers (2 - 2 cos t)^s, whose means C(2, 1) = 2 and C(6, 3) = 20 are
+    # exact
     g = 0.9137
     closed = 2.0 ** g * math.gamma((g + 1) / 2) / (math.sqrt(math.pi) * math.gamma(g / 2 + 1))
-    first = {g: _phi_period_mean(phi_alpha(g), 1.0), 2.0: _phi_period_mean(phi_alpha(2.0), 1.0)}
+    first = {key: _phi_period_mean(phi_alpha(key), 1.0) for key in (g, 2.0, 6.0)}
     assert first[g] == pytest.approx(closed, rel=1e-13)
-    assert first[2.0] == pytest.approx(2.0, rel=1e-13)
+    assert first[2.0] == 2.0
+    assert first[6.0] == 20.0
 
     def recompute(*args, **kwargs):
         raise AssertionError("period mean recomputed")
 
     monkeypatch.setattr(jackson, "_alpha_scan_integrals_jacobi", recompute)
+    monkeypatch.setattr(jackson, "_even_scan_integrals", recompute)
     monkeypatch.setattr(jackson, "weight_integrals", recompute)
     for key, mean in first.items():
         assert _phi_period_mean(phi_alpha(key), 1.0) == mean
+
+
+def test_even_power_scan_needs_no_quadrature(monkeypatch):
+    # alpha p = 4: a whole n = 8 scan against cos, t and pwl weights sums
+    # cosine moments only; a custom density has none and reaches the
+    # adaptive quadrature
+    class Quadrature(Exception):
+        pass
+
+    def quadrature(*args, **kwargs):
+        raise Quadrature
+
+    custom = WeightMeasure(math.pi, "density", vprime=lambda t: 1.0 + np.asarray(t))
+    monkeypatch.setattr(jackson, "weight_integrals", quadrature)
+    monkeypatch.setattr(jackson, "_alpha_scan_integrals_jacobi", quadrature)
+    _I_CACHE.clear()
+    for v in (weight_cos(), weight_linear(2.0), _reference_weight("pwl")):
+        res = jackson_I(JacksonSetup(n=8, phi=phi_alpha(2.0), p=2.0, tau=v.tau, v=v))
+        assert math.isfinite(res.value) and 8 <= res.k_star <= 512
+    with pytest.raises(Quadrature):
+        jackson_I(JacksonSetup(n=8, phi=phi_alpha(2.0), p=2.0, tau=math.pi, v=custom))
 
 
 def test_sigma_series_default_arguments_fail_fast():
