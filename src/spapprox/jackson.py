@@ -101,11 +101,10 @@ def _phi_identity(phi: PhiFunction):
 
 
 def _weight_identity(v: WeightMeasure):
-    """Density weights by their density and cosine-moment functions (all the
-    scaled integral reads), piecewise-linear and atomic weights by their
-    data."""
+    """Density weights by their density function (all the scaled integral
+    reads), piecewise-linear and atomic weights by their data."""
     if v.kind == "density":
-        return ("density", v.vprime, v.cos_moments, v.tau)
+        return ("density", v.vprime, v.tau)
     if v.kind == "pwl":
         return ("pwl", tuple(v.knots_t.tolist()), tuple(v.knots_v.tolist()))
     return ("atomic", tuple(v.points.tolist()), tuple(v.jumps.tolist()), v.tau)
@@ -214,15 +213,19 @@ def _even_power(phi: PhiFunction, p: float) -> int | None:
     return None
 
 
-def _even_scan_integrals(s: int, v: WeightMeasure, tau: float, ratios: np.ndarray) -> list[float]:
-    """integral_0^tau (2 - 2 cos(r t))^s dv(t) for each ratio r, exactly:
-    the power is C(2s, s) + 2 sum_{j=1..s} (-1)^j C(2s, s+j) cos(j r t), so
-    each integral is a finite sum of the weight's closed-form cosine moments
-    M(j r) (M(0) is the mass), its s + 1 terms added by fsum."""
+def _even_scan_integrals(s: int, v: WeightMeasure, tau: float, ratios: np.ndarray) -> list[float | None]:
+    """integral_0^tau (2 - 2 cos(r t))^s dv(t) for each ratio r, the fsum of
+    the s + 1 terms C(2s, s) M(0) + 2 sum_{j=1..s} (-1)^j C(2s, s+j) M(j r)
+    over the weight's closed-form cosine moments M.  None where the terms
+    add up to more than ``_MOMENT_COND`` times their sum: at small r tau,
+    (2 - 2 cos x)^s ~ x^2s while the terms stay near C(2s, s) times the
+    mass, and their rounding swamps the sum."""
     coef = np.array([(1 if j == 0 else 2 * (-1) ** j) * math.comb(2 * s, s + j) for j in range(s + 1)],
                     dtype=np.float64)
     terms = coef * v.cos_moments(np.multiply.outer(ratios, np.arange(s + 1.0)), tau)
-    return [math.fsum(row) for row in terms.tolist()]
+    sums = [math.fsum(row) for row in terms.tolist()]
+    return [val if size <= _MOMENT_COND * abs(val) else None
+            for val, size in zip(sums, np.abs(terms).sum(axis=1).tolist())]
 
 
 # ratios per batch, which bounds the arrays of a pass: a Jacobi chunk of an
@@ -230,6 +233,10 @@ def _even_scan_integrals(s: int, v: WeightMeasure, tau: float, ratios: np.ndarra
 # a Gauss-Legendre chunk the open panels of 8 adaptive integrals (x 24 nodes)
 _JACOBI_CHUNK = 32
 _SMOOTH_CHUNK = 8
+# largest condition number (sum of |terms| over the integral) of a moment
+# sum: its rounding error stays below about 1e-14 relative, 20x under the
+# adaptive rule's rounding floor
+_MOMENT_COND = 64
 
 
 def _scaled_phi_integrals(
@@ -240,28 +247,36 @@ def _scaled_phi_integrals(
 
     Cached ratios are looked up; the rest are computed in chunks, one
     batched pass per chunk, on one of three routes: even sine powers against
-    weights with closed-form cosine moments as exact moment sums (one chunk
-    of ratios x (s + 1) moments), fractional sine powers against densities
-    by Gauss-Jacobi rules, everything else by ``weight_integrals`` (exact
-    atom sums for atomic weights).  Only its adaptive rule reads ``quad_tol``."""
+    weights with closed-form cosine moments as moment sums (one chunk of
+    ratios x (s + 1) moments), fractional sine powers against densities by
+    Gauss-Jacobi rules, everything else by ``weight_integrals`` (exact atom
+    sums for atomic weights).  Only its adaptive rule reads ``quad_tol``, and
+    a request's key carries ``quad_tol`` only on that rule.  A moment sum
+    too ill-conditioned to keep its digits (small r tau) sends its ratio to
+    the adaptive rule, under that rule's key."""
     s = _even_power(phi, p)
     trig = s is not None and v.cos_moments is not None
     jacobi = phi.kind == "alpha" and s is None and v.kind == "density"
     request = (_phi_identity(phi), p, _weight_identity(v), tau,
-               None if trig or jacobi or v.kind == "atomic" else quad_tol)
-    out = [_I_CACHE.get((request, r)) for r in ratios]
+               None if jacobi or v.kind == "atomic" else quad_tol)
+    exact = request[:-1] + (None,)
+    out = [_I_CACHE.get((exact if trig else request, r)) for r in ratios]
+    if trig:
+        out = [_I_CACHE.get((request, r)) if val is None else val for r, val in zip(ratios, out)]
     todo = list(dict.fromkeys(r for r, val in zip(ratios, out) if val is None))
-    if not todo:
-        return out
 
-    chunk = len(todo) if trig else _JACOBI_CHUNK if jacobi else _SMOOTH_CHUNK
     found = {}
+    if trig and todo:
+        for r, val in zip(todo, _even_scan_integrals(s, v, tau, np.asarray(todo, dtype=np.float64))):
+            if val is not None:
+                found[r] = val
+                _I_CACHE.put((exact, r), val)
+        todo = [r for r in todo if r not in found]
+    chunk = _JACOBI_CHUNK if jacobi else _SMOOTH_CHUNK
     for start in range(0, len(todo), chunk):
         batch = todo[start:start + chunk]
         rs = np.asarray(batch, dtype=np.float64)
-        if trig:
-            vals = _even_scan_integrals(s, v, tau, rs)
-        elif jacobi:
+        if jacobi:
             vals = _alpha_scan_integrals_jacobi(phi.param, p, v, tau, rs)
         else:
             vals = weight_integrals(

@@ -168,7 +168,8 @@ class WeightMeasure:
     """Bounded nondecreasing non-constant weight on [0, tau].
 
     ``cos_moments(a, b)``: integral_0^b cos(a t) dv(t) elementwise over the
-    array a in closed form, or None (custom densities, atomic weights)."""
+    array a in closed form (the builtin densities, piecewise-linear
+    weights), or None (custom densities, atomic weights)."""
 
     def __init__(self, tau: float, kind: str, label: str = "", **data):
         if not tau > 0:
@@ -179,7 +180,7 @@ class WeightMeasure:
         if kind == "density":
             self.vprime = data["vprime"]  # vectorized, nonnegative
             self.v = data.get("v")
-            self.cos_moments = data.get("cos_moments")
+            self.cos_moments = _COS_MOMENTS.get(self.vprime)
             dens = np.asarray(self.vprime(np.linspace(0, tau, 257)), dtype=np.float64)
             if np.any(dens < -1e-12):
                 raise InputDomainError("weight density must be nonnegative")
@@ -272,10 +273,13 @@ def _unit_cos_moments(a, b):
     return np.where(a == 0.0, b, np.sin(a * b) / np.where(a == 0.0, 1.0, a))
 
 
+_COS_MOMENTS = {_sine_density: _sine_cos_moments, _unit_density: _unit_cos_moments}
+
+
 def weight_cos(tau: float = math.pi) -> WeightMeasure:
     """v(t) = 1 - cos t (density sin t)."""
     return WeightMeasure(
-        tau, "density", vprime=_sine_density, cos_moments=_sine_cos_moments,
+        tau, "density", vprime=_sine_density,
         v=lambda t: 1.0 - np.cos(np.asarray(t, dtype=np.float64)), label="cos",
     )
 
@@ -283,7 +287,7 @@ def weight_cos(tau: float = math.pi) -> WeightMeasure:
 def weight_linear(tau: float) -> WeightMeasure:
     """v(t) = t (unit density)."""
     return WeightMeasure(
-        tau, "density", vprime=_unit_density, cos_moments=_unit_cos_moments,
+        tau, "density", vprime=_unit_density,
         v=lambda t: np.asarray(t, dtype=np.float64), label="t",
     )
 

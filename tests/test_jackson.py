@@ -283,17 +283,16 @@ def test_integral_cache_keys_quad_tol_on_adaptive_route():
     assert tight == pytest.approx(exact, abs=1e-8)
 
 
-@pytest.mark.parametrize("alpha", [1.3, 2.0])
-def test_integral_cache_shares_jacobi_route_across_quad_tol(alpha):
+def test_integral_cache_shares_jacobi_route_across_quad_tol():
     # the Gauss-Jacobi route (fractional sine power, density weight) and the
     # cosine-moment route (even sine power) do not read quad_tol, so a
     # second tolerance is a cache hit
-    phi = phi_alpha(alpha)
-    first = scaled_phi_integral(phi, 1.0, weight_cos(), math.pi, 2.5, quad_tol=1e-11)
-    size = len(_I_CACHE)
-    again = scaled_phi_integral(phi_alpha(alpha), 1.0, weight_cos(), math.pi, 2.5, quad_tol=1e-6)
-    assert again == first
-    assert len(_I_CACHE) == size
+    for alpha in (1.3, 2.0):
+        first = scaled_phi_integral(phi_alpha(alpha), 1.0, weight_cos(), math.pi, 2.5, quad_tol=1e-11)
+        size = len(_I_CACHE)
+        again = scaled_phi_integral(phi_alpha(alpha), 1.0, weight_cos(), math.pi, 2.5, quad_tol=1e-6)
+        assert again == first
+        assert len(_I_CACHE) == size
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +317,8 @@ _REFERENCE_WEIGHTS = {
     "cos2": (2.0, None),
     "t": (3 * math.pi / 4, None),
     "pwl": (math.pi, ([-0.5, 1.0, 2.0, math.pi], [0.0, 0.5, 0.7, 2.0])),
+    "cos004": (0.04, None),
+    "t004": (0.04, None),
 }
 
 
@@ -325,12 +326,14 @@ def _reference_weight(name):
     tau, knots = _REFERENCE_WEIGHTS[name]
     if knots is not None:
         return weight_pwl(*knots)
-    return weight_linear(tau) if name == "t" else weight_cos(tau)
+    return weight_linear(tau) if name.startswith("t") else weight_cos(tau)
 
 
 # (ratio, weight, alpha, p): fractional alpha p on the Gauss-Jacobi route;
 # even alpha p = 2 s on the cosine-moment route, at ratios 1, 7/3, 1 + 1e-9
-# (moments M(a) at a -> 1) and r tau = 400 for s = 1 and 5
+# (moments M(a) at a -> 1) and r tau = 400 for s = 1 and 5; and even powers
+# at r tau <= 0.1, where (2 - 2 cos r t)^s ~ (r t)^2s is far below the
+# moment sum's terms and the adaptive rule takes over
 _MPMATH_CASES = [
     (ratio, weight, alpha, p)
     for weight, alpha, p in [("cos", 1.3, 1.0), ("t", 0.7, 2.0), ("cos", 0.55, 1.0)]
@@ -338,8 +341,13 @@ _MPMATH_CASES = [
 ] + [
     (ratio, weight, 2 * s / 1.7, 1.7)
     for s in range(1, 6)
-    for weight in _REFERENCE_WEIGHTS
+    for weight in ("cos", "cos2", "t", "pwl")
     for ratio in [1.0, 7.0 / 3.0, 1.0 + 1e-9] + ([400 / _REFERENCE_WEIGHTS[weight][0]] if s in (1, 5) else [])
+] + [
+    (ratio, weight, 2 * s / 1.7, 1.7)
+    for s in (3, 5)
+    for weight in ("cos004", "t004")
+    for ratio in [1.0, 7.0 / 3.0]
 ]
 
 
@@ -377,7 +385,7 @@ def test_scaled_integral_matches_mpmath_quad(ratio, weight, alpha, p):
         # Gauss-Legendre (faster at r tau = 400) for smooth even powers
         even = abs(alpha * p - round(alpha * p)) < 1e-12
         ref = float(mpmath.quad(f, points, method="gauss-legendre" if even else "tanh-sinh"))
-    assert got == pytest.approx(ref, rel=1e-12)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def _wobble(shift):
@@ -554,7 +562,8 @@ def test_period_mean_is_cached(monkeypatch):
 def test_even_power_scan_needs_no_quadrature(monkeypatch):
     # alpha p = 4: a whole n = 8 scan against cos, t and pwl weights sums
     # cosine moments only; a custom density has none and reaches the
-    # adaptive quadrature
+    # adaptive quadrature, and so do the small ratios of a scan at tau = 0.04,
+    # whose moment sums cancel
     class Quadrature(Exception):
         pass
 
@@ -570,6 +579,25 @@ def test_even_power_scan_needs_no_quadrature(monkeypatch):
         assert math.isfinite(res.value) and 8 <= res.k_star <= 512
     with pytest.raises(Quadrature):
         jackson_I(JacksonSetup(n=8, phi=phi_alpha(2.0), p=2.0, tau=math.pi, v=custom))
+    with pytest.raises(Quadrature):
+        jackson_I(JacksonSetup(n=8, phi=phi_alpha(2.0), p=2.0, tau=0.04, v=weight_linear(0.04)))
+
+
+def test_ill_conditioned_moment_sum_is_cached_per_quad_tol():
+    # ratio 1 at tau = 0.04 and alpha p = 10 leaves the moment sum, and its
+    # adaptive value is keyed on quad_tol like any adaptive request; ratio 100
+    # stays a moment sum, shared across quad_tol
+    phi, v = phi_alpha(5.0), weight_linear(0.04)
+    _I_CACHE.clear()
+    first = [scaled_phi_integral(phi, 2.0, v, 0.04, r, quad_tol=1e-11) for r in (1.0, 100.0)]
+    assert len(_I_CACHE) == 2
+    assert [scaled_phi_integral(phi, 2.0, v, 0.04, r, quad_tol=1e-11) for r in (1.0, 100.0)] == first
+    assert len(_I_CACHE) == 2
+    scaled_phi_integral(phi, 2.0, v, 0.04, 100.0, quad_tol=1e-6)
+    assert len(_I_CACHE) == 2
+    loose = scaled_phi_integral(phi, 2.0, v, 0.04, 1.0, quad_tol=1e-6)
+    assert len(_I_CACHE) == 3
+    assert loose == pytest.approx(0.04 ** 11 / 11, rel=1e-2)
 
 
 def test_sigma_series_default_arguments_fail_fast():
