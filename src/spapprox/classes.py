@@ -46,6 +46,7 @@ from .psi import (
     CharSeq,
     PsiSystem,
     RadialPsi,
+    _pow,
     _tail_after,
     build_charseq,
     psi_derivative,
@@ -232,8 +233,6 @@ def class_sigma(
     if n < 1:
         raise InputDomainError("n must be >= 1")
     warnings = spec.grade_warnings()
-    stream = spec.psi.stream()
-    qexp = spec.q
     best = -math.inf
     best_s = None
     stop_reason = None
@@ -244,44 +243,33 @@ def class_sigma(
         expo_head = spec.q / (spec.q - spec.p)
         expo_sum = spec.p / (spec.q - spec.p)
 
-    def inv_power(v: float) -> float:
-        if v <= 0.0:
-            return math.inf
-        try:
-            return v ** (-qexp)
-        except OverflowError:
-            return math.inf
-
     s_hi = n
     step = 64
-    inv_cum = 0.0
-    e_cum = 0.0
-    rr: list[float] = []  # the rearrangement so far, zero past a finite end
-    inv_cums: list[float] = []  # cumulative rr^{-q}, 1-based
-    e_cums: list[float] = []  # cumulative rr^{e} (q > p only)
+    inv_terms = e_terms = np.empty(0)  # rr^{-q} (inf at rr = 0), rr^{e}
     while s_hi - n < budget:
         s_lo = s_hi + 1
         s_hi = min(s_hi + step, n + budget)
         step = min(2 * step, _SIGMA_STEP_CAP)
-        rr.extend(float(v) for v, _ in itertools.islice(stream, s_hi - len(rr)))
-        rr.extend([0.0] * (s_hi - len(rr)))
-        for v in rr[len(inv_cums):]:
-            inv_cum += inv_power(v)
-            inv_cums.append(inv_cum)
-            if spec.regime == "q>p":
-                e_cum += v ** e if v > 0.0 else 0.0
-                e_cums.append(e_cum)
+        # the rearrangement so far, zero past a finite end
+        rr = rearrangement_padded(spec.psi, s_hi)
+        fresh = rr[inv_terms.shape[0]:]
+        base = np.where(fresh > 0.0, fresh, 1.0)
+        inv_terms = np.concatenate(
+            (inv_terms, np.where(fresh > 0.0, _pow(base, -spec.q), np.inf)))
+        # cumsum adds in sequence, as a running float total would
+        inv_cums = np.cumsum(inv_terms)
+        if spec.regime == "q>p":
+            e_terms = np.concatenate((e_terms, np.where(fresh > 0.0, _pow(base, e), 0.0)))
+            e_cums = np.cumsum(e_terms)
         ss = np.arange(s_lo, s_hi + 1, dtype=np.float64)
-        cums = np.array(inv_cums[s_lo - 1: s_hi], dtype=np.float64)
+        cums = inv_cums[s_lo - 1: s_hi]
         with np.errstate(over="ignore"):
             if spec.regime == "q<=p":
                 obj = (ss - n) * np.where(
                     np.isfinite(cums), cums, np.inf
                 ) ** (-spec.p / spec.q)
             else:
-                tails = np.maximum(
-                    total - np.array(e_cums[s_lo - 1: s_hi], dtype=np.float64), 0.0
-                )
+                tails = np.maximum(total - e_cums[s_lo - 1: s_hi], 0.0)
                 obj = (ss - n) ** expo_head * np.where(
                     np.isfinite(cums), cums, np.inf
                 ) ** (-expo_sum) + tails
@@ -291,7 +279,7 @@ def class_sigma(
             best = float(obj[i])
             best_s = int(ss[i])
         # certified early stop
-        mid = rr[max(1, (s_hi + 1) // 2) - 1]
+        mid = float(rr[max(1, (s_hi + 1) // 2) - 1])
         if spec.regime == "q<=p":
             env = (
                 2.0 ** (spec.p / spec.q)
@@ -305,8 +293,8 @@ def class_sigma(
                 stop_reason = {"stop": "support-exhausted", "at_s": s_hi}
                 break
         else:
-            t_quarter = max(total - (e_cums[max(0, (s_hi + 3) // 4 - 1)]), 0.0)
-            t_next = max(total - e_cums[s_hi - 1], 0.0)
+            t_quarter = max(total - float(e_cums[max(0, (s_hi + 3) // 4 - 1)]), 0.0)
+            t_next = max(total - float(e_cums[s_hi - 1]), 0.0)
             env = 2.0 ** (expo_sum + 2.0) * t_quarter + t_next
             if env < best:
                 stop_reason = {"stop": "tail-envelope", "envelope": env, "at_s": s_hi}

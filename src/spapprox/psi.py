@@ -15,14 +15,18 @@ library.  Three variants are provided:
   is given directly (power / geometric closed forms, or a head table with a
   tail rule).
 
-Enumeration of the decreasing rearrangement is lazy and *certified*.  The
-product, radial and sequence variants share one max-heap walk over per-axis
-positions: along every axis the order 0, -1, 1, -2, 2, ... never increases
-the magnitude, so each index not yet reached is dominated by one on the heap
-and every pop is the largest magnitude left.  Each system runs one walk, and
-every stream on it replays and extends that walk.  A magnitude that is not
-positive ends the stream of a finite system; on an infinite system it can
-only be an underflow, and the walk raises ``CertificationError`` at once.
+Enumeration of the decreasing rearrangement is lazy and *certified*.  Each
+system keeps one sorted prefix of it as plain arrays (magnitudes and an
+(N, d) index array) and grows it in blocks: a block holds every index whose
+magnitude exceeds a threshold t, and every index outside it has magnitude at
+most t.  Product systems build the block axis by axis from partial products,
+radial ones from signed-permutation orbits in a box, sequence forms from
+positions directly.  A block is sorted by (-magnitude, position vector),
+where an axis reads the positions 0, -1, 1, -2, 2, ...; that order is total,
+so a grown prefix extends the old one and every stream on a system replays
+one enumeration.  A magnitude that is not a positive double ends the stream
+of a finite system; on an infinite system it can only be an underflow (or an
+overflowing weight), and the stream raises ``CertificationError`` there.
 Magnitudes are evaluated in a canonical order (integer accumulation where
 possible) so that equal-by-construction values compare equal as doubles;
 level grouping uses exact comparison.
@@ -30,7 +34,6 @@ level grouping uses exact comparison.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -72,13 +75,24 @@ def lattice_norm(k: Sequence[int], r: float) -> float:
     return acc ** (1.0 / r)
 
 
-def _pow(x: np.ndarray, y: float) -> np.ndarray:
+def _pow(x, y: float) -> np.ndarray:
     """x ** y elementwise through the C library's ``pow``, which Python's
     float ``**`` calls: numpy's own power may differ from it in the last
-    bit, and the power sums reproduce the scalar magnitudes exactly."""
+    bit, and the power sums reproduce the scalar magnitudes exactly.  A
+    power past the double range reads inf."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    return np.fromiter(map(math.pow, memoryview(x), itertools.repeat(y)),
-                       np.float64, x.shape[0])
+    try:
+        return np.fromiter(map(math.pow, memoryview(x), itertools.repeat(y)),
+                           np.float64, x.shape[0])
+    except OverflowError:
+        return np.array([_pow_or_inf(v, y) for v in x.tolist()], dtype=np.float64)
+
+
+def _pow_or_inf(x: float, y: float) -> float:
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
 
 
 def _orbit_representatives(d: int, B: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,6 +150,22 @@ def _orbit_fsum(terms: np.ndarray, sizes: np.ndarray) -> float:
     return math.fsum(memoryview(np.concatenate(parts)))
 
 
+def _orbit_members(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct signed permutation of each row of ``reps`` (rows
+    k_1 >= ... >= k_d >= 0) and the row it came from: a permutation that
+    swaps equal entries is skipped, and only a nonzero entry is negated."""
+    d = reps.shape[1]
+    points, rows = [], []
+    for perm in itertools.permutations(range(d)):
+        swaps = [j for j in range(d - 1) if perm.index(j) > perm.index(j + 1)]
+        distinct = np.all(reps[:, swaps] != reps[:, [j + 1 for j in swaps]], axis=1)
+        for signs in itertools.product((1, -1), repeat=d):
+            ok = distinct & np.all((reps != 0) | (np.array(signs) > 0), axis=1)
+            points.append((reps[ok] * signs)[:, perm])
+            rows.append(np.flatnonzero(ok))
+    return np.concatenate(points), np.concatenate(rows)
+
+
 def _power_tail(s: float, K: int) -> tuple[float, float]:
     """(estimate, rigorous bound on |error|) for sum_{k>K} k^{-s}, s > 1."""
     if s <= 1:
@@ -175,6 +205,13 @@ class AxisPow:
     def value(self, k: int) -> float:
         return 1.0 / self.weight(k)
 
+    def weights(self, m: int) -> np.ndarray:
+        """``weight`` of |k| = 0, ..., m - 1; inf past the double range."""
+        return _pow(np.maximum(np.arange(m), 1), self.beta)
+
+    def values(self, m: int) -> np.ndarray:
+        return 1.0 / self.weights(m)
+
     def power_sum(self, e: float) -> tuple[float, float]:
         s = self.beta * e
         if s <= 1:
@@ -201,6 +238,11 @@ class AxisGeom:
     def value(self, k: int) -> float:
         return self.ratio ** abs(k)
 
+    def values(self, m: int) -> np.ndarray:
+        """``value`` of |k| = 0, ..., m - 1."""
+        return np.fromiter(map(math.pow, itertools.repeat(self.ratio), range(m)),
+                           np.float64, m)
+
     def power_sum(self, e: float) -> tuple[float, float]:
         x = self.ratio ** e
         return 1.0 + 2.0 * x / (1.0 - x), 0.0
@@ -209,66 +251,31 @@ class AxisGeom:
         return f"geom({self.ratio:g})"
 
 
-def _axis_index(pos: int) -> int:
+def _axis_index(pos):
     """Lattice index at 0-based position pos of 0, -1, 1, -2, 2, ... (the
-    value-descending order of symmetric axes); inverse of ``_seq_position``."""
-    if pos % 2:
-        return -((pos + 1) // 2)
-    return pos // 2
+    value-descending order of symmetric axes); inverse of ``_seq_position``.
+    Integers or integer arrays."""
+    return (pos + 1) // 2 * (1 - 2 * (pos % 2))
 
 
-def _seq_position(k: int) -> int:
-    """Canonical 1-based position of lattice index k in 0, -1, 1, -2, 2, ..."""
-    if k == 0:
-        return 1
-    return 2 * abs(k) if k < 0 else 2 * k + 1
+def _seq_position(k):
+    """Canonical 1-based position of lattice index k in 0, -1, 1, -2, 2, ...
+    Integers or integer arrays."""
+    return 2 * abs(k) + (k >= 0)
 
 
-def _monotone_walk(psi: "PsiSystem", magnitude: Callable[[tuple], float]
-                   ) -> Iterator[tuple[float, tuple]]:
-    """Certified (magnitude, index) pairs in nonincreasing order for a
-    magnitude that never increases along any axis's order 0, -1, 1, -2, ...
-
-    A max-heap keyed by (-value, position vector) holds the frontier.  The
-    parent of a position is that position with its last nonzero coordinate
-    lowered by one, so a popped position pushes children only along the axes
-    from its last nonzero one on, and each position is pushed exactly once.
-    The pairs found so far and the heap are the system's own ``_walk``: a
-    stream first replays the pairs, then pops from the shared heap and
-    appends, so every stream on one system reads one enumeration.  The heap
-    top is checked before it is popped, so a non-positive top ends or raises
-    at the same index for every reader."""
-    if psi._walk is None:
-        start = (0,) * psi.d
-        psi._walk = ([], [(-magnitude(start), start, start)])
-    found, heap = psi._walk
-    d, i = psi.d, 0
+def _replay(psi: "PsiSystem") -> Iterator[tuple[float, tuple]]:
+    """The pairs of the system's certified prefix as Python values, growing
+    it as they are read: a finite system's stream ends after its last
+    positive magnitude, an infinite one's raises there."""
+    n = 0
     while True:
-        if i == len(found):
-            negv, pos, k = heap[0]
-            if not -negv > 0:
-                if psi.finite:
-                    return
-                raise CertificationError(
-                    f"magnitude {-negv!r} at index {k} of an infinite system is not "
-                    "positive (underflow); the rearrangement cannot be continued"
-                )
-            last = d - 1
-            while last and not pos[last]:
-                last -= 1
-            # evaluate every child before the state changes, so a magnitude
-            # that raises leaves the walk as it was
-            children = []
-            for j in range(last, d):
-                child = pos[:j] + (pos[j] + 1,) + pos[j + 1:]
-                ck = k[:j] + (_axis_index(child[j]),) + k[j + 1:]
-                children.append((-magnitude(ck), child, ck))
-            heapq.heapreplace(heap, children[0])
-            for child in children[1:]:
-                heapq.heappush(heap, child)
-            found.append((-negv, k))
-        yield found[i]
-        i += 1
+        vals, idx = psi._rearranged(n + 1)
+        if vals.shape[0] <= n:
+            return
+        m = min(vals.shape[0], 2 * n + 64)
+        yield from zip(vals[n:m].tolist(), map(tuple, idx[n:m].tolist()))
+        n = m
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +285,16 @@ def _monotone_walk(psi: "PsiSystem", magnitude: Callable[[tuple], float]
 class PsiSystem:
     """Common interface; see module docstring for the variants.
 
-    A system is immutable after construction: its streams share one walk,
-    which keeps every magnitude it has read."""
+    A system is immutable after construction: its streams and array
+    readers share one certified prefix, which keeps every magnitude read."""
 
     d: int
     variant: str
     theorem_grade: bool  # satisfies nonzero + vanishing hypotheses everywhere
     finite = False  # finitely many nonzero magnitudes, so stream() may end
-    # (pairs found, frontier heap) of _monotone_walk; data only, since a
-    # generator or closure over the system stored here would make a cycle
-    _walk: tuple[list, list] | None = None
+    # (magnitudes, indices, complete) of the sorted prefix; data only, since
+    # a generator or closure over the system stored here would make a cycle
+    _prefix: tuple[np.ndarray, np.ndarray, bool] | None = None
 
     def magnitude(self, k) -> float:
         raise NotImplementedError
@@ -301,6 +308,30 @@ class PsiSystem:
     def stream(self) -> Iterator[tuple[float, tuple]]:
         """Lazy certified (magnitude, index) pairs in nonincreasing order."""
         raise NotImplementedError
+
+    def _rearranged(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The certified prefix, magnitudes and (N, d) indices sorted by
+        (-magnitude, position vector), grown to ``count`` pairs by
+        ``_block(size)``: (magnitudes, indices, complete), in any order, of
+        every index whose magnitude exceeds a threshold no other index
+        exceeds, at least ``size`` of them or, if complete, every positive
+        one.  It ends at the first magnitude that is not a positive double:
+        a finite system's prefix is short there, an infinite one raises."""
+        pre = self._prefix
+        if pre is None or (pre[0].shape[0] < count and not pre[2]):
+            vals, idx, complete = self._block(
+                count if pre is None else max(count, 2 * pre[0].shape[0]))
+            order = np.lexsort((*_seq_position(idx).T[::-1], -vals))
+            vals, idx = vals[order], idx[order]
+            stop = np.append(np.flatnonzero(~(vals > 0)), vals.shape[0])[0]
+            pre = self._prefix = (vals[:stop], idx[:stop], complete or stop < vals.shape[0])
+        if pre[0].shape[0] < count and not self.finite:
+            raise CertificationError(
+                f"magnitude after rearrangement position {pre[0].shape[0]} of an "
+                "infinite system is not a positive double (underflow or overflow); "
+                "the rearrangement cannot be continued"
+            )
+        return pre[0], pre[1]
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
         """(sum over Z^d of magnitude^e, rigorous error bound)."""
@@ -352,7 +383,46 @@ class ProductPsi(PsiSystem):
         return v
 
     def stream(self) -> Iterator[tuple[float, tuple]]:
-        return _monotone_walk(self, self.magnitude)
+        return _replay(self)
+
+    def _block(self, count: int) -> tuple[np.ndarray, np.ndarray, bool]:
+        if self._all_geom_same:
+            # ratio ** sum|k_j| is the geometric profile of the l1 norm
+            return RadialPsi(("geom", self.axes[0].ratio), self.d, r=1.0,
+                             origin="exact")._block(count)
+        # lower the threshold t until the cross above it holds count indices,
+        # aiming at twice that by the growth from the last cross (first from
+        # one index at t = 1) but at most to t**2; t = 0 takes every positive one
+        t, seen = 0.5, (1.0, 1)
+        while True:
+            mags, pos = self._cross(t)
+            if mags.shape[0] >= count or t == 0.0:
+                return mags, _axis_index(pos), t == 0.0
+            rate = max(math.log(mags.shape[0] / seen[1]) / math.log(seen[0] / t), 1e-3)
+            seen, t = (t, mags.shape[0]), max(t * (mags.shape[0] / (2.0 * count)) ** (1 / rate), t * t)
+
+    def _cross(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Magnitudes and position vectors of every index whose magnitude
+        exceeds t >= 0, built axis by axis as ``magnitude`` multiplies.  The
+        magnitude never grows along an axis's positions, nor when a partial
+        index takes the next axis, so a partial keeps a run of the next
+        axis's positions (found on the rounded product of magnitudes, with
+        slack, then checked exactly) and no partial at or below t grows."""
+        final = (lambda w: 1.0 / w) if self._all_pow else (lambda v: v)
+        acc, pos = np.ones(1), np.zeros((1, 0), dtype=np.int64)
+        with np.errstate(over="ignore", divide="ignore"):
+            for a in self.axes:
+                m = 64
+                while final((q := a.weights(m) if self._all_pow else a.values(m))[-1]) > t:
+                    m *= 2
+                q = q[(np.arange(2 * m - 1) + 1) // 2]  # by position
+                run = np.searchsorted(-final(q), -(1.0 - 1e-9) * t / final(acc))
+                rows = np.repeat(np.arange(acc.shape[0]), run)
+                step = np.arange(rows.shape[0]) - np.repeat(np.cumsum(run) - run, run)
+                acc, pos = acc[rows] * q[step], np.column_stack([pos[rows], step])
+                keep = final(acc) > t
+                acc, pos = acc[keep], pos[keep]
+        return final(acc), pos
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
         total, rel_hi, rel_lo = 1.0, 1.0, 1.0
@@ -447,8 +517,36 @@ class RadialPsi(PsiSystem):
         return self.profile(lattice_norm(k, self.r))
 
     def stream(self) -> Iterator[tuple[float, tuple]]:
-        # the profile is nonincreasing and |k|_r grows with each |k_j|
-        return _monotone_walk(self, lambda k: self.profile(lattice_norm(k, self.r)))
+        return _replay(self)
+
+    def _profile_values(self, t: np.ndarray) -> np.ndarray:
+        """``profile`` at each norm in t, by the same arithmetic."""
+        if self.origin == "clamp":
+            t = np.maximum(t, 1.0)
+        if self.form is not None and self.form[0] == "pow":
+            return _pow(t, -float(self.form[1]))
+        return np.fromiter(map(self._func, memoryview(t)), np.float64, t.shape[0])
+
+    def _block(self, count: int) -> tuple[np.ndarray, np.ndarray, bool]:
+        # every index outside the box [-B, B]^d reads at most profile(B + 1):
+        # double B until the count-th largest magnitude in the box, with its
+        # ties, exceeds that, or that is 0 and the box holds every positive one
+        B = 1
+        while True:
+            reps, sizes = _orbit_representatives(self.d, B)
+            values = self._profile_values(_orbit_norms(reps, self.r))
+            edge = self.profile(float(B + 1))
+            order = np.argsort(-values)
+            i = int(np.searchsorted(np.cumsum(sizes[order]), count))
+            if not edge > 0 or (i < order.shape[0] and values[order[i]] > edge):
+                break
+            if math.comb(B + self.d, self.d) > 64 * count + 2 ** 20:
+                raise CertificationError(f"no box up to [-{B}, {B}]^{self.d} certifies "
+                                         f"{count} indices: the profile must decrease to 0")
+            B *= 2
+        keep = values >= values[order[i]] if edge > 0 else slice(None)
+        points, rows = _orbit_members(reps[keep])
+        return values[keep][rows], points, not edge > 0
 
     def _shell_monomials(self) -> list[tuple[float, int]]:
         """(coefficient, power) pairs with sum c m^j = (2m+1)^d - (2m-1)^d,
@@ -478,10 +576,7 @@ class RadialPsi(PsiSystem):
         evaluation per orbit of the signed-permutation group (its members
         share |k|_r, as ``lattice_norm`` canonicalizes)."""
         reps, sizes = _orbit_representatives(self.d, B)
-        t = _orbit_norms(reps, self.r)
-        if self.origin == "clamp":
-            t = np.maximum(t, 1.0)
-        values = np.fromiter(map(self._func, memoryview(t)), np.float64, t.shape[0])
+        values = self._profile_values(_orbit_norms(reps, self.r))
         return _orbit_fsum(_pow(values, e), sizes)
 
     def _tail_outside(self, e: float, B: int) -> tuple[float, float]:
@@ -574,8 +669,12 @@ class ExplicitTablePsi(PsiSystem):
         return self.entries.get(k, 0.0)
 
     def stream(self) -> Iterator[tuple[float, tuple]]:
-        for k, v in sorted(self.entries.items(), key=lambda kv: (-kv[1], kv[0])):
-            yield v, k
+        return _replay(self)
+
+    def _rearranged(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        # the whole table, ties in index order rather than position order
+        keys = sorted(self.entries, key=lambda k: (-self.entries[k], k))
+        return np.array([self.entries[k] for k in keys]), np.array(keys, dtype=np.int64)
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
         return math.fsum(v ** e for v in self.entries.values()), 0.0
@@ -604,19 +703,12 @@ class ExplicitSeqPsi(PsiSystem):
             s, scale = float(continuation[1]), float(continuation[2])
             if s <= 0 or scale <= 0:
                 raise InputDomainError("power sequence needs s > 0, scale > 0")
-            self._cont = lambda j: scale * float(j) ** (-s)
             self.theorem_grade = True
         elif kind == "geom":
-            ratio = float(continuation[1])
-            if not 0 < ratio < 1:
+            if not 0 < float(continuation[1]) < 1:
                 raise InputDomainError("geometric ratio must be in (0,1)")
-            first = float(continuation[2])
-            k0 = len(self.head)
-            last = self.head[-1] if self.head else first / ratio
-            self._cont = lambda j: last * ratio ** (j - k0)
             self.theorem_grade = True
         elif kind == "zero":
-            self._cont = lambda j: 0.0
             self.theorem_grade = False
             self.finite = True
             if not self.head:
@@ -624,12 +716,9 @@ class ExplicitSeqPsi(PsiSystem):
         else:
             raise InputDomainError(f"unknown sequence continuation {kind!r}")
         # validate nonincreasing positive merged sequence on a prefix
-        prev = math.inf
-        for j in range(1, max(len(self.head) + 8, 32)):
-            v = self.seq(j)
-            if v < 0 or v > prev * (1 + 1e-12):
-                raise InputDomainError("sequence form must be nonincreasing and nonnegative")
-            prev = v
+        v = self._values(np.arange(1, max(len(self.head) + 8, 32)))
+        if np.any(v < 0) or np.any(v[1:] > v[:-1] * (1 + 1e-12)):
+            raise InputDomainError("sequence form must be nonincreasing and nonnegative")
         self.d = 1
         self.variant = f"explicit-seq[{kind}]"
 
@@ -650,9 +739,21 @@ class ExplicitSeqPsi(PsiSystem):
         return cls(tuple(values), tail)
 
     def seq(self, j: int) -> float:
-        if j <= len(self.head):
-            return self.head[j - 1]
-        return self._cont(j)
+        return float(self._values(np.array([j]))[0])
+
+    def _values(self, j: np.ndarray) -> np.ndarray:
+        """``seq`` at the increasing positions j >= 1."""
+        (kind, *par), K = self.continuation, len(self.head)
+        tail = j[j > K]
+        if kind == "pow":
+            cont = float(par[1]) * _pow(tail, -float(par[0]))
+        elif kind == "geom":
+            last = self.head[-1] if self.head else float(par[1]) / float(par[0])
+            cont = last * np.fromiter(map(math.pow, itertools.repeat(float(par[0])),
+                                          (tail - K).tolist()), np.float64, tail.shape[0])
+        else:
+            cont = np.zeros(tail.shape[0])
+        return np.concatenate((np.array(self.head, dtype=np.float64)[j[j <= K] - 1], cont))
 
     def magnitude(self, k) -> float:
         k = self.key(k)
@@ -661,7 +762,11 @@ class ExplicitSeqPsi(PsiSystem):
         return self.seq(_seq_position(k[0]))
 
     def stream(self) -> Iterator[tuple[float, tuple]]:
-        return _monotone_walk(self, self.magnitude)
+        return _replay(self)
+
+    def _block(self, count: int) -> tuple[np.ndarray, np.ndarray, bool]:
+        j = np.arange(1, count + 1)
+        return self._values(j), _axis_index(j - 1)[:, None], False
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
         kind = self.continuation[0]
@@ -675,7 +780,7 @@ class ExplicitSeqPsi(PsiSystem):
             if s <= 1:
                 raise ConvergenceError(f"sequence power sum diverges: s*e = {s} <= 1")
             P = 4096
-            cont = np.fromiter(map(self._cont, range(K + 1, K + P + 1)), np.float64, P)
+            cont = self._values(np.arange(K + 1, K + P + 1))
             partial = math.fsum(memoryview(_pow(cont, e)))
             tail, bound = _power_tail(s, K + P)
             return head_sum + partial + scale * tail, scale * bound
@@ -710,6 +815,9 @@ class PhasedPsi(PsiSystem):
 
     def stream(self):
         return self.base.stream()
+
+    def _rearranged(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.base._rearranged(count)
 
     def power_sum_total(self, e: float):
         return self.base.power_sum_total(e)
@@ -779,41 +887,27 @@ def build_charseq(
         raise InputDomainError("specify levels or down_to_value")
     if levels is not None and levels < 1:
         raise InputDomainError("levels must be >= 1")
-    eps: list[float] = []
-    delta: list[int] = []
-    shells: list[list[tuple]] = []
-
-    def targets_met() -> bool:
-        if levels is not None and len(eps) < levels:
-            return False
-        if down_to_value is not None and (not eps or eps[-1] > down_to_value):
-            return False
-        return True
-
-    exhausted = False
-    for v, k in psi.stream():
-        if eps and v == eps[-1]:
-            shells[-1].append(k)
-            continue
-        if targets_met():
+    count = 1
+    while True:
+        vals, idx = psi._rearranged(count)
+        exhausted = vals.shape[0] < count  # only a finite system ends short
+        # a level is certified once a smaller value follows it or the system ends
+        ends = np.flatnonzero(np.r_[vals[1:] != vals[:-1], exhausted][: vals.shape[0]]) + 1
+        met = np.arange(1, ends.shape[0] + 1) >= (levels or 1)
+        if down_to_value is not None:
+            met &= vals[ends - 1] <= down_to_value
+        if met.any() or exhausted:
             break
-        eps.append(v)
-        shells.append([k])
-        delta.append(0)
-    else:
-        exhausted = True
-    if not targets_met() and exhausted and levels is not None and len(eps) < levels:
-        raise CertificationError(
-            f"system has only {len(eps)} levels, {levels} requested"
-        )
-    run = 0
-    for i, shell in enumerate(shells):
-        run += len(shell)
-        delta[i] = run
+        count = vals.shape[0] + 1
+    m = int(np.argmax(met)) + 1 if met.any() else ends.shape[0]
+    if levels is not None and m < levels:
+        raise CertificationError(f"system has only {m} levels, {levels} requested")
+    ends = np.r_[0, ends[:m]].tolist()
+    keys = list(map(tuple, idx[: ends[-1]].tolist()))
     return CharSeq(
-        eps=tuple(eps),
-        delta=tuple(delta),
-        shells=tuple(tuple(s) for s in shells),
+        eps=tuple(vals[ends[:-1]].tolist()),
+        delta=tuple(ends[1:]),
+        shells=tuple(tuple(keys[a:b]) for a, b in zip(ends, ends[1:])),
     )
 
 
@@ -822,12 +916,7 @@ def rearrangement(psi: PsiSystem, K: int) -> np.ndarray:
     fewer when a finite system runs out."""
     if K < 1:
         raise InputDomainError("K must be >= 1")
-    vals = np.fromiter(
-        (v for v, _ in itertools.islice(psi.stream(), K)), dtype=np.float64, count=-1
-    )
-    if vals.shape[0] < K and not psi.finite:
-        raise CertificationError("enumeration ended prematurely")
-    return vals
+    return psi._rearranged(K)[0][:K].copy()
 
 
 def rearrangement_padded(psi: PsiSystem, K: int) -> np.ndarray:
@@ -892,7 +981,7 @@ def _tail_after(certified: tuple[float, float], head: Sequence[float],
     values raised to ``exponent``; the bound absorbs the rounding of the
     subtraction.  Raises ``ConvergenceError`` when it exceeds ``tol``."""
     total, bound = certified
-    prefix = math.fsum(v ** exponent for v in head)
+    prefix = math.fsum(memoryview(_pow(head, exponent)))
     bound = bound + 1e-15 * (abs(total) + prefix)
     if bound > tol:
         raise ConvergenceError(

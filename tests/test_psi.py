@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import time
@@ -379,12 +380,12 @@ def test_rearrangement_multiset_matches_box_sort():
         )
         flat = [e for e, shell in zip(cs.eps, cs.shells) for _ in shell]
         assert flat == [v for v, _ in box[: len(flat)]]
-        # the walk pops in exactly (-value, position) order
+        # the stream is sorted by exactly (-value, position)
         n = sum(1 for v, _ in box if v > 1.0 / 41)
         assert list(itertools.islice(psi.stream(), n)) == box[:n]
 
 
-# systems whose streams share one walk: product, radial and sequence forms
+# systems whose streams share one sorted prefix: product, radial and sequence forms
 _WALKED = {
     "product": lambda: ProductPsi([AxisPow(1.0), AxisPow(2.0)]),
     "radial": lambda: RadialPsi(("pow", 3.0), d=2, r=2.0),
@@ -426,9 +427,9 @@ def test_second_read_evaluates_no_magnitude():
 @pytest.mark.parametrize("axis,error,length", [
     # 0.2**463 is the first power that underflows
     (AxisGeom(0.2), CertificationError, 1 + 2 * 462),
-    # 6.0**400 overflows while the children of index 5 are evaluated, which
-    # leaves the shared walk as it was
-    (AxisPow(400.0), CertificationError, 10),
+    # 6.0**400 is the first weight that overflows: the stream yields every
+    # representable magnitude, 0, -1, 1, ..., -5, 5, and then raises
+    (AxisPow(400.0), CertificationError, 11),
 ], ids=["underflow", "overflow"])
 def test_failing_walk_raises_at_the_same_index_for_every_reader(axis, error, length):
     psi = ProductPsi([axis])
@@ -469,6 +470,43 @@ def test_a_read_system_is_freed_without_the_cycle_collector(make):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# sha256 of the first 10^5 (value, index) pairs, values as little-endian
+# doubles followed by indices as little-endian int64 rows, recorded from the
+# heap walk that produced the rearrangement before the sorted blocks
+_PINNED_DIGESTS = {
+    "product": (_WALKED["product"],
+                "c337f3382321f258307d80e65e1e70f6854e960dcfc97c30e4fe7fb60c93dcb2"),
+    "radial": (_WALKED["radial"],
+               "68525564fb27b7d82b8ff3dcd9af181e46e681c69a2d08c0985273bd316ad4fb"),
+    "harmonic": (_WALKED["sequence"],
+                 "8555016be58d42ac04b7096c87a6e33e9462bffe7033c6458dbfdf23f0670bae"),
+    "hyperbolic": (lambda: ProductPsi([AxisPow(1.0), AxisPow(1.0)]),
+                   "50478d52c08614cc7f3cd3c0ee62914f5682e7699b7bd2effc239cf40c44bfc8"),
+    "radial1": (lambda: RadialPsi(("pow", 2.0), d=1),
+                "0aac9cfd6a81dee7b75d4f6c0112dddbcf5e9d71fd883fa3fa60a3e1d1da4f72"),
+    "radial2": (lambda: RadialPsi(("pow", 3.0), d=2),
+                "78a6d1ee2787431ab31fcbe3def3838c0474bdf6aca8ff875d9d6167b5705428"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_DIGESTS))
+def test_stream_reproduces_the_pinned_walk(name):
+    # "anisotropic" of the lattice benchmark is the "product" system here
+    make, digest = _PINNED_DIGESTS[name]
+    pairs = list(itertools.islice(make().stream(), 100_000))
+    vals = np.array([v for v, _ in pairs], dtype="<f8")
+    idx = np.array([k for _, k in pairs], dtype="<i8")
+    assert hashlib.sha256(vals.tobytes() + idx.tobytes()).hexdigest() == digest
+
+
+def _certified_head(psi, sup_outside, b):
+    """Plain sort of the box [-b, b]^d by (-magnitude, position vector), cut
+    to the pairs above ``sup_outside``, which bounds every magnitude outside."""
+    box = sorted(((psi.magnitude(k), k) for k in itertools.product(range(-b, b + 1), repeat=psi.d)),
+                 key=lambda vk: (-vk[0], _walk_position(vk[1])))
+    return [vk for vk in box if vk[0] > sup_outside]
 
 
 def test_padded_rearrangement_for_finite_tables():
@@ -555,13 +593,53 @@ def test_radial_rearrangement_matches_full_sort(profile, r, d, K, exact):
     )
     got = list(itertools.islice(psi.stream(), K))
     assert [v for v, _ in got] == pytest.approx([v for v, _ in want[:K]], rel=1e-13, abs=0)
-    # the walk derives indices from positions: every complete tie group holds
+    # indices come from positions: every complete tie group holds
     # exactly the box points of that magnitude
     box = [k for _, k in want]
     for v, group in itertools.groupby(got, key=lambda vk: vk[0]):
         if v == got[-1][0]:
             break
         assert {k for _, k in group} == {k for k in box if psi.magnitude(k) == v}
+
+
+# a product (mixed axis shapes) or radial (profile, r, d) system
+_SPEC = st.one_of(
+    st.tuples(st.just("product"), st.lists(_AXIS, min_size=1, max_size=3)),
+    st.tuples(st.just("radial"), st.tuples(_PROFILE, st.sampled_from([0.5, 1.0, 2.0, math.inf]),
+                                           st.integers(1, 3))),
+)
+
+
+def _make(spec):
+    kind, params = spec
+    if kind == "product":
+        return ProductPsi([AxisPow(b) if shape == "pow" else AxisGeom(b) for shape, b in params])
+    profile, r, d = params
+    return RadialPsi(profile, d=d, r=r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_SPEC, lengths=st.lists(st.integers(1, 400), min_size=1, max_size=4))
+def test_prefix_is_one_certified_sort_whatever_the_growth_order(spec, lengths):
+    grown, whole = _make(spec), _make(spec)
+    for n in lengths:
+        rearrangement(grown, n)
+    # the whole prefix, block ends included
+    vals, idx = grown._rearranged(max(lengths))
+    got = list(zip(vals.tolist(), map(tuple, idx.tolist())))
+    assert got == list(itertools.islice(whole.stream(), len(got)))
+    keys = [(-v, _walk_position(k)) for v, k in got]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(v == grown.magnitude(k) for v, k in got)
+    # every index outside [-b, b]^d has some |k_j| > b, so its magnitude is
+    # at most that of one axis (product) or the profile (radial) at b + 1
+    b = {1: 400, 2: 20, 3: 6}[grown.d]
+    if spec[0] == "product":
+        sup_outside = max(a.value(b + 1) for a in grown.axes)
+    else:
+        sup_outside = grown.profile(float(b + 1))
+    head = _certified_head(grown, sup_outside, b)
+    assert got[: len(head)] == head[: len(got)]
 
 
 def test_axis_index_inverts_seq_position():
