@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,8 @@ from .ladder import FrequencyLadder
 from .moduli import (
     PhiFunction,
     WeightMeasure,
+    _FifoCache,
+    _phi_identity,
     averaged_omega,
     weight_integrals,
     weight_linear,
@@ -71,33 +72,9 @@ class JacksonI:
     certificate: dict
 
 
-class _FifoCache(OrderedDict):
-    """Dict holding at most ``cap`` entries; a store beyond that evicts the
-    oldest one first (``popitem`` takes constant time, where deleting a
-    plain dict's first key walks past the slots of earlier deletions)."""
-
-    def __init__(self, cap: int):
-        super().__init__()
-        self.cap = cap
-
-    def put(self, key, value):
-        if key not in self and len(self) >= self.cap:
-            self.popitem(last=False)
-        self[key] = value
-
-
 # Scaled integrals keyed by (request, ratio): a scan stores up to
 # k_factor * n + 1 entries under one request.
 _I_CACHE = _FifoCache(2 ** 15)
-
-
-def _phi_identity(phi: PhiFunction):
-    """Builtin generators by their parameters; custom ones by the object
-    itself (a label says nothing about the function, and keeping the object
-    in the key means its address is never reused while the entry lives)."""
-    if phi.kind == "custom":
-        return phi
-    return (phi.kind, phi.param, phi.theta)
 
 
 def _weight_identity(v: WeightMeasure):

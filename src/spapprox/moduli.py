@@ -15,11 +15,18 @@ for an even bounded generator phi with phi(0) = 0.  Builtin generators:
 The averaged modulus integrates omega_phi^p against a nondecreasing weight
 (Riemann-Stieltjes), normalized by the weight's total mass; it never exceeds
 omega_phi at the right endpoint.
+
+``omega_phi`` keeps the final values of its last 2^10 distinct sampled requests,
+keyed by (f, ``_phi_identity(phi)``, delta, p, n_grid), so a repeated
+request returns bit for bit the value first computed; invalid arguments
+raise before the lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import OrderedDict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,10 +102,15 @@ class PhiFunction:
 
 
 def phi_alpha(alpha: float) -> PhiFunction:
-    """2^alpha |sin(t/2)|^alpha; nondecreasing on [0, pi] with sup 2^alpha."""
+    """2^alpha |sin(t/2)|^alpha; nondecreasing on [0, pi] with sup 2^alpha.
+    One shared generator per value of alpha."""
     if not alpha > 0:
         raise InputDomainError("alpha must be positive")
+    return _phi_alpha(float(alpha))
 
+
+@functools.lru_cache(maxsize=256)
+def _phi_alpha(alpha: float) -> PhiFunction:
     def ev(t, e):
         return (2.0 ** (alpha * e)) * np.abs(np.sin(0.5 * t)) ** (alpha * e)
 
@@ -158,6 +170,30 @@ def phi_custom(
         return np.asarray(fn(t), dtype=np.float64) ** e
 
     return PhiFunction("custom", ev, sup=sup, monotone_to=monotone_to, label=label)
+
+
+def _phi_identity(phi: PhiFunction):
+    """Builtin generators by their parameters; custom ones by the object
+    itself (a label says nothing about the function, and keeping the object
+    in the key means its address is never reused while the entry lives)."""
+    if phi.kind == "custom":
+        return phi
+    return (phi.kind, phi.param, phi.theta)
+
+
+class _FifoCache(OrderedDict):
+    """Dict holding at most ``cap`` entries; a store beyond that evicts the
+    oldest one first (``popitem`` takes constant time, where deleting a
+    plain dict's first key walks past the slots of earlier deletions)."""
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def put(self, key, value):
+        if key not in self and len(self) >= self.cap:
+            self.popitem(last=False)
+        self[key] = value
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +579,9 @@ def _refine_maxima(
 # sampled local maxima that ``omega_phi`` refines, besides both grid ends
 _OMEGA_BRACKETS = 8
 
+# the inverse bounds of one (f, alpha, p, n) ask for the same modulus
+_OMEGA_CACHE = _FifoCache(2 ** 10)
+
 
 def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, n_grid: int):
     """The shift objective of f sampled on a uniform grid over [0, delta]
@@ -590,12 +629,17 @@ def omega_phi(
     (see ``_refine_maxima``) until each spans at most 1e-8 rad of the
     fastest frequency's phase, which at a smooth maximum pins the value to
     double precision.  Evenness of phi halves the scan range; non-even
-    generators are scanned symmetrically.
+    generators are scanned symmetrically.  A repeated request returns the
+    stored value (see the module docstring).
     """
     if delta < 0:
         raise InputDomainError("delta must be >= 0")
     if not p > 0:
         raise InputDomainError("p must be positive")
+    key = (f, _phi_identity(phi), float(delta), float(p), int(n_grid))
+    value = _OMEGA_CACHE.get(key)
+    if value is not None:
+        return value
     scan = _sampled_objective(f, phi, p, delta, n_grid)
     if scan is None:
         return 0.0
@@ -605,7 +649,9 @@ def omega_phi(
     lo = hs[np.maximum(idx - 1, 0)]
     hi = hs[np.minimum(idx + 1, hs.shape[0] - 1)]
     _, refined = _refine_maxima(objective, lo, hi, lam_max)
-    return max(float(np.max(obj)), float(np.max(refined))) ** (1.0 / p)
+    value = max(float(np.max(obj)), float(np.max(refined))) ** (1.0 / p)
+    _OMEGA_CACHE.put(key, value)
+    return value
 
 
 class OmegaEvaluator:

@@ -20,6 +20,9 @@ from spapprox import (
     phi_custom,
     sharpness_single_frequency,
 )
+from spapprox import moduli
+from spapprox.inverse import _tail_powers
+from spapprox.spectrum import ladder_tail_norm
 from spapprox.testing import random_spectrum_on_ladder
 
 LAD = FrequencyLadder.integer()
@@ -158,3 +161,33 @@ def test_membership_uncertified_converse_reported():
     )
     assert not rep.bari_ok
     assert not rep.details["converse_certified"]
+
+
+def test_inverse_variants_sample_one_modulus(monkeypatch):
+    sampled = []
+    original = moduli._sampled_objective
+
+    def counting(*args):
+        sampled.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(moduli, "_sampled_objective", counting)
+    moduli._OMEGA_CACHE.clear()
+    f = Spectrum.real({0.0: 0.5, 1.0: 1.0, -2.0: 0.4j, 3.0: 0.25, -5.0: 0.1})
+    alpha, p, n = 1.3, 1.7, 4
+    results = [inverse_bound_general(f, phi_alpha(alpha), LAD, n, math.pi, p)]
+    results += [inverse_bound_alpha(f, alpha, p, LAD, n, variant)
+                for variant in ("classic", "improved", "gap")]
+    assert len(sampled) == 1
+    assert len({r.lhs for r in results}) == 1
+    assert all(r.holds for r in results)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.floats(0.5, 4.0), n=st.integers(1, 9))
+@settings(max_examples=50, deadline=None)
+def test_tail_powers_match_ladder_tail_norm(seed, p, n):
+    lad = FrequencyLadder(lambda k: k + 0.3 * math.sin(k), gap_bound=1.6, label="wobble")
+    f = random_spectrum_on_ladder(np.random.default_rng(seed), lad, max_index=12)
+    lam = lad.values(n)
+    want = [ladder_tail_norm(f, lam[v], p) ** p for v in range(1, n + 1)]
+    assert _tail_powers(f, lam, p).tolist() == want

@@ -27,7 +27,7 @@ from spapprox import (
     weight_pwl,
 )
 from spapprox.errors import BudgetError
-from spapprox.moduli import OmegaEvaluator, _adaptive_block, _panel_bounds
+from spapprox.moduli import _OMEGA_CACHE, OmegaEvaluator, _adaptive_block, _panel_bounds
 from spapprox.oracle import oracle_modulus, oracle_quadrature
 from spapprox.testing import random_spectrum
 
@@ -402,3 +402,109 @@ def test_adaptive_block_batch_matches_batches_of_one():
 
     with pytest.raises(BudgetError):
         _adaptive_block(wild, 0.0, b, 1e-12, p0, 64)
+
+
+# ---------------------------------------------------------------------------
+# the omega_phi cache
+
+
+@st.composite
+def _builtin_generators(draw):
+    kind = draw(st.sampled_from(["alpha", "theta", "steklov"]))
+    if kind == "alpha":
+        return phi_alpha(draw(st.floats(0.3, 3.0)))
+    if kind == "steklov":
+        return phi_steklov(draw(st.integers(1, 3)))
+    part = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0)
+    parts = draw(st.lists(part, min_size=1, max_size=3))
+    return phi_theta(parts + [-sum(parts)])
+
+
+@given(
+    f=_spectra(),
+    phi=_builtin_generators(),
+    delta=st.floats(0.0, math.pi),
+    p=st.floats(0.5, 3.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_modulus_cache_returns_the_computed_value(f, phi, delta, p):
+    omega_phi(f, phi, delta, p)
+    size = len(_OMEGA_CACHE)
+    stored = omega_phi(f, phi, delta, p)
+    assert len(_OMEGA_CACHE) == size
+    _OMEGA_CACHE.clear()
+    assert omega_phi(f, phi, delta, p) == stored
+
+
+def test_modulus_cache_keys_on_every_field():
+    entries = {0.0: 0.4, 1.0: 1.0, -2.5: 0.3 + 0.2j}
+    moved = {**entries, 1.0: math.nextafter(1.0, 2.0)}
+    base = {"f": Spectrum.real(entries), "phi": phi_alpha(2.0), "delta": 1.1, "p": 1.5,
+            "n_grid": 2048}
+
+    def call(**change):
+        args = {**base, **change}
+        return omega_phi(args["f"], args["phi"], args["delta"], args["p"], args["n_grid"])
+
+    _OMEGA_CACHE.clear()
+    first = call()
+    assert call() == first and len(_OMEGA_CACHE) == 1
+    changes = [
+        {"f": Spectrum.real(moved)},
+        # the same function as phi_alpha(2.0), under two other generator kinds
+        {"phi": phi_theta(DifferenceScheme.classical(2))},
+        {"phi": phi_steklov(2)},
+        {"delta": math.nextafter(1.1, 2.0)},
+        {"p": 2.0},
+        {"n_grid": 4096},
+    ]
+    for size, change in enumerate(changes, start=2):
+        call(**change)
+        assert len(_OMEGA_CACHE) == size
+    assert call(phi=phi_theta(DifferenceScheme.classical(2))) == pytest.approx(first, rel=1e-9)
+
+
+def test_modulus_cache_tells_custom_generators_apart():
+    f = Spectrum.real({1.0: 1.0})
+    half = phi_custom(lambda t: np.abs(np.sin(0.5 * t)), label="same")
+    square = phi_custom(lambda t: np.sin(0.5 * t) ** 2, label="same")
+    _OMEGA_CACHE.clear()
+    # single frequency: the sup over |h| <= 1 sits at the endpoint h = 1
+    for _ in range(2):
+        assert omega_phi(f, half, 1.0) == pytest.approx(math.sin(0.5), rel=1e-12)
+        assert omega_phi(f, square, 1.0) == pytest.approx(math.sin(0.5) ** 2, rel=1e-12)
+    assert len(_OMEGA_CACHE) == 2
+
+
+def test_modulus_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(_OMEGA_CACHE, "cap", 8)
+    _OMEGA_CACHE.clear()
+    f, phi = Spectrum.real({1.0: 1.0, 3.0: 0.5}), phi_alpha(1.3)
+    deltas = [0.1 * k for k in range(1, 21)]
+    first = [omega_phi(f, phi, d) for d in deltas]
+    assert len(_OMEGA_CACHE) == 8
+    # oldest first: only the last eight steps are left
+    assert sorted(key[2] for key in _OMEGA_CACHE) == deltas[-8:]
+    assert omega_phi(f, phi, deltas[0]) == first[0]
+    assert len(_OMEGA_CACHE) == 8
+
+
+def test_modulus_errors_are_not_cached():
+    f = Spectrum.real({1.0: 1.0})
+    _OMEGA_CACHE.clear()
+    for _ in range(2):
+        with pytest.raises(InputDomainError):
+            omega_phi(f, phi_alpha(1.0), -0.5)
+        with pytest.raises(InputDomainError):
+            omega_phi(Spectrum.lattice({(1, 1): 1.0}), phi_alpha(1.0), 0.5)
+    assert len(_OMEGA_CACHE) == 0
+
+
+def test_phi_alpha_builds_one_generator_per_alpha():
+    assert phi_alpha(2) is phi_alpha(2.0) is phi_alpha(np.float64(2.0))
+    assert phi_alpha(2.0).label == "alpha:2"
+    for _ in range(2):
+        with pytest.raises(InputDomainError):
+            phi_alpha(0.0)
+        with pytest.raises(InputDomainError):
+            phi_alpha(math.nan)
