@@ -84,8 +84,8 @@ def load_config(path: str | None) -> dict:
 
 def _positive_float(text: str) -> float:
     val = float(text)
-    if not val > 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0 < val < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return val
 
 

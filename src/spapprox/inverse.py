@@ -40,8 +40,6 @@ def _holds(lhs: float, rhs: float) -> bool:
 def _tail_powers(f: Spectrum, lam: np.ndarray, p: float) -> np.ndarray:
     """E_v^p for v = 1..n, the tails over |frequency| >= lam_v (lam = lam_0..lam_n),
     from one pass over f: ``ladder_tail_norm``'s fsum, root and power."""
-    if p == math.inf:
-        return np.array([ladder_tail_norm(f, lam[v], p) ** p for v in range(1, lam.shape[0])])
     mags = [abs(x) for x in f.scalar_frequencies().tolist()]
     terms = [abs(c) ** p for c in f.coefficients]
     return np.array([

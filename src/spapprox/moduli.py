@@ -634,8 +634,8 @@ def omega_phi(
     """
     if delta < 0:
         raise InputDomainError("delta must be >= 0")
-    if not p > 0:
-        raise InputDomainError("p must be positive")
+    if not 0 < p < math.inf:
+        raise InputDomainError("p must be positive and finite")
     key = (f, _phi_identity(phi), float(delta), float(p), int(n_grid))
     value = _OMEGA_CACHE.get(key)
     if value is not None:
@@ -667,8 +667,8 @@ class OmegaEvaluator:
     only."""
 
     def __init__(self, f: Spectrum, phi: PhiFunction, p: float, delta_max: float, n_grid: int = 2048):
-        if not p > 0:
-            raise InputDomainError("p must be positive")
+        if not 0 < p < math.inf:
+            raise InputDomainError("p must be positive and finite")
         self.p = p
         self.delta_max = float(delta_max)
         scan = _sampled_objective(f, phi, p, self.delta_max, n_grid)

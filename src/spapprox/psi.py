@@ -166,13 +166,35 @@ def _orbit_members(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(points), np.concatenate(rows)
 
 
+_ULP = 2.0 ** -52  # one unit in the last place, relative to the value
+_HEAD = 64  # terms a power sum adds one by one before its Euler-Maclaurin tail
+
+
 def _power_tail(s: float, K: int) -> tuple[float, float]:
-    """(estimate, rigorous bound on |error|) for sum_{k>K} k^{-s}, s > 1."""
+    """(estimate, rigorous bound on |error|) for sum_{k>K} k^{-s}, s > 1,
+    K >= 1, by Euler-Maclaurin at K: the integral K^{1-s}/(s-1), less half
+    the term at K, plus B_2j/(2j)! (s)_{2j-1} K^{-s-2j+1} for j = 1, 2, 3.
+    The even derivatives of x^{-s} are positive, so the remainder has the
+    sign of the j = 4 term and at most its size, (s)_7 K^{-s-7} / 1209600.
+    The bound adds 16 ulps of the terms' absolute sum for rounding: the C
+    ``pow`` has one, a term at most 6 and the sum and product 3 more."""
     if s <= 1:
         raise ConvergenceError(f"power tail diverges for exponent {s} <= 1")
-    est = (K + 0.5) ** (1.0 - s) / (s - 1.0)
-    bound = s / 24.0 * (K - 0.5) ** (-s - 1.0) if K >= 1 else math.inf
-    return est, bound
+    k, x = float(K), float(K) ** -s
+    c1 = s / k  # (s)_{2j-1} / K^{2j-1}
+    c3 = c1 * (s + 1.0) * (s + 2.0) / (k * k)
+    c5 = c3 * (s + 3.0) * (s + 4.0) / (k * k)
+    c7 = c5 * (s + 5.0) * (s + 6.0) / (k * k)
+    terms = (k / (s - 1.0), -0.5, c1 / 12.0, -c3 / 720.0, c5 / 30240.0)
+    rounding = 16.0 * _ULP * sum(map(abs, terms))
+    return x * sum(terms), x * (c7 / 1209600.0 + rounding)
+
+
+def _sum_rounding(total: float, e: float) -> float:
+    """Bound on the rounding in a total of positive terms u^e with u within
+    two ulps: a term carries 2e ulps from u and one from the power, and
+    each of at most two rounded sums adds half of one."""
+    return (2.0 * e + 2.0) * _ULP * total
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +236,10 @@ class AxisPow:
 
     def power_sum(self, e: float) -> tuple[float, float]:
         s = self.beta * e
-        if s <= 1:
-            raise ConvergenceError(
-                f"axis power sum diverges: beta*e = {s} <= 1"
-            )
-        K = 20000
-        partial = math.fsum(memoryview(_pow(np.arange(1, K + 1), -s)))
-        tail, bound = _power_tail(s, K)
-        return 1.0 + 2.0 * (partial + tail), 2.0 * bound
+        tail, bound = _power_tail(s, _HEAD)
+        partial = math.fsum(memoryview(_pow(np.arange(1, _HEAD + 1), -s)))
+        total = 1.0 + 2.0 * (partial + tail)
+        return total, 2.0 * bound + _sum_rounding(total, e)
 
     def describe(self) -> str:
         return f"pow(-{self.beta:g})"
@@ -425,13 +443,14 @@ class ProductPsi(PsiSystem):
         return final(acc), pos
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
-        total, rel_hi, rel_lo = 1.0, 1.0, 1.0
+        # relative error prod(1 + b/v) - 1 (>= 1 - prod(1 - b/v)), grown without
+        # forming 1 + b/v, which rounds an ulp-sized b/v away; plus d/2 ulps
+        total, rel = 1.0, 0.5 * self.d * _ULP
         for a in self.axes:
             v, b = a.power_sum(e)
             total *= v
-            rel_hi *= 1.0 + b / v
-            rel_lo *= max(0.0, 1.0 - b / v)
-        return total, total * max(rel_hi - 1.0, 1.0 - rel_lo)
+            rel += b / v + rel * b / v
+        return total, total * rel
 
 
 class RadialPsi(PsiSystem):
@@ -548,25 +567,14 @@ class RadialPsi(PsiSystem):
         points, rows = _orbit_members(reps[keep])
         return values[keep][rows], points, not edge > 0
 
-    def _shell_monomials(self) -> list[tuple[float, int]]:
-        """(coefficient, power) pairs with sum c m^j = (2m+1)^d - (2m-1)^d,
-        the number of lattice points on the sup-norm shell of radius m."""
-        d = self.d
-        out = []
-        for j in range(1, d + 1, 2):
-            out.append((2.0 * math.comb(d, j) * 2.0 ** (d - j), d - j))
-        return out
-
     def _pow_tail_weighted(self, s: float, B: int) -> tuple[float, float]:
         """(estimate, bound) for sum over sup-norm shells m > B of
-        shell_count(m) * m^{-s}."""
+        shell_count(m) * m^{-s}: the shell holds (2m+1)^d - (2m-1)^d points,
+        the sum over odd j of 2 C(d, j) 2^{d-j} m^{d-j}."""
         est, bnd = 0.0, 0.0
-        for coef, j in self._shell_monomials():
-            if s - j <= 1:
-                raise ConvergenceError(
-                    f"radial power sum diverges: effective exponent {s - j} <= 1"
-                )
-            t, b = _power_tail(s - j, B)
+        for j in range(1, self.d + 1, 2):
+            coef = 2.0 * math.comb(self.d, j) * 2.0 ** (self.d - j)
+            t, b = _power_tail(s - (self.d - j), B)
             est += coef * t
             bnd += coef * b
         return est, bnd
@@ -633,9 +641,13 @@ class RadialPsi(PsiSystem):
         return mid, 0.5 * (upper - lower) + ub + lb
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
-        B = 20000 if self.d == 1 else (96 if self.d == 2 else 24)
+        # a d = 1 callable tail is only known to lie in [0, upper] and a
+        # geometric one is summed term by term: both follow a long box
+        pow_form = self.form is not None and self.form[0] == "pow"
+        B = (_HEAD if pow_form else 20000) if self.d == 1 else (96 if self.d == 2 else 24)
         tail, bound = self._tail_outside(e, B)
-        return self._box_sum(e, B) + tail, bound
+        total = self._box_sum(e, B) + tail
+        return total, bound + _sum_rounding(total, e)
 
 
 class ExplicitTablePsi(PsiSystem):
@@ -777,13 +789,11 @@ class ExplicitSeqPsi(PsiSystem):
         if kind == "pow":
             s = float(self.continuation[1]) * e
             scale = float(self.continuation[2]) ** e
-            if s <= 1:
-                raise ConvergenceError(f"sequence power sum diverges: s*e = {s} <= 1")
-            P = 4096
-            cont = self._values(np.arange(K + 1, K + P + 1))
-            partial = math.fsum(memoryview(_pow(cont, e)))
-            tail, bound = _power_tail(s, K + P)
-            return head_sum + partial + scale * tail, scale * bound
+            M = max(K, _HEAD)
+            tail, bound = _power_tail(s, M)
+            partial = math.fsum(memoryview(_pow(self._values(np.arange(K + 1, M + 1)), e)))
+            total = head_sum + partial + scale * tail
+            return total, scale * bound + _sum_rounding(total, e)
         # geometric continuation
         x = float(self.continuation[1]) ** e
         first_tail = self.seq(K + 1) ** e

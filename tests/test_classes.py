@@ -329,45 +329,45 @@ def test_one_power_sum_per_class_spec(monkeypatch):
 
 
 # q > p (p, q = 1, 2; tail exponent 2) on the lattice-workload systems and a
-# geometric radial d = 2, r = 2 system, recorded before ClassSpec kept its
-# certified total: (value, tail_bound) of the empty-head tail (width n = 0 =
+# geometric radial d = 2, r = 2 system, recorded with the Euler-Maclaurin
+# power tails: (value, tail_bound) of the empty-head tail (width n = 0 =
 # best level 1) and of width n = 3; (value, tail_bound, tail_from) of best
 # level 3; (value, envelope, at_s) of sigma n = 3
 _PINNED_TAILS = {
     "hyperbolic": {
-        "total": (4.289868133696474, 1.9819928390684222e-13),
-        "width": (3.924661591080748, 2.0119928390684224e-13),
-        "level": (2.5304087820951904, 2.1019928390684222e-13, 22),
-        "sigma": (3.827919618344208, 12.775267822066915, 963),
+        "total": (4.289868133696453, 7.251638118987234e-14),
+        "width": (3.9246615910807257, 7.551638118987234e-14),
+        "level": (2.530408782095156, 8.451638118987234e-14, 22),
+        "sigma": (3.8279196183441853, 12.775267822065349, 963),
     },
     "anisotropic": {
-        "total": (3.6845509950345297, 7.98940121097719e-14),
-        "width": (3.2520633503992418, 8.28940121097719e-14),
-        "level": (1.753828964012723, 9.039401210977189e-14, 16),
-        "sigma": (3.134631722389401, 9.70147152707836, 195),
+        "total": (3.6845509950345203, 5.312979678498528e-14),
+        "width": (3.252063350399231, 5.6129796784985284e-14),
+        "level": (1.7538289640127036, 6.362979678498528e-14, 16),
+        "sigma": (3.13463172238939, 9.701471527077752, 195),
     },
     "radial1": {
-        "total": (1.7789453244611755, 3.164646571601965e-15),
-        "width": (0.40576651836034566, 6.1646465716019654e-15),
-        "level": (0.19911420698251728, 6.289646571601966e-15, 6),
-        "sigma": (0.3934184113252011, 0.008642780905838254, 67),
+        "total": (1.7789453244611753, 7.38082531644891e-15),
+        "width": (0.4057665183603451, 1.038082531644891e-14),
+        "level": (0.19911420698251617, 1.050582531644891e-14, 6),
+        "sigma": (0.39341841132520056, 0.008642780905834258, 67),
     },
     "radial2": {
-        "total": (3.04883945808057, 2.2062876476890966e-12),
-        "width": (2.509067962640515, 2.209287647689097e-12),
-        "level": (0.21312447336949372, 2.215537647689097e-12, 26),
-        "sigma": (2.3548719797791606, 1.3714820283916396, 67),
+        "total": (3.0488394580802316, 2.1679412032942996e-14),
+        "width": (2.5090679626401036, 2.4679412032942996e-14),
+        "level": (0.21312447336465118, 3.0929412032942995e-14, 26),
+        "sigma": (2.3548719797787223, 1.3714820283730624, 67),
     },
     "harmonic": {
-        "total": (1.2825498301623366, 1.2147487340828833e-12),
-        "width": (0.5327503690644685, 1.2161098451939943e-12),
-        "level": (0.6284377987115658, 1.2159987340828833e-12, 3),
-        "sigma": (0.5046348076298945, 0.16672574418599573, 195),
+        "total": (1.282549830161864, 3.89422393952726e-15),
+        "width": (0.5327503690633308, 5.2553350506383715e-15),
+        "level": (0.6284377987106015, 5.14422393952726e-15, 3),
+        "sigma": (0.5046348076286936, 0.16672574417508645, 195),
     },
     "geom2": {
-        "total": (1.6805437943748143, 2.824227444811698e-15),
-        "width": (1.4402178463037103, 3.574227444811698e-15),
-        "level": (1.005527015797686, 4.637370310124395e-15, 10),
+        "total": (1.6805437943748143, 6.586854248021562e-15),
+        "width": (1.4402178463037103, 7.336854248021562e-15),
+        "level": (1.005527015797686, 8.399997113334259e-15, 10),
         "sigma": (1.3735819760071466, 0.7160545783467511, 195),
     },
 }

@@ -123,6 +123,26 @@ def test_cli_inverse_check(tmp_path, capsys):
     assert doc["reports"][0]["certificate"]["holds"] is True
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("variant", ["classic", "improved", "gap", "general"])
+def test_cli_inverse_check_rejects_infinite_p(tmp_path, capsys, variant):
+    path = tmp_path / "f.json"
+    save_spectrum(Spectrum.real({0.0: 1.0, 2.0: 0.5, 5.0: 0.125}), str(path))
+    args = ["inverse-check", "--input", str(path), "--alpha", "1.3", "--n", "4",
+            "--variant", variant]
+    assert run(args + ["--p", "2"]) == 0
+    assert _strict_json(capsys.readouterr().out)["reports"][0]["certificate"]["holds"] is True
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["--p", "inf"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_deterministic_outputs(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["class", "--quantity", "width", "--psi", "explicit:geom(0.5)",

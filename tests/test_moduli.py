@@ -496,6 +496,8 @@ def test_modulus_errors_are_not_cached():
         with pytest.raises(InputDomainError):
             omega_phi(f, phi_alpha(1.0), -0.5)
         with pytest.raises(InputDomainError):
+            omega_phi(f, phi_alpha(1.0), 0.5, p=math.inf)
+        with pytest.raises(InputDomainError):
             omega_phi(Spectrum.lattice({(1, 1): 1.0}), phi_alpha(1.0), 0.5)
     assert len(_OMEGA_CACHE) == 0
 

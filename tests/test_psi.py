@@ -34,6 +34,7 @@ from spapprox.psi import (
     _axis_index,
     _orbit_norms,
     _orbit_representatives,
+    _power_tail,
     _seq_position,
     lattice_norm,
     rearrangement_padded,
@@ -307,6 +308,54 @@ def test_radial_power_sum_against_closed_form_lattice_sums(beta, e, r, reference
         want = reference(mpmath.mpf(sigma))
     # the clamped origin carries profile(1)^e = 1
     assert abs(total - 1.0 - float(want)) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(1.01, 12.0), K=st.integers(1, 5000), low=st.floats(-4.0, 1.0))
+def test_power_tail_bound_contains_hurwitz_zeta(s, K, low):
+    est, bound = _power_tail(s, K)
+    # zeta(s, K + 1) is about K^{-s} times zeta(s): the working precision
+    # adds those digits so that the reference keeps 30 significant ones
+    with mpmath.workdps(35 + int(s * math.log10(K + 1))):
+        assert abs(mpmath.mpf(est) - mpmath.zeta(s, K + 1)) <= bound
+    with pytest.raises(ConvergenceError):
+        _power_tail(low, K)
+
+
+def _midpoint_bound(s, K):
+    """s/24 (K - 1/2)^{-s-1}: the bound of the midpoint rule for the power
+    tail past a K-term head, the yardstick the Euler-Maclaurin bounds beat."""
+    return s / 24.0 * (K - 0.5) ** (-s - 1.0)
+
+
+def _power_sum_cases(beta, e):
+    """(certified sum, reference at 30 digits, yardstick bound) for each
+    power sum with exponent s = beta e: sum over Z of max(|k|, 1)^{-s} is
+    1 + 2 zeta(s), and a sequence scale j^{-beta} sums to scale^e zeta(s)."""
+    s = mpmath.mpf(beta * e)
+    head = [j ** -beta for j in range(1, 101)]
+    return [
+        (AxisPow(beta).power_sum(e), 1 + 2 * mpmath.zeta(s), 2 * _midpoint_bound(s, 20000)),
+        (RadialPsi(("pow", beta), d=1).power_sum_total(e), 1 + 2 * mpmath.zeta(s),
+         2 * _midpoint_bound(s, 20000)),
+        (ExplicitSeqPsi.power(beta, 0.5).power_sum_total(e),
+         mpmath.mpf(0.5) ** e * mpmath.zeta(s), 0.5 ** e * _midpoint_bound(s, 4096)),
+        (ExplicitSeqPsi(head, ("pow", beta, 1.0)).power_sum_total(e),
+         mpmath.fsum(mpmath.mpf(h) ** e for h in head) + mpmath.zeta(s, 101),
+         _midpoint_bound(s, 4196)),
+    ]
+
+
+@pytest.mark.parametrize("beta,e", [
+    (1.0, 1.01), (1.0, 1.5), (0.5, 3.0), (2.0, 0.75), (0.5, 2.5), (1.0, 2.0),
+    (3.0, 2.0), (0.25, 9.0),
+])
+def test_power_sums_against_zeta(beta, e):
+    with mpmath.workdps(30):
+        for (total, bound), reference, yardstick in _power_sum_cases(beta, e):
+            assert abs(mpmath.mpf(total) - reference) <= bound
+            if beta * e <= 1.5:
+                assert 100 * bound <= yardstick
 
 
 @settings(max_examples=60, deadline=None)
