@@ -233,71 +233,63 @@ def class_sigma(
     if n < 1:
         raise InputDomainError("n must be >= 1")
     warnings = spec.grade_warnings()
-    best = -math.inf
-    best_s = None
-    stop_reason = None
-
-    if spec.regime == "q>p":
+    p, q = spec.p, spec.q
+    if q > p:
         e = spec.tail_exponent
         total, tbound = spec.tail()  # certified before any head read
-        expo_head = spec.q / (spec.q - spec.p)
-        expo_sum = spec.p / (spec.q - spec.p)
-
-    s_hi = n
-    step = 64
-    inv_terms = e_terms = np.empty(0)  # rr^{-q} (inf at rr = 0), rr^{e}
+        expo_head, expo_sum = q / (q - p), p / (q - p)
+    best, best_s = -math.inf, None
+    s_hi, step = n, 64
+    # rr^{-q} (inf at rr = 0) is summed from a running carry, and for q > p
+    # every prefix sum of rr^{e} is kept (the stop reads one a quarter in)
+    done, inv_carry, e_cums = 0, 0.0, np.empty(0)
     while s_hi - n < budget:
-        s_lo = s_hi + 1
-        s_hi = min(s_hi + step, n + budget)
+        s_lo, s_hi = s_hi + 1, min(s_hi + step, n + budget)
         step = min(2 * step, _SIGMA_STEP_CAP)
-        # the rearrangement so far, zero past a finite end
-        rr = rearrangement_padded(spec.psi, s_hi)
-        fresh = rr[inv_terms.shape[0]:]
+        # a view of the rearrangement so far, read as zero past a finite end
+        rr = spec.psi._rearranged(s_hi)[0]
+        fresh = rr[done:s_hi]
+        if fresh.shape[0] < s_hi - done:
+            fresh = np.pad(fresh, (0, s_hi - done - fresh.shape[0]))
         base = np.where(fresh > 0.0, fresh, 1.0)
-        inv_terms = np.concatenate(
-            (inv_terms, np.where(fresh > 0.0, _pow(base, -spec.q), np.inf)))
-        # cumsum adds in sequence, as a running float total would
-        inv_cums = np.cumsum(inv_terms)
-        if spec.regime == "q>p":
-            e_terms = np.concatenate((e_terms, np.where(fresh > 0.0, _pow(base, e), 0.0)))
-            e_cums = np.cumsum(e_terms)
+        # cumsum adds in sequence from the carry, as a running float total would
+        inv_cums = np.cumsum(np.append(inv_carry, np.where(fresh > 0.0, _pow(base, -q), np.inf)))[1:]
+        inv_carry, cums = inv_cums[-1], inv_cums[s_lo - 1 - done:]
+        if q > p:
+            if e_cums.shape[0] < s_hi:
+                e_cums = np.concatenate((e_cums[:done], np.empty(2 * s_hi - done)))
+            e_cums[done:s_hi] = np.cumsum(np.append(
+                e_cums[done - 1] if done else 0.0, np.where(fresh > 0.0, _pow(base, e), 0.0)))[1:]
+        done = s_hi
         ss = np.arange(s_lo, s_hi + 1, dtype=np.float64)
-        cums = inv_cums[s_lo - 1: s_hi]
         with np.errstate(over="ignore"):
-            if spec.regime == "q<=p":
-                obj = (ss - n) * np.where(
-                    np.isfinite(cums), cums, np.inf
-                ) ** (-spec.p / spec.q)
+            if q <= p:
+                obj = (ss - n) * cums ** (-p / q)
             else:
                 tails = np.maximum(total - e_cums[s_lo - 1: s_hi], 0.0)
-                obj = (ss - n) ** expo_head * np.where(
-                    np.isfinite(cums), cums, np.inf
-                ) ** (-expo_sum) + tails
+                obj = (ss - n) ** expo_head * cums ** (-expo_sum) + tails
         obj = np.where(np.isfinite(obj), obj, 0.0)
         i = int(np.argmax(obj))
         if float(obj[i]) > best:
-            best = float(obj[i])
-            best_s = int(ss[i])
+            best, best_s = float(obj[i]), int(ss[i])
         # certified early stop
-        mid = float(rr[max(1, (s_hi + 1) // 2) - 1])
-        if spec.regime == "q<=p":
-            env = (
-                2.0 ** (spec.p / spec.q)
-                * float(s_hi) ** (1.0 - spec.p / spec.q)
-                * mid ** spec.p
-            )
+        if q <= p:
+            half = max(1, (s_hi + 1) // 2) - 1
+            mid = float(rr[half]) if half < rr.shape[0] else 0.0
+            env = 2.0 ** (p / q) * float(s_hi) ** (1.0 - p / q) * mid ** p
             if env < best:
-                stop_reason = {"stop": "envelope", "envelope": env, "at_s": s_hi}
+                stop = {"stop": "envelope", "envelope": env, "at_s": s_hi}
                 break
             if mid == 0.0 and best >= 0.0:
-                stop_reason = {"stop": "support-exhausted", "at_s": s_hi}
+                stop = {"stop": "support-exhausted", "at_s": s_hi}
                 break
         else:
             t_quarter = max(total - float(e_cums[max(0, (s_hi + 3) // 4 - 1)]), 0.0)
             t_next = max(total - float(e_cums[s_hi - 1]), 0.0)
             env = 2.0 ** (expo_sum + 2.0) * t_quarter + t_next
             if env < best:
-                stop_reason = {"stop": "tail-envelope", "envelope": env, "at_s": s_hi}
+                stop = {"stop": "tail-envelope", "envelope": env, "at_s": s_hi,
+                        "summability_bound": tbound}
                 break
     else:
         raise BudgetError(
@@ -307,16 +299,10 @@ def class_sigma(
 
     if best <= 0.0:
         best, best_s = 0.0, None
-    if spec.regime == "q<=p":
-        value = best ** (1.0 / spec.p) if best > 0 else 0.0
-    else:
-        value = best ** ((spec.q - spec.p) / (spec.p * spec.q)) if best > 0 else 0.0
-        stop_reason = dict(stop_reason or {})
-        stop_reason["summability_bound"] = tbound
-    cert = {"scan_budget": budget, **(stop_reason or {})}
+    value = best ** (1.0 / p if q <= p else (q - p) / (p * q)) if best > 0 else 0.0
     return ExtremalReport(
         "sigma", value, n=n, s_star=best_s, regime=spec.regime,
-        certificate=cert, warnings=warnings,
+        certificate={"scan_budget": budget, **stop}, warnings=warnings,
     )
 
 

@@ -117,36 +117,33 @@ def _jacobi_rule(a: float, b: float, m: int = 24) -> tuple[np.ndarray, np.ndarra
     return nodes, weights
 
 
-def _jacobi_pieces(
-    gamma: float, vprime, ratio: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-    right_zero: bool,
-) -> np.ndarray:
-    """integral over [lo_j, hi_j] of (2|sin(ratio_j t/2)|)^gamma v'(t) / 2^gamma
-    for a batch of sign-intervals of the sine, starting at a zero.
+@functools.lru_cache(maxsize=256)
+def _period_kernel(gamma: float) -> np.ndarray:
+    """Weights of a full sine period [lo, lo + 2 pi / r]: its integral of
+    |sin(r t/2)|^gamma v'(t) is (pi / r) sum_j kernel_j v'(t_j).  With
+    u = r (t - lo)/2 = (pi/2)(1 + x) and sin u = u (pi - u) g(u), g smooth,
+    u^gamma (pi - u)^gamma is (pi/2)^{2 gamma} times the (gamma, gamma)
+    Jacobi weight, and g(u_j)^gamma is the same at every ratio and period."""
+    nodes, weights = _jacobi_rule(gamma, gamma)
+    u = 0.5 * math.pi * (1.0 + nodes)
+    kernel = weights * (np.sin(u) / (u * (math.pi - u))) ** gamma * (0.5 * math.pi) ** (2.0 * gamma)
+    kernel.setflags(write=False)
+    return kernel
 
-    On a piece where u = ratio t/2 - pi m runs over [0, u1] (u1 <= pi),
-    sin u = u (pi - u) g(u) with g smooth and positive, so the integrand is
-    (1-x)^a (1+x)^gamma-weighted times a smooth factor; a = gamma when the
-    piece also ends at a zero (u1 = pi), else 0."""
-    nodes, weights = _jacobi_rule(gamma if right_zero else 0.0, gamma)
+
+def _jacobi_tail(gamma: float, vprime, ratio: np.ndarray, lo: np.ndarray, hi: float) -> np.ndarray:
+    """integral over [lo_j, hi] of |sin(ratio_j t/2)|^gamma v'(t) for a batch
+    of partial sign-intervals of the sine, each starting at a zero: with
+    u = ratio (t - lo)/2 = u_half (1 + x) over [0, u1] (u1 < pi),
+    u^gamma = u_half^gamma (1+x)^gamma is the (0, gamma) Jacobi weight and
+    (sin u / u)^gamma the smooth factor."""
+    nodes, weights = _jacobi_rule(0.0, gamma)
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    t = mid[:, None] + half[:, None] * nodes
-    u = ratio[:, None] * (t - lo[:, None]) / 2.0
-    g = np.sin(u) / (u * (math.pi - u))
-    g = np.where(np.isfinite(g) & (g > 0), g, 1.0 / math.pi)
-    dens = np.asarray(vprime(t.ravel()), dtype=np.float64).reshape(t.shape)
-    smooth = g ** gamma * dens
-    # with u = u_half (1+x): u^gamma contributes u_half^gamma (1+x)^gamma;
-    # on a full piece (pi-u)^gamma = (u_half (1-x))^gamma joins the Jacobi
-    # weight, otherwise it stays in the smooth factor
+    t = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
     u_half = ratio * half / 2.0
-    scale = u_half ** gamma
-    if right_zero:
-        scale *= u_half ** gamma
-    else:
-        smooth = smooth * (math.pi - u) ** gamma
-    return (weights * smooth).sum(axis=1) * half * scale
+    dens = np.asarray(vprime(t.ravel()), dtype=np.float64).reshape(t.shape)
+    smooth = np.sinc(u_half[:, None] * (1.0 + nodes) / math.pi) ** gamma * dens
+    return (weights * smooth).sum(axis=1) * half * u_half ** gamma
 
 
 def _alpha_scan_integrals_jacobi(
@@ -156,9 +153,11 @@ def _alpha_scan_integrals_jacobi(
     fractional exponents: each sign-interval of the sine is integrated with a
     24-node Gauss-Jacobi rule absorbing the algebraic endpoint zeros exactly.
 
-    The full periods of all ratios form one (pieces x 24) array under the
-    (gamma, gamma) rule, the partial last pieces one array under the
-    (0, gamma) rule; np.bincount adds each ratio's pieces in order."""
+    The full periods of all ratios share one (gamma, gamma) kernel: the
+    density at their (pieces x 24) nodes t = (pi/r)(2m + 1 + x_j) times
+    ``_period_kernel(gamma)``, times pi/r per piece.  Only the partial last
+    pieces are evaluated point by point, under the (0, gamma) rule;
+    np.bincount adds each ratio's pieces in order."""
     gamma = alpha * p
     ratios = np.asarray(ratios, dtype=np.float64)
     rows = np.arange(ratios.shape[0])
@@ -166,13 +165,13 @@ def _alpha_scan_integrals_jacobi(
     full = np.floor(tau / period * (1.0 + 1e-15)).astype(np.int64)
     owner = np.repeat(rows, full)
     m = (np.arange(owner.shape[0]) - (np.cumsum(full) - full)[owner]).astype(np.float64)
-    lo, hi = m * period[owner], (m + 1.0) * period[owner]
-    vals = _jacobi_pieces(gamma, v.vprime, ratios[owner], lo, hi, True)
+    half = 0.5 * period[owner]
+    t = half[:, None] * ((2.0 * m + 1.0)[:, None] + _jacobi_rule(gamma, gamma)[0])
+    dens = np.asarray(v.vprime(t.ravel()), dtype=np.float64).reshape(t.shape)
+    vals = (dens @ _period_kernel(gamma)) * half
     start = full * period
     tail = start < tau * (1.0 - 1e-15)
-    tail_vals = _jacobi_pieces(
-        gamma, v.vprime, ratios[tail], start[tail], np.full(int(tail.sum()), tau), False
-    )
+    tail_vals = _jacobi_tail(gamma, v.vprime, ratios[tail], start[tail], tau)
     # each ratio's full pieces come first, its partial piece last
     total = np.bincount(
         np.concatenate((owner, rows[tail])), np.concatenate((vals, tail_vals)),

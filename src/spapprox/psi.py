@@ -197,6 +197,24 @@ def _sum_rounding(total: float, e: float) -> float:
     return (2.0 * e + 2.0) * _ULP * total
 
 
+def _geom_shells(d: int, L: float, B: int) -> tuple[float, float]:
+    """(sum over the sup-norm shells m > B of Z^d of count(m) y^m, y = e^L
+    < 1, rounding bound) in closed form: count(B + 1 + j) = c(j) is a
+    polynomial of degree d - 1 with nonnegative forward differences, and
+    sum_j c(j) y^j = sum_k Delta^k c(0) y^k / (1 - y)^{k+1}.  1 - y is
+    -expm1(L), so 1/(1 - y) does not amplify y's rounding; the positive
+    terms carry at most 1.5 (B + d) |L| + 7 d + 8 ulps (3 (B + d) |L| when
+    L is scaled)."""
+    counts = [(2 * m + 1) ** d - (2 * m - 1) ** d for m in range(B + 1, B + 1 + d)]
+    om = -math.expm1(L)
+    ratio, total = math.exp(L) / om, 0.0
+    for k in range(d):
+        total += counts[0] * ratio ** k
+        counts = [b - a for a, b in zip(counts, counts[1:])]
+    total *= math.exp((B + 1) * L) / om
+    return total, (4.0 * (B + 1 + d) * abs(L) + 8.0 * (d + 1)) * _ULP * total
+
+
 # ---------------------------------------------------------------------------
 # product axes
 
@@ -262,8 +280,9 @@ class AxisGeom:
                            np.float64, m)
 
     def power_sum(self, e: float) -> tuple[float, float]:
-        x = self.ratio ** e
-        return 1.0 + 2.0 * x / (1.0 - x), 0.0
+        tail, bound = _geom_shells(1, e * math.log(self.ratio), 0)
+        total = 1.0 + tail
+        return total, bound + _sum_rounding(total, e)
 
     def describe(self) -> str:
         return f"geom({self.ratio:g})"
@@ -618,33 +637,20 @@ class RadialPsi(PsiSystem):
             mid = 0.5 * (upper_est + lower_est)
             half = 0.5 * (upper_est - lower_est)
             return mid, half + upper_bnd
-        # geometric profile: extend the shell sum until increments vanish
-        x = param ** e
-
-        def shell_tail(base: float) -> tuple[float, float]:
-            acc = 0.0
-            m = B + 1
-            while True:
-                shell = (2 * m + 1) ** self.d - (2 * m - 1) ** self.d
-                term = shell * base ** m
-                acc += term
-                if term < 1e-18 * max(acc, 1e-300) or m > B + 100_000:
-                    rest = term * 2.0 / max(1e-12, 1.0 - base * ((m + 2) / (m + 1)) ** (self.d - 1))
-                    return acc, rest
-                m += 1
-
-        upper, ub = shell_tail(x)
+        # geometric profile: between the shells' values at |k|_inf and d^{1/r} |k|_inf
+        L = e * math.log(param)
+        upper, ub = _geom_shells(self.d, L, B)
         if self.r == math.inf or self.d == 1:
             return upper, ub
-        lower, lb = shell_tail(x ** (float(self.d) ** (1.0 / self.r)))
-        mid = 0.5 * (upper + lower)
-        return mid, 0.5 * (upper - lower) + ub + lb
+        lower, lb = _geom_shells(self.d, L * float(self.d) ** (1.0 / self.r), B)
+        return 0.5 * (upper + lower), 0.5 * (upper - lower) + ub + lb
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
-        # a d = 1 callable tail is only known to lie in [0, upper] and a
-        # geometric one is summed term by term: both follow a long box
-        pow_form = self.form is not None and self.form[0] == "pow"
-        B = (_HEAD if pow_form else 20000) if self.d == 1 else (96 if self.d == 2 else 24)
+        # a geometric profile's shells have a closed form past the origin; a
+        # d = 1 callable tail is only known to lie in [0, upper], so it
+        # follows a long box
+        kind = self.form[0] if self.form is not None else None
+        B = {"pow": _HEAD, "geom": 0}.get(kind, 20000) if self.d == 1 else (96 if self.d == 2 else 24)
         tail, bound = self._tail_outside(e, B)
         total = self._box_sum(e, B) + tail
         return total, bound + _sum_rounding(total, e)
@@ -794,10 +800,11 @@ class ExplicitSeqPsi(PsiSystem):
             partial = math.fsum(memoryview(_pow(self._values(np.arange(K + 1, M + 1)), e)))
             total = head_sum + partial + scale * tail
             return total, scale * bound + _sum_rounding(total, e)
-        # geometric continuation
-        x = float(self.continuation[1]) ** e
-        first_tail = self.seq(K + 1) ** e
-        return head_sum + first_tail / (1.0 - x), 0.0
+        # geometric continuation: first (1 + sum_{m >= 1} x^m)
+        first = self.seq(K + 1) ** e
+        rest, bound = _geom_shells(1, e * math.log(float(self.continuation[1])), 0)
+        total = head_sum + first + 0.5 * first * rest
+        return total, 0.5 * first * bound + _sum_rounding(total, e)
 
 
 class PhasedPsi(PsiSystem):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spapprox import (
     AxisPow,
@@ -27,6 +29,7 @@ from spapprox import (
 )
 from spapprox.classes import dyadic_doubling_check
 from spapprox.oracle import SearchBudget, oracle_sigma_class
+from spapprox.psi import _pow, rearrangement_padded
 from spapprox.testing import identity_psi_families, random_integral_pair
 
 
@@ -151,6 +154,52 @@ def test_sigma_q_gt_p_vs_search_oracle():
     assert res.lower_bound <= rep.value + 1e-9
     assert res.lower_bound >= rep.value * 0.98  # pins the head-length rule
     assert rep.s_star == 2
+
+
+_SIGMA_SYSTEMS = {
+    "harmonic": ExplicitSeqPsi.harmonic,
+    "power-1.5": lambda: ExplicitSeqPsi.power(1.5, 2.0),
+    "geometric": lambda: ExplicitSeqPsi.geometric(0.9),
+    "table": lambda: ExplicitSeqPsi.table([1.0 / (1 + k) ** 0.5 for k in range(700)]),
+    "hyperbolic": lambda: ProductPsi([AxisPow(1), AxisPow(1)]),
+    "radial": lambda: RadialPsi(("pow", 1.5), d=2, r=2.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SIGMA_SYSTEMS)),
+    pq=st.sampled_from([(1.0, 1.0), (2.0, 1.0), (3.0, 1.5), (1.0, 2.0), (1.5, 4.0)]),
+    n=st.integers(1, 300),
+)
+def test_sigma_scan_matches_one_shot_cumsum(name, pq, n):
+    # the scan adds each block's terms to a running carry; its maximum and
+    # argmax are bit for bit those of one cumsum over the scanned prefix
+    p, q = pq
+    spec = ClassSpec(_SIGMA_SYSTEMS[name](), p, q)
+    try:
+        rep = class_sigma(spec, n)
+    except PreconditionError:
+        assume(False)
+    end = rep.certificate["at_s"]
+    rr = rearrangement_padded(spec.psi, end)
+    base = np.where(rr > 0.0, rr, 1.0)
+    cums = np.cumsum(np.where(rr > 0.0, _pow(base, -q), np.inf))[n:]
+    s = np.arange(n + 1, end + 1, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        if q <= p:
+            obj, root = (s - n) * cums ** (-p / q), 1.0 / p
+        else:
+            e = spec.tail_exponent
+            tails = spec.tail()[0] - np.cumsum(np.where(rr > 0.0, _pow(base, e), 0.0))[n:]
+            obj = (s - n) ** (q / (q - p)) * cums ** (-p / (q - p)) + np.maximum(tails, 0.0)
+            root = (q - p) / (p * q)
+    obj = np.where(np.isfinite(obj), obj, 0.0)
+    i = int(np.argmax(obj))
+    if obj[i] > 0.0:
+        assert (rep.value, rep.s_star) == (float(obj[i]) ** root, n + 1 + i)
+    else:
+        assert (rep.value, rep.s_star) == (0.0, None)
 
 
 def test_sigma_q_gt_p_needs_certificate():

@@ -358,6 +358,71 @@ def test_power_sums_against_zeta(beta, e):
                 assert 100 * bound <= yardstick
 
 
+def _geometric_sum_cases(ratio, e):
+    """(certified sum, reference at 40 digits) for each geometric power sum
+    with x = ratio^e: sum over Z of x^{|k|} is 1 + 2x/(1 - x), and the clamped
+    radial origin reads x instead of 1; a sequence continuing a head h_1..h_K
+    by h_K ratio^j adds (h_K ratio)^e / (1 - x) to the head's sum."""
+    x = mpmath.mpf(ratio) ** e
+    head = (2.0, 1.5, 0.75)
+    return [
+        (AxisGeom(ratio).power_sum(e), 1 + 2 * x / (1 - x)),
+        (RadialPsi(("geom", ratio), d=1).power_sum_total(e), x + 2 * x / (1 - x)),
+        (RadialPsi(("geom", ratio), d=1, origin="exact").power_sum_total(e), 1 + 2 * x / (1 - x)),
+        (ExplicitSeqPsi.geometric(ratio, 3.0).power_sum_total(e),
+         mpmath.mpf(3.0) ** e / (1 - x)),
+        (ExplicitSeqPsi(head, ("geom", ratio, 1.0)).power_sum_total(e),
+         mpmath.fsum(mpmath.mpf(h) ** e for h in head) + (mpmath.mpf(head[-1]) * ratio) ** e / (1 - x)),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ratio=st.sampled_from([0.999, 0.9999]) | st.floats(0.01, 1.0 - 1e-9, exclude_max=True),
+    e=st.sampled_from([1.3, 1.5]) | st.floats(0.05, 20.0),
+)
+def test_geometric_power_sum_bounds_contain_the_error(ratio, e):
+    # ratio^e rounds by an ulp, which 1/(1 - x) would amplify by x/(1 - x);
+    # at ratio 0.9999, e = 1.3 that was an error of 2.5e-9 under a bound of 0
+    with mpmath.workdps(40):
+        for (total, bound), reference in _geometric_sum_cases(ratio, e):
+            assert abs(mpmath.mpf(total) - reference) <= bound
+            assert bound <= 1e-12 * total
+
+
+def test_geometric_radial_d1_sum_is_closed_form(monkeypatch):
+    # the box is the origin alone and the shells past it a closed form:
+    # ratio 0.9999 at e = 1.3 once took a 20,000-term box and then the
+    # 100,000-shell cap of a term-by-term sum
+    boxes = []
+    box_sum = RadialPsi._box_sum
+    monkeypatch.setattr(RadialPsi, "_box_sum", lambda self, e, B: boxes.append(B) or box_sum(self, e, B))
+    for origin in ("clamp", "exact"):
+        total, bound = RadialPsi(("geom", 0.9999), d=1, origin=origin).power_sum_total(1.3)
+        assert math.isfinite(total) and bound <= 1e-12 * total
+    assert boxes == [0, 0]
+
+
+@pytest.mark.parametrize("ratio,d,r,e", [
+    (0.5, 2, math.inf, 1.0), (0.99, 2, math.inf, 0.5), (0.999, 2, math.inf, 1.0),
+    (0.999, 3, math.inf, 0.5), (0.99, 4, math.inf, 2.0), (0.9, 4, math.inf, 0.5),
+    (0.999, 2, 1.0, 1.0), (0.9, 3, 1.0, 0.5), (0.3, 4, 1.0, 2.0),
+])
+def test_geometric_radial_sum_bounds_contain_the_error(ratio, d, r, e):
+    # sup-norm shells hold (2m+1)^d - (2m-1)^d points and the l1 sum is
+    # ((1 + x)/(1 - x))^d; the clamped origin reads x instead of 1.  A
+    # term-by-term shell sum reported bounds up to 29 times below its error
+    # here (error 0.054 under a bound of 0.0019 at ratio 0.999, d = 3, e = 0.5)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(ratio) ** e
+        if r == math.inf:
+            rest = mpmath.nsum(lambda m: ((2 * m + 1) ** d - (2 * m - 1) ** d) * x ** m, [1, mpmath.inf])
+        else:
+            rest = ((1 + x) / (1 - x)) ** d - 1
+        total, bound = RadialPsi(("geom", ratio), d=d, r=r).power_sum_total(e)
+        assert abs(mpmath.mpf(total) - (x + rest)) <= bound
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 4), B=st.integers(0, 5),
        r=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 6.0, 7.0, math.inf]))
