@@ -8,7 +8,9 @@ for an even bounded generator phi with phi(0) = 0.  Builtin generators:
 
 * ``phi_alpha(a)``   -- 2^a |sin(t/2)|^a, the order-a modulus generator;
 * ``phi_theta(...)`` -- |sum_j theta_j e^{-ijt}|, matching a generalized
-  difference operator with weights theta;
+  difference operator with weights theta, as |R(e^{it})| with R(w) =
+  theta_0 w^m + ... + theta_m by Horner's rule from theta_0 (one exponential
+  per point; at t = 0 the weights add as ``sum`` does);
 * ``phi_steklov(m)`` -- (1 - sinc t)^m, matching the m-fold defect of the
   centered sliding mean.
 
@@ -19,7 +21,7 @@ omega_phi at the right endpoint.
 ``omega_phi`` keeps the final values of its last 2^10 distinct sampled requests,
 keyed by (f, ``_phi_identity(phi)``, delta, p, n_grid), so a repeated
 request returns bit for bit the value first computed; invalid arguments
-raise before the lookup.
+raise before the lookup, and a non-finite objective raises InputDomainError.
 """
 
 from __future__ import annotations
@@ -104,15 +106,16 @@ class PhiFunction:
 def phi_alpha(alpha: float) -> PhiFunction:
     """2^alpha |sin(t/2)|^alpha; nondecreasing on [0, pi] with sup 2^alpha.
     One shared generator per value of alpha."""
-    if not alpha > 0:
-        raise InputDomainError("alpha must be positive")
+    if not 0 < alpha < 1024:
+        raise InputDomainError("alpha must be positive, with 2^alpha a finite double")
     return _phi_alpha(float(alpha))
 
 
 @functools.lru_cache(maxsize=256)
 def _phi_alpha(alpha: float) -> PhiFunction:
     def ev(t, e):
-        return (2.0 ** (alpha * e)) * np.abs(np.sin(0.5 * t)) ** (alpha * e)
+        # a numpy power: 2^(alpha e) past the double range is inf, not OverflowError
+        return (np.float64(2.0) ** (alpha * e)) * np.abs(np.sin(0.5 * t)) ** (alpha * e)
 
     return PhiFunction(
         "alpha", ev, param=alpha, sup=2.0 ** alpha, monotone_to=math.pi,
@@ -123,23 +126,25 @@ def _phi_alpha(alpha: float) -> PhiFunction:
 def phi_theta(theta: Sequence[complex] | DifferenceScheme) -> PhiFunction:
     """|sum_j theta_j e^{-ijt}| for a difference scheme (weights sum to 0)."""
     scheme = theta if isinstance(theta, DifferenceScheme) else DifferenceScheme(tuple(theta))
-    th = np.array(scheme.theta, dtype=np.complex128)
+    th = scheme.theta
 
     def ev(t, e):
-        j = np.arange(th.shape[0], dtype=np.float64)
-        return np.abs(np.exp(-1j * np.multiply.outer(t, j)) @ th) ** e
+        w = np.exp(1j * t)
+        acc = th[0] * w
+        for c in th[1:-1]:
+            acc += c
+            acc *= w
+        return np.abs(acc + th[-1]) ** e
 
     # classical alternating-binomial weights give 2^m |sin(t/2)|^m
-    m = len(scheme.theta) - 1
-    classical = all(
-        scheme.theta[j] == (-1) ** j * math.comb(m, j) for j in range(m + 1)
-    )
+    m = len(th) - 1
+    classical = all(th[j] == (-1) ** j * math.comb(m, j) for j in range(m + 1))
     grid = np.linspace(0.0, 2.0 * math.pi, 4097)
     sup = float(np.max(ev(grid, 1.0)))
     return PhiFunction(
-        "theta", ev, theta=scheme.theta, sup=sup,
+        "theta", ev, theta=th, sup=sup,
         monotone_to=math.pi if classical else None,
-        label=f"theta:{[complex(x) for x in scheme.theta]}",
+        label=f"theta:{[complex(x) for x in th]}",
     )
 
 
@@ -600,7 +605,11 @@ def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, n_
     amps_p = f.abs_coefficients() ** p
 
     def objective(hs):
-        return _objective_grid(lams, amps_p, phi, p, hs)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            out = _objective_grid(lams, amps_p, phi, p, hs)
+        if not np.isfinite(out).all():
+            raise InputDomainError(f"phi^p-weighted sum is not a finite double (p={p:g})")
+        return out
 
     n = max(n_grid, int(math.ceil(16 * (lam_max * delta / (2.0 * math.pi)))))
     if phi.is_even:
@@ -612,6 +621,14 @@ def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, n_
         (obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:])
     )[0] + 1
     return objective, lam_max, hs, obj, interior
+
+
+def _pth_root(power: float, p: float) -> float:
+    """power^(1/p); InputDomainError when that is past the double range."""
+    try:
+        return power ** (1.0 / p)
+    except OverflowError:
+        raise InputDomainError(f"the modulus is not a finite double (p={p:g})") from None
 
 
 def omega_phi(
@@ -649,7 +666,7 @@ def omega_phi(
     lo = hs[np.maximum(idx - 1, 0)]
     hi = hs[np.minimum(idx + 1, hs.shape[0] - 1)]
     _, refined = _refine_maxima(objective, lo, hi, lam_max)
-    value = max(float(np.max(obj)), float(np.max(refined))) ** (1.0 / p)
+    value = _pth_root(max(float(np.max(obj)), float(np.max(refined))), p)
     _OMEGA_CACHE.put(key, value)
     return value
 
@@ -705,7 +722,7 @@ class OmegaEvaluator:
         return best
 
     def value(self, delta: float) -> float:
-        return float(self.power_values(np.array([delta]))[0]) ** (1.0 / self.p)
+        return _pth_root(float(self.power_values(np.array([delta]))[0]), self.p)
 
 
 def averaged_omega(

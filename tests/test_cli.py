@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,32 @@ def test_cli_inverse_check_rejects_infinite_p(tmp_path, capsys, variant):
         run(args + ["--p", "inf"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("finite,overflowing", [
+    (["modulus", "--phi", "alpha:2", "--delta", "1"],
+     ["modulus", "--phi", "alpha:2000", "--delta", "1"]),
+    (["inverse-check", "--alpha", "2", "--p", "1", "--n", "2"],
+     ["inverse-check", "--alpha", "2000", "--p", "1", "--n", "2"]),
+    (["modulus", "--phi", "alpha:100", "--p", "1.5", "--delta", "1"],
+     ["modulus", "--phi", "alpha:1000", "--p", "1.5", "--delta", "1"]),
+    (["modulus", "--phi", "theta:[1e100,-1e100]", "--p", "1.5", "--delta", "1"],
+     ["modulus", "--phi", "theta:[1e300,-1e300]", "--p", "1.5", "--delta", "1"]),
+    # a finite objective 2^512.5 whose square root 2^1025 is past the double range
+    (["modulus", "--phi", "alpha:500", "--p", "0.5", "--delta", "4"],
+     ["modulus", "--phi", "alpha:1023", "--p", "0.5", "--delta", "4"]),
+])
+def test_cli_overflowing_generator_is_a_usage_error(tmp_path, capsys, finite, overflowing):
+    path = tmp_path / "f.json"
+    save_spectrum(Spectrum.real({1.0: 1.0, 3.0: 1.0}), str(path))
+    assert run(finite + ["--input", str(path)]) == 0
+    assert math.isfinite(_strict_json(capsys.readouterr().out)["reports"][0]["value"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach the user's stderr too
+        assert run(overflowing + ["--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_deterministic_outputs(tmp_path):

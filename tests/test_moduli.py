@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -53,6 +55,75 @@ def test_phi_theta_matches_classical():
     ts = np.linspace(0, 2 * math.pi, 50)
     assert np.allclose(ph(ts), (2 * np.abs(np.sin(ts / 2))) ** 3, atol=1e-12)
     assert ph.monotone_to == math.pi
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def _theta_points(draw):
+    """A scheme with 2-6 complex taps, theta_m = -sum(others), and shifts in
+    [-60, 60], t = 0 and the doubles next to 2 pi k (zeros of the symbol)."""
+    part = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False,
+                              allow_infinity=False)
+    parts = draw(st.lists(part, min_size=1, max_size=5))
+    ts = draw(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=6))
+    for k in draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3)):
+        ts.append(math.nextafter(2 * math.pi * k, draw(st.sampled_from([-math.inf, math.inf]))))
+    return DifferenceScheme(tuple(parts + [-sum(parts)])), [0.0] + ts
+
+
+@given(case=_theta_points(), e=st.sampled_from([1.0, 1.5, 2.0]))
+@settings(max_examples=60, deadline=None)
+def test_phi_theta_matches_symbol_and_mpmath(case, e):
+    # two references sharing no numpy code with the Horner kernel: the
+    # scalar cmath sum of DifferenceScheme.symbol and a 30-digit mpmath sum.
+    # Absolute tolerances on |P| are multiples of eps * S, S = sum |theta_j|:
+    # 16 against mpmath; 256 against symbol, which rounds j t before its
+    # exponential (half an ulp of |j t| <= 300 is 128 eps).  Powers e >= 1
+    # scale them by e S^(e-1), plus 4 eps S^e for the power's own rounding.
+    scheme, ts = case
+    got = phi_theta(scheme).pow_p(np.array(ts), e)
+    s = math.fsum(abs(x) for x in scheme.theta)
+    with mpmath.workdps(30):
+        for t, value in zip(ts, got.tolist()):
+            exact = abs(mpmath.fsum(
+                mpmath.mpc(x) * mpmath.expj(-j * mpmath.mpf(t))
+                for j, x in enumerate(scheme.theta)
+            )) ** e
+            assert abs(value - float(exact)) <= (16 * e + 4) * _EPS * s ** e
+            assert abs(value - abs(scheme.symbol(t)) ** e) <= (256 * e + 4) * _EPS * s ** e
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e8])
+def test_phi_theta_accepts_scaled_schemes_with_exact_zero(scale):
+    # theta_m = -sum(others) sums to 0.0 exactly in the forward order, which
+    # is the order the kernel adds the weights in at t = 0
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        parts = [complex(*rng.normal(size=2)) * scale for _ in range(4)]
+        phi = phi_theta(parts + [-sum(parts)])
+        assert phi(0.0) == 0.0
+
+
+def test_overflowing_generators_are_input_errors():
+    f = Spectrum.real({1.0: 1.0, 3.0: 1.0})
+    _OMEGA_CACHE.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the typed error is the only report
+        for _ in range(2):
+            with pytest.raises(InputDomainError):
+                phi_alpha(1024.0)
+            for phi, p in ((phi_alpha(1000.0), 1.5), (phi_theta([1e300, -1e300]), 1.5),
+                           (phi_alpha(1023.0), 0.5)):
+                with pytest.raises(InputDomainError):
+                    omega_phi(f, phi, 4.0, p=p)
+                with pytest.raises(InputDomainError):
+                    OmegaEvaluator(f, phi, p, 4.0).value(4.0)
+    assert len(_OMEGA_CACHE) == 0
+    # the same generators at p = 1 stay finite
+    for phi in (phi_alpha(1000.0), phi_theta([1e300, -1e300])):
+        assert math.isfinite(omega_phi(f, phi, 4.0))
 
 
 def test_stieltjes_textbook_integral():
