@@ -511,7 +511,6 @@ def inverse_identity_check(
 def pin_convention(
     cases: Sequence[tuple[Spectrum, PsiSystem, int]],
     p: float = 1.0,
-    tol: float = 1e-12,
 ) -> list[tuple[IdentityConvention, float]]:
     """Rank candidate index conventions by worst-case residual over the given
     cases (both identities).  Offsets range over {0, +-1}^2; combinations that

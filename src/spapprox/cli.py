@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report to this path")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=None, help="seed recorded in reports")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("charseq", parents=[common], help="characteristic sequences of a psi system")
@@ -119,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", default="pi")
     sp.add_argument("--v", default="cos")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--ladder", default="integer", choices=("integer",))
     sp.add_argument("--psi", default=None, help="optional psi system for the class form")
 
     sp = sub.add_parser("modulus", parents=[common], help="generalized modulus of smoothness")
@@ -141,6 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", parents=[common], help="run an oracle-backed suite")
     sp.add_argument("suite", choices=("identities", "jackson", "inverse",
                                       "rearrangement", "nterm", "all"))
+    sp.add_argument("--seed", type=int, default=None, help="seed of the suite's random cases")
     return ap
 
 

@@ -103,21 +103,25 @@ def inverse_bound_alpha(
     lhs = omega_phi(f, phi_alpha(alpha), math.pi / lam[n], p) ** p
     tails = _tail_powers(f, lam, p)
     lam_pos = lam[1:]
-    # the classic rhs also serves as the improved variant's reference
-    classic = ap * (2 * math.pi / lam[n]) ** ap * float(
-        np.sum(lam_pos ** (ap - 1) * np.diff(lam) * tails)
-    )
     details = {"variant": variant, "n": n, "alpha": alpha}
-    if variant == "classic":
-        rhs = classic
-    elif variant == "improved":
-        coeff = (math.pi / lam[n]) ** ap
-        rhs = coeff * float(np.sum(np.diff(lam ** ap) * tails))
-        details["ratio_vs_classic"] = rhs / classic if classic > 0 else math.nan
-    else:
-        K = ladder.check_gap(n + 1)
-        coeff = K * ap * (math.pi / lam[n]) ** ap
-        rhs = coeff * float(np.sum(lam_pos ** (ap - 1) * tails))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        # the classic rhs also serves as the improved variant's reference
+        classic = ap * (2 * math.pi / lam[n]) ** ap * float(
+            np.sum(lam_pos ** (ap - 1) * np.diff(lam) * tails)
+        )
+        if variant == "classic":
+            rhs = classic
+        elif variant == "improved":
+            coeff = (math.pi / lam[n]) ** ap
+            rhs = coeff * float(np.sum(np.diff(lam ** ap) * tails))
+            ratio = rhs / classic if classic > 0 else math.nan
+            details["ratio_vs_classic"] = ratio if math.isfinite(classic) else None  # overflow
+        else:
+            K = ladder.check_gap(n + 1)
+            coeff = K * ap * (math.pi / lam[n]) ** ap
+            rhs = coeff * float(np.sum(lam_pos ** (ap - 1) * tails))
+    if not math.isfinite(rhs):
+        raise InputDomainError(f"the {variant} bound is not a finite double (alpha p={ap:g})")
     return InverseResult(lhs, rhs, _holds(lhs, rhs), details)
 
 

@@ -63,6 +63,14 @@ class JacksonSetup:
             raise InputDomainError("tau must be positive")
         if abs(self.v.tau - self.tau) > 1e-12 * max(1.0, self.tau):
             raise InputDomainError("weight must be defined on [0, tau]")
+        # sup^p bounds every integrand of the scan (and 2^(alpha p) every
+        # binomial of a moment sum)
+        try:
+            finite = self.phi.sup is None or math.isfinite(self.phi.sup ** self.p)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InputDomainError(f"phi^p is not a finite double (p={self.p:g})")
 
 
 @dataclass
@@ -221,24 +229,20 @@ def _scaled_phi_integrals(
 ) -> list[float]:
     """integral_0^tau phi(r t)^p dv(t) for every ratio r, through the cache.
 
-    Cached ratios are looked up; the rest are computed in chunks, one
-    batched pass per chunk, on one of three routes: even sine powers against
-    weights with closed-form cosine moments as moment sums (one chunk of
-    ratios x (s + 1) moments), fractional sine powers against densities by
-    Gauss-Jacobi rules, everything else by ``weight_integrals`` (exact atom
-    sums for atomic weights).  Only its adaptive rule reads ``quad_tol``, and
-    a request's key carries ``quad_tol`` only on that rule.  A moment sum
-    too ill-conditioned to keep its digits (small r tau) sends its ratio to
-    the adaptive rule, under that rule's key."""
+    Cached ratios are looked up, keyed by (phi, p, v, tau, quad_tol, ratio);
+    the rest are computed in chunks, one batched pass per chunk, on one of
+    three routes: even sine powers against weights with closed-form cosine
+    moments as moment sums (one chunk of ratios x (s + 1) moments),
+    fractional sine powers against densities by Gauss-Jacobi rules,
+    everything else by ``weight_integrals`` (exact atom sums for atomic
+    weights).  Only the adaptive rule reads ``quad_tol``.  A moment sum too
+    ill-conditioned to keep its digits (small r tau) sends its ratio to the
+    adaptive rule."""
     s = _even_power(phi, p)
     trig = s is not None and v.cos_moments is not None
     jacobi = phi.kind == "alpha" and s is None and v.kind == "density"
-    request = (_phi_identity(phi), p, _weight_identity(v), tau,
-               None if jacobi or v.kind == "atomic" else quad_tol)
-    exact = request[:-1] + (None,)
-    out = [_I_CACHE.get((exact if trig else request, r)) for r in ratios]
-    if trig:
-        out = [_I_CACHE.get((request, r)) if val is None else val for r, val in zip(ratios, out)]
+    request = (_phi_identity(phi), p, _weight_identity(v), tau, quad_tol)
+    out = [_I_CACHE.get((request, r)) for r in ratios]
     todo = list(dict.fromkeys(r for r, val in zip(ratios, out) if val is None))
 
     found = {}
@@ -246,7 +250,7 @@ def _scaled_phi_integrals(
         for r, val in zip(todo, _even_scan_integrals(s, v, tau, np.asarray(todo, dtype=np.float64))):
             if val is not None:
                 found[r] = val
-                _I_CACHE.put((exact, r), val)
+                _I_CACHE.put((request, r), val)
         todo = [r for r in todo if r not in found]
     chunk = _JACOBI_CHUNK if jacobi else _SMOOTH_CHUNK
     for start in range(0, len(todo), chunk):
@@ -269,9 +273,8 @@ def scaled_phi_integral(
     phi: PhiFunction, p: float, v: WeightMeasure, tau: float, ratio: float,
     quad_tol: float = 1e-11,
 ) -> float:
-    """integral_0^tau phi(ratio * t)^p dv(t), cached per (phi, p, v, ratio),
-    and per ``quad_tol`` on the adaptive route; a batch of one of
-    ``_scaled_phi_integrals``."""
+    """integral_0^tau phi(ratio * t)^p dv(t); a batch of one of
+    ``_scaled_phi_integrals``, and cached as it is."""
     return _scaled_phi_integrals(phi, p, v, tau, [ratio], quad_tol)[0]
 
 

@@ -4,7 +4,7 @@ The generalized modulus of a finite spectrum f is
 
     omega_phi(f, delta)_p = sup_{|h| <= delta} ( sum_k phi(lam_k h)^p |A_k|^p )^{1/p}
 
-for an even bounded generator phi with phi(0) = 0.  Builtin generators:
+for a bounded generator phi with phi(0) = 0.  Builtin generators:
 
 * ``phi_alpha(a)``   -- 2^a |sin(t/2)|^a, the order-a modulus generator;
 * ``phi_theta(...)`` -- |sum_j theta_j e^{-ijt}|, matching a generalized
@@ -14,9 +14,10 @@ for an even bounded generator phi with phi(0) = 0.  Builtin generators:
 * ``phi_steklov(m)`` -- (1 - sinc t)^m, matching the m-fold defect of the
   centered sliding mean.
 
-The averaged modulus integrates omega_phi^p against a nondecreasing weight
-(Riemann-Stieltjes), normalized by the weight's total mass; it never exceeds
-omega_phi at the right endpoint.
+``omega_phi`` and ``OmegaEvaluator`` read one scan of the shift objective
+(``_sampled_objective``).  The averaged modulus integrates omega_phi^p
+against a nondecreasing weight (Riemann-Stieltjes), normalized by the
+weight's total mass; it never exceeds omega_phi at the right endpoint.
 
 ``omega_phi`` keeps the final values of its last 2^10 distinct sampled requests,
 keyed by (f, ``_phi_identity(phi)``, delta, p, n_grid), so a repeated
@@ -45,7 +46,8 @@ _SINC_MIN = math.cos(_SINC_MIN_ARG)
 
 
 class PhiFunction:
-    """Even nonnegative bounded generator with phi(0) = 0.
+    """Nonnegative bounded generator with phi(0) = 0; ``is_even`` records
+    whether phi(-t) = phi(t).
 
     ``evaluator(t, e)`` returns phi(t)**e elementwise; it is the only place
     phi is evaluated (``__call__`` is e = 1, ``pow_p`` is e = p).
@@ -357,21 +359,6 @@ _BUDGET = 2 ** 16
 _ROUNDING = 1024.0 * np.finfo(np.float64).eps
 
 
-def _panel_bounds(a: np.ndarray, b: np.ndarray, panels: np.ndarray):
-    """Left and right ends of every panel of a batch of intervals, interval
-    i split into panels_i equal panels.  The ends are the edges of
-    np.linspace(a_i, b_i, panels_i + 1), bit for bit: index times
-    (b_i - a_i) / panels_i, plus a_i, with the last edge set to b_i."""
-    stops = np.cumsum(panels)
-    pos = np.arange(stops[-1], dtype=np.float64) - np.repeat(stops - panels, panels)
-    step = np.repeat((b - a) / panels, panels)
-    start = np.repeat(a, panels)
-    lo = pos * step + start
-    hi = (pos + 1.0) * step + start
-    hi[stops - 1] = b
-    return lo, hi
-
-
 def _gl_sums(g: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """12-point Gauss-Legendre sums over the panels [lo_j, hi_j].
 
@@ -404,12 +391,14 @@ def _adaptive_block(
     in position order, so a batch returns exactly the values of its batches
     of one.  Bisection ends at the latest where a panel's midpoint rounds to
     one of its ends: a half is then the panel itself, whose error is 0.
-    Raises ``BudgetError`` when an integral would hold more than ``budget``
-    panels.  Returns (values, error estimates)."""
+    Raises ``InputDomainError`` at the first panel value that is not a
+    finite double and ``BudgetError`` when an integral would hold more than
+    ``budget`` panels.  Returns (values, error estimates)."""
     panels = np.maximum(2, np.atleast_1d(np.asarray(panels0, dtype=np.int64)))
     count = panels.shape[0]
     a, b, tol = (np.broadcast_to(np.asarray(x, dtype=np.float64), (count,)) for x in (a, b, tol))
-    lo, hi = _panel_bounds(a, b, panels)
+    edges = [np.linspace(x, y, k + 1) for x, y, k in zip(a, b, panels)]
+    lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
     owner = np.repeat(np.arange(count), panels)
     cuts = np.asarray(cuts, dtype=np.float64)
     if cuts.size:
@@ -429,15 +418,18 @@ def _adaptive_block(
     whole = None
     while True:
         mid = 0.5 * (lo + hi)
-        if whole is None:
-            whole, left, right = _gl_sums(
-                g, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)), np.tile(owner, 3),
-            ).reshape(3, -1)
-        else:
-            left, right = _gl_sums(
-                g, np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.tile(owner, 2),
-            ).reshape(2, -1)
-        val = left + right
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            if whole is None:
+                whole, left, right = _gl_sums(
+                    g, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)), np.tile(owner, 3),
+                ).reshape(3, -1)
+            else:
+                left, right = _gl_sums(
+                    g, np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.tile(owner, 2),
+                ).reshape(2, -1)
+            val = left + right
+        if not np.isfinite(val).all():
+            raise InputDomainError("the integrand is not a finite double on a quadrature panel")
         err = np.abs(val - whole)
         ok = (err <= rate[owner] * (hi - lo)) | (err <= _ROUNDING * (np.abs(left) + np.abs(right)))
         accepted.append((owner[ok], lo[ok], val[ok], err[ok]))
@@ -581,21 +573,23 @@ def _refine_maxima(
     return best_h, best_v
 
 
-# sampled local maxima that ``omega_phi`` refines, besides both grid ends
-_OMEGA_BRACKETS = 8
-
 # the inverse bounds of one (f, alpha, p, n) ask for the same modulus
 _OMEGA_CACHE = _FifoCache(2 ** 10)
+_N_GRID = 2048  # least cells of a scan grid (``omega_phi`` may ask for more)
 
 
 def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, n_grid: int):
-    """The shift objective of f sampled on a uniform grid over [0, delta]
-    (over [-delta, delta] for non-even phi), endpoints included, at least
-    ``n_grid`` cells and 16 points per oscillation of the fastest frequency.
+    """The one scan of the shift objective S(h) = sum_k phi(lam_k h)^p |A_k|^p
+    over [0, delta], folded to max(S(h), S(-h)) (one ``_objective_grid``
+    call on both signs) when phi is not even.  The grid is uniform,
+    endpoints included, with at least ``n_grid`` cells and 16 points per
+    oscillation of the fastest frequency.  Every sampled peak, each interior
+    local maximum and both grid ends, is refined within its clipped
+    neighbours by one ``_refine_maxima`` call.
 
-    Returns (objective, lam_max, grid, samples, indices of the interior
-    sampled local maxima), or None when the modulus vanishes identically
-    (no terms, delta <= 0, or only the zero frequency)."""
+    Returns (objective, grid, samples, peak shifts, peak values), or None
+    when the modulus vanishes identically (no terms, delta <= 0, or only
+    the zero frequency)."""
     if len(f) == 0 or delta <= 0:
         return None
     lams = f.scalar_frequencies()
@@ -605,22 +599,22 @@ def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, n_
     amps_p = f.abs_coefficients() ** p
 
     def objective(hs):
+        signed = hs if phi.is_even else np.concatenate((hs, -hs))
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            out = _objective_grid(lams, amps_p, phi, p, hs)
+            out = _objective_grid(lams, amps_p, phi, p, signed)
         if not np.isfinite(out).all():
             raise InputDomainError(f"phi^p-weighted sum is not a finite double (p={p:g})")
-        return out
+        return out if phi.is_even else np.maximum(out[:hs.shape[0]], out[hs.shape[0]:])
 
     n = max(n_grid, int(math.ceil(16 * (lam_max * delta / (2.0 * math.pi)))))
-    if phi.is_even:
-        hs = np.linspace(0.0, delta, n + 1)
-    else:
-        hs = np.linspace(-delta, delta, 2 * n + 1)
+    hs = np.linspace(0.0, delta, n + 1)
     obj = objective(hs)
-    interior = np.where(
-        (obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:])
-    )[0] + 1
-    return objective, lam_max, hs, obj, interior
+    interior = np.flatnonzero((obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:])) + 1
+    peaks = np.concatenate(([0], interior, [n]))
+    peak_h, peak_v = _refine_maxima(
+        objective, hs[np.maximum(peaks - 1, 0)], hs[np.minimum(peaks + 1, n)], lam_max
+    )
+    return objective, hs, obj, peak_h, peak_v
 
 
 def _pth_root(power: float, p: float) -> float:
@@ -636,17 +630,13 @@ def omega_phi(
     phi: PhiFunction,
     delta: float,
     p: float = 1.0,
-    n_grid: int = 2048,
+    n_grid: int = _N_GRID,
 ) -> float:
-    """Generalized modulus of smoothness at step delta.
-
-    The sup over shifts is taken on the grid of ``_sampled_objective``.
-    The two-cell brackets around the 8 strongest sampled local maxima and
-    around both grid ends are then refined together by repeated resampling
-    (see ``_refine_maxima``) until each spans at most 1e-8 rad of the
-    fastest frequency's phase, which at a smooth maximum pins the value to
-    double precision.  Evenness of phi halves the scan range; non-even
-    generators are scanned symmetrically.  A repeated request returns the
+    """Generalized modulus of smoothness at step delta: the largest sample
+    or refined peak of the scan of ``_sampled_objective`` (each peak is
+    refined by repeated resampling until its bracket spans at most 1e-8 rad
+    of the fastest frequency's phase, which at a smooth maximum pins the
+    value to double precision), to the 1/p.  A repeated request returns the
     stored value (see the module docstring).
     """
     if delta < 0:
@@ -660,13 +650,8 @@ def omega_phi(
     scan = _sampled_objective(f, phi, p, delta, n_grid)
     if scan is None:
         return 0.0
-    objective, lam_max, hs, obj, interior = scan
-    strongest = interior[np.argsort(obj[interior])][::-1][:_OMEGA_BRACKETS]
-    idx = np.union1d(strongest, [0, hs.shape[0] - 1])
-    lo = hs[np.maximum(idx - 1, 0)]
-    hi = hs[np.minimum(idx + 1, hs.shape[0] - 1)]
-    _, refined = _refine_maxima(objective, lo, hi, lam_max)
-    value = _pth_root(max(float(np.max(obj)), float(np.max(refined))), p)
+    _, _, samples, _, peak_v = scan
+    value = _pth_root(max(float(np.max(samples)), float(np.max(peak_v))), p)
     _OMEGA_CACHE.put(key, value)
     return value
 
@@ -674,31 +659,25 @@ def omega_phi(
 class OmegaEvaluator:
     """Reusable evaluator of delta -> omega_phi(f, phi, delta, p)^p.
 
-    The grid of ``_sampled_objective`` over [0, delta_max] is sampled once,
-    and every interior sampled local maximum is refined up front, all
-    brackets in one batched resampling pass with the stopping rule of
-    ``omega_phi``.  A query then combines the running grid maximum, the
-    refined peaks at or below delta, and the exact objective value at delta
-    itself.  Queries cost O(1) spectrum evaluations, which makes weighted
-    integrals of the modulus (``averaged_omega``) cheap.  Even generators
-    only."""
+    The scan of ``_sampled_objective`` over [0, delta_max] runs once; the
+    evaluator keeps the running maxima of its samples and of its refined
+    peaks in shift order.  A query then combines the samples and the peaks
+    at or below delta with the exact (folded) objective value at delta
+    itself, so at delta_max it reads what ``omega_phi`` reads.  Queries cost
+    O(1) spectrum evaluations, which makes weighted integrals of the modulus
+    (``averaged_omega``) cheap."""
 
-    def __init__(self, f: Spectrum, phi: PhiFunction, p: float, delta_max: float, n_grid: int = 2048):
+    def __init__(self, f: Spectrum, phi: PhiFunction, p: float, delta_max: float):
         if not 0 < p < math.inf:
             raise InputDomainError("p must be positive and finite")
         self.p = p
         self.delta_max = float(delta_max)
-        scan = _sampled_objective(f, phi, p, self.delta_max, n_grid)
+        scan = _sampled_objective(f, phi, p, self.delta_max, _N_GRID)
         self.trivial = scan is None
         if self.trivial:
             return
-        if not phi.is_even:
-            raise InputDomainError("the shared evaluator supports even generators only")
-        self._objective, lam_max, self.hs, obj, interior = scan
-        self.runmax = np.maximum.accumulate(obj)
-        peak_h, peak_v = _refine_maxima(
-            self._objective, self.hs[interior - 1], self.hs[interior + 1], lam_max
-        )
+        self._objective, self.hs, samples, peak_h, peak_v = scan
+        self.runmax = np.maximum.accumulate(samples)
         order = np.argsort(peak_h, kind="stable")
         self.peak_h = peak_h[order]
         self.peak_runmax = np.maximum.accumulate(peak_v[order])
@@ -714,10 +693,9 @@ class OmegaEvaluator:
         idx = np.searchsorted(self.hs, deltas, side="right") - 1
         valid = idx >= 0
         best[valid] = np.maximum(best[valid], self.runmax[idx[valid]])
-        if self.peak_h.size:
-            jdx = np.searchsorted(self.peak_h, deltas, side="right") - 1
-            pv = jdx >= 0
-            best[pv] = np.maximum(best[pv], self.peak_runmax[jdx[pv]])
+        jdx = np.searchsorted(self.peak_h, deltas, side="right") - 1
+        pv = jdx >= 0
+        best[pv] = np.maximum(best[pv], self.peak_runmax[jdx[pv]])
         best[deltas <= 0.0] = 0.0
         return best
 

@@ -689,10 +689,9 @@ class ExplicitTablePsi(PsiSystem):
     def stream(self) -> Iterator[tuple[float, tuple]]:
         return _replay(self)
 
-    def _rearranged(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        # the whole table, ties in index order rather than position order
-        keys = sorted(self.entries, key=lambda k: (-self.entries[k], k))
-        return np.array([self.entries[k] for k in keys]), np.array(keys, dtype=np.int64)
+    def _block(self, count: int) -> tuple[np.ndarray, np.ndarray, bool]:
+        keys = np.array(list(self.entries), dtype=np.int64).reshape(-1, self.d)
+        return np.array(list(self.entries.values())), keys, True
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
         return math.fsum(v ** e for v in self.entries.values()), 0.0
@@ -703,9 +702,6 @@ class ExplicitTablePsi(PsiSystem):
         return max(
             (v for k, v in self.entries.items() if abs(k[0]) >= n), default=0.0
         )
-
-    def support(self) -> frozenset:
-        return frozenset(self.entries)
 
 
 class ExplicitSeqPsi(PsiSystem):

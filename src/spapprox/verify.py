@@ -71,7 +71,7 @@ def suite_identities(seed: int = DEFAULT_SEED, cases: int = 200, tol: float = 1e
         ran += 1
         if len(pin_cases) < 9 and len(f) >= 2:
             pin_cases.append((f, psi, max(2, n)))
-    ranked = pin_convention(pin_cases, p=1.5, tol=tol)
+    ranked = pin_convention(pin_cases, p=1.5)
     best_conv, best_resid = ranked[0]
     checks = [
         _check("series-identities-exact", worst < tol, worst_residual=worst, cases=ran),

@@ -170,6 +170,39 @@ def test_cli_overflowing_generator_is_a_usage_error(tmp_path, capsys, finite, ov
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    # sup^p = 2^1200: past the double range, as are the binomials of its moment sum
+    ["jackson", "--phi", "alpha:600", "--p", "2", "--n", "2"],
+    # sup^p = 4e600, which the adaptive rule would meet as inf - inf
+    ["jackson", "--phi", "theta:[1e300,-1e300]", "--p", "2", "--n", "2"],
+    # (2 pi / 2)^511.5 2^510.5 overflows in the classic bound
+    ["inverse-check", "--alpha", "1023", "--p", "0.5", "--n", "2", "--variant", "classic"],
+])
+def test_cli_overflowing_bound_is_a_usage_error(tmp_path, capsys, args):
+    path = tmp_path / "f.json"
+    save_spectrum(Spectrum.real({1.0: 1.0, 3.0: 1.0}), str(path))
+    if args[0] == "inverse-check":
+        args = args + ["--input", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach the user's stderr too
+        assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_improved_bound_has_no_ratio_to_an_overflowing_classic(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    save_spectrum(Spectrum.real({1.0: 1.0, 3.0: 1.0}), str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["inverse-check", "--input", str(path), "--alpha", "1023", "--p", "0.5",
+                    "--n", "2"]) == 0
+    report = _strict_json(capsys.readouterr().out)["reports"][0]
+    assert math.isfinite(report["value"])
+    assert report["certificate"]["ratio_vs_classic"] is None
+
+
 def test_cli_deterministic_outputs(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["class", "--quantity", "width", "--psi", "explicit:geom(0.5)",
