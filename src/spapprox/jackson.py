@@ -28,8 +28,6 @@ from .ladder import FrequencyLadder
 from .moduli import (
     PhiFunction,
     WeightMeasure,
-    _FifoCache,
-    _phi_identity,
     averaged_omega,
     weight_integrals,
     weight_linear,
@@ -78,21 +76,6 @@ class JacksonI:
     value: float
     k_star: int
     certificate: dict
-
-
-# Scaled integrals keyed by (request, ratio): a scan stores up to
-# k_factor * n + 1 entries under one request.
-_I_CACHE = _FifoCache(2 ** 15)
-
-
-def _weight_identity(v: WeightMeasure):
-    """Density weights by their density function (all the scaled integral
-    reads), piecewise-linear and atomic weights by their data."""
-    if v.kind == "density":
-        return ("density", v.vprime, v.tau)
-    if v.kind == "pwl":
-        return ("pwl", tuple(v.knots_t.tolist()), tuple(v.knots_v.tolist()))
-    return ("atomic", tuple(v.points.tolist()), tuple(v.jumps.tolist()), v.tau)
 
 
 @functools.lru_cache(maxsize=256)
@@ -221,37 +204,47 @@ _SMOOTH_CHUNK = 8
 # sum: its rounding error stays below about 1e-14 relative, 20x under the
 # adaptive rule's rounding floor
 _MOMENT_COND = 64
+# ratios one request's store may hold before a scan empties it
+_STORE_RATIOS = 2 ** 12
+
+
+@functools.lru_cache(maxsize=8)
+def _integral_store(phi: PhiFunction, p: float, v: WeightMeasure, tau: float, quad_tol: float) -> dict:
+    """{ratio: integral_0^tau phi(ratio t)^p dv(t)} of one request, which
+    the n-sweeps of one generator share; ``_scaled_phi_integrals`` fills it."""
+    return {}
 
 
 def _scaled_phi_integrals(
     phi: PhiFunction, p: float, v: WeightMeasure, tau: float, ratios,
     quad_tol: float = 1e-11,
 ) -> list[float]:
-    """integral_0^tau phi(r t)^p dv(t) for every ratio r, through the cache.
+    """integral_0^tau phi(r t)^p dv(t) for every finite ratio r >= 0.
 
-    Cached ratios are looked up, keyed by (phi, p, v, tau, quad_tol, ratio);
-    the rest are computed in chunks, one batched pass per chunk, on one of
-    three routes: even sine powers against weights with closed-form cosine
-    moments as moment sums (one chunk of ratios x (s + 1) moments),
-    fractional sine powers against densities by Gauss-Jacobi rules,
-    everything else by ``weight_integrals`` (exact atom sums for atomic
-    weights).  Only the adaptive rule reads ``quad_tol``.  A moment sum too
-    ill-conditioned to keep its digits (small r tau) sends its ratio to the
-    adaptive rule."""
+    The ratios missing from the request's ``_integral_store`` are computed
+    in chunks, one batched pass per chunk, on one of three routes: even sine
+    powers against weights with closed-form cosine moments as moment sums
+    (one chunk of ratios x (s + 1) moments), fractional sine powers against
+    densities by Gauss-Jacobi rules, everything else by ``weight_integrals``
+    (exact atom sums for atomic weights).  Only the adaptive rule reads
+    ``quad_tol``.  A moment sum too ill-conditioned to keep its digits
+    (small r tau) sends its ratio to the adaptive rule."""
+    ratios = np.asarray(ratios, dtype=np.float64)
+    if not (np.isfinite(ratios) & (ratios >= 0)).all():
+        raise InputDomainError("scan ratios must be finite and >= 0")
+    ratios = ratios.tolist()
     s = _even_power(phi, p)
     trig = s is not None and v.cos_moments is not None
     jacobi = phi.kind == "alpha" and s is None and v.kind == "density"
-    request = (_phi_identity(phi), p, _weight_identity(v), tau, quad_tol)
-    out = [_I_CACHE.get((request, r)) for r in ratios]
-    todo = list(dict.fromkeys(r for r, val in zip(ratios, out) if val is None))
+    known = _integral_store(phi, p, v, tau, quad_tol)
+    if len(known) > _STORE_RATIOS:
+        known.clear()
+    todo = list(dict.fromkeys(r for r in ratios if r not in known))
 
-    found = {}
     if trig and todo:
-        for r, val in zip(todo, _even_scan_integrals(s, v, tau, np.asarray(todo, dtype=np.float64))):
-            if val is not None:
-                found[r] = val
-                _I_CACHE.put((request, r), val)
-        todo = [r for r in todo if r not in found]
+        sums = _even_scan_integrals(s, v, tau, np.asarray(todo, dtype=np.float64))
+        known.update((r, val) for r, val in zip(todo, sums) if val is not None)
+        todo = [r for r in todo if r not in known]
     chunk = _JACOBI_CHUNK if jacobi else _SMOOTH_CHUNK
     for start in range(0, len(todo), chunk):
         batch = todo[start:start + chunk]
@@ -263,10 +256,8 @@ def _scaled_phi_integrals(
                 lambda t, rows: phi.pow_p(rs[rows] * t, p), v, 0.0, tau, quad_tol,
                 np.maximum(1.0, rs * tau / math.pi),
             )[0]
-        for r, val in zip(batch, vals):
-            found[r] = float(val)
-            _I_CACHE.put((request, r), found[r])
-    return [found[r] if val is None else val for r, val in zip(ratios, out)]
+        known.update(zip(batch, vals.tolist()))
+    return [known[r] for r in ratios]
 
 
 def scaled_phi_integral(
@@ -301,7 +292,7 @@ def jackson_I(
     k_factor: int = _SCAN_FACTOR,
     quad_tol: float = 1e-11,
 ) -> JacksonI:
-    """Scan k in [n, k_factor*n] for the minimal scaled integral.
+    """Scan k in [n, k_factor*n] (k_factor >= 1) for the minimal scaled integral.
 
     The integrals of the whole scan come from one ``_scaled_phi_integrals``
     call (one batched pass per chunk of ratios); the scan then walks them in
@@ -312,13 +303,15 @@ def jackson_I(
     scan range are heuristically dominated ("tail-dominated").  The policy is always
     recorded, never silent.
     """
+    if k_factor < 1:
+        raise InputDomainError(f"k_factor must be >= 1, got {k_factor}")
     n = setup.n
     lam_n = setup.ladder.value(n)
     k_max = k_factor * n
     ks = range(n, k_max + 1)
     vals = _scaled_phi_integrals(
         setup.phi, setup.p, setup.v, setup.tau,
-        [setup.ladder.value(k) / lam_n for k in ks], quad_tol,
+        setup.ladder.values(k_max)[n:] / lam_n, quad_tol,
     )
     best_val = math.inf
     best_k = n

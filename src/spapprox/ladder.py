@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -10,7 +11,8 @@ from .errors import InputDomainError, PreconditionError
 
 
 class FrequencyLadder:
-    """lam_1 < lam_2 < ... > 0 with lam_0 = 0, given by a rule or an array.
+    """lam_1 < lam_2 < ... > 0 with lam_0 = 0, given by a rule or an array
+    (whose ladder ends at its last value: a later index is an input error).
 
     ``gap_bound`` is an optional claimed uniform bound on lam_{k+1} - lam_k;
     it is validated on every scanned range before gap-dependent formulas use
@@ -19,17 +21,15 @@ class FrequencyLadder:
     def __init__(self, rule: Callable[[int], float] | Sequence[float], gap_bound: float | None = None, label: str = "custom"):
         if callable(rule):
             self._fn = rule
+            self._len = math.inf
         else:
             arr = [float(x) for x in rule]
             self._fn = lambda k: arr[k - 1]
             self._len = len(arr)
         self.gap_bound = gap_bound
         self.label = label
-        for k in (1, 2, 3):
-            try:
-                a, b = self.value(k), self.value(k + 1)
-            except IndexError:
-                break
+        for k in range(1, min(4, self._len)):
+            a, b = self.value(k), self.value(k + 1)
             if not (a > 0 and b > a):
                 raise InputDomainError("ladder must be strictly increasing and positive")
 
@@ -40,6 +40,8 @@ class FrequencyLadder:
     def value(self, k: int) -> float:
         if k < 0:
             raise InputDomainError("ladder index must be >= 0")
+        if k > self._len:
+            raise InputDomainError(f"ladder index {k} is past the end of a ladder of {self._len} values")
         return 0.0 if k == 0 else float(self._fn(k))
 
     def values(self, n: int) -> np.ndarray:

@@ -19,17 +19,16 @@ for a bounded generator phi with phi(0) = 0.  Builtin generators:
 against a nondecreasing weight (Riemann-Stieltjes), normalized by the
 weight's total mass; it never exceeds omega_phi at the right endpoint.
 
-``omega_phi`` keeps the final values of its last 2^10 distinct sampled requests,
-keyed by (f, ``_phi_identity(phi)``, delta, p, n_grid), so a repeated
-request returns bit for bit the value first computed; invalid arguments
-raise before the lookup, and a non-finite objective raises InputDomainError.
+``omega_phi`` keeps the values of its 2^10 most recently used requests
+(f, phi, delta, p, n_grid) in ``_omega``, so a repeated request returns bit
+for bit the value first computed; invalid arguments raise before the
+lookup, and a non-finite objective raises InputDomainError (never stored).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,6 +73,10 @@ class PhiFunction:
         self.sup = sup
         self.monotone_to = monotone_to
         self.label = label or kind
+        # builtin generators are equal when their parameters are, a custom
+        # one only to itself (a label says nothing about the function, and a
+        # cache entry keeps the object alive, so its id is not reused meanwhile)
+        self._key = id(self) if kind == "custom" else (kind, self.param, self.theta)
         self.is_even = True
         self._validate()
 
@@ -100,6 +103,12 @@ class PhiFunction:
             raise InputDomainError(
                 f"phi={self.label} is not declared nondecreasing up to tau={tau:g}"
             )
+
+    def __eq__(self, other):
+        return isinstance(other, PhiFunction) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def __repr__(self):
         return f"PhiFunction({self.label})"
@@ -179,36 +188,14 @@ def phi_custom(
     return PhiFunction("custom", ev, sup=sup, monotone_to=monotone_to, label=label)
 
 
-def _phi_identity(phi: PhiFunction):
-    """Builtin generators by their parameters; custom ones by the object
-    itself (a label says nothing about the function, and keeping the object
-    in the key means its address is never reused while the entry lives)."""
-    if phi.kind == "custom":
-        return phi
-    return (phi.kind, phi.param, phi.theta)
-
-
-class _FifoCache(OrderedDict):
-    """Dict holding at most ``cap`` entries; a store beyond that evicts the
-    oldest one first (``popitem`` takes constant time, where deleting a
-    plain dict's first key walks past the slots of earlier deletions)."""
-
-    def __init__(self, cap: int):
-        super().__init__()
-        self.cap = cap
-
-    def put(self, key, value):
-        if key not in self and len(self) >= self.cap:
-            self.popitem(last=False)
-        self[key] = value
-
-
 # ---------------------------------------------------------------------------
 # weights
 
 
 class WeightMeasure:
-    """Bounded nondecreasing non-constant weight on [0, tau].
+    """Bounded nondecreasing non-constant weight on [0, tau].  Weights with
+    one tau are equal when an integral reads the same from them: one density
+    function, the same knots, or the same atoms and jumps.
 
     ``cos_moments(a, b)``: integral_0^b cos(a t) dv(t) elementwise over the
     array a in closed form (the builtin densities, piecewise-linear
@@ -227,6 +214,7 @@ class WeightMeasure:
             dens = np.asarray(self.vprime(np.linspace(0, tau, 257)), dtype=np.float64)
             if np.any(dens < -1e-12):
                 raise InputDomainError("weight density must be nonnegative")
+            self._key = (kind, self.tau, self.vprime)
         elif kind == "pwl":
             ts = np.asarray(data["knots_t"], dtype=np.float64)
             vs = np.asarray(data["knots_v"], dtype=np.float64)
@@ -237,6 +225,7 @@ class WeightMeasure:
             if np.any(np.diff(ts) <= 0) or np.any(np.diff(vs) < 0):
                 raise InputDomainError("weight knots must be increasing in t, nondecreasing in v")
             self.knots_t, self.knots_v = ts, vs
+            self._key = (kind, self.tau, tuple(ts.tolist()), tuple(vs.tolist()))
             slopes = np.diff(vs) / np.diff(ts)
             # the piecewise-constant density of the slopes
             self.vprime = lambda t: slopes[
@@ -260,6 +249,7 @@ class WeightMeasure:
                 raise InputDomainError("atoms must lie in [0, tau]")
             order = np.argsort(pts)
             self.points, self.jumps = pts[order], jmp[order]
+            self._key = (kind, self.tau, tuple(self.points.tolist()), tuple(self.jumps.tolist()))
             self.cos_moments = None
         else:
             raise InputDomainError(f"unknown weight kind {kind!r}")
@@ -284,12 +274,18 @@ class WeightMeasure:
     def _pwl_value(self, t: float) -> float:
         return float(np.interp(t, self.knots_t, self.knots_v))
 
+    def __eq__(self, other):
+        return isinstance(other, WeightMeasure) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
     def __repr__(self):
         return f"WeightMeasure({self.label}, tau={self.tau:g})"
 
 
 # The builtin densities are module-level functions, so every weight built
-# from them shares one density object (integral caches key on it).
+# from them shares one density object (and equal weights share a cache entry).
 def _sine_density(t):
     return np.sin(np.asarray(t, dtype=np.float64))
 
@@ -573,8 +569,6 @@ def _refine_maxima(
     return best_h, best_v
 
 
-# the inverse bounds of one (f, alpha, p, n) ask for the same modulus
-_OMEGA_CACHE = _FifoCache(2 ** 10)
 _N_GRID = 2048  # least cells of a scan grid (``omega_phi`` may ask for more)
 
 
@@ -643,17 +637,17 @@ def omega_phi(
         raise InputDomainError("delta must be >= 0")
     if not 0 < p < math.inf:
         raise InputDomainError("p must be positive and finite")
-    key = (f, _phi_identity(phi), float(delta), float(p), int(n_grid))
-    value = _OMEGA_CACHE.get(key)
-    if value is not None:
-        return value
+    return _omega(f, phi, float(delta), float(p), int(n_grid))
+
+
+# the inverse bounds of one (f, alpha, p, n) ask for the same modulus
+@functools.lru_cache(maxsize=2 ** 10)
+def _omega(f: Spectrum, phi: PhiFunction, delta: float, p: float, n_grid: int) -> float:
     scan = _sampled_objective(f, phi, p, delta, n_grid)
     if scan is None:
         return 0.0
     _, _, samples, _, peak_v = scan
-    value = _pth_root(max(float(np.max(samples)), float(np.max(peak_v))), p)
-    _OMEGA_CACHE.put(key, value)
-    return value
+    return _pth_root(max(float(np.max(samples)), float(np.max(peak_v))), p)
 
 
 class OmegaEvaluator:

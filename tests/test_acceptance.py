@@ -35,7 +35,7 @@ from spapprox import (
     weight_linear,
 )
 from spapprox.classes import build_charseq
-from spapprox.jackson import _I_CACHE, jackson_I
+from spapprox.jackson import _integral_store, jackson_I
 from spapprox.moduli import averaged_omega
 from spapprox.oracle import oracle_charseq, oracle_modulus, oracle_quadrature
 from spapprox.psi import AxisPow, ProductPsi
@@ -60,7 +60,7 @@ def _line(cid: str, ok: bool, detail: str = ""):
 def test_criterion_01_jackson_closed_form_scan():
     """Scanned integral equals 2^{s+1}/(s+1) at k = n for s = 1..5, n = 1..8
     (tolerance 1e-8, runtime < 5 s, cold cache)."""
-    _I_CACHE.clear()
+    _integral_store.cache_clear()
     t0 = time.perf_counter()
     failures = []
     for s in range(1, 6):

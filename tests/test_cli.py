@@ -232,6 +232,22 @@ def test_cli_config_rejects_unknown_keys(tmp_path):
                 "--count", "1"]) == 0
 
 
+def test_cli_jackson_rejects_a_scan_factor_below_one(tmp_path, capsys):
+    args = ["jackson", "--phi", "alpha:1", "--p", "2", "--n", "2"]
+    one = tmp_path / "one"
+    one.write_text("k_factor = 1\n")
+    assert run(["--config", str(one)] + args) == 0
+    report = _strict_json(capsys.readouterr().out)["reports"][0]
+    assert report["certificate"]["k_range"] == [2, 2]
+    assert report["certificate"]["I"] == pytest.approx(4.0, abs=1e-9)
+    zero = tmp_path / "zero"
+    zero.write_text("k_factor = 0\n")
+    assert run(["--config", str(zero)] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "nosuchsuite"])

@@ -172,7 +172,7 @@ def test_inverse_variants_sample_one_modulus(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(moduli, "_sampled_objective", counting)
-    moduli._OMEGA_CACHE.clear()
+    moduli._omega.cache_clear()
     f = Spectrum.real({0.0: 0.5, 1.0: 1.0, -2.0: 0.4j, 3.0: 0.25, -5.0: 0.1})
     alpha, p, n = 1.3, 1.7, 4
     results = [inverse_bound_general(f, phi_alpha(alpha), LAD, n, math.pi, p)]

@@ -18,6 +18,7 @@ from spapprox import (
     Spectrum,
     WeightMeasure,
     chernykh_constants,
+    inverse_bound_alpha,
     jackson_I,
     jackson_bound,
     jackson_constant,
@@ -36,8 +37,7 @@ from spapprox import (
 )
 from spapprox import jackson
 from spapprox.jackson import (
-    _I_CACHE,
-    _FifoCache,
+    _integral_store,
     _jacobi_rule,
     _period_kernel,
     _phi_period_mean,
@@ -496,10 +496,10 @@ def test_batched_integrals_independent_of_chunking_and_order(generator, weight, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jackson, "_JACOBI_CHUNK", chunk)
         mp.setattr(jackson, "_SMOOTH_CHUNK", chunk)
-        _I_CACHE.clear()
+        _integral_store.cache_clear()
         batch = _scaled_phi_integrals(phi, p, v, v.tau, shuffled)
     for r, val in zip(shuffled, batch):
-        _I_CACHE.clear()
+        _integral_store.cache_clear()
         assert val == pytest.approx(scaled_phi_integral(phi, p, v, v.tau, r), rel=1e-14, abs=0)
 
 
@@ -514,7 +514,7 @@ def test_atomic_scan_is_the_plain_sum_over_atoms():
                          for t, J in zip(points, jumps))
 
     ratios = [1.0, 1.5, 7.0 / 3.0, 10.0]
-    _I_CACHE.clear()
+    _integral_store.cache_clear()
     got = _scaled_phi_integrals(phi_alpha(alpha), p, v, math.pi, ratios)
     for r, val in zip(ratios, got):
         assert val == pytest.approx(reference(r), rel=1e-15, abs=0)
@@ -539,7 +539,7 @@ _WOBBLE_REFERENCE = {
 def test_scan_on_wobble_ladder_matches_per_k_loop(case):
     alpha, p, weight, n = case
     v = weight_cos() if weight == "cos" else weight_linear(3 * math.pi / 4)
-    _I_CACHE.clear()
+    _integral_store.cache_clear()
     res = jackson_I(JacksonSetup(n=n, phi=phi_alpha(alpha), p=p, tau=v.tau, v=v,
                                  ladder=_wobble(0.3)))
     k_star, value = _WOBBLE_REFERENCE[case]
@@ -547,30 +547,96 @@ def test_scan_on_wobble_ladder_matches_per_k_loop(case):
     assert res.value == pytest.approx(value, rel=1e-13)
 
 
-def test_integral_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(_I_CACHE, "cap", 8)
-    _I_CACHE.clear()
-    phi, v = phi_alpha(1.3), weight_cos()
-    ratios = [1.0 + 0.25 * k for k in range(20)]
-    first = _scaled_phi_integrals(phi, 1.0, v, math.pi, ratios)
-    assert len(_I_CACHE) == 8
-    # oldest first: only the last eight ratios are left
-    assert sorted(key[1] for key in _I_CACHE) == ratios[-8:]
-    again = scaled_phi_integral(phi, 1.0, v, math.pi, ratios[0])
-    assert again == first[0]
-    assert len(_I_CACHE) == 8
+def test_integral_store_is_bounded():
+    # one store per request, at most 8 requests: a ninth evicts the least
+    # recently used
+    assert _integral_store.cache_info().maxsize == 8
+    _integral_store.cache_clear()
+    phi = phi_alpha(2.0)  # alpha p = 2: moment sums, no quadrature
+    weights = [weight_linear(1.0 + 0.25 * j) for j in range(9)]
+    for v in weights:
+        scaled_phi_integral(phi, 1.0, v, v.tau, 2.0)
+    assert _integral_store.cache_info().currsize == 8
+    misses = _integral_store.cache_info().misses
+    scaled_phi_integral(phi, 1.0, weights[-1], weights[-1].tau, 2.0)
+    assert _integral_store.cache_info().misses == misses
+    scaled_phi_integral(phi, 1.0, weights[0], weights[0].tau, 2.0)
+    assert _integral_store.cache_info().misses == misses + 1
 
 
-def test_fifo_cache_keeps_the_last_cap_keys_in_order():
-    cap = 1024
-    cache = _FifoCache(cap)
-    for key in range(10 * cap):
-        cache.put(key, -key)
-    assert list(cache.items()) == [(key, -key) for key in range(9 * cap, 10 * cap)]
-    # storing a key it holds replaces the value in place and evicts nothing
-    cache.put(9 * cap, "again")
-    assert list(cache) == list(range(9 * cap, 10 * cap))
-    assert cache[9 * cap] == "again"
+def test_integral_store_is_emptied_past_its_ratio_bound():
+    # a store holding more than 2^12 ratios is emptied before the next scan
+    # of its request; one holding 2^12 is not
+    assert jackson._STORE_RATIOS == 2 ** 12
+    phi, v = phi_alpha(2.0), weight_cos()
+    ratios = [1.0 + k / 64 for k in range(2 ** 12 + 1)]
+    _integral_store.cache_clear()
+    first = _scaled_phi_integrals(phi, 1.0, v, math.pi, ratios[:-1])
+    store = _integral_store(phi, 1.0, v, math.pi, 1e-11)
+    assert len(store) == 2 ** 12
+    assert _scaled_phi_integrals(phi, 1.0, v, math.pi, ratios) == first + [store[ratios[-1]]]
+    assert len(store) == 2 ** 12 + 1
+    assert scaled_phi_integral(phi, 1.0, v, math.pi, ratios[0]) == first[0]
+    assert list(store) == [ratios[0]]
+
+
+def test_fractional_sweep_computes_each_ratio_once(monkeypatch):
+    # the n-sweep of one generator shares one store: each distinct ratio
+    # k / n of the sweeps n = 1..8 goes through the Gauss-Jacobi scan once
+    seen = []
+    original = jackson._alpha_scan_integrals_jacobi
+
+    def counting(alpha, p, v, tau, ratios):
+        seen.extend((v, tau, r) for r in ratios.tolist())
+        return original(alpha, p, v, tau, ratios)
+
+    monkeypatch.setattr(jackson, "_alpha_scan_integrals_jacobi", counting)
+    _integral_store.cache_clear()
+    v = weight_cos()
+    for n in range(1, 9):
+        jackson_I(JacksonSetup(n=n, phi=phi_alpha(1.3), p=1.0, tau=math.pi, v=v))
+    scans = [r for w, tau, r in seen if w == v and tau == math.pi]
+    assert len(scans) == len(set(scans))
+    assert set(scans) == {k / n for n in range(1, 9) for k in range(n, 64 * n + 1)}
+
+
+@pytest.mark.parametrize("ratio", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_scaled_integral_rejects_negative_and_non_finite_ratios(ratio):
+    _integral_store.cache_clear()
+    for phi, p in ((phi_alpha(1.3), 1.0), (phi_alpha(1.0), 2.0), (phi_steklov(1), 1.0)):
+        with pytest.raises(InputDomainError):
+            scaled_phi_integral(phi, p, weight_cos(), math.pi, ratio)
+        with pytest.raises(InputDomainError):
+            _scaled_phi_integrals(phi, p, weight_cos(), math.pi, [2.0, ratio])
+        assert scaled_phi_integral(phi, p, weight_cos(), math.pi, 0.0) == 0.0
+    # nothing but the ratios 0 was stored
+    assert _integral_store.cache_info().currsize == 3
+    assert all(list(_integral_store(phi, p, weight_cos(), math.pi, 1e-11)) == [0.0]
+               for phi, p in ((phi_alpha(1.3), 1.0), (phi_alpha(1.0), 2.0), (phi_steklov(1), 1.0)))
+
+
+def test_array_ladder_past_its_end_is_an_input_error():
+    lad = FrequencyLadder([1.0, 2.0, 3.0, 4.0])
+    assert lad.value(4) == 4.0 and list(lad.values(4)) == [0.0, 1.0, 2.0, 3.0, 4.0]
+    f = Spectrum.real({1.0: 1.0, 3.0: 0.5})
+    calls = [
+        lambda: jackson_I(JacksonSetup(n=1, phi=phi_alpha(1.0), p=2.0, tau=math.pi,
+                                       v=weight_cos(), ladder=lad)),
+        lambda: inverse_bound_alpha(f, 1.0, 2.0, lad, 6),
+        lambda: lad.value(9),
+        lambda: lad.values(5),
+    ]
+    for call in calls:
+        with pytest.raises(InputDomainError, match="ladder of 4 values"):
+            call()
+    # the scan stays within a long enough ladder; shorter ladders still build
+    res = jackson_I(JacksonSetup(n=1, phi=phi_alpha(1.0), p=2.0, tau=math.pi, v=weight_cos(),
+                                 ladder=FrequencyLadder([float(k) for k in range(1, 65)])))
+    assert res.k_star == 1 and res.value == pytest.approx(4.0, abs=1e-9)
+    for values in ([], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0]):
+        assert list(FrequencyLadder(values).values(len(values))) == [0.0] + values
+    with pytest.raises(InputDomainError, match="increasing"):
+        FrequencyLadder([1.0, 3.0, 2.0])
 
 
 def test_kinked_custom_generator_at_default_arguments():
@@ -644,7 +710,7 @@ def test_even_power_scan_needs_no_quadrature(monkeypatch):
     custom = WeightMeasure(math.pi, "density", vprime=lambda t: 1.0 + np.asarray(t))
     monkeypatch.setattr(jackson, "weight_integrals", quadrature)
     monkeypatch.setattr(jackson, "_alpha_scan_integrals_jacobi", quadrature)
-    _I_CACHE.clear()
+    _integral_store.cache_clear()
     for v in (weight_cos(), weight_linear(2.0), _reference_weight("pwl")):
         res = jackson_I(JacksonSetup(n=8, phi=phi_alpha(2.0), p=2.0, tau=v.tau, v=v))
         assert math.isfinite(res.value) and 8 <= res.k_star <= 512
@@ -659,15 +725,17 @@ def test_ill_conditioned_moment_sum_is_cached_per_quad_tol():
     # adaptive rule; ratio 100 stays a moment sum.  Every request is keyed
     # on quad_tol, whichever route serves it
     phi, v = phi_alpha(5.0), weight_linear(0.04)
-    _I_CACHE.clear()
+    _integral_store.cache_clear()
     first = [scaled_phi_integral(phi, 2.0, v, 0.04, r, quad_tol=1e-11) for r in (1.0, 100.0)]
-    assert len(_I_CACHE) == 2
+    tight = _integral_store(phi, 2.0, v, 0.04, 1e-11)
+    assert sorted(tight) == [1.0, 100.0]
     assert [scaled_phi_integral(phi, 2.0, v, 0.04, r, quad_tol=1e-11) for r in (1.0, 100.0)] == first
-    assert len(_I_CACHE) == 2
+    assert sorted(tight) == [1.0, 100.0] and _integral_store.cache_info().currsize == 1
     scaled_phi_integral(phi, 2.0, v, 0.04, 100.0, quad_tol=1e-6)
-    assert len(_I_CACHE) == 3
+    loose_store = _integral_store(phi, 2.0, v, 0.04, 1e-6)
+    assert list(loose_store) == [100.0] and _integral_store.cache_info().currsize == 2
     loose = scaled_phi_integral(phi, 2.0, v, 0.04, 1.0, quad_tol=1e-6)
-    assert len(_I_CACHE) == 4
+    assert sorted(loose_store) == [1.0, 100.0] and sorted(tight) == [1.0, 100.0]
     assert loose == pytest.approx(0.04 ** 11 / 11, rel=1e-2)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -29,7 +30,7 @@ from spapprox import (
     weight_pwl,
 )
 from spapprox.errors import BudgetError
-from spapprox.moduli import _OMEGA_CACHE, OmegaEvaluator, _adaptive_block
+from spapprox.moduli import OmegaEvaluator, _adaptive_block, _omega
 from spapprox.oracle import oracle_modulus, oracle_quadrature
 from spapprox.testing import random_spectrum
 
@@ -108,7 +109,7 @@ def test_phi_theta_accepts_scaled_schemes_with_exact_zero(scale):
 
 def test_overflowing_generators_are_input_errors():
     f = Spectrum.real({1.0: 1.0, 3.0: 1.0})
-    _OMEGA_CACHE.clear()
+    _omega.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the typed error is the only report
         for _ in range(2):
@@ -120,7 +121,7 @@ def test_overflowing_generators_are_input_errors():
                     omega_phi(f, phi, 4.0, p=p)
                 with pytest.raises(InputDomainError):
                     OmegaEvaluator(f, phi, p, 4.0).value(4.0)
-    assert len(_OMEGA_CACHE) == 0
+    assert _omega.cache_info().currsize == 0
     # the same generators at p = 1 stay finite
     for phi in (phi_alpha(1000.0), phi_theta([1e300, -1e300])):
         assert math.isfinite(omega_phi(f, phi, 4.0))
@@ -414,7 +415,7 @@ def test_evaluator_at_its_range_reads_the_one_shot_modulus(f, kind, p, delta):
     # generator, with complex taps, is not even); only the exact objective
     # value at delta, evaluated on its own, may differ in rounding
     ph = _GENERATORS[kind]()
-    _OMEGA_CACHE.clear()
+    _omega.cache_clear()
     want = omega_phi(f, ph, delta, p)
     got = OmegaEvaluator(f, ph, p, delta).value(delta)
     assert abs(got - want) <= 4 * math.ulp(want)
@@ -519,10 +520,10 @@ def _builtin_generators(draw):
 @settings(max_examples=40, deadline=None)
 def test_modulus_cache_returns_the_computed_value(f, phi, delta, p):
     omega_phi(f, phi, delta, p)
-    size = len(_OMEGA_CACHE)
+    size = _omega.cache_info().currsize
     stored = omega_phi(f, phi, delta, p)
-    assert len(_OMEGA_CACHE) == size
-    _OMEGA_CACHE.clear()
+    assert _omega.cache_info().currsize == size
+    _omega.cache_clear()
     assert omega_phi(f, phi, delta, p) == stored
 
 
@@ -536,9 +537,9 @@ def test_modulus_cache_keys_on_every_field():
         args = {**base, **change}
         return omega_phi(args["f"], args["phi"], args["delta"], args["p"], args["n_grid"])
 
-    _OMEGA_CACHE.clear()
+    _omega.cache_clear()
     first = call()
-    assert call() == first and len(_OMEGA_CACHE) == 1
+    assert call() == first and _omega.cache_info().currsize == 1
     changes = [
         {"f": Spectrum.real(moved)},
         # the same function as phi_alpha(2.0), under two other generator kinds
@@ -550,7 +551,7 @@ def test_modulus_cache_keys_on_every_field():
     ]
     for size, change in enumerate(changes, start=2):
         call(**change)
-        assert len(_OMEGA_CACHE) == size
+        assert _omega.cache_info().currsize == size
     assert call(phi=phi_theta(DifferenceScheme.classical(2))) == pytest.approx(first, rel=1e-9)
 
 
@@ -558,30 +559,73 @@ def test_modulus_cache_tells_custom_generators_apart():
     f = Spectrum.real({1.0: 1.0})
     half = phi_custom(lambda t: np.abs(np.sin(0.5 * t)), label="same")
     square = phi_custom(lambda t: np.sin(0.5 * t) ** 2, label="same")
-    _OMEGA_CACHE.clear()
+    _omega.cache_clear()
     # single frequency: the sup over |h| <= 1 sits at the endpoint h = 1
     for _ in range(2):
         assert omega_phi(f, half, 1.0) == pytest.approx(math.sin(0.5), rel=1e-12)
         assert omega_phi(f, square, 1.0) == pytest.approx(math.sin(0.5) ** 2, rel=1e-12)
-    assert len(_OMEGA_CACHE) == 2
+    assert _omega.cache_info().currsize == 2
 
 
-def test_modulus_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(_OMEGA_CACHE, "cap", 8)
-    _OMEGA_CACHE.clear()
+_BUILDERS = {
+    "alpha": phi_alpha, "steklov": phi_steklov, "theta": phi_theta,
+    "cos": weight_cos, "t": weight_linear, "pwl": weight_pwl, "atomic": weight_atomic,
+}
+
+
+def _knots(steps, column):
+    return list(itertools.accumulate((step[column] for step in steps), initial=0.0))
+
+
+_STEPS = st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)), min_size=1, max_size=3)
+_PARTS = st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0), min_size=1, max_size=3)
+# (builder, arguments): building one twice gives two equal objects
+_RECIPES = st.one_of(
+    st.tuples(st.just("alpha"), st.tuples(st.floats(0.3, 3.0))),
+    st.tuples(st.just("steklov"), st.tuples(st.integers(1, 3))),
+    _PARTS.map(lambda parts: ("theta", (parts + [-sum(parts)],))),
+    st.tuples(st.sampled_from(["cos", "t"]), st.tuples(st.floats(0.5, math.pi))),
+    _STEPS.map(lambda steps: ("pwl", (_knots(steps, 0), _knots(steps, 1)))),
+    _STEPS.map(lambda steps: ("atomic", (_knots(steps, 0)[1:], [jump for _, jump in steps]))),
+)
+
+
+@given(a=_RECIPES, b=_RECIPES, label=st.text(max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_generators_and_weights_hash_by_value(a, b, label):
+    x, y = _BUILDERS[a[0]](*a[1]), _BUILDERS[b[0]](*b[1])
+    rebuilt = _BUILDERS[a[0]](*a[1])
+    assert rebuilt == x and hash(rebuilt) == hash(x)
+    assert {x: a}[rebuilt] == a
+    assert (x == y) == (y == x)
+    if x == y:
+        assert hash(x) == hash(y)
+    if a[0] != b[0]:
+        assert x != y
+    # a custom generator equals only itself, whatever its label says
+    one, two = (phi_custom(lambda t: np.abs(np.sin(0.5 * t)), label=label) for _ in range(2))
+    assert one == one and one != two and two != x
+
+
+def test_modulus_cache_is_bounded():
+    assert _omega.cache_info().maxsize == 2 ** 10
+    _omega.cache_clear()
     f, phi = Spectrum.real({1.0: 1.0, 3.0: 0.5}), phi_alpha(1.3)
-    deltas = [0.1 * k for k in range(1, 21)]
+    deltas = [0.1 + 1e-3 * k for k in range(2 ** 10 + 8)]
     first = [omega_phi(f, phi, d) for d in deltas]
-    assert len(_OMEGA_CACHE) == 8
-    # oldest first: only the last eight steps are left
-    assert sorted(key[2] for key in _OMEGA_CACHE) == deltas[-8:]
+    assert _omega.cache_info().currsize == 2 ** 10
+    # least recently used first: the first eight steps are gone, the last kept
+    hits, misses = _omega.cache_info()[:2]
+    assert omega_phi(f, phi, deltas[-1]) == first[-1]
+    assert _omega.cache_info()[:2] == (hits + 1, misses)
     assert omega_phi(f, phi, deltas[0]) == first[0]
-    assert len(_OMEGA_CACHE) == 8
+    assert _omega.cache_info()[:2] == (hits + 1, misses + 1)
+    assert _omega.cache_info().currsize == 2 ** 10
 
 
 def test_modulus_errors_are_not_cached():
     f = Spectrum.real({1.0: 1.0})
-    _OMEGA_CACHE.clear()
+    _omega.cache_clear()
     for _ in range(2):
         with pytest.raises(InputDomainError):
             omega_phi(f, phi_alpha(1.0), -0.5)
@@ -589,7 +633,7 @@ def test_modulus_errors_are_not_cached():
             omega_phi(f, phi_alpha(1.0), 0.5, p=math.inf)
         with pytest.raises(InputDomainError):
             omega_phi(Spectrum.lattice({(1, 1): 1.0}), phi_alpha(1.0), 0.5)
-    assert len(_OMEGA_CACHE) == 0
+    assert _omega.cache_info().currsize == 0
 
 
 def test_phi_alpha_builds_one_generator_per_alpha():
