@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError, InputDomainError
-from . import _kernels
 from .ladder import FrequencyLadder
 from .moduli import (
     PhiFunction,
@@ -78,18 +77,18 @@ class JacksonI:
     certificate: dict
 
 
+# nodes of every Gauss-Jacobi rule
+_JACOBI_NODES = 24
+
+
 @functools.lru_cache(maxsize=256)
-def _jacobi_rule(a: float, b: float, m: int = 24) -> tuple[np.ndarray, np.ndarray]:
-    """Golub-Welsch nodes/weights for the weight (1-x)^a (1+x)^b on [-1, 1]."""
-    k = np.arange(m, dtype=np.float64)
+def _jacobi_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golub-Welsch nodes/weights for the weight (1-x)^a (1+x)^b on [-1, 1],
+    a + b > 0 (every caller has b = gamma > 0)."""
+    k = np.arange(_JACOBI_NODES, dtype=np.float64)
     s = 2.0 * k + a + b
-    with np.errstate(invalid="ignore", divide="ignore"):
-        diag = (b * b - a * a) / (s * (s + 2.0))
-    if a + b == 0.0:
-        diag[0] = 0.0
-    else:
-        diag[0] = (b - a) / (a + b + 2.0)
-    diag = np.where(np.isfinite(diag), diag, 0.0)
+    diag = (b * b - a * a) / (s * (s + 2.0))
+    diag[0] = (b - a) / (a + b + 2.0)
     kk = k[1:]
     ss = s[1:]
     off2 = (
@@ -240,6 +239,10 @@ def _scaled_phi_integrals(
     if len(known) > _STORE_RATIOS:
         known.clear()
     todo = list(dict.fromkeys(r for r in ratios if r not in known))
+    if jacobi and 0.0 in todo:
+        # a sine power vanishes at 0, and ratio 0 has no sine period
+        todo.remove(0.0)
+        known[0.0] = 0.0
 
     if trig and todo:
         sums = _even_scan_integrals(s, v, tau, np.asarray(todo, dtype=np.float64))
@@ -271,15 +274,19 @@ def scaled_phi_integral(
 
 def _phi_period_mean(phi: PhiFunction, p: float) -> float | None:
     """Mean of phi^p over its period (2*pi for the builtin oscillatory
-    generators).  For phi^p = (2 - 2 cos t)^s it is C(2s, s) exactly;
-    otherwise evenness folds the period integral onto [0, pi], a ratio-1
-    request of ``scaled_phi_integral`` against the unit density there,
-    cached with the scan's integrals.  None when no period is known or the
-    quadrature runs out of budget."""
+    generators).  For phi^p = (2 - 2 cos t)^s it is C(2s, s) exactly, for
+    other sine powers (2 |sin(t/2)|)^g it is Gamma(g + 1) / Gamma(g/2 + 1)^2;
+    for even theta generators evenness folds the period integral onto
+    [0, pi], a ratio-1 request of ``scaled_phi_integral`` against the unit
+    density there, cached with the scan's integrals.  None when no period
+    is known or the quadrature runs out of budget."""
     s = _even_power(phi, p)
     if s is not None:
         return float(math.comb(2 * s, s))
-    if not (phi.kind in ("alpha", "theta") and phi.is_even):
+    if phi.kind == "alpha":
+        gamma = phi.param * p
+        return math.exp(math.lgamma(gamma + 1.0) - 2.0 * math.lgamma(0.5 * gamma + 1.0))
+    if not (phi.kind == "theta" and phi.is_even):
         return None
     try:
         return scaled_phi_integral(phi, p, weight_linear(math.pi), math.pi, 1.0, 1e-10) / math.pi
@@ -466,11 +473,103 @@ def jackson_sharpness_witness(
 # correction series, moment constants, closed-form tables
 
 
+# upper bound for sum_{i>=1} 1/(2 i^2 - 1) = 1 + 1/7 + 1/17 + ... (~1.2026)
+_SUM_INV_ODD = 1.21
+# the inner walk stops once its scaled binomial falls below this share of
+# the central one; that happens near i = 6.5 sqrt(a)
+_WALK_CUT = 1e-18
+# elements per block of inner walks (terms x walk length)
+_WALK_BLOCK = 2 ** 14
+
+
 @dataclass
 class SigmaSeries:
     value: float
     tail_bound: float
     terms: int
+
+
+def _inner_walks(a0: int, wcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inner sums of the terms a = a0, a0 + 1, ... (one per entry of wcs,
+    the scaled central binomials C(2a, a) 4^{-a}), and the bound on what
+    each walk neglects.
+
+    Term a walks j = a, a-1, ... down from the central column: w_i =
+    C(2a, a-i) 4^{-a} by the multiplicative recurrence, summing
+    w_i * 4 / (2 i^2 - 1) up to and including the first w_i below
+    _WALK_CUT * wc, whose 4 * _SUM_INV_ODD multiple bounds the rest.  Walks
+    that reach j = 0 end there (w = 0 contributes nothing).  The products
+    and sums run in the same order as a scalar loop."""
+    a = a0 + np.arange(wcs.shape[0], dtype=np.float64)[:, None]
+    length = min(int(a[-1, 0]) + 1, int(7.0 * math.sqrt(a[-1, 0])) + 8)
+    while True:
+        i = np.arange(1.0, length + 1.0)
+        j = np.maximum(a - i + 1.0, 0.0)
+        steps = np.concatenate((wcs[:, None], j / (2.0 * a - j + 1.0)), axis=1)
+        w = np.cumprod(steps, axis=1)[:, 1:]
+        cut = w < _WALK_CUT * wcs[:, None]
+        if cut.any(axis=1).all():
+            break
+        length = min(int(a[-1, 0]) + 1, 2 * length)
+    stop = np.argmax(cut, axis=1)
+    rows = np.arange(wcs.shape[0])
+    sums = np.cumsum(w * 4.0 / (2.0 * i * i - 1.0), axis=1)
+    return sums[rows, stop], w[rows, stop] * 4.0 * _SUM_INV_ODD
+
+
+def _sigma_bound_floor(s: float, b: int, factor: float) -> float:
+    """Tail bound of the correction series once the terms before b are
+    summed, without the (nonnegative) neglected part: factor * C(2b, b)
+    4^{-b} * |C(s, 2b)| * (2b + 1) / (2 s), from log-gamma.  It decreases
+    in b, so a value above the tolerance at the budget means the sum cannot
+    converge within it."""
+    log_wc = math.lgamma(2 * b + 1) - 2.0 * math.lgamma(b + 1) - b * math.log(4.0)
+    log_c = math.lgamma(s + 1.0) - math.lgamma(2 * b + 1) - math.lgamma(s - 2 * b + 1.0)
+    return factor * math.exp(log_wc + log_c) * (2 * b + 1) / (2.0 * s)
+
+
+def _sigma_partial_sum(
+    s: float, a0: int, odd: float, factor: float, tol: float, budget: int
+) -> tuple[float, float, int]:
+    """(value, tail bound, terms) of the correction series summed from term
+    a0 on, until the bound falls below ``tol`` or ``budget`` terms are in."""
+    # binomial C(s, m) up to m = 2*a0 by the multiplicative recurrence
+    c = 1.0
+    for m in range(2 * a0):
+        c *= (s - m) / (m + 1.0)
+    # scaled central binomial w_c(a) = C(2a, a) 4^{-a}
+    wc = 1.0
+    for a in range(1, a0 + 1):
+        wc *= (2.0 * a - 1.0) / (2.0 * a)
+    total = 0.0
+    neglected = 0.0
+    a = a0
+    terms = 0
+    bound = math.inf
+    count = 16
+    while terms < budget:
+        # the central binomials and inner walks of a block of terms at once
+        # (blocks double while they stay within _WALK_BLOCK elements)
+        count = min(budget - terms, 2 * count)
+        while count > 1 and count * (7 * math.isqrt(a + count) + 8) > _WALK_BLOCK:
+            count //= 2
+        wcs = [wc]
+        for k in range(count):
+            wcs.append(wcs[-1] * (2.0 * (a + k) + 1.0) / (2.0 * (a + k) + 2.0))
+        contribs, cut = _inner_walks(a, np.array(wcs[:-1]))
+        for wc, wc_next, contrib, rest in zip(wcs, wcs[1:], contribs.tolist(), cut.tolist()):
+            neglected += rest
+            total += -c * (odd * 2.0 * wc - contrib)
+            terms += 1
+            # rigorous bound on everything past this term
+            c_next = c * ((2.0 * a - s) / (2.0 * a + 1.0)) * ((2.0 * a + 1.0 - s) / (2.0 * a + 2.0))
+            bound = factor * wc_next * abs(c_next) * (2.0 * a + 3.0) / (2.0 * s) + neglected
+            c = c_next
+            a += 1
+            if bound < tol:
+                return total, bound, terms
+        wc = wcs[-1]
+    return total, bound, terms
 
 
 def sigma_series(s: float, tol: float = 1e-8, budget: int = 1_000_000) -> SigmaSeries:
@@ -486,16 +585,20 @@ def sigma_series(s: float, tol: float = 1e-8, budget: int = 1_000_000) -> SigmaS
         raise InputDomainError("s must be positive")
     if abs(s - round(s)) < 1e-12:
         return SigmaSeries(0.0, 0.0, 0)
+    s, tol, budget = float(s), float(tol), int(budget)
+    a0 = int(s / 2.0) + 1
+    odd = 1.0 if int(s) % 2 == 1 else 0.0
+    factor = 2.0 * odd + 4.0 * _SUM_INV_ODD
     # the margin covers the log-gamma rounding of the closed form
-    floor = _kernels.sigma_bound_floor(s, budget)
+    floor = _sigma_bound_floor(s, a0 + budget, factor)
     if floor > tol * (1.0 + 1e-6):
         needed = budget * (floor / tol) ** (1.0 / (s + 0.5))
         raise ConvergenceError(
             f"correction series tail bound is still {floor:.3e} after {budget} "
             f"terms, above {tol:.3e}; about {needed:.2e} terms would be needed"
         )
-    value, bound, terms, converged = _kernels.sigma_series_sum(s, tol, budget)
-    if not converged:
+    value, bound, terms = _sigma_partial_sum(s, a0, odd, factor, tol, budget)
+    if not bound < tol:
         raise ConvergenceError(
             f"correction series tail bound {bound:.3e} not below {tol:.3e} "
             f"within {budget} terms"

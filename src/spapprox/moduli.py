@@ -220,6 +220,8 @@ class WeightMeasure:
             vs = np.asarray(data["knots_v"], dtype=np.float64)
             if ts.ndim != 1 or ts.shape != vs.shape or ts.shape[0] < 2:
                 raise InputDomainError("piecewise-linear weight needs matching knot arrays")
+            if not (np.isfinite(ts).all() and np.isfinite(vs).all()):
+                raise InputDomainError("weight knots must be finite")
             if ts[0] > 0 or ts[-1] < tau:
                 raise InputDomainError("knots must cover [0, tau]")
             if np.any(np.diff(ts) <= 0) or np.any(np.diff(vs) < 0):
@@ -245,6 +247,8 @@ class WeightMeasure:
             jmp = np.asarray(data["jumps"], dtype=np.float64)
             if pts.shape != jmp.shape or np.any(jmp < 0):
                 raise InputDomainError("atomic weight needs matching nonnegative jumps")
+            if not (np.isfinite(pts).all() and np.isfinite(jmp).all()):
+                raise InputDomainError("atoms and jumps must be finite")
             if np.any(pts < 0) or np.any(pts > tau):
                 raise InputDomainError("atoms must lie in [0, tau]")
             order = np.argsort(pts)

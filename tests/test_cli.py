@@ -106,6 +106,21 @@ def test_cli_jackson_pwl_weight_default_tolerance(tmp_path, capsys):
     assert doc["reports"][0]["s_star"] == 5
 
 
+def test_cli_jackson_rejects_a_non_finite_atomic_weight(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    args = ["jackson", "--phi", "alpha:1", "--p", "2", "--n", "1", "--tau", "2",
+            "--v", f"atomic:{path}"]
+    path.write_text(json.dumps({"points": [1.0, 1.5], "jumps": [1.0, 0.5], "tau": 2.0}))
+    assert run(args) == 0
+    assert math.isfinite(_strict_json(capsys.readouterr().out)["reports"][0]["value"])
+    # json writes and reads the NaN literal
+    path.write_text(json.dumps({"points": [1.0, 1.5], "jumps": [1.0, math.nan], "tau": 2.0}))
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_modulus_constant(tmp_path, capsys):
     path = tmp_path / "const.json"
     save_spectrum(Spectrum.real({0.0: 1.0}), str(path))

@@ -595,11 +595,14 @@ def test_fractional_sweep_computes_each_ratio_once(monkeypatch):
     v = weight_cos()
     for n in range(1, 9):
         jackson_I(JacksonSetup(n=n, phi=phi_alpha(1.3), p=1.0, tau=math.pi, v=v))
-    scans = [r for w, tau, r in seen if w == v and tau == math.pi]
+    # the period mean is a closed form, so the scans' request is the only one
+    assert {(w, tau) for w, tau, _ in seen} == {(v, math.pi)}
+    scans = [r for _, _, r in seen]
     assert len(scans) == len(set(scans))
     assert set(scans) == {k / n for n in range(1, 9) for k in range(n, 64 * n + 1)}
 
 
+@pytest.mark.filterwarnings("error")  # ratio 0 stays clear of the sine-period arithmetic
 @pytest.mark.parametrize("ratio", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
 def test_scaled_integral_rejects_negative_and_non_finite_ratios(ratio):
     _integral_store.cache_clear()
@@ -676,9 +679,10 @@ def test_pwl_weight_scan_with_interior_cusps_at_default_arguments():
 
 def test_period_mean_is_cached(monkeypatch):
     # mean of (2 |sin(t/2)|)^g over a period: 2^g Gamma((g+1)/2) / (sqrt(pi) Gamma(g/2+1));
-    # g = 0.9137 takes the Gauss-Jacobi route; g = 2 and g = 6 are even
-    # powers (2 - 2 cos t)^s, whose means C(2, 1) = 2 and C(6, 3) = 20 are
-    # exact
+    # g = 0.9137 is the closed form Gamma(g+1) / Gamma(g/2+1)^2 of the same
+    # value; g = 2 and g = 6 are even powers (2 - 2 cos t)^s, whose means
+    # C(2, 1) = 2 and C(6, 3) = 20 are exact; no sine power reads a
+    # quadrature route, the first time or again
     g = 0.9137
     closed = 2.0 ** g * math.gamma((g + 1) / 2) / (math.sqrt(math.pi) * math.gamma(g / 2 + 1))
     first = {key: _phi_period_mean(phi_alpha(key), 1.0) for key in (g, 2.0, 6.0)}
@@ -694,6 +698,16 @@ def test_period_mean_is_cached(monkeypatch):
     monkeypatch.setattr(jackson, "weight_integrals", recompute)
     for key, mean in first.items():
         assert _phi_period_mean(phi_alpha(key), 1.0) == mean
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.05, 8.0), p=st.floats(1.0, 4.0))
+def test_period_mean_of_sine_powers_matches_mpmath(alpha, p):
+    # the mean over a period of (2 |sin(t/2)|)^(alpha p), folded onto [0, pi]
+    gamma = alpha * p
+    with mpmath.workdps(30):
+        ref = mpmath.quad(lambda t: (2 * mpmath.sin(t / 2)) ** gamma, [0, mpmath.pi]) / mpmath.pi
+    assert _phi_period_mean(phi_alpha(alpha), p) == pytest.approx(float(ref), rel=1e-13)
 
 
 def test_even_power_scan_needs_no_quadrature(monkeypatch):
@@ -746,6 +760,73 @@ def test_sigma_series_default_arguments_fail_fast():
     with pytest.raises(ConvergenceError):
         sigma_series(0.5)
     assert time.perf_counter() - t0 < 1.0
+
+
+def _sigma_setup(s):
+    """First term index, parity flag and tail-bound factor of the series."""
+    a0 = int(s / 2.0) + 1
+    odd = 1.0 if int(s) % 2 == 1 else 0.0
+    return a0, odd, 2.0 * odd + 4.0 * 1.21
+
+
+def _sigma_series_loop(s, tol, budget):
+    """The correction series summed term by term with a scalar inner walk,
+    as the numpy code does it in blocks; the arithmetic and its order are
+    the same, so the results must be equal."""
+    a0, odd, factor = _sigma_setup(s)
+    c = 1.0
+    for m in range(2 * a0):
+        c *= (s - m) / (m + 1.0)
+    wc = 1.0
+    for a in range(1, a0 + 1):
+        wc *= (2.0 * a - 1.0) / (2.0 * a)
+    total = neglected = 0.0
+    a, terms, bound = a0, 0, math.inf
+    while terms < budget:
+        w, contrib = wc, 0.0
+        for i in range(1, a + 1):
+            j = a - i + 1
+            w *= j / (2.0 * a - j + 1.0)
+            contrib += w * 4.0 / (2.0 * i * i - 1.0)
+            if w < 1e-18 * wc:
+                neglected += w * 4.0 * 1.21
+                break
+        total += -c * (odd * 2.0 * wc - contrib)
+        terms += 1
+        c_next = c * ((2.0 * a - s) / (2.0 * a + 1.0)) * ((2.0 * a + 1.0 - s) / (2.0 * a + 2.0))
+        wc_next = wc * (2.0 * a + 1.0) / (2.0 * a + 2.0)
+        bound = factor * wc_next * abs(c_next) * (2.0 * a + 3.0) / (2.0 * s) + neglected
+        c, wc, a = c_next, wc_next, a + 1
+        if bound < tol:
+            return total, bound, terms, True
+    return total, bound, terms, False
+
+
+@pytest.mark.parametrize("s,tol,budget", [
+    (0.5, 2e-4, 200_000), (1.5, 1e-8, 200_000), (2.3, 1e-8, 10_000),
+    (3.7, 1e-12, 10_000), (0.5, 1e-12, 500),
+])
+def test_sigma_series_blocks_match_scalar_loop(s, tol, budget):
+    value, bound, terms, converged = _sigma_series_loop(s, tol, budget)
+    assert jackson._sigma_partial_sum(s, *_sigma_setup(s), tol, budget) == (value, bound, terms)
+    if converged:
+        res = sigma_series(s, tol, budget)
+        assert (res.value, res.tail_bound, res.terms) == (value, bound, terms)
+    else:
+        with pytest.raises(ConvergenceError):
+            sigma_series(s, tol, budget)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.7, 1.5, 2.3, 3.7])
+def test_sigma_bound_floor_is_the_bound_without_neglected_part(s):
+    # the closed form after `terms` terms equals the summed bound up to
+    # rounding and the neglected part of the inner walks (1e-17 per term)
+    a0, odd, factor = _sigma_setup(s)
+    for terms in (1, 10, 300):
+        _, bound, done = jackson._sigma_partial_sum(s, a0, odd, factor, 0.0, terms)
+        floor = jackson._sigma_bound_floor(s, a0 + terms, factor)
+        assert done == terms
+        assert abs(bound - floor) <= 1e-12 * bound + 1e-15
 
 
 def _sigma_reference(s: float) -> float:

@@ -30,7 +30,7 @@ from spapprox import (
     weight_pwl,
 )
 from spapprox.errors import BudgetError
-from spapprox.moduli import OmegaEvaluator, _adaptive_block, _omega
+from spapprox.moduli import OmegaEvaluator, _adaptive_block, _objective_grid, _omega
 from spapprox.oracle import oracle_modulus, oracle_quadrature
 from spapprox.testing import random_spectrum
 
@@ -161,6 +161,16 @@ def test_weight_validation():
         weight_pwl([0.0, 1.0], [1.0, 0.0])
     with pytest.raises(DegenerateWeightError):
         weight_atomic([0.0], [1.0], tau=1.0)  # all mass at 0 -> none on (0, tau]
+    # every comparison with NaN is False, so only a finiteness check stops it
+    for build in (
+        lambda: weight_pwl([0.0, 1.0, math.pi], [0.0, math.nan, 2.0]),
+        lambda: weight_pwl([0.0, math.inf, math.pi], [0.0, 1.0, 2.0]),
+        lambda: weight_atomic([1.0, 1.5], [1.0, math.nan], tau=2.0),
+        lambda: weight_atomic([1.0, math.nan], [1.0, 1.0], tau=2.0),
+        lambda: weight_atomic([1.0, 1.5], [1.0, math.inf], tau=2.0),
+    ):
+        with pytest.raises(InputDomainError, match="finite"):
+            build()
 
 
 def test_modulus_constant_function_is_zero():
@@ -318,6 +328,68 @@ def test_custom_phi_goes_through_numpy_path():
     f = Spectrum.real({1.0: 1.0, -1.0: 1.0})
     got = omega_phi(f, ph, math.pi / 2, 2.0)
     assert got == pytest.approx(2 ** 0.5 * 1.0, abs=1e-10)
+
+
+def _random_args(seed):
+    rng = np.random.default_rng(seed)
+    lams = np.sort(rng.uniform(-16, 16, size=9))
+    amps = rng.uniform(0.1, 1.0, size=9)
+    hs = np.linspace(0.0, math.pi, 513)
+    return lams, amps, hs
+
+
+# generator families of the reference below
+ALPHA, THETA, STEKLOV, CUSTOM = range(4)
+
+
+def _custom(t):
+    return np.sqrt(np.abs(np.sin(t))) + 1.0 - np.cos(t)
+
+
+def _make_phi(kind, param, theta_re, theta_im):
+    if kind == ALPHA:
+        return phi_alpha(param)
+    if kind == THETA:
+        return phi_theta([complex(a, b) for a, b in zip(theta_re, theta_im)])
+    if kind == STEKLOV:
+        return phi_steklov(int(param))
+    return phi_custom(_custom)
+
+
+def _phi_pow_reference(t, kind, param, theta_re, theta_im, p):
+    """phi(t)**p for one shift-frequency product, with math only."""
+    if kind == ALPHA:
+        return (2.0 * abs(math.sin(0.5 * t))) ** (param * p)
+    if kind == THETA:
+        re = sum(a * math.cos(j * t) + b * math.sin(j * t)
+                 for j, (a, b) in enumerate(zip(theta_re, theta_im)))
+        im = sum(b * math.cos(j * t) - a * math.sin(j * t)
+                 for j, (a, b) in enumerate(zip(theta_re, theta_im)))
+        return math.hypot(re, im) ** p
+    if kind == CUSTOM:
+        return (math.sqrt(abs(math.sin(t))) + 1.0 - math.cos(t)) ** p
+    base = 0.0 if t == 0.0 else max(0.0, 1.0 - math.sin(t) / t)
+    return base ** (param * p)
+
+
+@pytest.mark.parametrize("kind,param,theta", [
+    (ALPHA, 1.5, ((), ())),
+    (THETA, 0.0, ((1.0, -2.0, 1.0), (0.0, 0.5, -0.5))),
+    (STEKLOV, 2.0, ((), ())),
+    (CUSTOM, 0.0, ((), ())),
+])
+def test_modulus_objective_paths_agree(kind, param, theta):
+    # the objective grid of PhiFunction.pow_p against a plain double loop
+    # over shifts and frequencies that shares no numpy code with it
+    lams, amps, hs = _random_args(42)
+    p = 1.7
+    got = _objective_grid(lams, amps, _make_phi(kind, param, *theta), p, hs)
+    for h, value in zip(hs.tolist(), got.tolist()):
+        want = math.fsum(
+            _phi_pow_reference(lam * h, kind, param, theta[0], theta[1], p) * a
+            for lam, a in zip(lams.tolist(), amps.tolist())
+        )
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-13)
 
 
 # first positive root of tan t = t, by Newton's method in plain floats
