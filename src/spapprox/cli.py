@@ -54,7 +54,6 @@ EXIT_CERTIFICATION = 3
 CONFIG_KEYS = {
     "seed": int,
     "quad_tol": float,
-    "grid_points": int,
     "scan_budget": int,
     "k_factor": int,
     "tail_tol": float,
@@ -209,8 +208,7 @@ def cmd_jackson(args, cfg) -> int:
 def cmd_modulus(args, cfg) -> int:
     f = load_spectrum(args.input)
     phi = parse_phi(args.phi)
-    val = omega_phi(f, phi, args.delta, args.p,
-                    n_grid=cfg.get("grid_points", 2048))
+    val = omega_phi(f, phi, args.delta, args.p)
     rep = ExtremalReport(
         "modulus", val, certificate={"delta": args.delta, "p": args.p,
                                      "phi": phi.label, "input": args.input},

@@ -38,14 +38,8 @@ def _holds(lhs: float, rhs: float) -> bool:
 
 
 def _tail_powers(f: Spectrum, lam: np.ndarray, p: float) -> np.ndarray:
-    """E_v^p for v = 1..n, the tails over |frequency| >= lam_v (lam = lam_0..lam_n),
-    from one pass over f: ``ladder_tail_norm``'s fsum, root and power."""
-    mags = [abs(x) for x in f.scalar_frequencies().tolist()]
-    terms = [abs(c) ** p for c in f.coefficients]
-    return np.array([
-        (math.fsum(t for x, t in zip(mags, terms) if x >= lam_v) ** (1.0 / p)) ** p
-        for lam_v in lam[1:].tolist()
-    ])
+    """E_v^p for v = 1..n, the tails over |frequency| >= lam_v (lam = lam_0..lam_n)."""
+    return np.array([ladder_tail_norm(f, lam_v, p) ** p for lam_v in lam[1:].tolist()])
 
 
 def inverse_bound_general(

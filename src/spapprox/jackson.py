@@ -35,7 +35,8 @@ from .psi import PsiSystem, psi_derivative
 from .spectrum import Spectrum, ladder_tail_norm
 
 _SCAN_FACTOR = 64
-# relative gap below which two scanned integrals tie (the smaller k wins)
+# relative gap below which two scanned integrals tie (the smaller k wins),
+# and the period mean ties the minimum (not tail-dominated)
 _TIE_TOL = 1e-9
 # relative gap within which the scan infimum counts as attained at k = n
 _EQUIV_TOL = 1e-8
@@ -306,9 +307,9 @@ def jackson_I(
     order of k.  Ties are resolved to the smallest k (within ``_TIE_TOL``
     relative).  For density weights and periodic generators, the
     equidistribution mean of phi^p times the total mass is reported; when it
-    exceeds the found minimum the certificate notes that values beyond the
-    scan range are heuristically dominated ("tail-dominated").  The policy is always
-    recorded, never silent.
+    exceeds the found minimum by more than ``_TIE_TOL`` relative, the
+    certificate notes that values beyond the scan range are heuristically
+    dominated ("tail-dominated").  The policy is always recorded, never silent.
     """
     if k_factor < 1:
         raise InputDomainError(f"k_factor must be >= 1, got {k_factor}")
@@ -338,7 +339,7 @@ def jackson_I(
     if mean is not None and setup.v.kind == "density":
         tail_value = mean * setup.v.total_mass()
         cert["tail_mean"] = tail_value
-        cert["tail_dominated"] = bool(tail_value > best_val)
+        cert["tail_dominated"] = bool(tail_value > best_val * (1.0 + _TIE_TOL))
     else:
         cert["tail_mean"] = None
         cert["tail_dominated"] = False
@@ -581,8 +582,12 @@ def sigma_series(s: float, tol: float = 1e-8, budget: int = 1_000_000) -> SigmaS
     1/a at s = 1/2).  When its closed form after ``budget`` terms is still
     above ``tol``, no partial sum within the budget can meet it, and
     ``ConvergenceError`` is raised before summing."""
-    if not s > 0:
-        raise InputDomainError("s must be positive")
+    if not 0 < s < math.inf:
+        raise InputDomainError(f"s must be positive and finite, got {s}")
+    if not 0 < tol < math.inf:
+        raise InputDomainError(f"tol must be positive and finite, got {tol}")
+    if budget < 0:
+        raise InputDomainError(f"budget must be >= 0, got {budget}")
     if abs(s - round(s)) < 1e-12:
         return SigmaSeries(0.0, 0.0, 0)
     s, tol, budget = float(s), float(tol), int(budget)

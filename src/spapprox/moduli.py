@@ -15,14 +15,16 @@ for a bounded generator phi with phi(0) = 0.  Builtin generators:
   centered sliding mean.
 
 ``omega_phi`` and ``OmegaEvaluator`` read one scan of the shift objective
-(``_sampled_objective``).  The averaged modulus integrates omega_phi^p
-against a nondecreasing weight (Riemann-Stieltjes), normalized by the
-weight's total mass; it never exceeds omega_phi at the right endpoint.
+(``_sampled_objective``), on a grid sized from the spectrum: at least
+``_N_GRID`` cells and 16 points per oscillation of the fastest frequency.
+The averaged modulus integrates omega_phi^p against a nondecreasing weight
+(Riemann-Stieltjes), normalized by the weight's total mass; it never
+exceeds omega_phi at the right endpoint.
 
 ``omega_phi`` keeps the values of its 2^10 most recently used requests
-(f, phi, delta, p, n_grid) in ``_omega``, so a repeated request returns bit
-for bit the value first computed; invalid arguments raise before the
-lookup, and a non-finite objective raises InputDomainError (never stored).
+(f, phi, delta, p) in ``_omega``, so a repeated request returns bit for
+bit the value first computed; invalid arguments raise before the lookup,
+and a non-finite objective raises InputDomainError (never stored).
 """
 
 from __future__ import annotations
@@ -573,14 +575,14 @@ def _refine_maxima(
     return best_h, best_v
 
 
-_N_GRID = 2048  # least cells of a scan grid (``omega_phi`` may ask for more)
+_N_GRID = 2048  # least cells of a scan grid
 
 
-def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, n_grid: int):
+def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float):
     """The one scan of the shift objective S(h) = sum_k phi(lam_k h)^p |A_k|^p
     over [0, delta], folded to max(S(h), S(-h)) (one ``_objective_grid``
     call on both signs) when phi is not even.  The grid is uniform,
-    endpoints included, with at least ``n_grid`` cells and 16 points per
+    endpoints included, with at least ``_N_GRID`` cells and 16 points per
     oscillation of the fastest frequency.  Every sampled peak, each interior
     local maximum and both grid ends, is refined within its clipped
     neighbours by one ``_refine_maxima`` call.
@@ -604,7 +606,7 @@ def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, n_
             raise InputDomainError(f"phi^p-weighted sum is not a finite double (p={p:g})")
         return out if phi.is_even else np.maximum(out[:hs.shape[0]], out[hs.shape[0]:])
 
-    n = max(n_grid, int(math.ceil(16 * (lam_max * delta / (2.0 * math.pi)))))
+    n = max(_N_GRID, int(math.ceil(16 * (lam_max * delta / (2.0 * math.pi)))))
     hs = np.linspace(0.0, delta, n + 1)
     obj = objective(hs)
     interior = np.flatnonzero((obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:])) + 1
@@ -623,13 +625,7 @@ def _pth_root(power: float, p: float) -> float:
         raise InputDomainError(f"the modulus is not a finite double (p={p:g})") from None
 
 
-def omega_phi(
-    f: Spectrum,
-    phi: PhiFunction,
-    delta: float,
-    p: float = 1.0,
-    n_grid: int = _N_GRID,
-) -> float:
+def omega_phi(f: Spectrum, phi: PhiFunction, delta: float, p: float = 1.0) -> float:
     """Generalized modulus of smoothness at step delta: the largest sample
     or refined peak of the scan of ``_sampled_objective`` (each peak is
     refined by repeated resampling until its bracket spans at most 1e-8 rad
@@ -641,13 +637,13 @@ def omega_phi(
         raise InputDomainError("delta must be >= 0")
     if not 0 < p < math.inf:
         raise InputDomainError("p must be positive and finite")
-    return _omega(f, phi, float(delta), float(p), int(n_grid))
+    return _omega(f, phi, float(delta), float(p))
 
 
 # the inverse bounds of one (f, alpha, p, n) ask for the same modulus
 @functools.lru_cache(maxsize=2 ** 10)
-def _omega(f: Spectrum, phi: PhiFunction, delta: float, p: float, n_grid: int) -> float:
-    scan = _sampled_objective(f, phi, p, delta, n_grid)
+def _omega(f: Spectrum, phi: PhiFunction, delta: float, p: float) -> float:
+    scan = _sampled_objective(f, phi, p, delta)
     if scan is None:
         return 0.0
     _, _, samples, _, peak_v = scan
@@ -670,7 +666,7 @@ class OmegaEvaluator:
             raise InputDomainError("p must be positive and finite")
         self.p = p
         self.delta_max = float(delta_max)
-        scan = _sampled_objective(f, phi, p, self.delta_max, _N_GRID)
+        scan = _sampled_objective(f, phi, p, self.delta_max)
         self.trivial = scan is None
         if self.trivial:
             return

@@ -3,8 +3,8 @@
 A :class:`Spectrum` is the universal function model of the library: a finite
 map from frequencies to complex coefficients.  All norms here are
 coefficient-space (discrete-metric) norms: ``||f||_p = (sum |coef|^p)^{1/p}``,
-computed exactly coordinate by coordinate.  Operations never mutate their
-inputs; a Spectrum is safe to share between threads.
+computed coordinate by coordinate by one kernel, ``_lp``.  Operations never
+mutate their inputs; a Spectrum is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -169,20 +169,21 @@ class Spectrum:
 # norms and approximations
 
 
-def coef_power_sum(f: Spectrum, p: float) -> float:
-    """sum |coef|^p with compensated summation (any p > 0)."""
-    if not p > 0:
-        raise InputDomainError(f"exponent p must be positive, got {p}")
-    return math.fsum(abs(c) ** p for c in f.coefficients)
+def _lp(coefs, p: float) -> float:
+    """The l_p norm of the coefficients: max |c| at p = inf, else
+    (sum |c|^p)^{1/p} with the sum rounded once (``math.fsum``)."""
+    if not 0 < p <= math.inf:
+        raise InputDomainError(f"exponent p must satisfy 0 < p <= inf, got {p}")
+    if p == math.inf:
+        return max((abs(c) for c in coefs), default=0.0)
+    return math.fsum(abs(c) ** p for c in coefs) ** (1.0 / p)
 
 
 def sp_norm(f: Spectrum, p: float) -> float:
     """Coefficient-space norm: (sum |coef|^p)^{1/p}, or sup|coef| for p=inf."""
-    if p == math.inf:
-        return max((abs(c) for c in f.coefficients), default=0.0)
     if not p >= 1:
         raise InputDomainError(f"norm exponent must satisfy p >= 1, got {p}")
-    return coef_power_sum(f, p) ** (1.0 / p)
+    return _lp(f.coefficients, p)
 
 
 def _region_predicate(region) -> Callable:
@@ -215,23 +216,14 @@ def best_tail_approx(f: Spectrum, gamma, p: float) -> float:
     """Error of the best approximation by spectra supported in ``gamma``:
     the coefficient-norm of f outside gamma."""
     pred = _region_predicate(gamma)
-    if p == math.inf:
-        return max((abs(c) for k, c in f.items() if not pred(k)), default=0.0)
-    if not p > 0:
-        raise InputDomainError(f"exponent p must be positive, got {p}")
-    return math.fsum(abs(c) ** p for k, c in f.items() if not pred(k)) ** (1.0 / p)
+    return _lp((c for k, c in f.items() if not pred(k)), p)
 
 
 def ladder_tail_norm(f: Spectrum, lam: float, p: float) -> float:
     """Tail norm over |frequency| >= lam (best approximation by lower-band
     spectra); the scalar-frequency analogue of :func:`best_tail_approx`."""
-    freqs = f.scalar_frequencies()
-    if p == math.inf:
-        sel = [abs(c) for x, c in zip(freqs, f.coefficients) if abs(x) >= lam]
-        return max(sel, default=0.0)
-    return math.fsum(
-        abs(c) ** p for x, c in zip(freqs, f.coefficients) if abs(x) >= lam
-    ) ** (1.0 / p)
+    freqs = f.scalar_frequencies().tolist()
+    return _lp((c for x, c in zip(freqs, f.coefficients) if abs(x) >= lam), p)
 
 
 @dataclass(frozen=True)
@@ -255,10 +247,7 @@ def greedy_select(f: Spectrum, n: int, p: float) -> GreedyResult:
     kept = ranked[:n]
     dropped = ranked[n:]
     tie = bool(kept and dropped and abs(kept[-1][1]) == abs(dropped[0][1]))
-    if p == math.inf:
-        value = max((abs(c) for _, c in dropped), default=0.0)
-    else:
-        value = math.fsum(abs(c) ** p for _, c in dropped) ** (1.0 / p) if dropped else 0.0
+    value = _lp((c for _, c in dropped), p)
     return GreedyResult(frozenset(k for k, _ in kept), value, tie)
 
 

@@ -96,6 +96,21 @@ def test_cli_jackson_closed_form(capsys):
     assert rep["certificate"]["match"] is True
 
 
+@pytest.mark.parametrize("phi, v, I, tail_mean, dominated", [
+    # unit density on [0, pi]: every integer ratio k gives I(k) = pi times
+    # the period mean of phi^p, so the two values tie and differ by rounding
+    ("alpha:0.5", "t", 4.0, 4.0, False),
+    ("alpha:2", "t", 6 * math.pi, 6 * math.pi, False),
+    # cos weight: I(1) = 32/3 lies below the period mean times the mass, 12
+    ("alpha:2", "cos", 32 / 3, 12.0, True),
+])
+def test_cli_jackson_tail_dominated_needs_more_than_a_tie(capsys, phi, v, I, tail_mean, dominated):
+    assert run(["jackson", "--phi", phi, "--p", "2", "--v", v, "--n", "1"]) == 0
+    cert = _strict_json(capsys.readouterr().out)["reports"][0]["certificate"]
+    assert (cert["I"], cert["tail_mean"]) == pytest.approx((I, tail_mean), rel=1e-12)
+    assert cert["tail_dominated"] is dominated
+
+
 def test_cli_jackson_pwl_weight_default_tolerance(tmp_path, capsys):
     # the scanned powers have cusps inside both segments of the weight
     path = tmp_path / "v.json"
@@ -238,9 +253,10 @@ def test_cli_csv_schema_header(tmp_path):
 
 def test_cli_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg"
-    cfg.write_text("quad_tol = 1e-9\nwhatever = 3\n")
-    assert run(["--config", str(cfg), "charseq", "--psi", "explicit:harmonic",
-                "--count", "1"]) == 2
+    for line in ("whatever = 3", "grid_points = 4096"):
+        cfg.write_text(f"quad_tol = 1e-9\n{line}\n")
+        assert run(["--config", str(cfg), "charseq", "--psi", "explicit:harmonic",
+                    "--count", "1"]) == 2
     good = tmp_path / "good"
     good.write_text("# comment\nquad_tol = 1e-9\nseed = 7\n")
     assert run(["--config", str(good), "charseq", "--psi", "explicit:harmonic",

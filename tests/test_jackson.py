@@ -762,6 +762,26 @@ def test_sigma_series_default_arguments_fail_fast():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("s, tol, budget", [
+    (math.inf, 1e-8, 1000), (math.nan, 1e-8, 1000), (-1.5, 1e-8, 1000),
+    (2.5, 0.0, 10), (2.5, -1.0, 10), (2.5, math.nan, 10), (2.5, math.inf, 10),
+    (2.5, 1e-8, -5), (2.0, 0.0, 10), (2.0, 1e-8, -1),
+])
+def test_sigma_series_rejects_bad_arguments_before_summing(monkeypatch, s, tol, budget):
+    def no_summing(*args):
+        raise AssertionError("the series was summed")
+
+    monkeypatch.setattr(jackson, "_sigma_partial_sum", no_summing)
+    with pytest.raises(InputDomainError):
+        sigma_series(s, tol, budget)
+
+
+@pytest.mark.parametrize("s, tol, budget", [(0.5, 1e-8, 3000), (2.5, 1e-8, 0)])
+def test_sigma_series_keeps_convergence_errors_for_valid_arguments(s, tol, budget):
+    with pytest.raises(ConvergenceError):
+        sigma_series(s, tol, budget)
+
+
 def _sigma_setup(s):
     """First term index, parity flag and tail-bound factor of the series."""
     a0 = int(s / 2.0) + 1

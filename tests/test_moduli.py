@@ -602,12 +602,11 @@ def test_modulus_cache_returns_the_computed_value(f, phi, delta, p):
 def test_modulus_cache_keys_on_every_field():
     entries = {0.0: 0.4, 1.0: 1.0, -2.5: 0.3 + 0.2j}
     moved = {**entries, 1.0: math.nextafter(1.0, 2.0)}
-    base = {"f": Spectrum.real(entries), "phi": phi_alpha(2.0), "delta": 1.1, "p": 1.5,
-            "n_grid": 2048}
+    base = {"f": Spectrum.real(entries), "phi": phi_alpha(2.0), "delta": 1.1, "p": 1.5}
 
     def call(**change):
         args = {**base, **change}
-        return omega_phi(args["f"], args["phi"], args["delta"], args["p"], args["n_grid"])
+        return omega_phi(args["f"], args["phi"], args["delta"], args["p"])
 
     _omega.cache_clear()
     first = call()
@@ -619,7 +618,6 @@ def test_modulus_cache_keys_on_every_field():
         {"phi": phi_steklov(2)},
         {"delta": math.nextafter(1.1, 2.0)},
         {"p": 2.0},
-        {"n_grid": 4096},
     ]
     for size, change in enumerate(changes, start=2):
         call(**change)

@@ -1,6 +1,7 @@
 """Static checks on the package source (``ast`` only): every imported name
-is used, and every private module-level function is referenced somewhere
-in the package."""
+is used, every private module-level function is referenced somewhere in
+the package, and every public one is exported or referenced somewhere in
+the repository's code."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,42 @@ def test_private_functions_are_referenced():
         and node.name not in referenced
     ]
     assert not orphans, f"private functions nothing in src/ calls: {', '.join(orphans)}"
+
+
+def test_public_functions_are_exported_or_referenced():
+    # a name counts as referenced where any module of src/, tests/ or
+    # perfbench/ reads it, imports it or spells it as a string (the tracer
+    # wraps functions by name); a definition alone does not count
+    root = SRC.parents[1]
+    trees = list(TREES.values()) + [
+        ast.parse(path.read_text(), filename=str(path))
+        for folder in ("tests", "perfbench") for path in sorted((root / folder).glob("*.py"))
+    ]
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    exported = {
+        alias.asname or alias.name
+        for node in TREES["__init__.py"].body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    orphans = [
+        f"{name}:{node.name}"
+        for name, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in exported | referenced
+    ]
+    assert not orphans, f"public functions neither exported nor used: {', '.join(orphans)}"
 
 
 def test_psi_classes_define_their_own_stream_and_power_sum():

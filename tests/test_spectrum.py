@@ -3,9 +3,10 @@ import math
 import os
 import tempfile
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spapprox import (
@@ -18,6 +19,7 @@ from spapprox import (
     best_tail_approx,
     difference_multiplier,
     greedy_select,
+    ladder_tail_norm,
     load_spectrum,
     partial_sum,
     save_spectrum,
@@ -138,6 +140,90 @@ def test_greedy_matches_exhaustive_small(f, n, p):
     assert g.value == val
     mags = sorted((abs(c) for c in f.coefficients), reverse=True)
     assert g.tie == (0 < n < len(mags) and mags[n - 1] == mags[n])
+
+
+# components 0 or of magnitude in [2^-10, 2^10]: no term |c|^p (p <= 4)
+# underflows, so the error bound below holds term by term
+_COMPONENT = st.one_of(
+    st.just(0.0), st.floats(2.0 ** -10, 2.0 ** 10), st.floats(-(2.0 ** 10), -(2.0 ** -10)),
+)
+_NORM_COEF = st.builds(complex, _COMPONENT, _COMPONENT)
+_NORM_SPECTRA = st.one_of(
+    st.dictionaries(st.integers(-24, 24).map(lambda x: x / 4), _NORM_COEF, max_size=8)
+    .map(Spectrum.real),
+    st.integers(1, 2).flatmap(lambda d: st.dictionaries(
+        st.tuples(*[st.integers(-3, 3)] * d), _NORM_COEF, max_size=8,
+    ).map(lambda entries: Spectrum.lattice(entries, d))),
+)
+_P = st.one_of(st.floats(0.0, 4.0, exclude_min=True), st.just(math.inf))
+_U = 2.0 ** -53  # unit roundoff of a double
+
+
+def _mp_norm(coefs, p):
+    """(l_p norm, sum |c|^p) at 50 digits, from mpmath alone; the sum is
+    None at p = inf."""
+    with mpmath.workdps(50):
+        mags = [mpmath.sqrt(mpmath.mpf(c.real) ** 2 + mpmath.mpf(c.imag) ** 2) for c in coefs]
+        if p == math.inf:
+            return max(mags, default=mpmath.mpf(0)), None
+        total = mpmath.fsum(m ** mpmath.mpf(p) for m in mags)
+        return total ** (1 / mpmath.mpf(p)), total
+
+
+@given(f=_NORM_SPECTRA, p=_P, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_norms_match_mpmath_within_the_rounding_bound(f, p, data):
+    kept = data.draw(st.sets(st.sampled_from(f.frequencies)) if len(f) else st.just(set()))
+    ref, total = _mp_norm([c for k, c in f.items() if k not in kept], p)
+    if ref == 0:
+        assert best_tail_approx(f, kept, p) == 0.0
+        return
+    with mpmath.workdps(50):
+        # a tiny p sends S^(1/p) past the double range
+        assume(mpmath.mpf(2) ** -1000 < ref < mpmath.mpf(2) ** 1000)
+        got = best_tail_approx(f, kept, p)
+        # first-order relative error, u = 2^-53, with abs (hypot) and pow
+        # each within 1 ulp (relative 2u):
+        #   |c|^p    2u from pow, plus p times the 2u of abs     (2p + 2) u
+        #   S        fsum rounds the exact sum of the terms once (2p + 3) u
+        #   1/p      one rounding, which moves S^(1/p) by        u |ln S| / p
+        #   S^(1/p)  pow's own 2u, plus S's error over p
+        # in all (4 + (3 + |ln S|) / p) u; at p = inf the norm is one abs, 2u.
+        # The factor 1.01 and expm1 cover the second-order terms, which
+        # matter only where 1/p is huge
+        if p == math.inf:
+            bound = 2 * _U
+        else:
+            bound = (4 + (3 + abs(float(mpmath.log(total)))) / p) * _U
+        assert abs(mpmath.mpf(got) - ref) <= mpmath.expm1(1.01 * bound) * ref
+    if not kept and p >= 1:
+        assert sp_norm(f, p) == got
+
+
+# p >= 1/16 keeps every tail below 8^16 * 2^11, inside the double range
+@given(f=_NORM_SPECTRA, p=st.one_of(st.floats(1 / 16, 4.0), st.just(math.inf)),
+       lam=st.floats(0.0, 7.0), n=st.integers(0, 9))
+@settings(max_examples=200, deadline=None)
+def test_norm_entry_points_agree_on_equal_index_sets(f, p, lam, n):
+    g = greedy_select(f, n, p)
+    assert g.value == best_tail_approx(f, g.indices, p)
+    if f.d == 1:
+        low = {k for k, x in zip(f.frequencies, f.scalar_frequencies()) if abs(x) < lam}
+        assert ladder_tail_norm(f, lam, p) == best_tail_approx(f, low, p)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan])
+def test_norm_entry_points_reject_p_outside_0_inf(p):
+    f = Spectrum.real({0.0: 1.0, 1.0: 0.5, -2.0: 0.25j})
+    calls = [
+        lambda: sp_norm(f, p),
+        lambda: best_tail_approx(f, [0.0], p),
+        lambda: ladder_tail_norm(f, 1.0, p),
+        lambda: greedy_select(f, 1, p),
+    ]
+    for call in calls:
+        with pytest.raises(InputDomainError):
+            call()
 
 
 def test_difference_multiplier_examples():
