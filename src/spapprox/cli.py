@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variant", default="improved",
                     choices=("classic", "improved", "gap", "general"))
     sp.add_argument("--tau", default="pi")
-    sp.add_argument("--gap-bound", type=_positive_float, default=None)
+    sp.add_argument("--gap-bound", type=_positive_float, default=1.0)
 
     sp = sub.add_parser("verify", parents=[common], help="run an oracle-backed suite")
     sp.add_argument("suite", choices=("identities", "jackson", "inverse",
@@ -220,9 +220,7 @@ def cmd_modulus(args, cfg) -> int:
 def cmd_inverse_check(args, cfg) -> int:
     f = load_spectrum(args.input)
     tau = parse_tau(args.tau)
-    ladder = FrequencyLadder.integer()
-    if args.gap_bound is not None:
-        ladder = FrequencyLadder(lambda k: float(k), gap_bound=args.gap_bound, label="integer")
+    ladder = FrequencyLadder.integer(args.gap_bound)
     if args.variant == "general":
         from .moduli import phi_alpha
 

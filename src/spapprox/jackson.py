@@ -145,20 +145,28 @@ def _alpha_scan_integrals_jacobi(
     24-node Gauss-Jacobi rule absorbing the algebraic endpoint zeros exactly.
 
     The full periods of all ratios share one (gamma, gamma) kernel: the
-    density at their (pieces x 24) nodes t = (pi/r)(2m + 1 + x_j) times
-    ``_period_kernel(gamma)``, times pi/r per piece.  Only the partial last
-    pieces are evaluated point by point, under the (0, gamma) rule;
-    np.bincount adds each ratio's pieces in order."""
+    density at their nodes t = h (2m + 1 + x_j), h = pi/r, times
+    ``_period_kernel(gamma)``, times h per period.  A builtin density sums
+    its M full periods in closed form (``v.period_sums``), one (ratios x 24)
+    array; any other density is evaluated at all (periods x 24) nodes.  Only
+    the partial last pieces are evaluated point by point, under the
+    (0, gamma) rule; np.bincount adds each ratio's pieces in order."""
     gamma = alpha * p
     ratios = np.asarray(ratios, dtype=np.float64)
     rows = np.arange(ratios.shape[0])
     period = 2.0 * math.pi / ratios
     full = np.floor(tau / period * (1.0 + 1e-15)).astype(np.int64)
-    owner = np.repeat(rows, full)
-    m = (np.arange(owner.shape[0]) - (np.cumsum(full) - full)[owner]).astype(np.float64)
-    half = 0.5 * period[owner]
-    t = half[:, None] * ((2.0 * m + 1.0)[:, None] + _jacobi_rule(gamma, gamma)[0])
-    dens = np.asarray(v.vprime(t.ravel()), dtype=np.float64).reshape(t.shape)
+    nodes = _jacobi_rule(gamma, gamma)[0]
+    if v.period_sums is not None:
+        owner = rows
+        half = 0.5 * period
+        dens = v.period_sums(half[:, None], full[:, None], nodes)
+    else:
+        owner = np.repeat(rows, full)
+        m = (np.arange(owner.shape[0]) - (np.cumsum(full) - full)[owner]).astype(np.float64)
+        half = 0.5 * period[owner]
+        t = half[:, None] * ((2.0 * m + 1.0)[:, None] + nodes)
+        dens = np.asarray(v.vprime(t.ravel()), dtype=np.float64).reshape(t.shape)
     vals = (dens @ _period_kernel(gamma)) * half
     start = full * period
     tail = start < tau * (1.0 - 1e-15)
@@ -332,7 +340,8 @@ def jackson_I(
             second = val
     cert: dict = {
         "k_range": [n, k_max],
-        "min_gap": (second - best_val) if math.isfinite(second) else None,
+        # a value that ties the minimum is a gap of 0, never a negative one
+        "min_gap": max(second - best_val, 0.0) if math.isfinite(second) else None,
         "quad_tol": quad_tol,
     }
     mean = _phi_period_mean(setup.phi, setup.p)

@@ -201,7 +201,12 @@ class WeightMeasure:
 
     ``cos_moments(a, b)``: integral_0^b cos(a t) dv(t) elementwise over the
     array a in closed form (the builtin densities, piecewise-linear
-    weights), or None (custom densities, atomic weights)."""
+    weights), or None (custom densities, atomic weights).
+
+    ``period_sums(h, m, x)``: sum_{j < m} v'(h (2j + 1 + x)) elementwise over
+    the broadcast arrays h > 0, m >= 0 (integers) and x, in closed form (the
+    builtin densities), or None (custom densities, piecewise-linear and
+    atomic weights)."""
 
     def __init__(self, tau: float, kind: str, label: str = "", **data):
         if not tau > 0:
@@ -213,6 +218,7 @@ class WeightMeasure:
             self.vprime = data["vprime"]  # vectorized, nonnegative
             self.v = data.get("v")
             self.cos_moments = _COS_MOMENTS.get(self.vprime)
+            self.period_sums = _PERIOD_SUMS.get(self.vprime)
             dens = np.asarray(self.vprime(np.linspace(0, tau, 257)), dtype=np.float64)
             if np.any(dens < -1e-12):
                 raise InputDomainError("weight density must be nonnegative")
@@ -244,6 +250,7 @@ class WeightMeasure:
                 return (pieces * slopes).sum(axis=-1)
 
             self.cos_moments = cos_moments
+            self.period_sums = None
         elif kind == "atomic":
             pts = np.asarray(data["points"], dtype=np.float64)
             jmp = np.asarray(data["jumps"], dtype=np.float64)
@@ -257,6 +264,7 @@ class WeightMeasure:
             self.points, self.jumps = pts[order], jmp[order]
             self._key = (kind, self.tau, tuple(self.points.tolist()), tuple(self.jumps.tolist()))
             self.cos_moments = None
+            self.period_sums = None
         else:
             raise InputDomainError(f"unknown weight kind {kind!r}")
         if self.total_mass() <= 0:
@@ -319,6 +327,23 @@ def _unit_cos_moments(a, b):
 
 
 _COS_MOMENTS = {_sine_density: _sine_cos_moments, _unit_density: _unit_cos_moments}
+
+
+def _sine_period_sums(h, m, x):
+    """sum_{j < m} sin(h (2j + 1 + x)) = sin(h (m + x)) sin(h m) / sin h,
+    Lagrange's identity for sin(a + 2jh) at a = h (1 + x).  A nonnegative
+    sine density has tau <= pi, so m >= 1 full periods of length 2h in
+    [0, tau] have 0 < h <= pi/2, and sin h stays away from zero; m = 0
+    gives an exact 0."""
+    return np.sin(h * (m + x)) * (np.sin(h * m) / np.sin(h))
+
+
+def _unit_period_sums(h, m, x):
+    """sum_{j < m} 1 = m, at every node."""
+    return m * np.ones_like(h * x)
+
+
+_PERIOD_SUMS = {_sine_density: _sine_period_sums, _unit_density: _unit_period_sums}
 
 
 def weight_cos(tau: float = math.pi) -> WeightMeasure:

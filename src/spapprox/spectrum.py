@@ -171,12 +171,17 @@ class Spectrum:
 
 def _lp(coefs, p: float) -> float:
     """The l_p norm of the coefficients: max |c| at p = inf, else
-    (sum |c|^p)^{1/p} with the sum rounded once (``math.fsum``)."""
+    (sum |c|^p)^{1/p} with the sum rounded once (``math.fsum``);
+    InputDomainError when a modulus, a power, the sum or the root is past
+    the double range."""
     if not 0 < p <= math.inf:
         raise InputDomainError(f"exponent p must satisfy 0 < p <= inf, got {p}")
-    if p == math.inf:
-        return max((abs(c) for c in coefs), default=0.0)
-    return math.fsum(abs(c) ** p for c in coefs) ** (1.0 / p)
+    try:
+        if p == math.inf:
+            return max((abs(c) for c in coefs), default=0.0)
+        return math.fsum(abs(c) ** p for c in coefs) ** (1.0 / p)
+    except OverflowError:
+        raise InputDomainError(f"the l_p norm is not a finite double (p={p:g})") from None
 
 
 def sp_norm(f: Spectrum, p: float) -> float:

@@ -154,6 +154,24 @@ def test_cli_inverse_check(tmp_path, capsys):
     assert doc["reports"][0]["certificate"]["holds"] is True
 
 
+def test_cli_inverse_check_gap_bound(tmp_path, capsys):
+    # --gap-bound sets the bound of the integer ladder: 1 is its default, the
+    # gap variant's bound is linear in it, and a bound below the gaps is refused
+    path = tmp_path / "f.json"
+    save_spectrum(Spectrum.real({0.0: 1.0, 2.0: 0.5, -2.0: 0.25, 5.0: 0.125}), str(path))
+    args = ["inverse-check", "--input", str(path), "--alpha", "1", "--p", "2", "--n", "4",
+            "--variant", "gap"]
+    outs = []
+    for extra in ([], ["--gap-bound", "1"], ["--gap-bound", "1.5"]):
+        assert run(args + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    rhs = [json.loads(out)["reports"][0]["value"] for out in outs]
+    assert rhs[2] == pytest.approx(1.5 * rhs[0], rel=1e-14)
+    assert run(args + ["--gap-bound", "0.5"]) == 3
+    assert "gap bound" in capsys.readouterr().err
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"{name} is not valid JSON")

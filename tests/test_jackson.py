@@ -459,6 +459,108 @@ def test_partial_piece_ending_near_a_zero(fraction):
     assert got == pytest.approx(_mpmath_scan_integral(ratio, "t", 0.5), rel=1e-12, abs=0)
 
 
+def _mpmath_by_periods(ratio, weight, tau, gamma):
+    """integral_0^tau (2 |sin(r t / 2)|)^gamma v'(t) dt at 30 digits for
+    v' = sin t ("cos") or 1 ("t"), period by period.  Period m starts at
+    t_m = m P, P = 2 pi / r, and sin(t_m + u) = sin t_m cos u + cos t_m sin u,
+    so the M full periods are two one-period integrals (cos u and sin u,
+    split at the middle zero) against the plain sums of sin t_m and cos t_m;
+    against the unit density, M times one period.  The partial piece is
+    split at its zeros."""
+    with mpmath.workdps(30):
+        r, g, tau = mpmath.mpf(ratio), mpmath.mpf(gamma), mpmath.mpf(tau)
+        period = 2 * mpmath.pi / r
+        full = int(mpmath.floor(tau / period))
+
+        def quad(density, points):
+            return mpmath.quad(lambda t: (2 * abs(mpmath.sin(r * t / 2))) ** g * density(t), points)
+
+        one = [0, period / 2, period]
+        start = full * period
+        piece = [start] + ([start + period / 2] if start + period / 2 < tau else []) + [tau]
+        if weight == "t":
+            return float(full * quad(lambda t: 1, one) + quad(lambda t: 1, piece))
+        sines = mpmath.fsum(mpmath.sin(m * period) for m in range(full))
+        cosines = mpmath.fsum(mpmath.cos(m * period) for m in range(full))
+        return float(quad(mpmath.cos, one) * sines + quad(mpmath.sin, one) * cosines
+                     + quad(mpmath.sin, piece))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    gamma=st.floats(0.5, 4.0).filter(lambda g: min(abs(g - 2.0), abs(g - 4.0)) > 1e-6),
+    weight=st.sampled_from(["cos", "t"]),
+    tau=st.floats(0.5, 8.0),
+    periods=st.floats(10.0, 500.0),
+)
+def test_closed_form_period_sums_match_mpmath(gamma, weight, tau, periods):
+    # the builtin densities sum their full periods in closed form; a sine
+    # density is nonnegative on [0, tau] only for tau <= pi.  The partial
+    # piece spans at most 0.9 of a period (see the xfail test above)
+    if weight == "cos":
+        tau = min(tau, math.pi)
+    v = weight_cos(tau) if weight == "cos" else weight_linear(tau)
+    assert v.period_sums is not None
+    ratio = 2 * math.pi * periods / tau
+    assume(_last_piece_fraction(ratio, tau) <= 0.9)
+    got = scaled_phi_integral(phi_alpha(gamma), 1.0, v, tau, ratio)
+    assert got == pytest.approx(_mpmath_by_periods(ratio, weight, tau, gamma), rel=1e-12, abs=0)
+
+
+def _counting(density, points):
+    def counted(t):
+        points.append(np.size(t))
+        return density(t)
+    return counted
+
+
+def test_closed_form_evaluates_the_density_only_on_partial_pieces():
+    # 128 to 255 full periods per ratio at tau = pi: the sine density sums
+    # them in closed form and is evaluated at the 24 nodes of each partial
+    # piece alone; the same density as a custom function is evaluated at
+    # every full period's nodes too
+    ratios = np.array([256.5, 300.25, 511.0])
+    full = np.floor(ratios / 2)
+    builtin, custom = [], []
+    v = weight_cos()
+    v.vprime = _counting(v.vprime, builtin)
+    jackson._alpha_scan_integrals_jacobi(1.3, 1.0, v, math.pi, ratios)
+    assert sum(builtin) == 24 * len(ratios)
+    w = WeightMeasure(math.pi, "density", vprime=_counting(np.sin, custom))
+    custom.clear()  # the construction's nonnegativity check
+    jackson._alpha_scan_integrals_jacobi(1.3, 1.0, w, math.pi, ratios)
+    assert sum(custom) == 24 * int((full + 1).sum())
+
+
+@pytest.mark.parametrize("builtin, density", [
+    (weight_cos(), lambda t: np.sin(t)),
+    (weight_linear(math.pi), lambda t: np.ones_like(t)),
+])
+def test_custom_density_route_agrees_with_the_closed_form(builtin, density):
+    # the ratios k / 8 of an n = 8 scan: a custom density takes the
+    # per-node route, its builtin twin the closed-form period sums
+    custom = WeightMeasure(math.pi, "density", vprime=density)
+    assert custom.period_sums is None and builtin.period_sums is not None
+    ratios = np.arange(8, 8 * 64 + 1) / 8.0
+    for gamma in (0.55, 1.3, 3.3):
+        got = _scaled_phi_integrals(phi_alpha(gamma), 1.0, builtin, math.pi, ratios)
+        ref = _scaled_phi_integrals(phi_alpha(gamma), 1.0, custom, math.pi, ratios)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("alpha, p", [(0.7, 1.5), (1.3, 1.0), (0.5, 2.0), (2.5, 1.5)])
+def test_min_gap_of_a_tie_is_zero_not_negative(alpha, p):
+    # unit density on [0, pi]: I(k) is pi times the period mean of phi^p
+    # for every integer k, so all 64 scanned values tie up to rounding
+    res = jackson_I(JacksonSetup(n=1, phi=phi_alpha(alpha), p=p, tau=math.pi,
+                                 v=weight_linear(math.pi)))
+    gamma = alpha * p
+    mean = float(mpmath.gamma(gamma + 1) / mpmath.gamma(gamma / 2 + 1) ** 2)
+    assert res.value == pytest.approx(math.pi * mean, rel=1e-13)
+    assert res.k_star == 1
+    assert 0.0 <= res.certificate["min_gap"] <= 1e-13 * res.value
+
+
 def _wobble(shift):
     return FrequencyLadder(lambda k: k + shift * math.sin(k), label="wobble")
 
@@ -640,6 +742,30 @@ def test_array_ladder_past_its_end_is_an_input_error():
         assert list(FrequencyLadder(values).values(len(values))) == [0.0] + values
     with pytest.raises(InputDomainError, match="increasing"):
         FrequencyLadder([1.0, 3.0, 2.0])
+
+
+def test_builtin_ladders_build_values_as_one_array(monkeypatch):
+    integer, array = FrequencyLadder.integer(), FrequencyLadder([1.0, 2.5, 4.0, 7.25])
+    # bit-identical to the per-k loop, which the arrays never call
+    loops = {(lad, n): np.array([lad.value(k) for k in range(n + 1)], dtype=np.float64)
+             for lad, n in ((integer, 200), (array, 4), (array, 2), (array, 0))}
+
+    def no_loop(self, k):
+        raise AssertionError("per-k loop")
+
+    monkeypatch.setattr(FrequencyLadder, "value", no_loop)
+    for (lad, n), loop in loops.items():
+        got = lad.values(n)
+        assert got.dtype == np.float64 and got.tobytes() == loop.tobytes()
+    for lad in (integer, array):
+        assert lad.values(-1).shape == (0,)
+    monkeypatch.undo()
+    with pytest.raises(InputDomainError, match="ladder index 5 is past the end of a ladder of 4 values"):
+        array.values(9)
+    # the label selects nothing: a squares rule labelled "integer" keeps its rule
+    squares = FrequencyLadder(lambda k: float(k * k), label="integer")
+    assert list(squares.values(3)) == [0.0, 1.0, 4.0, 9.0]
+    assert FrequencyLadder.integer(1.5).gap_bound == 1.5
 
 
 def test_kinked_custom_generator_at_default_arguments():

@@ -226,6 +226,19 @@ def test_norm_entry_points_reject_p_outside_0_inf(p):
             call()
 
 
+@pytest.mark.parametrize("call", [
+    # a power |c|^p past the double range
+    lambda: sp_norm(Spectrum.real({0.0: 1e200}), 2),
+    # a modulus |c| past the double range
+    lambda: greedy_select(Spectrum.real({0.0: complex(1e308, 1e308)}), 0, 2.0),
+    # the root: S = 2 to the 1/p = 1e84
+    lambda: best_tail_approx(Spectrum.real({0.0: 1j, 0.25: 1j}), (), 1e-84),
+], ids=["power", "modulus", "root"])
+def test_norm_past_the_double_range_is_an_input_error(call):
+    with pytest.raises(InputDomainError, match="not a finite double"):
+        call()
+
+
 def test_difference_multiplier_examples():
     first = DifferenceScheme((1, -1))
     assert difference_multiplier(first, 1.0, math.pi) == pytest.approx(2.0, abs=1e-15)
