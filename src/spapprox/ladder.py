@@ -16,23 +16,16 @@ class FrequencyLadder:
 
     ``gap_bound`` is an optional claimed uniform bound on lam_{k+1} - lam_k;
     it is validated on every scanned range before gap-dependent formulas use
-    it.
-
-    ``values(n)`` is one array for the integer ladder (np.arange) and for
-    array ladders (a slice of lam_0..lam_N), and a per-k loop over any other
-    rule."""
+    it."""
 
     def __init__(self, rule: Callable[[int], float] | Sequence[float], gap_bound: float | None = None, label: str = "custom"):
-        # set by integer(), never read from the label
-        self._arange = False
         if callable(rule):
             self._fn = rule
             self._len = math.inf
-            self._table = None
         else:
-            self._table = np.array([0.0] + [float(x) for x in rule], dtype=np.float64)
-            self._fn = lambda k: self._table[k]
-            self._len = self._table.shape[0] - 1
+            arr = [float(x) for x in rule]
+            self._fn = lambda k: arr[k - 1]
+            self._len = len(arr)
         self.gap_bound = gap_bound
         self.label = label
         for k in range(1, min(4, self._len)):
@@ -42,9 +35,7 @@ class FrequencyLadder:
 
     @classmethod
     def integer(cls, gap_bound: float = 1.0) -> "FrequencyLadder":
-        ladder = cls(float, gap_bound=gap_bound, label="integer")
-        ladder._arange = True
-        return ladder
+        return cls(float, gap_bound=gap_bound, label="integer")
 
     def value(self, k: int) -> float:
         if k < 0:
@@ -54,13 +45,6 @@ class FrequencyLadder:
         return 0.0 if k == 0 else float(self._fn(k))
 
     def values(self, n: int) -> np.ndarray:
-        """lam_0..lam_n (empty for n < 0)."""
-        if self._arange:
-            return np.arange(n + 1, dtype=np.float64)
-        if self._table is not None:
-            if n > self._len:
-                self.value(self._len + 1)  # the past-the-end error
-            return self._table[:max(n + 1, 0)].copy()
         return np.array([self.value(k) for k in range(n + 1)], dtype=np.float64)
 
     def check_gap(self, n: int) -> float:

@@ -744,30 +744,6 @@ def test_array_ladder_past_its_end_is_an_input_error():
         FrequencyLadder([1.0, 3.0, 2.0])
 
 
-def test_builtin_ladders_build_values_as_one_array(monkeypatch):
-    integer, array = FrequencyLadder.integer(), FrequencyLadder([1.0, 2.5, 4.0, 7.25])
-    # bit-identical to the per-k loop, which the arrays never call
-    loops = {(lad, n): np.array([lad.value(k) for k in range(n + 1)], dtype=np.float64)
-             for lad, n in ((integer, 200), (array, 4), (array, 2), (array, 0))}
-
-    def no_loop(self, k):
-        raise AssertionError("per-k loop")
-
-    monkeypatch.setattr(FrequencyLadder, "value", no_loop)
-    for (lad, n), loop in loops.items():
-        got = lad.values(n)
-        assert got.dtype == np.float64 and got.tobytes() == loop.tobytes()
-    for lad in (integer, array):
-        assert lad.values(-1).shape == (0,)
-    monkeypatch.undo()
-    with pytest.raises(InputDomainError, match="ladder index 5 is past the end of a ladder of 4 values"):
-        array.values(9)
-    # the label selects nothing: a squares rule labelled "integer" keeps its rule
-    squares = FrequencyLadder(lambda k: float(k * k), label="integer")
-    assert list(squares.values(3)) == [0.0, 1.0, 4.0, 9.0]
-    assert FrequencyLadder.integer(1.5).gap_bound == 1.5
-
-
 def test_kinked_custom_generator_at_default_arguments():
     # |sin 3t| has kinks at pi/3 and 2 pi/3 inside (0, pi); against the
     # sine density the integral is 3 sqrt(3) / 4
