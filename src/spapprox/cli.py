@@ -37,7 +37,7 @@ from .errors import (
     SpapproxError,
 )
 from .inverse import inverse_bound_alpha, inverse_bound_general
-from .jackson import JacksonSetup, jackson_I, jackson_constant
+from .jackson import JacksonSetup, chernykh_constants, jackson_I, jackson_constant
 from .ladder import FrequencyLadder
 from .minilang import parse_phi, parse_psi, parse_tau, parse_weight
 from .moduli import omega_phi
@@ -191,7 +191,7 @@ def cmd_jackson(args, cfg) -> int:
     if phi.kind == "alpha" and v.label == "cos" and abs(tau - math.pi) < 1e-12:
         s = phi.param * args.p / 2.0
         if abs(s - round(s)) < 1e-12:
-            closed = ((s + 1.0) / 2.0 ** (phi.param * args.p)) ** (1.0 / args.p)
+            closed = chernykh_constants(phi.param, args.p)["sharp_ratio_pow_p"] ** (1.0 / args.p)
     nu = psi.nu(args.n) if psi is not None else 1.0
     rep = ExtremalReport(
         "jackson_constant", const * nu, n=args.n, s_star=res.k_star,

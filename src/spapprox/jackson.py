@@ -61,8 +61,7 @@ class JacksonSetup:
             raise InputDomainError("tau must be positive")
         if abs(self.v.tau - self.tau) > 1e-12 * max(1.0, self.tau):
             raise InputDomainError("weight must be defined on [0, tau]")
-        # sup^p bounds every integrand of the scan (and 2^(alpha p) every
-        # binomial of a moment sum)
+        # sup^p bounds every integrand of the scan
         try:
             finite = self.phi.sup is None or math.isfinite(self.phi.sup ** self.p)
         except OverflowError:
@@ -98,10 +97,12 @@ def _jacobi_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     )
     J = np.diag(diag) + np.diag(np.sqrt(off2), 1) + np.diag(np.sqrt(off2), -1)
     nodes, vecs = np.linalg.eigh(J)
-    mu0 = (
-        2.0 ** (a + b + 1.0)
-        * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
-    )
+    try:
+        mu0 = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
+    except OverflowError:
+        # past a + b = 169, from log-gamma (about 1e-13 relative at a + b = 400)
+        mu0 = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                       + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
     weights = mu0 * vecs[0, :] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -117,45 +118,94 @@ def _period_kernel(gamma: float) -> np.ndarray:
     Jacobi weight, and g(u_j)^gamma is the same at every ratio and period."""
     nodes, weights = _jacobi_rule(gamma, gamma)
     u = 0.5 * math.pi * (1.0 + nodes)
-    kernel = weights * (np.sin(u) / (u * (math.pi - u))) ** gamma * (0.5 * math.pi) ** (2.0 * gamma)
+    # (pi/2)^gamma, and (pi/2) g(u) <= 2/pi: finite for every gamma < 1024
+    half_g = 0.5 * math.pi * np.sin(u) / (u * (math.pi - u))
+    kernel = weights * (0.5 * math.pi) ** gamma * half_g ** gamma
     kernel.setflags(write=False)
     return kernel
 
 
-def _jacobi_tail(gamma: float, vprime, ratio: np.ndarray, lo: np.ndarray, hi: float) -> np.ndarray:
-    """integral over [lo_j, hi] of |sin(ratio_j t/2)|^gamma v'(t) for a batch
-    of partial sign-intervals of the sine, each starting at a zero: with
-    u = ratio (t - lo)/2 = u_half (1 + x) over [0, u1] (u1 < pi),
-    u^gamma = u_half^gamma (1+x)^gamma is the (0, gamma) Jacobi weight and
-    (sin u / u)^gamma the smooth factor."""
+# a partial piece keeps one (0, gamma) rule up to 0.8 of a sine period,
+# past which the cusp of the next zero is near; past gamma = 32 the peak of
+# the power at mid-period narrows like 1/sqrt(gamma), and the rule's reach
+# narrows with it
+_JACOBI_REACH = 0.8
+_PEAK_GAMMA = 32.0
+# nodes and weights of the Gauss-Legendre sub-pieces that finish such a piece
+_LEGENDRE_NODES, _LEGENDRE_WEIGHTS = np.polynomial.legendre.leggauss(_JACOBI_NODES)
+
+
+def _partial_pieces(gamma: float, vprime, ratio, lo, hi) -> np.ndarray:
+    """integral over [lo_j, hi_j] of |sin(ratio_j t/2)|^gamma v'(t) for a batch
+    of partial sign-intervals of the sine, each starting at a zero, with
+    u = ratio (t - lo)/2 over [0, u1] (u1 < pi).
+
+    Up to the reach (0.8 pi for gamma <= 32), u = u_half (1 + x), u^gamma is
+    the (0, gamma) Jacobi weight and (sin u / u)^gamma the smooth factor.
+    Past it the cusp of the next zero u = pi is near: the rest of the piece,
+    at distances d = pi - u from d0 = pi - reach down to the gap pi - u1,
+    goes to Gauss-Legendre sub-pieces whose distance shrinks geometrically,
+    at most 5-fold, so each is at most four times as wide as its distance to
+    the cusp (and at most half the reach wide).  v' is read only inside the
+    pieces."""
+    reach = _JACOBI_REACH * math.pi * min(1.0, math.sqrt(_PEAK_GAMMA / gamma))
+    far = 0.5 * ratio * (hi - lo) > reach
+    hi_j = np.where(far, lo + 2.0 * reach / ratio, hi)
     nodes, weights = _jacobi_rule(0.0, gamma)
-    half = 0.5 * (hi - lo)
-    t = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
+    half = 0.5 * (hi_j - lo)
+    t = (0.5 * (hi_j + lo))[:, None] + half[:, None] * nodes
     u_half = ratio * half / 2.0
+    u = u_half[:, None] * (1.0 + nodes)
     dens = np.asarray(vprime(t.ravel()), dtype=np.float64).reshape(t.shape)
-    smooth = np.sinc(u_half[:, None] * (1.0 + nodes) / math.pi) ** gamma * dens
-    return (weights * smooth).sum(axis=1) * half * u_half ** gamma
+    out = (weights * (np.sin(u) / u) ** gamma * dens).sum(axis=1) * half * u_half ** gamma
+    if far.any():
+        # sub-piece k < K of a piece spans d in [d0 q^(k+1), d0 q^k], q^K = gap / d0
+        d0 = math.pi - reach
+        ratio, lo = ratio[far], lo[far]
+        shrink = np.log(np.maximum(math.pi - 0.5 * ratio * (hi[far] - lo), 1e-300) / d0)
+        count = np.ceil(shrink / math.log(max(0.2, 1.0 - 0.5 * reach / d0))).astype(np.int64)
+        owner = np.repeat(np.arange(count.shape[0]), count)
+        k = (np.arange(owner.shape[0]) - (np.cumsum(count) - count)[owner]).astype(np.float64)
+        step = (shrink / count)[owner]
+        d_hi, d_lo = d0 * np.exp(step * k), d0 * np.exp(step * (k + 1.0))
+        d_half = 0.5 * (d_hi - d_lo)
+        d = (0.5 * (d_hi + d_lo))[:, None] + d_half[:, None] * _LEGENDRE_NODES
+        t = lo[owner][:, None] + 2.0 * (math.pi - d) / ratio[owner][:, None]
+        dens = np.asarray(vprime(t.ravel()), dtype=np.float64).reshape(t.shape)
+        sub = (np.sin(d) ** gamma * dens) @ _LEGENDRE_WEIGHTS * d_half
+        out[far] += 2.0 / ratio * np.bincount(owner, sub, minlength=count.shape[0])
+    return out
 
 
-def _alpha_scan_integrals_jacobi(
-    alpha: float, p: float, v: WeightMeasure, tau: float, ratios: np.ndarray
-) -> np.ndarray:
-    """integral_0^tau (2|sin(r t/2)|)^{alpha p} v'(t) dt for each ratio r, for
-    fractional exponents: each sign-interval of the sine is integrated with a
-    24-node Gauss-Jacobi rule absorbing the algebraic endpoint zeros exactly.
+def _alpha_scan_integrals_jacobi(alpha: float, p: float, v: WeightMeasure, tau, ratios) -> np.ndarray:
+    """integral_0^tau (2|sin(r t/2)|)^{alpha p} dv(t) for each ratio r > 0
+    (tau a scalar or one per ratio) against a density or piecewise-linear
+    weight: each sign-interval of the sine is integrated with 24-node rules
+    absorbing the algebraic endpoint zeros exactly.
 
     The full periods of all ratios share one (gamma, gamma) kernel: the
     density at their nodes t = h (2m + 1 + x_j), h = pi/r, times
     ``_period_kernel(gamma)``, times h per period.  A builtin density sums
     its M full periods in closed form (``v.period_sums``), one (ratios x 24)
     array; any other density is evaluated at all (periods x 24) nodes.  Only
-    the partial last pieces are evaluated point by point, under the
-    (0, gamma) rule; np.bincount adds each ratio's pieces in order."""
-    gamma = alpha * p
+    the partial last pieces are evaluated point by point
+    (``_partial_pieces``); np.bincount adds each ratio's pieces in order.  A
+    piecewise-linear weight is the piecewise-constant density of its slopes
+    s_i, so its integral is sum_i s_i (F(t_{i+1}) - F(t_i)), with F(x) the
+    unit density's integral over [0, x] at the knots clipped to [0, tau]."""
     ratios = np.asarray(ratios, dtype=np.float64)
+    if v.kind == "pwl":
+        ends = np.clip(v.knots_t, 0.0, tau)
+        F = _alpha_scan_integrals_jacobi(
+            alpha, p, weight_linear(tau),
+            np.tile(ends, ratios.shape[0]), np.repeat(ratios, ends.shape[0]),
+        )
+        return np.diff(F.reshape(ratios.shape[0], ends.shape[0]), axis=1) @ v.slopes
+    gamma = alpha * p
+    ends = np.broadcast_to(tau, ratios.shape)
     rows = np.arange(ratios.shape[0])
     period = 2.0 * math.pi / ratios
-    full = np.floor(tau / period * (1.0 + 1e-15)).astype(np.int64)
+    full = np.floor(ends / period * (1.0 + 1e-15)).astype(np.int64)
     nodes = _jacobi_rule(gamma, gamma)[0]
     if v.period_sums is not None:
         owner = rows
@@ -169,8 +219,8 @@ def _alpha_scan_integrals_jacobi(
         dens = np.asarray(v.vprime(t.ravel()), dtype=np.float64).reshape(t.shape)
     vals = (dens @ _period_kernel(gamma)) * half
     start = full * period
-    tail = start < tau * (1.0 - 1e-15)
-    tail_vals = _jacobi_tail(gamma, v.vprime, ratios[tail], start[tail], tau)
+    tail = start < ends * (1.0 - 1e-15)
+    tail_vals = _partial_pieces(gamma, v.vprime, ratios[tail], start[tail], ends[tail])
     # each ratio's full pieces come first, its partial piece last
     total = np.bincount(
         np.concatenate((owner, rows[tail])), np.concatenate((vals, tail_vals)),
@@ -181,37 +231,20 @@ def _alpha_scan_integrals_jacobi(
 
 def _even_power(phi: PhiFunction, p: float) -> int | None:
     """s when phi^p is (2 - 2 cos t)^s, a sine power with alpha p = 2 s an
-    even integer (a trig polynomial, free of cusps); else None."""
+    even integer; else None."""
     gamma = phi.param * p
     if phi.kind == "alpha" and abs(gamma - round(gamma)) < 1e-12 and round(gamma) % 2 == 0:
         return round(gamma) // 2
     return None
 
 
-def _even_scan_integrals(s: int, v: WeightMeasure, tau: float, ratios: np.ndarray) -> list[float | None]:
-    """integral_0^tau (2 - 2 cos(r t))^s dv(t) for each ratio r, the fsum of
-    the s + 1 terms C(2s, s) M(0) + 2 sum_{j=1..s} (-1)^j C(2s, s+j) M(j r)
-    over the weight's closed-form cosine moments M.  None where the terms
-    add up to more than ``_MOMENT_COND`` times their sum: at small r tau,
-    (2 - 2 cos x)^s ~ x^2s while the terms stay near C(2s, s) times the
-    mass, and their rounding swamps the sum."""
-    coef = np.array([(1 if j == 0 else 2 * (-1) ** j) * math.comb(2 * s, s + j) for j in range(s + 1)],
-                    dtype=np.float64)
-    terms = coef * v.cos_moments(np.multiply.outer(ratios, np.arange(s + 1.0)), tau)
-    sums = [math.fsum(row) for row in terms.tolist()]
-    return [val if size <= _MOMENT_COND * abs(val) else None
-            for val, size in zip(sums, np.abs(terms).sum(axis=1).tolist())]
-
-
-# ratios per batch, which bounds the arrays of a pass: a Jacobi chunk of an
-# n = 8 scan at tau = pi holds up to about 1,000 sine periods (x 24 nodes),
-# a Gauss-Legendre chunk the open panels of 8 adaptive integrals (x 24 nodes)
-_JACOBI_CHUNK = 32
+# rows per Jacobi pass, one per ratio (per ratio and knot against a
+# piecewise-linear weight): (rows x 24) arrays, plus every full period's
+# nodes for a custom density (about 8,000 periods x 24 for an n = 8 scan at
+# tau = pi); ratios per Gauss-Legendre batch, whose open panels (x 24
+# nodes) make its arrays
+_JACOBI_CHUNK = 512
 _SMOOTH_CHUNK = 8
-# largest condition number (sum of |terms| over the integral) of a moment
-# sum: its rounding error stays below about 1e-14 relative, 20x under the
-# adaptive rule's rounding floor
-_MOMENT_COND = 64
 # ratios one request's store may hold before a scan empties it
 _STORE_RATIOS = 2 ** 12
 
@@ -230,20 +263,16 @@ def _scaled_phi_integrals(
     """integral_0^tau phi(r t)^p dv(t) for every finite ratio r >= 0.
 
     The ratios missing from the request's ``_integral_store`` are computed
-    in chunks, one batched pass per chunk, on one of three routes: even sine
-    powers against weights with closed-form cosine moments as moment sums
-    (one chunk of ratios x (s + 1) moments), fractional sine powers against
-    densities by Gauss-Jacobi rules, everything else by ``weight_integrals``
-    (exact atom sums for atomic weights).  Only the adaptive rule reads
-    ``quad_tol``.  A moment sum too ill-conditioned to keep its digits
-    (small r tau) sends its ratio to the adaptive rule."""
+    in chunks, one batched pass per chunk, on one of two routes: sine powers
+    against densities and piecewise-linear weights by Gauss-Jacobi rules
+    (``_alpha_scan_integrals_jacobi``), everything else by
+    ``weight_integrals`` (exact atom sums for atomic weights).  Only the
+    adaptive rule reads ``quad_tol``."""
     ratios = np.asarray(ratios, dtype=np.float64)
     if not (np.isfinite(ratios) & (ratios >= 0)).all():
         raise InputDomainError("scan ratios must be finite and >= 0")
     ratios = ratios.tolist()
-    s = _even_power(phi, p)
-    trig = s is not None and v.cos_moments is not None
-    jacobi = phi.kind == "alpha" and s is None and v.kind == "density"
+    jacobi = phi.kind == "alpha" and v.kind != "atomic"
     known = _integral_store(phi, p, v, tau, quad_tol)
     if len(known) > _STORE_RATIOS:
         known.clear()
@@ -252,12 +281,10 @@ def _scaled_phi_integrals(
         # a sine power vanishes at 0, and ratio 0 has no sine period
         todo.remove(0.0)
         known[0.0] = 0.0
-
-    if trig and todo:
-        sums = _even_scan_integrals(s, v, tau, np.asarray(todo, dtype=np.float64))
-        known.update((r, val) for r, val in zip(todo, sums) if val is not None)
-        todo = [r for r in todo if r not in known]
-    chunk = _JACOBI_CHUNK if jacobi else _SMOOTH_CHUNK
+    if jacobi:
+        chunk = max(1, _JACOBI_CHUNK // (v.knots_t.shape[0] if v.kind == "pwl" else 1))
+    else:
+        chunk = _SMOOTH_CHUNK
     for start in range(0, len(todo), chunk):
         batch = todo[start:start + chunk]
         rs = np.asarray(batch, dtype=np.float64)

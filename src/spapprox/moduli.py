@@ -199,9 +199,8 @@ class WeightMeasure:
     one tau are equal when an integral reads the same from them: one density
     function, the same knots, or the same atoms and jumps.
 
-    ``cos_moments(a, b)``: integral_0^b cos(a t) dv(t) elementwise over the
-    array a in closed form (the builtin densities, piecewise-linear
-    weights), or None (custom densities, atomic weights).
+    A piecewise-linear weight is the piecewise-constant density
+    ``vprime`` of its ``slopes``, one per segment between its knots.
 
     ``period_sums(h, m, x)``: sum_{j < m} v'(h (2j + 1 + x)) elementwise over
     the broadcast arrays h > 0, m >= 0 (integers) and x, in closed form (the
@@ -217,7 +216,6 @@ class WeightMeasure:
         if kind == "density":
             self.vprime = data["vprime"]  # vectorized, nonnegative
             self.v = data.get("v")
-            self.cos_moments = _COS_MOMENTS.get(self.vprime)
             self.period_sums = _PERIOD_SUMS.get(self.vprime)
             dens = np.asarray(self.vprime(np.linspace(0, tau, 257)), dtype=np.float64)
             if np.any(dens < -1e-12):
@@ -236,20 +234,10 @@ class WeightMeasure:
                 raise InputDomainError("weight knots must be increasing in t, nondecreasing in v")
             self.knots_t, self.knots_v = ts, vs
             self._key = (kind, self.tau, tuple(ts.tolist()), tuple(vs.tolist()))
-            slopes = np.diff(vs) / np.diff(ts)
-            # the piecewise-constant density of the slopes
+            self.slopes = slopes = np.diff(vs) / np.diff(ts)
             self.vprime = lambda t: slopes[
                 np.clip(np.searchsorted(ts, t, side="right") - 1, 0, slopes.shape[0] - 1)
             ]
-
-            def cos_moments(a, b):
-                lo, hi = np.clip(ts[:-1], 0.0, b), np.clip(ts[1:], 0.0, b)
-                a = np.asarray(a, dtype=np.float64)[..., None]
-                safe = np.where(a == 0.0, 1.0, a)
-                pieces = np.where(a == 0.0, hi - lo, (np.sin(a * hi) - np.sin(a * lo)) / safe)
-                return (pieces * slopes).sum(axis=-1)
-
-            self.cos_moments = cos_moments
             self.period_sums = None
         elif kind == "atomic":
             pts = np.asarray(data["points"], dtype=np.float64)
@@ -263,7 +251,6 @@ class WeightMeasure:
             order = np.argsort(pts)
             self.points, self.jumps = pts[order], jmp[order]
             self._key = (kind, self.tau, tuple(self.points.tolist()), tuple(self.jumps.tolist()))
-            self.cos_moments = None
             self.period_sums = None
         else:
             raise InputDomainError(f"unknown weight kind {kind!r}")
@@ -306,27 +293,6 @@ def _sine_density(t):
 
 def _unit_density(t):
     return np.ones_like(np.asarray(t, dtype=np.float64))
-
-
-def _sine_cos_moments(a, b):
-    """integral_0^b cos(a t) sin t dt = (g(1 + a) + g(1 - a)) / 2 with
-    g(x) = 2 sin^2(x b / 2) / x and g(0) = 0; unlike the expanded form
-    (1 - cos b cos ab - a sin b sin ab) / (1 - a^2) it keeps its digits as
-    a -> 1."""
-    a = np.asarray(a, dtype=np.float64)
-    x = np.stack((1.0 + a, 1.0 - a))
-    safe = np.where(x == 0.0, 1.0, x)
-    g = np.where(x == 0.0, 0.0, 2.0 * np.sin(0.5 * x * b) ** 2 / safe)
-    return 0.5 * (g[0] + g[1])
-
-
-def _unit_cos_moments(a, b):
-    """integral_0^b cos(a t) dt = sin(a b) / a, and b at a = 0."""
-    a = np.asarray(a, dtype=np.float64)
-    return np.where(a == 0.0, b, np.sin(a * b) / np.where(a == 0.0, 1.0, a))
-
-
-_COS_MOMENTS = {_sine_density: _sine_cos_moments, _unit_density: _unit_cos_moments}
 
 
 def _sine_period_sums(h, m, x):

@@ -4,6 +4,7 @@ import os
 import tempfile
 import warnings
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,6 +122,29 @@ def test_cli_jackson_pwl_weight_default_tolerance(tmp_path, capsys):
     assert doc["reports"][0]["s_star"] == 5
 
 
+@pytest.mark.parametrize("n", [1, 8])
+def test_cli_jackson_pwl_weight_small_fractional_power(tmp_path, capsys, n):
+    # alpha p = 0.55 against a piecewise-linear weight takes the Gauss-Jacobi
+    # route (the adaptive rule runs out of budget on these cusps); I at
+    # k_star against mpmath, split at the knot t = 1 and the sine zeros
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"knots_t": [0.0, 1.0, math.pi], "knots_v": [0.0, 0.5, 2.0]}))
+    assert run(["jackson", "--phi", "alpha:0.55", "--p", "1", "--v", f"pwl:{path}",
+                "--n", str(n)]) == 0
+    rep = _strict_json(capsys.readouterr().out)["reports"][0]
+    with mpmath.workdps(30):
+        r = mpmath.mpf(rep["s_star"]) / n
+        slopes = (mpmath.mpf(0.5), mpmath.mpf(1.5) / (mpmath.pi - 1))
+
+        def f(t):
+            return (2 * abs(mpmath.sin(r * t / 2))) ** mpmath.mpf(0.55) * slopes[t > 1]
+
+        zeros = [2 * mpmath.pi * m / r for m in range(1, int(r) + 1)]
+        points = sorted([mpmath.mpf(0), mpmath.mpf(1), mpmath.pi] + [z for z in zeros if z < mpmath.pi])
+        ref = float(mpmath.quad(f, points))
+    assert rep["certificate"]["I"] == pytest.approx(ref, rel=1e-12)
+
+
 def test_cli_jackson_rejects_a_non_finite_atomic_weight(tmp_path, capsys):
     path = tmp_path / "w.json"
     args = ["jackson", "--phi", "alpha:1", "--p", "2", "--n", "1", "--tau", "2",
@@ -219,7 +243,7 @@ def test_cli_overflowing_generator_is_a_usage_error(tmp_path, capsys, finite, ov
 
 
 @pytest.mark.parametrize("args", [
-    # sup^p = 2^1200: past the double range, as are the binomials of its moment sum
+    # sup^p = 2^1200: past the double range
     ["jackson", "--phi", "alpha:600", "--p", "2", "--n", "2"],
     # sup^p = 4e600, which the adaptive rule would meet as inf - inf
     ["jackson", "--phi", "theta:[1e300,-1e300]", "--p", "2", "--n", "2"],

@@ -4,7 +4,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
@@ -285,9 +285,9 @@ def test_integral_cache_keys_quad_tol_on_adaptive_route():
 
 
 def test_integral_cache_shares_jacobi_route_across_quad_tol():
-    # the Gauss-Jacobi route (fractional sine power, density weight) and the
-    # cosine-moment route (even sine power) do not read quad_tol, so a
-    # second tolerance, a request of its own, returns the identical value
+    # the Gauss-Jacobi route (sine powers, fractional and even, against a
+    # density) does not read quad_tol, so a second tolerance, a request of
+    # its own, returns the identical value
     for alpha in (1.3, 2.0):
         first = scaled_phi_integral(phi_alpha(alpha), 1.0, weight_cos(), math.pi, 2.5, quad_tol=1e-11)
         again = scaled_phi_integral(phi_alpha(alpha), 1.0, weight_cos(), math.pi, 2.5, quad_tol=1e-6)
@@ -327,12 +327,14 @@ def _one_plus_t(t):
 
 
 # weights of the mpmath reference: name -> (tau, knots of a piecewise-linear
-# weight or None); the piecewise-linear weight starts left of 0
+# weight or None); "pwl" starts left of 0, and "pwl-zero" has a knot 1e-5 of
+# a period before 0.8 pi, the first sine zero of ratio 2.5
 _REFERENCE_WEIGHTS = {
     "cos": (math.pi, None),
     "cos2": (2.0, None),
     "t": (3 * math.pi / 4, None),
     "pwl": (math.pi, ([-0.5, 1.0, 2.0, math.pi], [0.0, 0.5, 0.7, 2.0])),
+    "pwl-zero": (math.pi, ([0.0, 1.0, 0.8 * math.pi * (1 - 1e-5), math.pi], [0.0, 0.5, 0.7, 2.0])),
     "cos004": (0.04, None),
     "t004": (0.04, None),
     "1+t": (math.pi, None),
@@ -382,11 +384,11 @@ def _mpmath_scan_integral(ratio, weight, gamma):
         return float(mpmath.quad(f, points, method="gauss-legendre" if even else "tanh-sinh"))
 
 
-# (ratio, weight, alpha, p): fractional alpha p on the Gauss-Jacobi route;
-# even alpha p = 2 s on the cosine-moment route, at ratios 1, 7/3, 1 + 1e-9
-# (moments M(a) at a -> 1) and r tau = 400 for s = 1 and 5; and even powers
-# at r tau <= 0.1, where (2 - 2 cos r t)^s ~ (r t)^2s is far below the
-# moment sum's terms and the adaptive rule takes over
+# (ratio, weight, alpha, p), all on the Gauss-Jacobi route: fractional
+# alpha p; even alpha p = 2 s at ratios 1, 7/3, 1 + 1e-9 and r tau = 400 for
+# s = 1 and 5; even powers at r tau <= 0.1, where (2 - 2 cos r t)^s ~
+# (r t)^2s; and fractional powers against a piecewise-linear weight with a
+# knot 1e-5 of a period before the first zero of ratio 2.5
 _MPMATH_CASES = [
     (ratio, weight, alpha, p)
     for weight, alpha, p in [("cos", 1.3, 1.0), ("t", 0.7, 2.0), ("cos", 0.55, 1.0)]
@@ -409,6 +411,10 @@ _MPMATH_CASES = [
     (ratio, weight, alpha, p)
     for weight, alpha, p in [("cos", 1.3, 1.0), ("t", 0.7, 2.0), ("cos", 0.55, 1.0), ("1+t", 1.3, 1.0)]
     for ratio in ([1.0, 2.5, 7.0] if weight == "1+t" else []) + [2.0, 63.875, 64.0]
+] + [
+    (ratio, "pwl-zero", gamma, 1.0)
+    for gamma in (0.55, 1.3)
+    for ratio in [1.0, 2.5, 7.0, 13.0 / 3.0]
 ]
 
 
@@ -421,42 +427,54 @@ def test_scaled_integral_matches_mpmath_quad(ratio, weight, alpha, p):
     assert got == pytest.approx(_mpmath_scan_integral(ratio, weight, alpha * p), rel=1e-12, abs=0)
 
 
-def _last_piece_fraction(ratio, tau):
-    """Share of a sine period 2 pi / r that the partial last piece spans."""
-    periods = tau * ratio / (2 * math.pi)
-    return periods - math.floor(periods * (1 + 1e-15))
-
-
 @settings(max_examples=20, deadline=None)
 @given(
-    gamma=st.floats(0.5, 4.0).filter(lambda g: min(abs(g - 2.0), abs(g - 4.0)) > 1e-6),
+    gamma=st.floats(0.5, 4.0),
     ratio=st.floats(1.0, 64.0),
     weight=st.sampled_from(["cos", "t"]),
 )
 def test_jacobi_route_matches_mpmath_for_any_fractional_power(gamma, ratio, weight):
-    # any exponent off the even integers (which take the cosine-moment
-    # route) and any ratio of an n = 1 scan: full periods through the shared
-    # kernel, the partial piece through the (0, gamma) rule.  A partial piece
-    # that ends close to the next zero loses digits (see the xfail test
-    # below), so only pieces spanning at most 0.9 of a period are drawn
+    # any exponent, even integers included, and any ratio of an n = 1 scan:
+    # full periods through the shared kernel, the partial piece through the
+    # (0, gamma) rule and, past 0.8 of a period, graded sub-pieces
     v = _reference_weight(weight)
-    assume(_last_piece_fraction(ratio, v.tau) <= 0.9)
     got = scaled_phi_integral(phi_alpha(gamma), 1.0, v, v.tau, ratio)
     assert got == pytest.approx(_mpmath_scan_integral(ratio, weight, gamma), rel=1e-12, abs=0)
 
 
-@pytest.mark.xfail(strict=True, reason="the (0, gamma) rule of a partial piece ending near "
-                   "the next sine zero sees the cusp there as a near singularity")
 @pytest.mark.parametrize("fraction", [0.99, 0.99999])
 def test_partial_piece_ending_near_a_zero(fraction):
     # 0.5 power against the unit density with no full period: the partial
-    # piece spans this fraction of a period, and its smooth factor
-    # (sin u / u)^gamma has the cusp of the next zero just past its end
-    # (relative error 2.1e-8 at 0.99 and 1.5e-5 at 0.99999)
+    # piece spans this fraction of a period, and the cusp of the next zero
+    # sits just past its end.  One (0, gamma) rule, whose smooth factor
+    # (sin u / u)^gamma sees that cusp as a near singularity, is off by
+    # 2.1e-8 at 0.99 and 1.5e-5 at 0.99999, so graded Gauss-Legendre
+    # sub-pieces finish the piece past 0.8 of a period
     v = _reference_weight("t")
     ratio = 2 * math.pi * fraction / v.tau
     got = scaled_phi_integral(phi_alpha(0.5), 1.0, v, v.tau, ratio)
     assert got == pytest.approx(_mpmath_scan_integral(ratio, "t", 0.5), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("gamma, ratio", [(40.3, 3.9), (200.0, 3.9), (200.0, 1.0)])
+def test_jacobi_route_holds_for_high_powers(gamma, ratio):
+    # past gamma = 32 the power's peak at mid-period narrows like
+    # 1/sqrt(gamma), so a partial piece's (0, gamma) rule reaches less far
+    # and graded sub-pieces carry the rest (0.95 of a period at ratio 3.9,
+    # half a period at ratio 1); past gamma = 84 the (gamma, gamma) rule's
+    # constant comes from log-gamma.  mpmath splits at the sine zeros and
+    # around each peak, in steps of its width
+    got = scaled_phi_integral(phi_alpha(gamma), 1.0, weight_cos(), math.pi, ratio)
+    with mpmath.workdps(30):
+        r, g = mpmath.mpf(ratio), mpmath.mpf(gamma)
+        width = 2 / (r * mpmath.sqrt(g))
+        points = {mpmath.mpf(0), mpmath.pi}
+        for m in range(int(ratio / 2) + 1):
+            points.add(2 * mpmath.pi * m / r)
+            points.update((2 * m + 1) * mpmath.pi / r + j * width for j in range(-8, 9))
+        ref = mpmath.quad(lambda t: (2 * abs(mpmath.sin(r * t / 2))) ** g * mpmath.sin(t),
+                          sorted(x for x in points if 0 <= x <= mpmath.pi))
+    assert got == pytest.approx(float(ref), rel=1e-12, abs=0)
 
 
 def _mpmath_by_periods(ratio, weight, tau, gamma):
@@ -488,21 +506,19 @@ def _mpmath_by_periods(ratio, weight, tau, gamma):
 
 @settings(max_examples=50, deadline=None)
 @given(
-    gamma=st.floats(0.5, 4.0).filter(lambda g: min(abs(g - 2.0), abs(g - 4.0)) > 1e-6),
+    gamma=st.floats(0.5, 4.0),
     weight=st.sampled_from(["cos", "t"]),
     tau=st.floats(0.5, 8.0),
     periods=st.floats(10.0, 500.0),
 )
 def test_closed_form_period_sums_match_mpmath(gamma, weight, tau, periods):
     # the builtin densities sum their full periods in closed form; a sine
-    # density is nonnegative on [0, tau] only for tau <= pi.  The partial
-    # piece spans at most 0.9 of a period (see the xfail test above)
+    # density is nonnegative on [0, tau] only for tau <= pi
     if weight == "cos":
         tau = min(tau, math.pi)
     v = weight_cos(tau) if weight == "cos" else weight_linear(tau)
     assert v.period_sums is not None
     ratio = 2 * math.pi * periods / tau
-    assume(_last_piece_fraction(ratio, tau) <= 0.9)
     got = scaled_phi_integral(phi_alpha(gamma), 1.0, v, tau, ratio)
     assert got == pytest.approx(_mpmath_by_periods(ratio, weight, tau, gamma), rel=1e-12, abs=0)
 
@@ -578,12 +594,11 @@ _ATOMIC = weight_atomic([0.3, 1.1, 2.0, 2.9], [0.5, 1.0, 0.25, 0.75], tau=math.p
     seed=st.integers(0, 2 ** 16),
 )
 def test_batched_integrals_independent_of_chunking_and_order(generator, weight, n, shift, chunk, seed):
-    # three routes: even sine powers against cos, t and pwl weights sum
-    # closed-form cosine moments, fractional sine powers against densities
-    # take Gauss-Jacobi rules, everything else (fractional against pwl,
-    # theta, atomic sums) the batched weight integrals; integer (shift 0)
-    # and non-integer ladders; each ratio's value in a shuffled, re-chunked
-    # batch equals its batch of one
+    # two routes: sine powers, fractional and even, against cos, t and pwl
+    # weights take Gauss-Jacobi rules, everything else (theta, atomic sums)
+    # the batched weight integrals; integer (shift 0) and non-integer
+    # ladders; each ratio's value in a shuffled, re-chunked batch equals its
+    # batch of one
     phi, p = {
         "fractional": (phi_alpha(1.3), 1.0),
         "even": (phi_alpha(2.0 / 1.7), 1.7),
@@ -654,7 +669,7 @@ def test_integral_store_is_bounded():
     # recently used
     assert _integral_store.cache_info().maxsize == 8
     _integral_store.cache_clear()
-    phi = phi_alpha(2.0)  # alpha p = 2: moment sums, no quadrature
+    phi = phi_alpha(2.0)  # alpha p = 2: the Gauss-Jacobi route
     weights = [weight_linear(1.0 + 0.25 * j) for j in range(9)]
     for v in weights:
         scaled_phi_integral(phi, 1.0, v, v.tau, 2.0)
@@ -796,7 +811,6 @@ def test_period_mean_is_cached(monkeypatch):
         raise AssertionError("period mean recomputed")
 
     monkeypatch.setattr(jackson, "_alpha_scan_integrals_jacobi", recompute)
-    monkeypatch.setattr(jackson, "_even_scan_integrals", recompute)
     monkeypatch.setattr(jackson, "weight_integrals", recompute)
     for key, mean in first.items():
         assert _phi_period_mean(phi_alpha(key), 1.0) == mean
@@ -812,11 +826,10 @@ def test_period_mean_of_sine_powers_matches_mpmath(alpha, p):
     assert _phi_period_mean(phi_alpha(alpha), p) == pytest.approx(float(ref), rel=1e-13)
 
 
-def test_even_power_scan_needs_no_quadrature(monkeypatch):
-    # alpha p = 4: a whole n = 8 scan against cos, t and pwl weights sums
-    # cosine moments only; a custom density has none and reaches the
-    # adaptive quadrature, and so do the small ratios of a scan at tau = 0.04,
-    # whose moment sums cancel
+def test_sine_power_scan_needs_no_quadrature(monkeypatch):
+    # alpha p = 4 and 1.3: whole n = 8 scans against cos, t, pwl, a custom
+    # density and t on [0, 0.04] (where (2 - 2 cos r t)^2 ~ (r t)^4) take
+    # Gauss-Jacobi rules only; atomic weights reach the weight integrals
     class Quadrature(Exception):
         pass
 
@@ -825,21 +838,19 @@ def test_even_power_scan_needs_no_quadrature(monkeypatch):
 
     custom = WeightMeasure(math.pi, "density", vprime=lambda t: 1.0 + np.asarray(t))
     monkeypatch.setattr(jackson, "weight_integrals", quadrature)
-    monkeypatch.setattr(jackson, "_alpha_scan_integrals_jacobi", quadrature)
     _integral_store.cache_clear()
-    for v in (weight_cos(), weight_linear(2.0), _reference_weight("pwl")):
-        res = jackson_I(JacksonSetup(n=8, phi=phi_alpha(2.0), p=2.0, tau=v.tau, v=v))
-        assert math.isfinite(res.value) and 8 <= res.k_star <= 512
+    for v in (weight_cos(), weight_linear(2.0), _reference_weight("pwl"), custom, weight_linear(0.04)):
+        for alpha, p in ((2.0, 2.0), (1.3, 1.0)):
+            res = jackson_I(JacksonSetup(n=8, phi=phi_alpha(alpha), p=p, tau=v.tau, v=v))
+            assert math.isfinite(res.value) and 8 <= res.k_star <= 512
     with pytest.raises(Quadrature):
-        jackson_I(JacksonSetup(n=8, phi=phi_alpha(2.0), p=2.0, tau=math.pi, v=custom))
-    with pytest.raises(Quadrature):
-        jackson_I(JacksonSetup(n=8, phi=phi_alpha(2.0), p=2.0, tau=0.04, v=weight_linear(0.04)))
+        jackson_I(JacksonSetup(n=8, phi=phi_alpha(2.0), p=2.0, tau=math.pi, v=_ATOMIC))
 
 
-def test_ill_conditioned_moment_sum_is_cached_per_quad_tol():
-    # ratio 1 at tau = 0.04 and alpha p = 10 leaves the moment sum for the
-    # adaptive rule; ratio 100 stays a moment sum.  Every request is keyed
-    # on quad_tol, whichever route serves it
+def test_scan_store_is_keyed_on_quad_tol_on_every_route():
+    # alpha p = 10 against t on [0, 0.04], at ratios 1 and 100, on the
+    # Gauss-Jacobi route, which does not read quad_tol: every request is
+    # still keyed on quad_tol, whichever route serves it
     phi, v = phi_alpha(5.0), weight_linear(0.04)
     _integral_store.cache_clear()
     first = [scaled_phi_integral(phi, 2.0, v, 0.04, r, quad_tol=1e-11) for r in (1.0, 100.0)]

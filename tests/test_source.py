@@ -1,7 +1,7 @@
 """Static checks on the package source (``ast`` only): every imported name
-is used, every private module-level function is referenced somewhere in
-the package, and every public one is exported or referenced somewhere in
-the repository's code."""
+is used, every private module-level function, class and constant is read
+somewhere in the package, and every public function is exported or
+referenced somewhere in the repository's code."""
 
 import ast
 from pathlib import Path
@@ -56,23 +56,36 @@ def test_no_unused_imports(name):
     assert not unused, f"{name} imports names it never uses: {', '.join(unused)}"
 
 
+def _module_names(node):
+    """Names a module-level statement defines: a function or class, or the
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def test_private_functions_are_referenced():
+    # private functions, classes and constants alike: a name counts as
+    # referenced where src/ reads it (an assignment alone does not count)
     referenced = set()
     for tree in TREES.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     orphans = [
-        f"{name}:{node.name}"
+        f"{name}:{defined}"
         for name, tree in TREES.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-        and node.name not in referenced
+        for defined in _module_names(node)
+        if defined.startswith("_") and not defined.startswith("__")
+        and defined not in referenced
     ]
-    assert not orphans, f"private functions nothing in src/ calls: {', '.join(orphans)}"
+    assert not orphans, f"private names nothing in src/ reads: {', '.join(orphans)}"
 
 
 def test_public_functions_are_exported_or_referenced():
