@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputDomainError, PreconditionError
 from .ladder import FrequencyLadder
 from .moduli import PhiFunction, omega_phi, phi_alpha
-from .spectrum import Spectrum, ladder_tail_norm
+from .spectrum import Spectrum, _lp, ladder_tail_norm
 
 
 @dataclass
@@ -38,8 +38,10 @@ def _holds(lhs: float, rhs: float) -> bool:
 
 
 def _tail_powers(f: Spectrum, lam: np.ndarray, p: float) -> np.ndarray:
-    """E_v^p for v = 1..n, the tails over |frequency| >= lam_v (lam = lam_0..lam_n)."""
-    return np.array([ladder_tail_norm(f, lam_v, p) ** p for lam_v in lam[1:].tolist()])
+    """E_v^p for v = 1..n, the tails over |frequency| >= lam_v (lam = lam_0..lam_n),
+    each ``ladder_tail_norm``'s one ``_lp`` over the same terms."""
+    terms = list(zip(np.abs(f.scalar_frequencies()).tolist(), f.coefficients))
+    return np.array([_lp([c for x, c in terms if x >= lam_v], p) ** p for lam_v in lam[1:].tolist()])
 
 
 def inverse_bound_general(

@@ -15,16 +15,24 @@ for a bounded generator phi with phi(0) = 0.  Builtin generators:
   centered sliding mean.
 
 ``omega_phi`` and ``OmegaEvaluator`` read one scan of the shift objective
-(``_sampled_objective``), on a grid sized from the spectrum: at least
-``_N_GRID`` cells and 16 points per oscillation of the fastest frequency.
-The averaged modulus integrates omega_phi^p against a nondecreasing weight
+(``_sampled_objective``) on a uniform grid with 16 cells per oscillation of
+the fastest frequency.  For a builtin generator ``omega_phi`` takes the
+certified scan: every cell gets a closed-form upper bound of the objective
+(``PhiFunction.cell_sup``, term by term: the larger end value or a crest
+value for alpha and Steklov, a second-order bound on |symbol|^2 for theta),
+and only the cells whose bound beats the best sample are refined (branch
+and bound; Piyavskii 1972, Shubert 1972).  Custom generators and
+``OmegaEvaluator``, whose running maxima need every peak, take the dense
+scan of at least ``_N_GRID`` cells, each sampled peak refined.  The
+averaged modulus integrates omega_phi^p against a nondecreasing weight
 (Riemann-Stieltjes), normalized by the weight's total mass; it never
 exceeds omega_phi at the right endpoint.
 
-``omega_phi`` keeps the values of its 2^10 most recently used requests
-(f, phi, delta, p) in ``_omega``, so a repeated request returns bit for
-bit the value first computed; invalid arguments raise before the lookup,
-and a non-finite objective raises InputDomainError (never stored).
+``omega_phi`` keeps its 2^10 most recently used requests (f, phi, delta,
+p) in ``_omega``, each value with the upper bound of a certified scan
+(None after a dense scan), so a repeated request returns bit for bit the
+value first computed; invalid arguments raise before the lookup, and a
+non-finite objective raises InputDomainError (never stored).
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .spectrum import DifferenceScheme, Spectrum
 
 _SINC_MIN_ARG = 4.493409457909064  # first positive root of tan t = t
 _SINC_MIN = math.cos(_SINC_MIN_ARG)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +64,12 @@ class PhiFunction:
     ``monotone_to`` is the right end of a declared interval [0, a] on which
     phi is nondecreasing with phi(a) = sup; it is required by the sharpness
     and inverse-theorem operations.
+
+    ``cell_sup(t0, t1, w0, w1, e)`` (builtin generators; None for custom
+    ones) bounds phi**e on phase cells: elementwise over the cell ends t0,
+    t1 and their values w0, w1 of phi**e, it returns (bounds, slack), with
+    every exact or computed value of phi**e between t0 and t1 at most the
+    bound plus 2 slack, and every computed value off by at most slack.
     """
 
     def __init__(
@@ -67,9 +82,11 @@ class PhiFunction:
         sup: float | None = None,
         monotone_to: float | None = None,
         label: str = "",
+        cell_sup: Callable | None = None,
     ):
         self.kind = kind
         self._eval = evaluator
+        self.cell_sup = cell_sup
         self.param = float(param)
         self.theta = tuple(complex(t) for t in theta)
         self.sup = sup
@@ -130,9 +147,15 @@ def _phi_alpha(alpha: float) -> PhiFunction:
         # a numpy power: 2^(alpha e) past the double range is inf, not OverflowError
         return (np.float64(2.0) ** (alpha * e)) * np.abs(np.sin(0.5 * t)) ** (alpha * e)
 
+    def slack(e):
+        # sin to a few ulps relative, alpha e-fold through the power
+        return np.float64(2.0) ** (alpha * e) * (4.0 * alpha * e + 8.0) * _EPS
+
     return PhiFunction(
         "alpha", ev, param=alpha, sup=2.0 ** alpha, monotone_to=math.pi,
         label=f"alpha:{alpha:g}",
+        # crests at the odd multiples of pi
+        cell_sup=_crest_sup(ev, lambda top: math.pi * np.arange(1.0, top / math.pi + 2.0, 2.0), slack),
     )
 
 
@@ -158,7 +181,37 @@ def phi_theta(theta: Sequence[complex] | DifferenceScheme) -> PhiFunction:
         "theta", ev, theta=th, sup=sup,
         monotone_to=math.pi if classical else None,
         label=f"theta:{[complex(x) for x in th]}",
+        cell_sup=_theta_cell_sup(th),
     )
+
+
+def _theta_cell_sup(th: tuple) -> Callable:
+    """``cell_sup`` of |sigma(t)|, sigma(t) = sum_j theta_j e^{-ijt}, by a
+    second-order bound on P = |sigma / s|^2 (s = sum_j |theta_j|, so P <= 1):
+    within r of the cell midpoint c, P <= P(c) + |P'(c)| r + M2 r^2 / 2 with
+    M2 = sum_{j,l} (j - l)^2 |u_j| |u_l| bounding |P''| (u = theta / s)."""
+    s = np.float64(math.fsum(abs(x) for x in th))
+    u = np.array(th, dtype=np.complex128) / s
+    j = np.arange(u.shape[0], dtype=np.float64)
+    m2 = float(np.sum(np.subtract.outer(j, j) ** 2 * np.multiply.outer(np.abs(u), np.abs(u))))
+    # Horner (m steps, each a few ulps) leaves |sigma / s| within err of exact
+    err = (4.0 * u.shape[0] + 8.0) * _EPS
+
+    def cell_sup(t0, t1, w0, w1, e):
+        c = 0.5 * (t0 + t1)
+        r = np.maximum(np.abs(t1 - c), np.abs(c - t0)) * (1.0 + 4.0 * _EPS)
+        z = np.exp(-1j * c)
+        sig = np.full(c.shape, u[-1])  # sigma(c) / s
+        dz = np.full(c.shape, j[-1] * u[-1])  # sum_j j u_j z^j
+        for k in range(u.shape[0] - 2, -1, -1):
+            sig = sig * z + u[k]
+            dz = dz * z + j[k] * u[k]
+        # P'(c) = 2 Im(conj(sigma) z dsigma/dz) / s^2, to within 4 m err
+        slope = 2.0 * np.abs(np.imag(np.conj(sig) * dz)) + 4.0 * j[-1] * err
+        bound = np.abs(sig) ** 2 + 3.0 * err + slope * r + 0.5 * m2 * r * r
+        return s ** e * np.minimum(bound, 1.0) ** (0.5 * e), _power_slack(s, err * s, e)
+
+    return cell_sup
 
 
 def phi_steklov(m: int) -> PhiFunction:
@@ -175,7 +228,47 @@ def phi_steklov(m: int) -> PhiFunction:
     return PhiFunction(
         "steklov", ev, param=float(m), sup=(1.0 - _SINC_MIN) ** m,
         monotone_to=_SINC_MIN_ARG, label=f"steklov:{m}",
+        # 1 - sinc to a few ulps absolute
+        cell_sup=_crest_sup(ev, _sinc_crests, lambda e: _power_slack(1.0 - _SINC_MIN, 4.0 * _EPS, m * e)),
     )
+
+
+def _sinc_crests(top: float) -> np.ndarray:
+    """The local maxima of 1 - sinc on (0, top], and one past it: the roots
+    of tan t = t in (j pi, (j + 1/2) pi) for odd j, by Newton's method on
+    sin t - t cos t from (j + 1/2) pi - 1 / ((j + 1/2) pi)."""
+    q = (np.arange(1.0, top / math.pi + 2.0, 2.0) + 0.5) * math.pi
+    t = q - 1.0 / q
+    for _ in range(4):
+        t = t - (np.sin(t) - t * np.cos(t)) / (t * np.sin(t))
+    return t
+
+
+def _crest_sup(ev: Callable, crests: Callable, slack: Callable) -> Callable:
+    """``cell_sup`` of an even generator whose local maxima on [0, inf) lie
+    at the phases crests(top) (ascending, every one up to top): on a cell
+    the sup of phi**e is the larger end value, or the crest value when the
+    cell holds a crest, term by term."""
+
+    def cell_sup(t0, t1, w0, w1, e):
+        a, b = np.abs(t0), np.abs(t1)
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        at = crests(float(np.max(b, initial=0.0)))
+        q = np.searchsorted(at, a)
+        inside = np.append(at, np.inf)[q] <= b
+        top = np.append(ev(at, e), 0.0)[q]
+        return np.maximum(np.maximum(w0, w1), np.where(inside, top, 0.0)), slack(e)
+
+    return cell_sup
+
+
+def _power_slack(b: float, d: float, g: float) -> float:
+    """Error of a computed x^g for x in [0, b] known to within d: the spread
+    |x^g - y^g| <= g (b + d)^(g - 1) d (g >= 1) or d^g (g < 1), plus the
+    power's own few ulps."""
+    top = np.float64(b + d)
+    spread = g * top ** (g - 1.0) * d if g >= 1.0 else np.float64(d) ** g
+    return spread + 4.0 * _EPS * top ** g
 
 
 def phi_custom(
@@ -566,21 +659,59 @@ def _refine_maxima(
     return best_h, best_v
 
 
-_N_GRID = 2048  # least cells of a scan grid
+_N_GRID = 2048  # least cells of a dense scan
+_CELLS_PER_TURN = 16  # cells per oscillation of the fastest frequency
 
 
-def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float):
+def _cell_bounds(
+    lams: np.ndarray, amps_p: np.ndarray, phi: PhiFunction, p: float, hs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The objective at the shifts hs and an upper bound of it on each cell
+    [hs_i, hs_{i+1}]: sum_k amps_p[k] times phi.cell_sup of the term's phase
+    cell (both signs of h, folded, when phi is not even), in chunks of
+    cells as ``_objective_grid``.  Returns (samples, bounds, slack)."""
+    n = hs.shape[0] - 1
+    samples = np.full(n + 1, -np.inf)
+    bounds = np.full(n, -np.inf)
+    slack = 0.0
+    chunk = max(8, 65536 // max(1, lams.shape[0]))
+    for start in range(0, n, chunk):
+        blk = hs[start:start + chunk + 1]
+        for sign in (1.0,) if phi.is_even else (1.0, -1.0):
+            t = np.multiply.outer(sign * blk, lams)
+            w = phi.pow_p(t, p)
+            top, slack = phi.cell_sup(t[:-1], t[1:], w[:-1], w[1:], p)
+            at, cells = slice(start, start + blk.shape[0]), slice(start, start + blk.shape[0] - 1)
+            samples[at] = np.maximum(samples[at], w @ amps_p)
+            bounds[cells] = np.maximum(bounds[cells], top @ amps_p)
+    return samples, bounds, slack
+
+
+def _sampled_objective(
+    f: Spectrum, phi: PhiFunction, p: float, delta: float, certified: bool = False
+):
     """The one scan of the shift objective S(h) = sum_k phi(lam_k h)^p |A_k|^p
-    over [0, delta], folded to max(S(h), S(-h)) (one ``_objective_grid``
-    call on both signs) when phi is not even.  The grid is uniform,
-    endpoints included, with at least ``_N_GRID`` cells and 16 points per
-    oscillation of the fastest frequency.  Every sampled peak, each interior
-    local maximum and both grid ends, is refined within its clipped
-    neighbours by one ``_refine_maxima`` call.
+    over [0, delta], folded to max(S(h), S(-h)) when phi is not even.  The
+    grid is uniform, endpoints included, with 16 cells per oscillation of
+    the fastest frequency (at least one).
 
-    Returns (objective, grid, samples, peak shifts, peak values), or None
-    when the modulus vanishes identically (no terms, delta <= 0, or only
-    the zero frequency)."""
+    Dense scan (custom generators, ``OmegaEvaluator``, or when a cell bound
+    is not a finite double): the grid has at least ``_N_GRID`` cells, and
+    every sampled peak, each interior local maximum and both grid ends, is
+    refined within its clipped neighbours by one ``_refine_maxima`` call.
+
+    Certified scan (``certified`` and a builtin generator): each cell gets
+    the upper bound U = sum_k |A_k|^p phi.cell_sup of the term's phase cell,
+    and only the cells whose U exceeds the best sample by more than the
+    sum's rounding, (2K + 8) eps relative for K terms, are refined, each as
+    its own bracket.  A refined value lies in a cell with a finite U, so
+    refinement skips the finiteness check that the samples get.  upper,
+    the largest U plus that rounding and twice the generator's slack per
+    unit of sum_k |A_k|^p, bounds every exact and computed value of S.
+
+    Returns (objective, grid, samples, peak shifts, peak values, upper),
+    upper None for a dense scan, or None when the modulus vanishes
+    identically (no terms, delta <= 0, or only the zero frequency)."""
     if len(f) == 0 or delta <= 0:
         return None
     lams = f.scalar_frequencies()
@@ -589,15 +720,30 @@ def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float):
         return None
     amps_p = f.abs_coefficients() ** p
 
-    def objective(hs):
+    def unchecked(hs):
         signed = hs if phi.is_even else np.concatenate((hs, -hs))
-        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            out = _objective_grid(lams, amps_p, phi, p, signed)
-        if not np.isfinite(out).all():
-            raise InputDomainError(f"phi^p-weighted sum is not a finite double (p={p:g})")
+        out = _objective_grid(lams, amps_p, phi, p, signed)
         return out if phi.is_even else np.maximum(out[:hs.shape[0]], out[hs.shape[0]:])
 
-    n = max(_N_GRID, int(math.ceil(16 * (lam_max * delta / (2.0 * math.pi)))))
+    def objective(hs):
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            out = unchecked(hs)
+        _require_finite(out, p)
+        return out
+
+    turns = int(math.ceil(_CELLS_PER_TURN * (lam_max * delta / (2.0 * math.pi))))
+    if certified and phi.cell_sup is not None:
+        hs = np.linspace(0.0, delta, max(1, turns) + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            obj, bounds, slack = _cell_bounds(lams, amps_p, phi, p, hs)
+            _require_finite(obj, p)
+            rounding = (2.0 * lams.shape[0] + 8.0) * _EPS
+            upper = float(np.max(bounds)) * (1.0 + rounding) + 2.0 * slack * float(np.sum(amps_p))
+        if math.isfinite(upper):
+            keep = np.flatnonzero(bounds > float(np.max(obj)) * (1.0 + rounding))
+            peak_h, peak_v = _refine_maxima(unchecked, hs[keep], hs[keep + 1], lam_max)
+            return objective, hs, obj, peak_h, peak_v, upper
+    n = max(_N_GRID, turns)
     hs = np.linspace(0.0, delta, n + 1)
     obj = objective(hs)
     interior = np.flatnonzero((obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:])) + 1
@@ -605,7 +751,12 @@ def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float):
     peak_h, peak_v = _refine_maxima(
         objective, hs[np.maximum(peaks - 1, 0)], hs[np.minimum(peaks + 1, n)], lam_max
     )
-    return objective, hs, obj, peak_h, peak_v
+    return objective, hs, obj, peak_h, peak_v, None
+
+
+def _require_finite(values: np.ndarray, p: float):
+    if not np.isfinite(values).all():
+        raise InputDomainError(f"phi^p-weighted sum is not a finite double (p={p:g})")
 
 
 def _pth_root(power: float, p: float) -> float:
@@ -621,47 +772,63 @@ def omega_phi(f: Spectrum, phi: PhiFunction, delta: float, p: float = 1.0) -> fl
     or refined peak of the scan of ``_sampled_objective`` (each peak is
     refined by repeated resampling until its bracket spans at most 1e-8 rad
     of the fastest frequency's phase, which at a smooth maximum pins the
-    value to double precision), to the 1/p.  A repeated request returns the
-    stored value (see the module docstring).
+    value to double precision), to the 1/p.  Builtin generators take the
+    certified scan (16 cells per oscillation of the fastest frequency, and
+    only the cells whose upper bound beats the best sample refined); custom
+    generators take the dense scan of at least ``_N_GRID`` cells.  A
+    repeated request returns the stored value (see the module docstring).
     """
     if delta < 0:
         raise InputDomainError("delta must be >= 0")
     if not 0 < p < math.inf:
         raise InputDomainError("p must be positive and finite")
-    return _omega(f, phi, float(delta), float(p))
+    return _omega(f, phi, float(delta), float(p))[0]
 
 
 # the inverse bounds of one (f, alpha, p, n) ask for the same modulus
 @functools.lru_cache(maxsize=2 ** 10)
-def _omega(f: Spectrum, phi: PhiFunction, delta: float, p: float) -> float:
-    scan = _sampled_objective(f, phi, p, delta)
+def _omega(f: Spectrum, phi: PhiFunction, delta: float, p: float) -> tuple[float, float | None]:
+    """(value, upper): the modulus and, from a certified scan, an upper
+    bound of it (the modulus lies in [value, upper] up to the rounding of
+    one computed sample); upper is None from a dense scan."""
+    scan = _sampled_objective(f, phi, p, delta, True)
     if scan is None:
-        return 0.0
-    _, _, samples, _, peak_v = scan
-    return _pth_root(max(float(np.max(samples)), float(np.max(peak_v))), p)
+        return 0.0, (None if phi.cell_sup is None else 0.0)
+    _, _, samples, _, peak_v, upper = scan
+    value = _pth_root(max(float(np.max(samples)), float(np.max(peak_v, initial=-np.inf))), p)
+    if upper is not None:
+        try:
+            upper = upper ** (1.0 / p) * (1.0 + 4.0 * _EPS)
+        except OverflowError:  # the root of a finite power, past the double range
+            upper = math.inf
+    return value, upper
 
 
 class OmegaEvaluator:
     """Reusable evaluator of delta -> omega_phi(f, phi, delta, p)^p.
 
-    The scan of ``_sampled_objective`` over [0, delta_max] runs once; the
-    evaluator keeps the running maxima of its samples and of its refined
-    peaks in shift order.  A query then combines the samples and the peaks
-    at or below delta with the exact (folded) objective value at delta
-    itself, so at delta_max it reads what ``omega_phi`` reads.  Queries cost
-    O(1) spectrum evaluations, which makes weighted integrals of the modulus
-    (``averaged_omega``) cheap."""
+    The dense scan of ``_sampled_objective`` over [0, delta_max] runs once;
+    the evaluator keeps the running maxima of its samples and of its
+    refined peaks in shift order.  A query then combines the samples and
+    the peaks at or below delta with the exact (folded) objective value at
+    delta itself.  Queries cost O(1) spectrum evaluations, which makes
+    weighted integrals of the modulus (``averaged_omega``) cheap.
+
+    ``value(delta_max)`` is ``omega_phi(f, phi, delta_max, p)``: the
+    certified scan of a builtin generator refines other shifts than the
+    dense one, and their peak values may round a few ulps apart."""
 
     def __init__(self, f: Spectrum, phi: PhiFunction, p: float, delta_max: float):
         if not 0 < p < math.inf:
             raise InputDomainError("p must be positive and finite")
         self.p = p
         self.delta_max = float(delta_max)
+        self._request = (f, phi)
         scan = _sampled_objective(f, phi, p, self.delta_max)
         self.trivial = scan is None
         if self.trivial:
             return
-        self._objective, self.hs, samples, peak_h, peak_v = scan
+        self._objective, self.hs, samples, peak_h, peak_v, _ = scan
         self.runmax = np.maximum.accumulate(samples)
         order = np.argsort(peak_h, kind="stable")
         self.peak_h = peak_h[order]
@@ -685,6 +852,8 @@ class OmegaEvaluator:
         return best
 
     def value(self, delta: float) -> float:
+        if delta == self.delta_max:
+            return omega_phi(*self._request, self.delta_max, self.p)
         return _pth_root(float(self.power_values(np.array([delta]))[0]), self.p)
 
 

@@ -723,3 +723,144 @@ def test_adaptive_block_rejects_non_finite_integrand():
         warnings.simplefilter("error")
         with pytest.raises(InputDomainError):
             _adaptive_block(lambda t, rows: np.exp(800.0 * t), 0.0, 1.0, 1e-10, 4, 2 ** 16)
+
+
+# ---------------------------------------------------------------------------
+# the certified scan: the modulus lies in [value, upper]
+
+
+def _np_phi_pow(phi, t, e):
+    """phi(t)**e from the generator's parameters, with numpy only."""
+    if phi.kind == "alpha":
+        return (2.0 * np.abs(np.sin(0.5 * t))) ** (phi.param * e)
+    if phi.kind == "steklov":
+        return np.clip(1.0 - np.sinc(t / math.pi), 0.0, None) ** (phi.param * e)
+    return np.abs(sum(c * np.exp(-1j * j * t) for j, c in enumerate(phi.theta))) ** e
+
+
+def _mp_phi_pow(phi, t, e):
+    """phi(t)**e at the working precision of mpmath."""
+    if phi.kind == "alpha":
+        return (2 * abs(mpmath.sin(t / 2))) ** (phi.param * e)
+    if phi.kind == "steklov":
+        return (1 - mpmath.sin(t) / t) ** (phi.param * e) if t else mpmath.mpf(0)
+    return abs(mpmath.fsum(mpmath.mpc(c) * mpmath.expj(-j * t) for j, c in enumerate(phi.theta))) ** e
+
+
+def _mp_max_power(f, phi, delta, e):
+    """sup over |h| <= delta of S(h) = sum_k phi(lam_k h)^e |A_k|^e at 30
+    digits: a 4,001-point numpy grid finds the candidates (grid maxima within
+    1e-3 of the top, and both ends), and mpmath ``findroot`` of S' refines
+    each one whose neighbouring samples bracket a sign change of S'."""
+    # phi(0) = 0 (a scheme's weights sum to 0 in the kernel's order, not
+    # always in exact arithmetic), so the zero frequency adds nothing
+    terms = [(k, abs(c)) for k, c in f.items() if k != 0.0]
+    lams = np.array([k for k, _ in terms])
+    hs = np.linspace(0.0, delta, 4001)
+    best = mpmath.mpf(0)
+    with mpmath.workdps(30):
+        for sign in (1, -1):
+            def S(h):
+                return mpmath.fsum(
+                    mpmath.mpf(a) ** e * _mp_phi_pow(phi, sign * k * mpmath.mpf(h), e) for k, a in terms
+                )
+
+            def dS(h):
+                return mpmath.diff(S, h)
+
+            g = _np_phi_pow(phi, sign * np.multiply.outer(hs, lams), e) @ np.abs(
+                np.array([c for _, c in terms])) ** e
+            inner = [i for i in range(1, hs.size - 1) if g[i] >= max(g[i - 1], g[i + 1])]
+            for i in [0, hs.size - 1] + inner:
+                if g[i] < np.max(g) * (1 - 1e-3):
+                    continue
+                best = max(best, S(hs[i]))
+                for a, b in ((i - 1, i), (i, i + 1), (i - 1, i + 1)):
+                    if 0 <= a and b < hs.size and dS(hs[a]) > 0 > dS(hs[b]):
+                        root = mpmath.findroot(dS, (mpmath.mpf(hs[a]), mpmath.mpf(hs[b])), solver="anderson")
+                        best = max(best, S(root))
+                        break
+    return best
+
+
+def _cell_gap_bound(f, phi, e):
+    """The stated bound on upper^p - sup S: every cell spans at most pi/8 rad
+    of the fastest frequency's phase, d_k = pi/8 |lam_k| / lam_max of term
+    k's, and the cell bound exceeds the term anywhere in its cell by at most
+    omega_k(d_k), a modulus of continuity of phi^e: for alpha, with
+    2|sin(t/2)| 1-Lipschitz and at most 2, g 2^(g-1) d (g = alpha e >= 1) or
+    d^g; for Steklov, with 1 - sinc 1/2-Lipschitz and at most 1.2173,
+    g 1.2173^(g-1) d/2 (g = m e >= 1) or (d/2)^g; for theta, with P =
+    |symbol / s|^2 <= 1 (s = sum |theta_j|) and the second-order bound
+    within D = 2 M1 r + M2 r^2/2 of P (r = d/2, M_i = sum |j-l|^i |u_j||u_l|,
+    u = theta / s), s^e (e/2) D (e >= 2) or s^e D^(e/2)."""
+    lam_max = max(abs(k) for k, _ in f.items())
+    total = 0.0
+    for k, c in f.items():
+        d = math.pi / 8 * abs(k) / lam_max
+        if phi.kind == "alpha":
+            g = phi.param * e
+            w = g * 2 ** (g - 1) * d if g >= 1 else d ** g
+        elif phi.kind == "steklov":
+            g = phi.param * e
+            w = g * 1.2173 ** (g - 1) * d / 2 if g >= 1 else (d / 2) ** g
+        else:
+            s = math.fsum(abs(x) for x in phi.theta)
+            u = [abs(x) / s for x in phi.theta]
+            pairs = [(abs(j - l), u[j] * u[l]) for j in range(len(u)) for l in range(len(u))]
+            m1 = math.fsum(gap * w for gap, w in pairs)
+            m2 = math.fsum(gap * gap * w for gap, w in pairs)
+            r = d / 2
+            D = 2 * m1 * r + m2 * r * r / 2
+            w = s ** e * (e / 2 * D if e >= 2 else D ** (e / 2))
+        total += abs(c) ** e * w
+    return total
+
+
+@given(f=_spectra(), phi=_builtin_generators(), p=st.floats(0.5, 3.0),
+       delta=st.floats(0.05, math.pi))
+@settings(max_examples=30, deadline=None)
+def test_certified_modulus_brackets_the_mpmath_maximum(f, phi, p, delta):
+    # the value is a sample of S (a few ulps of rounding), the upper bound a
+    # bound of every exact and computed value of S; the gap is at most the
+    # stated bound of the cell bounds' excess, plus rounding
+    _omega.cache_clear()
+    value, upper = _omega(f, phi, delta, p)
+    assert value == omega_phi(f, phi, delta, p)
+    if all(k == 0.0 for k, _ in f.items()):
+        assert (value, upper) == (0.0, 0.0)
+        return
+    top = float(_mp_max_power(f, phi, delta, p))
+    exact = top ** (1 / p)
+    assert value <= exact * (1 + 1e-12)
+    assert exact <= upper
+    assert upper ** p <= (top + _cell_gap_bound(f, phi, p)) * (1 + 1e-9)
+
+
+def test_certified_scan_finds_a_maximum_inside_a_cell_away_from_the_best_sample():
+    # S(h) = 0.6 (2 - 2 cos 2h) + 0.54 (2 - 2 cos 4h) peaks where cos 2h = -5/18,
+    # at S = 529/150: at h* = arccos(-5/18) / 2 inside [0, 2.2], and again just
+    # past 2.2, so the grid end samples nearly the top while the grid
+    # (16 cells per turn of the frequency 4: 23 cells) misses h* by more
+    f = Spectrum.real({2.0: 0.6, 4.0: 0.54 - 0.0j})
+    delta, want = 2.2, 529 / 150
+    hs = np.linspace(0.0, delta, 24)
+    samples = 0.6 * (2 - 2 * np.cos(2 * hs)) + 0.54 * (2 - 2 * np.cos(4 * hs))
+    cell = math.acos(-5 / 18) / 2 / (delta / 23)
+    assert np.argmax(samples) == 23 and 9.5 < cell < 9.9
+    assert np.max(samples) < want * (1 - 1e-4)
+    _omega.cache_clear()
+    value, upper = _omega(f, phi_alpha(2.0), delta, 1.0)
+    assert value == pytest.approx(want, rel=1e-13)
+    assert want <= upper
+
+
+def test_only_builtin_generators_are_certified():
+    f = Spectrum.real({1.0: 1.0, -3.0: 0.5j})
+    _omega.cache_clear()
+    assert _omega(f, _even_custom(), 1.3, 1.5)[1] is None
+    assert _omega(f, _even_custom(), 0.0, 1.5) == (0.0, None)
+    for make in ("alpha", "theta", "steklov"):
+        value, upper = _omega(f, _GENERATORS[make](), 1.3, 1.5)
+        assert value <= upper < math.inf
+        assert _omega(f, _GENERATORS[make](), 0.0, 1.5) == (0.0, 0.0)
