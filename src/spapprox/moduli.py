@@ -12,7 +12,7 @@ for a bounded generator phi with phi(0) = 0.  Builtin generators:
   theta_0 w^m + ... + theta_m by Horner's rule from theta_0 (one exponential
   per point; at t = 0 the weights add as ``sum`` does);
 * ``phi_steklov(m)`` -- (1 - sinc t)^m, matching the m-fold defect of the
-  centered sliding mean.
+  centered sliding mean (1 - sinc t summed as a series at small phases).
 
 ``omega_phi`` and ``OmegaEvaluator`` read one scan of the shift objective
 (``_sampled_objective``) on a uniform grid with 16 cells per oscillation of
@@ -21,12 +21,14 @@ certified scan: every cell gets a closed-form upper bound of the objective
 (``PhiFunction.cell_sup``, term by term: the larger end value or a crest
 value for alpha and Steklov, a second-order bound on |symbol|^2 for theta),
 and only the cells whose bound beats the best sample are refined (branch
-and bound; Piyavskii 1972, Shubert 1972).  Custom generators and
-``OmegaEvaluator``, whose running maxima need every peak, take the dense
-scan of at least ``_N_GRID`` cells, each sampled peak refined.  The
-averaged modulus integrates omega_phi^p against a nondecreasing weight
-(Riemann-Stieltjes), normalized by the weight's total mass; it never
-exceeds omega_phi at the right endpoint.
+and bound; Piyavskii 1972, Shubert 1972), by safeguarded Newton on the
+closed-form derivative of the objective (``PhiFunction.derivs``), or by
+resampling where a term may cross a cusp of phi^p (``PhiFunction.cusp``).
+Custom generators and ``OmegaEvaluator``, whose running maxima need every
+peak, take the dense scan of at least ``_N_GRID`` cells, each sampled peak
+refined by resampling.  The averaged modulus integrates omega_phi^p
+against a nondecreasing weight (Riemann-Stieltjes), normalized by the
+weight's total mass; it never exceeds omega_phi at the right endpoint.
 
 ``omega_phi`` keeps its 2^10 most recently used requests (f, phi, delta,
 p) in ``_omega``, each value with the upper bound of a certified scan
@@ -65,11 +67,17 @@ class PhiFunction:
     phi is nondecreasing with phi(a) = sup; it is required by the sharpness
     and inverse-theorem operations.
 
-    ``cell_sup(t0, t1, w0, w1, e)`` (builtin generators; None for custom
-    ones) bounds phi**e on phase cells: elementwise over the cell ends t0,
-    t1 and their values w0, w1 of phi**e, it returns (bounds, slack), with
-    every exact or computed value of phi**e between t0 and t1 at most the
-    bound plus 2 slack, and every computed value off by at most slack.
+    Builtin generators carry three closed-form kernels of g = phi**e, each
+    None for custom ones, elementwise over phases:
+
+    * ``cell_sup(t0, t1, w0, w1, e)`` bounds g on phase cells: over the cell
+      ends t0, t1 and their values w0, w1 of g, it returns (bounds, slack),
+      with every exact or computed value of g between t0 and t1 at most the
+      bound plus 2 slack, and every computed value off by at most slack;
+    * ``derivs(t, e)`` returns (g', g'') where g is twice differentiable;
+    * ``cusp(t0, t1, e)`` is True where the phase cell may hold a zero of
+      phi at which g behaves as |t - t_0|^c with c < 2, so that g'' is
+      unbounded there.
     """
 
     def __init__(
@@ -83,10 +91,12 @@ class PhiFunction:
         monotone_to: float | None = None,
         label: str = "",
         cell_sup: Callable | None = None,
+        derivs: Callable | None = None,
+        cusp: Callable | None = None,
     ):
         self.kind = kind
         self._eval = evaluator
-        self.cell_sup = cell_sup
+        self.cell_sup, self.derivs, self.cusp = cell_sup, derivs, cusp
         self.param = float(param)
         self.theta = tuple(complex(t) for t in theta)
         self.sup = sup
@@ -151,11 +161,22 @@ def _phi_alpha(alpha: float) -> PhiFunction:
         # sin to a few ulps relative, alpha e-fold through the power
         return np.float64(2.0) ** (alpha * e) * (4.0 * alpha * e + 8.0) * _EPS
 
+    def derivs(t, e):
+        # g = 2^c |s|^c with s = sin(t/2), c = alpha e: g' = (c/2) cot(t/2) g
+        # and g'' = (c/4) (c cos^2(t/2) - 1) g / s^2, through q = 2^c |s|^(c-2)
+        c = alpha * e
+        s, co = np.sin(0.5 * t), np.cos(0.5 * t)
+        q = np.float64(2.0) ** c * np.abs(s) ** (c - 2.0)
+        return 0.5 * c * q * s * co, 0.25 * c * q * (c * co * co - 1.0)
+
     return PhiFunction(
         "alpha", ev, param=alpha, sup=2.0 ** alpha, monotone_to=math.pi,
         label=f"alpha:{alpha:g}",
         # crests at the odd multiples of pi
         cell_sup=_crest_sup(ev, lambda top: math.pi * np.arange(1.0, top / math.pi + 2.0, 2.0), slack),
+        derivs=derivs,
+        # zeros at the multiples of 2 pi, where g ~ |t - t_0|^(alpha e)
+        cusp=lambda t0, t1, e: _holds_zero(t0, t1, 2.0 * math.pi, alpha * e),
     )
 
 
@@ -177,41 +198,71 @@ def phi_theta(theta: Sequence[complex] | DifferenceScheme) -> PhiFunction:
     classical = all(th[j] == (-1) ** j * math.comb(m, j) for j in range(m + 1))
     grid = np.linspace(0.0, 2.0 * math.pi, 4097)
     sup = float(np.max(ev(grid, 1.0)))
+    cell_sup, derivs, cusp = _theta_kernels(th)
     return PhiFunction(
         "theta", ev, theta=th, sup=sup,
         monotone_to=math.pi if classical else None,
         label=f"theta:{[complex(x) for x in th]}",
-        cell_sup=_theta_cell_sup(th),
+        cell_sup=cell_sup, derivs=derivs, cusp=cusp,
     )
 
 
-def _theta_cell_sup(th: tuple) -> Callable:
-    """``cell_sup`` of |sigma(t)|, sigma(t) = sum_j theta_j e^{-ijt}, by a
-    second-order bound on P = |sigma / s|^2 (s = sum_j |theta_j|, so P <= 1):
-    within r of the cell midpoint c, P <= P(c) + |P'(c)| r + M2 r^2 / 2 with
-    M2 = sum_{j,l} (j - l)^2 |u_j| |u_l| bounding |P''| (u = theta / s)."""
+def _theta_kernels(th: tuple) -> tuple[Callable, Callable, Callable]:
+    """``cell_sup``, ``derivs`` and ``cusp`` of |sigma(t)|, sigma(t) =
+    sum_j theta_j e^{-ijt}, through P = |sigma / s|^2 (s = sum_j |theta_j|,
+    so P <= 1 and phi^e = s^e P^(e/2)).  Within r of a cell midpoint c,
+    |P - P(c)| <= |P'(c)| r + M2 r^2 / 2 with M2 = sum_{j,l} (j - l)^2 |u_j|
+    |u_l| bounding |P''| (u = theta / s): the cell bound, and no zero of phi
+    in the cell where P(c) exceeds that spread.  With D_k = sum_j j^k u_j
+    e^{-ijt}, P' = 2 Im(conj(sigma) D_1) / s^2 and P'' = 2 (|D_1|^2 -
+    Re(conj(sigma) D_2)) / s^2."""
     s = np.float64(math.fsum(abs(x) for x in th))
     u = np.array(th, dtype=np.complex128) / s
     j = np.arange(u.shape[0], dtype=np.float64)
+    moments = [u, j * u, j * j * u]  # sigma / s, D_1, D_2 by Horner's rule
     m2 = float(np.sum(np.subtract.outer(j, j) ** 2 * np.multiply.outer(np.abs(u), np.abs(u))))
     # Horner (m steps, each a few ulps) leaves |sigma / s| within err of exact
     err = (4.0 * u.shape[0] + 8.0) * _EPS
 
-    def cell_sup(t0, t1, w0, w1, e):
+    def horner(t, k):
+        z = np.exp(-1j * t)
+        acc = [np.full(t.shape, w[-1]) for w in moments[:k]]
+        for i in range(u.shape[0] - 2, -1, -1):
+            acc = [a * z + w[i] for a, w in zip(acc, moments)]
+        return acc
+
+    def around(t0, t1):
+        # P at the cell midpoints, a bound on |P'| there, and the half-widths
         c = 0.5 * (t0 + t1)
         r = np.maximum(np.abs(t1 - c), np.abs(c - t0)) * (1.0 + 4.0 * _EPS)
-        z = np.exp(-1j * c)
-        sig = np.full(c.shape, u[-1])  # sigma(c) / s
-        dz = np.full(c.shape, j[-1] * u[-1])  # sum_j j u_j z^j
-        for k in range(u.shape[0] - 2, -1, -1):
-            sig = sig * z + u[k]
-            dz = dz * z + j[k] * u[k]
-        # P'(c) = 2 Im(conj(sigma) z dsigma/dz) / s^2, to within 4 m err
-        slope = 2.0 * np.abs(np.imag(np.conj(sig) * dz)) + 4.0 * j[-1] * err
-        bound = np.abs(sig) ** 2 + 3.0 * err + slope * r + 0.5 * m2 * r * r
+        sig, dz = horner(c, 2)
+        # P'(c), to within 4 m err
+        return np.abs(sig) ** 2, 2.0 * np.abs(np.imag(np.conj(sig) * dz)) + 4.0 * j[-1] * err, r
+
+    def cell_sup(t0, t1, w0, w1, e):
+        pc, slope, r = around(t0, t1)
+        bound = pc + 3.0 * err + slope * r + 0.5 * m2 * r * r
         return s ** e * np.minimum(bound, 1.0) ** (0.5 * e), _power_slack(s, err * s, e)
 
-    return cell_sup
+    def cusp(t0, t1, e):
+        # a simple zero of sigma makes phi^e ~ |t - t_0|^e
+        if e >= 2.0:
+            return np.zeros(np.shape(t0), dtype=bool)
+        pc, slope, r = around(t0, t1)
+        return pc <= 3.0 * err + slope * r + 0.5 * m2 * r * r
+
+    def derivs(t, e):
+        sig, d1, d2 = horner(t, 3)
+        p0 = np.abs(sig) ** 2
+        p1 = 2.0 * np.imag(np.conj(sig) * d1)
+        p2 = 2.0 * (np.abs(d1) ** 2 - np.real(np.conj(sig) * d2))
+        # g' = s^e (e/2) P^(e/2 - 1) P', g'' = s^e (e/2) P^(e/2 - 1) (P'' + (e/2 - 1) P'^2 / P)
+        h = 0.5 * e
+        q = s ** e * h * p0 ** (h - 1.0)
+        ratio = np.divide(p1 * p1, p0, out=np.zeros_like(p0), where=p0 > 0.0)
+        return q * p1, q * (p2 + (h - 1.0) * ratio)
+
+    return cell_sup, derivs, cusp
 
 
 def phi_steklov(m: int) -> PhiFunction:
@@ -220,17 +271,61 @@ def phi_steklov(m: int) -> PhiFunction:
         raise InputDomainError("Steklov order must be >= 1")
 
     def ev(t, e):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sinc = np.where(t == 0.0, 1.0, np.sin(t) / np.where(t == 0.0, 1.0, t))
-        # 1 - sinc is nonnegative; clip the -0.0 noise at t ~ 0
-        return np.clip(1.0 - sinc, 0.0, None) ** (m * e)
+        return _sinc_defect(t)[0] ** (m * e)
+
+    def derivs(t, e):
+        # g = u^c, u = 1 - sinc t, c = m e: g' = c u^(c-1) u' and
+        # g'' = c u^(c-1) (u'' + (c - 1) u'^2 / u)
+        u, d1, d2 = _sinc_defect(t, 2)
+        c = m * e
+        q = c * u ** (c - 1.0)
+        ratio = np.divide(d1 * d1, u, out=np.zeros_like(u), where=u > 0.0)
+        return q * d1, q * (d2 + (c - 1.0) * ratio)
 
     return PhiFunction(
         "steklov", ev, param=float(m), sup=(1.0 - _SINC_MIN) ** m,
         monotone_to=_SINC_MIN_ARG, label=f"steklov:{m}",
         # 1 - sinc to a few ulps absolute
         cell_sup=_crest_sup(ev, _sinc_crests, lambda e: _power_slack(1.0 - _SINC_MIN, 4.0 * _EPS, m * e)),
+        derivs=derivs,
+        # the one zero, at t = 0, where g ~ (t^2 / 6)^(m e)
+        cusp=lambda t0, t1, e: (m * e < 1.0) & (np.minimum(np.abs(t0), np.abs(t1)) == 0.0),
     )
+
+
+# Below |t| = _SINC_SERIES, where 1 - sin(t)/t cancels, it and its
+# derivatives are summed as series in t^2: 1 - sinc t = sum_{k >= 0} (-1)^k
+# t^(2k+2) / (2k+3)!, differentiated termwise.  There each series alternates
+# with decreasing terms, so its remainder after _SINC_TERMS terms is at most
+# the first omitted term: below 2^-54 of the sum (the second derivative at
+# |t| = 1; 2^-59 for the first, 2^-62 for the function).  Above it the
+# subtraction loses at most about 6 / t^2 ulps.
+_SINC_SERIES = 1.0
+_SINC_TERMS = 9
+_SINC_K = np.arange(_SINC_TERMS, dtype=np.float64)
+# one column of coefficients per series in t^2: of u / t^2, u' / t and u''
+_SINC_COEF = np.stack([
+    (-1.0) ** _SINC_K * w / np.array([math.factorial(2 * k + 3) for k in range(_SINC_TERMS)], dtype=np.float64)
+    for w in (1.0, 2.0 * _SINC_K + 2.0, (2.0 * _SINC_K + 2.0) * (2.0 * _SINC_K + 1.0))
+], axis=1)
+
+
+def _sinc_defect(t, order: int = 0) -> list:
+    """[u] with u = 1 - sin(t)/t elementwise, or [u, u', u''] for order 2."""
+    small = np.abs(t) < _SINC_SERIES
+    with np.errstate(invalid="ignore", divide="ignore"):  # t = 0 is summed below
+        sn = np.sin(t)
+        out = [np.asarray(1.0 - sn / t)]
+        if order:
+            d1 = np.asarray((sn - t * np.cos(t)) / (t * t))
+            out += [d1, np.asarray((sn - 2.0 * d1) / t)]  # u'' = (sin t - 2 u') / t
+    if small.any():
+        x = t[small]
+        x2 = x * x
+        # the powers of t^2 and one product sum every series at once
+        for arr, col, scale in zip(out, (x2[:, None] ** _SINC_K @ _SINC_COEF).T, (x2, x, 1.0)):
+            arr[small] = scale * col
+    return out
 
 
 def _sinc_crests(top: float) -> np.ndarray:
@@ -260,6 +355,17 @@ def _crest_sup(ev: Callable, crests: Callable, slack: Callable) -> Callable:
         return np.maximum(np.maximum(w0, w1), np.where(inside, top, 0.0)), slack(e)
 
     return cell_sup
+
+
+def _holds_zero(t0, t1, period: float, c: float):
+    """Whether each phase cell between t0 and t1 (of one sign) may hold a
+    zero of phi, at the multiples of period, where phi^e ~ |t - t_0|^c with
+    c < 2 (none when c >= 2); cell ends are widened by a few ulps."""
+    if c >= 2.0:
+        return np.zeros(np.shape(t0), dtype=bool)
+    a, b = np.abs(t0), np.abs(t1)
+    a, b = np.minimum(a, b) * (1.0 - 8.0 * _EPS), np.maximum(a, b) * (1.0 + 8.0 * _EPS)
+    return np.ceil(a / period) * period <= b
 
 
 def _power_slack(b: float, d: float, g: float) -> float:
@@ -613,10 +719,11 @@ def _objective_grid(
     return out
 
 
-# Refinement of sampled maxima: every round resamples each bracket at
-# _REFINE_CELLS + 1 equispaced points and keeps the two cells around the
-# best sample, shrinking the bracket 32-fold.  A bracket is done once it
-# spans at most _REFINE_PHASE radians of the fastest frequency's phase
+# Refinement of sampled maxima (the dense scan, and the cusp cells of a
+# certified one): every round resamples each bracket at _REFINE_CELLS + 1
+# equispaced points and keeps the two cells around the best sample,
+# shrinking the bracket 32-fold.  A bracket is done once it spans at most
+# _REFINE_PHASE radians of the fastest frequency's phase
 # (6e-10 in h at lam_max = 16), or 1e-13 |h| for shifts so large that
 # rounding h alone moves the phase by more; at a smooth maximum the best
 # sample's value is then exact to double precision.  _REFINE_ROUNDS caps
@@ -657,6 +764,73 @@ def _refine_maxima(
         if np.all(hi - lo <= tol):
             break
     return best_h, best_v
+
+
+# Peaks of a certified scan: S' is sampled at _SLOPE_CELLS + 1 equispaced
+# points of each refined cell, and every fall of S' from + to - between
+# samples is refined by safeguarded Newton on S' (rtsafe; Press et al.,
+# Numerical Recipes, 9.4) to the stopping width of _refine_maxima.
+# _NEWTON_STEPS caps the loop (bisection alone closes any cell in fewer).
+_SLOPE_CELLS = 4
+_SLOPE_AT = np.linspace(0.0, 1.0, _SLOPE_CELLS + 1)
+_NEWTON_STEPS = 64
+
+
+def _slopes(phi: PhiFunction, lams: np.ndarray, amps_p: np.ndarray, p: float, hs: np.ndarray):
+    """S'(h) and S''(h) of S(h) = sum_k phi(lam_k h)^p amps_p[k], elementwise over hs."""
+    d1, d2 = phi.derivs(np.multiply.outer(hs, lams), p)
+    return d1 @ (lams * amps_p), d2 @ (lams * lams * amps_p)
+
+
+def _cell_peaks(
+    objective: Callable[[np.ndarray], np.ndarray], phi: PhiFunction,
+    lams: np.ndarray, amps_p: np.ndarray, p: float,
+    lo: np.ndarray, hi: np.ndarray, lam_max: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts and objective values of the candidate maxima inside the cells
+    [lo_i, hi_i] of a certified scan, besides the cell ends (grid samples
+    already): the shifts where S' falls through zero, for S and, when phi
+    is not even, for S(-h) too (S on [-hi_i, -lo_i]).
+
+    A cell where some term's phase cell may hold a cusp of phi^p
+    (``phi.cusp``), or where a sample of S' is not finite, is refined by
+    ``_refine_maxima`` instead: there S'' is unbounded, and a peak next to
+    the cusp need not show in the samples.  Elsewhere each root is
+    bracketed between samples of S' with S' > 0 at the left and <= 0 at the
+    right, from the regula falsi point.  A Newton step S'/S'' that leaves
+    the bracket, or comes from S'' >= 0, is replaced by bisection; one
+    shorter than half the stopping width is lengthened to half of it, so
+    that the bracket closes."""
+    nz = lams != 0.0  # the zero frequency adds phi(0) = 0
+    lams, amps_p = lams[nz], amps_p[nz]
+    folds = 1 if phi.is_even else 2
+    a, b = (lo, hi) if folds == 1 else (np.concatenate((lo, -hi)), np.concatenate((hi, -lo)))
+    hs = a[:, None] + (b - a)[:, None] * _SLOPE_AT
+    with np.errstate(all="ignore"):  # a cusp cell's slopes are dropped below
+        d1 = _slopes(phi, lams, amps_p, p, hs)[0]
+        cusp = phi.cusp(np.multiply.outer(a, lams), np.multiply.outer(b, lams), p).any(axis=1)
+        cusp = (cusp | ~np.isfinite(d1).all(axis=1)).reshape(folds, -1).any(axis=0)
+        rows, cols = np.nonzero((d1[:, :-1] > 0.0) & (d1[:, 1:] <= 0.0) & ~np.tile(cusp, folds)[:, None])
+        xl, xh = hs[rows, cols], hs[rows, cols + 1]
+        fl, fh = d1[rows, cols], d1[rows, cols + 1]
+        x = xl + (xh - xl) * (fl / (fl - fh))
+        for _ in range(_NEWTON_STEPS):
+            tol = np.maximum(_REFINE_PHASE / lam_max, _REFINE_REL * np.abs(x))
+            run = xh - xl > tol
+            if not run.any():
+                break
+            s1, s2 = _slopes(phi, lams, amps_p, p, x)
+            xl, xh = np.where(run & (s1 >= 0.0), x, xl), np.where(run & (s1 <= 0.0), x, xh)
+            step = s1 / s2
+            nxt = x - np.copysign(np.maximum(np.abs(step), 0.5 * tol), step)
+            newton = (s2 < 0.0) & (xl < nxt) & (nxt < xh)
+            x = np.where(run, np.where(newton, nxt, 0.5 * (xl + xh)), x)
+    peak_h = np.abs(np.clip(x, xl, xh))
+    peak_v = objective(peak_h) if peak_h.size else peak_h
+    if cusp.any():
+        old_h, old_v = _refine_maxima(objective, lo[cusp], hi[cusp], lam_max)
+        peak_h, peak_v = np.concatenate((peak_h, old_h)), np.concatenate((peak_v, old_v))
+    return peak_h, peak_v
 
 
 _N_GRID = 2048  # least cells of a dense scan
@@ -703,11 +877,12 @@ def _sampled_objective(
     Certified scan (``certified`` and a builtin generator): each cell gets
     the upper bound U = sum_k |A_k|^p phi.cell_sup of the term's phase cell,
     and only the cells whose U exceeds the best sample by more than the
-    sum's rounding, (2K + 8) eps relative for K terms, are refined, each as
-    its own bracket.  A refined value lies in a cell with a finite U, so
-    refinement skips the finiteness check that the samples get.  upper,
-    the largest U plus that rounding and twice the generator's slack per
-    unit of sum_k |A_k|^p, bounds every exact and computed value of S.
+    sum's rounding, (2K + 8) eps relative for K terms, are refined, each on
+    its own (``_cell_peaks``).  A refined value lies in a cell with a
+    finite U, so refinement skips the finiteness check that the samples
+    get.  upper, the largest U plus that rounding and twice the generator's
+    slack per unit of sum_k |A_k|^p, bounds every exact and computed value
+    of S.
 
     Returns (objective, grid, samples, peak shifts, peak values, upper),
     upper None for a dense scan, or None when the modulus vanishes
@@ -741,7 +916,7 @@ def _sampled_objective(
             upper = float(np.max(bounds)) * (1.0 + rounding) + 2.0 * slack * float(np.sum(amps_p))
         if math.isfinite(upper):
             keep = np.flatnonzero(bounds > float(np.max(obj)) * (1.0 + rounding))
-            peak_h, peak_v = _refine_maxima(unchecked, hs[keep], hs[keep + 1], lam_max)
+            peak_h, peak_v = _cell_peaks(unchecked, phi, lams, amps_p, p, hs[keep], hs[keep + 1], lam_max)
             return objective, hs, obj, peak_h, peak_v, upper
     n = max(_N_GRID, turns)
     hs = np.linspace(0.0, delta, n + 1)
@@ -769,17 +944,19 @@ def _pth_root(power: float, p: float) -> float:
 
 def omega_phi(f: Spectrum, phi: PhiFunction, delta: float, p: float = 1.0) -> float:
     """Generalized modulus of smoothness at step delta: the largest sample
-    or refined peak of the scan of ``_sampled_objective`` (each peak is
-    refined by repeated resampling until its bracket spans at most 1e-8 rad
-    of the fastest frequency's phase, which at a smooth maximum pins the
-    value to double precision), to the 1/p.  Builtin generators take the
-    certified scan (16 cells per oscillation of the fastest frequency, and
-    only the cells whose upper bound beats the best sample refined); custom
-    generators take the dense scan of at least ``_N_GRID`` cells.  A
+    or refined peak of the scan of ``_sampled_objective``, to the 1/p.
+    Each peak is refined until its bracket spans at most 1e-8 rad of the
+    fastest frequency's phase, which at a smooth maximum pins the value to
+    double precision.  Builtin generators take the certified scan (16
+    cells per oscillation of the fastest frequency; only the cells whose
+    upper bound beats the best sample are refined, by Newton's method on
+    the objective's derivative, or by resampling next to a cusp of
+    phi^p); custom generators take the dense scan of at least ``_N_GRID``
+    cells, refined by resampling.  delta must be finite and >= 0.  A
     repeated request returns the stored value (see the module docstring).
     """
-    if delta < 0:
-        raise InputDomainError("delta must be >= 0")
+    if not 0 <= delta < math.inf:
+        raise InputDomainError("delta must be finite and >= 0")
     if not 0 < p < math.inf:
         raise InputDomainError("p must be positive and finite")
     return _omega(f, phi, float(delta), float(p))[0]
@@ -821,6 +998,8 @@ class OmegaEvaluator:
     def __init__(self, f: Spectrum, phi: PhiFunction, p: float, delta_max: float):
         if not 0 < p < math.inf:
             raise InputDomainError("p must be positive and finite")
+        if not 0 <= delta_max < math.inf:
+            raise InputDomainError("delta_max must be finite and >= 0")
         self.p = p
         self.delta_max = float(delta_max)
         self._request = (f, phi)
@@ -875,8 +1054,8 @@ def averaged_omega(
     exceeds omega_phi(f, u) (the integrand is maximal at the endpoint and
     the average is normalized by the total mass).
     """
-    if not u > 0:
-        raise InputDomainError("u must be positive")
+    if not 0 < u < math.inf:
+        raise InputDomainError("u must be positive and finite")
     if abs(v.tau - tau) > 1e-12 * max(1.0, tau):
         raise InputDomainError("weight is defined on a different [0, tau]")
     mass = v.total_mass()

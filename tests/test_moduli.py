@@ -30,7 +30,8 @@ from spapprox import (
     weight_pwl,
 )
 from spapprox.errors import BudgetError
-from spapprox.moduli import OmegaEvaluator, _adaptive_block, _objective_grid, _omega
+from spapprox import moduli
+from spapprox.moduli import OmegaEvaluator, _adaptive_block, _objective_grid, _omega, _sinc_defect
 from spapprox.oracle import oracle_modulus, oracle_quadrature
 from spapprox.testing import random_spectrum
 
@@ -864,3 +865,119 @@ def test_only_builtin_generators_are_certified():
         value, upper = _omega(f, _GENERATORS[make](), 1.3, 1.5)
         assert value <= upper < math.inf
         assert _omega(f, _GENERATORS[make](), 0.0, 1.5) == (0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Newton peaks: closed-form derivatives of the builtin generators
+
+
+@given(phi=_builtin_generators(), t=st.floats(-7.0, 7.0), e=st.floats(0.5, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_generator_derivatives_match_mpmath(phi, t, e):
+    # g' and g'' of g = phi^e against mpmath's numerical derivatives of its
+    # own formula for phi at 30 digits, away from the zeros of phi; the
+    # error is measured against the 2-jet |g| + |g'| + |g''|, since a
+    # derivative near one of its own zeros keeps only that absolute accuracy
+    assume(phi(t) >= 1e-2 * phi.sup)
+    d1, d2 = phi.derivs(np.array([t]), e)
+    with mpmath.workdps(30):
+        jet = [mpmath.diff(lambda x: _mp_phi_pow(phi, x, e), mpmath.mpf(t), k) for k in range(3)]
+    scale = float(sum(abs(x) for x in jet))
+    assert abs(d1[0] - float(jet[1])) <= 1e-13 * scale
+    assert abs(d2[0] - float(jet[2])) <= 1e-13 * scale
+
+
+@given(t=st.floats(1e-8, 2 * math.pi), m=st.integers(1, 3), sign=st.sampled_from([1.0, -1.0]))
+@settings(max_examples=80, deadline=None)
+def test_steklov_keeps_its_digits_at_small_phases(t, m, sign):
+    # 1 - sinc t is summed as a series below |t| = 1, where the subtraction
+    # cancels (it was off by 1.3e-4 relative at t = 1e-6); its derivatives
+    # against the 2-jet, as above
+    with mpmath.workdps(40):
+        x = mpmath.mpf(sign * t)
+        u = [1 - mpmath.sin(x) / x, (mpmath.sin(x) - x * mpmath.cos(x)) / x ** 2]
+        u.append((mpmath.sin(x) - 2 * u[1]) / x)
+        want = u[0] ** m
+    assert abs(phi_steklov(m)(sign * t) - float(want)) <= 4e-15 * float(want)
+    got = _sinc_defect(np.array([sign * t]), 2)
+    scale = float(sum(abs(v) for v in u))
+    for g, v in zip(got[1:], u[1:]):
+        assert abs(g[0] - float(v)) <= 1e-14 * scale
+
+
+def test_steklov_modulus_at_a_small_step():
+    f = Spectrum.real({1.0: 1.0})
+    _omega.cache_clear()
+    with mpmath.workdps(40):
+        want = float(1 - mpmath.sin(mpmath.mpf("1e-5")) / mpmath.mpf("1e-5"))
+    assert omega_phi(f, phi_steklov(1), 1e-5) == pytest.approx(want, rel=1e-13)
+    assert want == pytest.approx(1.6666667e-11, rel=1e-8)
+
+
+@pytest.mark.parametrize("f, n_lam, p, alpha", [
+    # inverse, integer ladder, n = 3 (alpha p = 1.027): the peak lies inside
+    # the last cell, which ends at a cusp of the frequency-6 term at
+    # delta = pi/3, where S' is positive again (S' at the cell ends alone
+    # missed it by 1.2e-4)
+    (Spectrum.real({
+        -6.0: -0.01872283082650036 - 0.015736743647907833j, 5.0: 0.029987171601023543 + 0.0075293311145966995j,
+        -5.0: -0.021907726190806553 - 0.0218168013423397j, 2.0: 0.1348250918688848 - 0.05033774679049603j,
+        -2.0: -0.005431052526147031 + 0.14381306553250145j, 11.0: -1.162282381138886e-05 - 0.00337901433403082j,
+        3.0: -0.06675409972044159 + 0.048594776508688195j, -3.0: -0.08233511053382943 - 0.0062041685017497905j,
+    }), 3.0, 1.1926581107863552, 0.8611371830274233),
+    # inverse, squares ladder, n = 1 (alpha p = 1.654): the peak sits 3.2e-6
+    # before a cusp at delta = pi, where S' is positive again (Newton that
+    # ignored the cusp lost 2.1e-12)
+    (Spectrum.real({
+        0.0: 0.3767695007322638 + 0.9263070459183395j, -1.0: -0.30527545555575913 - 0.5020106783923224j,
+        196.0: 8.565671190747993e-05 + 0.000160696840270818j, -196.0: -0.0001530057636262231 + 9.87409897913838e-05j,
+        169.0: -0.0002376353534679628 + 2.2168265426742605e-05j, -169.0: -0.00020567760052857145 + 0.00012107319212230066j,
+        100.0: -0.001457096350558721 - 0.0002095712281138628j, 49.0: -0.0033552514772648466 + 0.004530566614673065j,
+        -49.0: -0.003777255921768889 + 0.004185222100096953j, 9.0: 0.04614698510531394 + 0.03803209233235675j,
+        -9.0: 0.05896904505090378 - 0.00993156620435346j, 121.0: -0.0005816225651426705 - 0.0005524369012049628j,
+        -121.0: -0.0008015506415017486 - 3.143099114277389e-05j,
+    }), 1.0, 1.7936975852825572, 0.9221389119561499),
+])
+def test_certified_peaks_next_to_the_hazards(f, n_lam, p, alpha):
+    _omega.cache_clear()
+    delta, phi = math.pi / n_lam, phi_alpha(alpha)
+    want = float(_mp_max_power(f, phi, delta, p))
+    assert omega_phi(f, phi, delta, p) ** p == pytest.approx(want, rel=1e-14)
+
+
+def test_smooth_alpha_modulus_takes_no_resampling(monkeypatch):
+    # alpha p >= 2: phi^p has no cusp, so every refined cell takes Newton
+    calls = []
+    original = moduli._refine_maxima
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(moduli, "_refine_maxima", counting)
+    _omega.cache_clear()
+    rng = np.random.default_rng(5)
+    for alpha, p in ((2.0, 1.0), (1.3, 1.6), (0.8, 2.5), (3.1, 1.0)):
+        for _ in range(10):
+            f = random_spectrum(rng, max_index=12, size=8)
+            value, upper = _omega(f, phi_alpha(alpha), float(rng.uniform(0.05, math.pi)), p)
+            assert value <= upper
+    assert calls == []
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -0.5])
+def test_omega_phi_rejects_a_non_finite_step(step):
+    with pytest.raises(InputDomainError):
+        omega_phi(Spectrum.real({1.0: 1.0}), phi_alpha(1.0), step)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -0.5])
+def test_omega_evaluator_rejects_a_non_finite_range(step):
+    with pytest.raises(InputDomainError):
+        OmegaEvaluator(Spectrum.real({1.0: 1.0}), phi_alpha(1.0), 1.0, step)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, 0.0])
+def test_averaged_omega_rejects_a_non_finite_step(u):
+    with pytest.raises(InputDomainError):
+        averaged_omega(Spectrum.real({1.0: 1.0}), phi_alpha(1.0), math.pi, weight_cos(), u)
