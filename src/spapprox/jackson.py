@@ -191,17 +191,18 @@ def _alpha_scan_integrals_jacobi(alpha: float, p: float, v: WeightMeasure, tau, 
     the partial last pieces are evaluated point by point
     (``_partial_pieces``); np.bincount adds each ratio's pieces in order.  A
     piecewise-linear weight is the piecewise-constant density of its slopes
-    s_i, so its integral is sum_i s_i (F(t_{i+1}) - F(t_i)), with F(x) the
-    unit density's integral over [0, x] at the knots clipped to [0, tau]."""
+    s_i, so its integral is sum_i s_i times the integral over the segment
+    between its knots, clipped to [0, tau] (``_segment_integrals``): every
+    term is nonnegative, so crowded knots cancel nothing."""
     ratios = np.asarray(ratios, dtype=np.float64)
+    gamma = alpha * p
     if v.kind == "pwl":
         ends = np.clip(v.knots_t, 0.0, tau)
-        F = _alpha_scan_integrals_jacobi(
-            alpha, p, weight_linear(tau),
-            np.tile(ends, ratios.shape[0]), np.repeat(ratios, ends.shape[0]),
+        segments = _segment_integrals(
+            gamma, np.repeat(ratios, ends.shape[0] - 1),
+            np.tile(ends[:-1], ratios.shape[0]), np.tile(ends[1:], ratios.shape[0]),
         )
-        return np.diff(F.reshape(ratios.shape[0], ends.shape[0]), axis=1) @ v.slopes
-    gamma = alpha * p
+        return 2.0 ** gamma * (segments.reshape(ratios.shape[0], -1) @ v.slopes)
     ends = np.broadcast_to(tau, ratios.shape)
     rows = np.arange(ratios.shape[0])
     period = 2.0 * math.pi / ratios
@@ -227,6 +228,51 @@ def _alpha_scan_integrals_jacobi(alpha: float, p: float, v: WeightMeasure, tau, 
         minlength=ratios.shape[0],
     )
     return 2.0 ** gamma * total
+
+
+def _segment_integrals(gamma: float, ratio, lo, hi) -> np.ndarray:
+    """integral over [lo_j, hi_j] of |sin(ratio_j t/2)|^gamma dt elementwise
+    (0 <= lo_j <= hi_j), between the segment's own ends.
+
+    With P(x) the integral over a partial sign-interval of length x that
+    starts at a zero (``_partial_pieces``, one batched call, on x up to half
+    a sign-interval; past it P(x) is the whole one, from
+    ``_period_kernel``, less P of the rest), a segment holding zeros is
+    P(first zero - lo) (mirrored about that zero) plus its full
+    sign-intervals plus P(hi - last zero).  One inside a sign-interval is
+    P(hi - z) - P(lo - z) from the zero z on its nearer side when its
+    distance to z is at most its width, so that the two pieces are at most
+    a few times the difference; farther from both zeros, where the power
+    is smooth over the segment, it takes the 24-node Gauss-Legendre rule."""
+    period = 2.0 * math.pi / ratio
+    first = np.ceil(lo / period * (1.0 - 1e-15))  # the zeros first * period ...
+    last = np.floor(hi / period * (1.0 + 1e-15))  # ... to last * period lie in the segment
+    up, down = first * period, last * period
+    width = hi - lo
+    holds = first <= last
+    left = ~holds & (lo - (up - period) <= np.minimum(width, up - hi))
+    right = ~holds & ~left & (up - hi <= width)
+    outer = np.select([holds, left, right], [up - lo, hi - (up - period), up - lo], 0.0)
+    inner = np.select([left, right], [lo - (up - period), up - hi], 0.0)
+    tail = np.where(holds, hi - down, 0.0)
+    whole = float(np.sum(_period_kernel(gamma))) * (0.5 * period)  # one sign-interval
+    lengths, spans = np.concatenate((outer, inner, tail)), np.tile(period, 3)
+    flip = lengths > 0.5 * spans
+    lengths = np.where(flip, spans - lengths, lengths)
+    some = lengths > 0.0
+    pieces = np.zeros_like(lengths)
+    pieces[some] = _partial_pieces(
+        gamma, np.ones_like, np.tile(ratio, 3)[some], np.zeros(int(some.sum())), lengths[some],
+    )
+    outer, inner, tail = np.where(flip, np.tile(whole, 3) - pieces, pieces).reshape(3, -1)
+    out = outer - inner + np.where(holds, last - first, 0.0) * whole + tail
+    smooth = ~(holds | left | right)
+    if smooth.any():
+        half = 0.5 * width[smooth]
+        t = (0.5 * (lo + hi)[smooth])[:, None] + half[:, None] * _LEGENDRE_NODES
+        power = np.abs(np.sin(0.5 * ratio[smooth][:, None] * t)) ** gamma
+        out[smooth] = (power @ _LEGENDRE_WEIGHTS) * half
+    return out
 
 
 def _even_power(phi: PhiFunction, p: float) -> int | None:

@@ -456,6 +456,35 @@ def test_partial_piece_ending_near_a_zero(fraction):
     assert got == pytest.approx(_mpmath_scan_integral(ratio, "t", 0.5), rel=1e-12, abs=0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    gamma=st.floats(0.5, 4.0),
+    ratio=st.floats(0.5, 16.0),
+    at=st.floats(0.01, 0.99),
+    gap=st.floats(-9.0, -3.0),
+    rises=st.lists(st.floats(0.1, 1.0), min_size=4, max_size=4),
+)
+def test_crowded_knots_keep_their_digits(gamma, ratio, at, gap, rises):
+    # a piecewise-linear weight whose second segment is 10^gap long: each
+    # segment is integrated between its own knots, so the steep segment's
+    # slope multiplies no difference of two integrals from 0 (such a
+    # difference cancels to about 2e-8 relative at gaps near 1e-9)
+    tau = math.pi
+    first = at * tau / 2
+    ts = [0.0, first, first + 10.0 ** gap, tau / 2 + first, tau]
+    vs = np.concatenate(([0.0], np.cumsum(rises)))
+    got = scaled_phi_integral(phi_alpha(gamma), 1.0, weight_pwl(ts, vs), tau, ratio)
+    with mpmath.workdps(30):
+        r, g = mpmath.mpf(ratio), mpmath.mpf(gamma)
+        want = mpmath.mpf(0)
+        for a, b, rise in zip(ts[:-1], ts[1:], rises):
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            zeros = [2 * mpmath.pi * m / r for m in range(1, int(ratio * tau / (2 * math.pi)) + 2)]
+            points = [a] + [z for z in zeros if a < z < b] + [b]
+            want += mpmath.mpf(rise) / (b - a) * mpmath.quad(lambda t: (2 * abs(mpmath.sin(r * t / 2))) ** g, points)
+    assert got == pytest.approx(float(want), rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("gamma, ratio", [(40.3, 3.9), (200.0, 3.9), (200.0, 1.0)])
 def test_jacobi_route_holds_for_high_powers(gamma, ratio):
     # past gamma = 32 the power's peak at mid-period narrows like

@@ -148,7 +148,9 @@ def test_traced_names_resolve():
         f"{mod}.{attr}" for mod, attr in tracing.FUNCTION_SPANS
         if not hasattr(importlib.import_module(f"spapprox.{mod}"), attr)
     ]
-    for mod, cls, meth in tracing.METHOD_SPANS:
+    methods = list(tracing.METHOD_SPANS) + [("moduli", "PhiFunction", "pow_p")]
+    methods += [("psi", cls, meth) for cls in tracing.PSI_CLASSES for meth in ("stream", "power_sum_total")]
+    for mod, cls, meth in methods:
         if meth not in vars(getattr(importlib.import_module(f"spapprox.{mod}"), cls, object)):
             missing.append(f"{mod}.{cls}.{meth}")
     assert not missing, f"traced names missing from spapprox: {', '.join(missing)}"
