@@ -23,15 +23,17 @@ value for alpha and Steklov, a second-order bound on |symbol|^2 for theta),
 and only the cells whose bound beats the best sample (``omega_phi``) or the
 running maximum of the samples (``OmegaEvaluator``) are refined (branch
 and bound; Piyavskii 1972, Shubert 1972), by safeguarded Newton on the
-closed-form derivative of the objective (``PhiFunction.derivs``), or by
-resampling where a term may cross a cusp of phi^p (``PhiFunction.cusp``).
-Custom generators take the dense scan of at least ``_N_GRID`` cells, each
-sampled peak refined by resampling.  ``OmegaEvaluator`` keeps the running
-maximum of the objective by pieces: its records, the plateaus after them
-and the rising stretches where it is the objective itself.  The averaged
-modulus integrates omega_phi^p against a nondecreasing weight
-(Riemann-Stieltjes) over those pieces, normalized by the weight's total
-mass; it never exceeds omega_phi at the right endpoint.
+closed-form derivative of the objective (``PhiFunction.derivs``).  Every
+zero of a builtin phi is a known phase (``PhiFunction.zeros``), so a cell
+is first split where a term meets a cusp of phi^p, and its derivative is
+sampled more densely toward that cut.  Custom generators take the dense
+scan of at least ``_N_GRID`` cells, each sampled peak refined by
+resampling.  ``OmegaEvaluator`` keeps the running maximum of the objective
+by pieces: its records, the plateaus after them and the rising stretches
+where it is the objective itself.  The averaged modulus integrates
+omega_phi^p against a nondecreasing weight (Riemann-Stieltjes) over those
+pieces, normalized by the weight's total mass; it never exceeds omega_phi
+at the right endpoint.
 
 ``omega_phi`` keeps its 2^10 most recently used requests (f, phi, delta,
 p) in ``_omega``, each value with the upper bound of a certified scan
@@ -70,20 +72,25 @@ class PhiFunction:
     phi is nondecreasing with phi(a) = sup; it is required by the sharpness
     and inverse-theorem operations.
 
-    Builtin generators carry four closed-form kernels of g = phi**e, each
+    Builtin generators carry two closed-form kernels of g = phi**e, each
     None for custom ones, elementwise over phases:
 
     * ``cell_sup(t0, t1, w0, w1, e)`` bounds g on phase cells: over the cell
       ends t0, t1 and their values w0, w1 of g, it returns (bounds, slack),
       with every exact or computed value of g between t0 and t1 at most the
       bound plus 2 slack, and every computed value off by at most slack;
-    * ``derivs(t, e)`` returns (g', g'') where g is twice differentiable;
-    * ``cusp(t0, t1, e)`` is True where the phase cell may hold a zero of
-      phi at which g behaves as |t - t_0|^c with c < 2, so that g'' is
-      unbounded there;
-    * ``cuts(top, e)`` lists, ascending, the known zeros of phi in (0, top]
-      at which g is not smooth, cusps or not (the multiples of 2 pi for
-      alpha and theta, none for Steklov).
+    * ``derivs(t, e)`` returns (g', g'') where g is twice differentiable.
+
+    ``zeros`` are the phases z in [0, pi] such that phi vanishes at every
+    2 pi j + z or every 2 pi j - z: 0 for alpha and theta, and for theta
+    also |arg| of the other roots of its symbol on or near the unit circle
+    (off it, phi comes near 0).  Steklov (whose one zero is t = 0) and
+    custom generators have none.  At a zero, g behaves as |t -
+    t_0|^(order e), a cusp with g'' unbounded when order e < 2.
+
+    Only the theta and custom generators are probed (``_validate``) for
+    phi(0) = 0, finite nonnegative values and evenness; alpha and Steklov
+    have these properties by construction.
     """
 
     def __init__(
@@ -98,12 +105,13 @@ class PhiFunction:
         label: str = "",
         cell_sup: Callable | None = None,
         derivs: Callable | None = None,
-        cusp: Callable | None = None,
-        cuts: Callable | None = None,
+        zeros: tuple = (),
+        order: float = 1.0,
     ):
         self.kind = kind
         self._eval = evaluator
-        self.cell_sup, self.derivs, self.cusp, self.cuts = cell_sup, derivs, cusp, cuts
+        self.cell_sup, self.derivs = cell_sup, derivs
+        self.zeros, self.order = zeros, order
         self.param = float(param)
         self.theta = tuple(complex(t) for t in theta)
         self.sup = sup
@@ -114,9 +122,8 @@ class PhiFunction:
         # cache entry keeps the object alive, so its id is not reused meanwhile)
         self._key = id(self) if kind == "custom" else (kind, self.param, self.theta)
         self.is_even = True
-        self._validate()
 
-    def _validate(self):
+    def _validate(self) -> PhiFunction:
         z = float(self(0.0))
         if abs(z) > 1e-12:
             raise InputDomainError(f"phi(0) must be 0, got {z}")
@@ -126,6 +133,7 @@ class PhiFunction:
             raise InputDomainError("phi must be finite and nonnegative")
         even_gap = float(np.max(np.abs(self(-grid) - vals)))
         self.is_even = even_gap <= 1e-10 * max(1.0, float(np.max(np.abs(vals))))
+        return self
 
     def __call__(self, t):
         out = self._eval(np.asarray(t, dtype=np.float64), 1.0)
@@ -181,10 +189,7 @@ def _phi_alpha(alpha: float) -> PhiFunction:
         label=f"alpha:{alpha:g}",
         # crests at the odd multiples of pi
         cell_sup=_crest_sup(ev, lambda top: math.pi * np.arange(1.0, top / math.pi + 2.0, 2.0), slack),
-        derivs=derivs,
-        # zeros at the multiples of 2 pi, where g ~ |t - t_0|^(alpha e)
-        cusp=lambda t0, t1, e: _holds_zero(t0, t1, 2.0 * math.pi, alpha * e),
-        cuts=lambda top, e: _zero_phases(top, alpha * e),
+        derivs=derivs, zeros=(0.0,), order=alpha,
     )
 
 
@@ -206,29 +211,35 @@ def phi_theta(theta: Sequence[complex] | DifferenceScheme) -> PhiFunction:
     classical = all(th[j] == (-1) ** j * math.comb(m, j) for j in range(m + 1))
     grid = np.linspace(0.0, 2.0 * math.pi, 4097)
     sup = float(np.max(ev(grid, 1.0)))
-    cell_sup, derivs, cusp = _theta_kernels(th)
+    cell_sup, derivs, zeros = _theta_kernels(th)
     return PhiFunction(
         "theta", ev, theta=th, sup=sup,
         monotone_to=math.pi if classical else None,
         label=f"theta:{[complex(x) for x in th]}",
-        cell_sup=cell_sup, derivs=derivs, cusp=cusp,
-        # the weights sum to 0, so sigma vanishes at every multiple of 2 pi,
-        # where phi^e = (|sigma|^2)^(e/2) is smooth for an even e
-        cuts=lambda top, e: _zero_phases(top, e),
-    )
+        cell_sup=cell_sup, derivs=derivs, zeros=zeros,
+    )._validate()
 
 
-def _theta_kernels(th: tuple) -> tuple[Callable, Callable, Callable]:
-    """``cell_sup``, ``derivs`` and ``cusp`` of |sigma(t)|, sigma(t) =
+def _theta_kernels(th: tuple) -> tuple[Callable, Callable, tuple]:
+    """``cell_sup``, ``derivs`` and ``zeros`` of |sigma(t)|, sigma(t) =
     sum_j theta_j e^{-ijt}, through P = |sigma / s|^2 (s = sum_j |theta_j|,
     so P <= 1 and phi^e = s^e P^(e/2)).  Within r of a cell midpoint c,
     |P - P(c)| <= |P'(c)| r + M2 r^2 / 2 with M2 = sum_{j,l} (j - l)^2 |u_j|
-    |u_l| bounding |P''| (u = theta / s): the cell bound, and no zero of phi
-    in the cell where P(c) exceeds that spread.  With D_k = sum_j j^k u_j
-    e^{-ijt}, P' = 2 Im(conj(sigma) D_1) / s^2 and P'' = 2 (|D_1|^2 -
-    Re(conj(sigma) D_2)) / s^2."""
+    |u_l| bounding |P''| (u = theta / s): the cell bound.  With D_k =
+    sum_j j^k u_j e^{-ijt}, P' = 2 Im(conj(sigma) D_1) / s^2 and P'' = 2
+    (|D_1|^2 - Re(conj(sigma) D_2)) / s^2.
+
+    sigma(t) = R(e^{-it}) with R(w) = sum_j u_j w^j, whose weights sum to
+    0: R(w) = (w - 1) Q(w) with Q(w) = -sum_j (u_0 + ... + u_j) w^j, and
+    phi vanishes, or comes near 0, at the phases -arg w_0 of the roots w_0
+    of Q within 0.2 of the unit circle.  A root at distance d from it
+    leaves |sigma| a dip about d rad wide, which the samples of S' (at most
+    pi/32 rad of the fastest term's phase apart) resolve from d = 0.2 on."""
     s = np.float64(math.fsum(abs(x) for x in th))
     u = np.array(th, dtype=np.complex128) / s
+    roots = np.roots(-np.cumsum(u)[-2::-1])
+    roots = roots[np.abs(np.abs(roots) - 1.0) < 0.2]
+    zeros = tuple(sorted({0.0, *np.abs(np.angle(roots)).tolist()}))
     j = np.arange(u.shape[0], dtype=np.float64)
     moments = [u, j * u, j * j * u]  # sigma / s, D_1, D_2 by Horner's rule
     m2 = float(np.sum(np.subtract.outer(j, j) ** 2 * np.multiply.outer(np.abs(u), np.abs(u))))
@@ -239,28 +250,20 @@ def _theta_kernels(th: tuple) -> tuple[Callable, Callable, Callable]:
         z = np.exp(-1j * t)
         acc = [np.full(t.shape, w[-1]) for w in moments[:k]]
         for i in range(u.shape[0] - 2, -1, -1):
-            acc = [a * z + w[i] for a, w in zip(acc, moments)]
+            for a, w in zip(acc, moments):
+                a *= z
+                a += w[i]
         return acc
 
-    def around(t0, t1):
-        # P at the cell midpoints, a bound on |P'| there, and the half-widths
+    def cell_sup(t0, t1, w0, w1, e):
+        # P at the cell midpoints, a bound on |P'| there (to within 4 m err)
+        # and the half-widths
         c = 0.5 * (t0 + t1)
         r = np.maximum(np.abs(t1 - c), np.abs(c - t0)) * (1.0 + 4.0 * _EPS)
         sig, dz = horner(c, 2)
-        # P'(c), to within 4 m err
-        return np.abs(sig) ** 2, 2.0 * np.abs(np.imag(np.conj(sig) * dz)) + 4.0 * j[-1] * err, r
-
-    def cell_sup(t0, t1, w0, w1, e):
-        pc, slope, r = around(t0, t1)
-        bound = pc + 3.0 * err + slope * r + 0.5 * m2 * r * r
+        slope = 2.0 * np.abs(np.imag(np.conj(sig) * dz)) + 4.0 * j[-1] * err
+        bound = np.abs(sig) ** 2 + 3.0 * err + slope * r + 0.5 * m2 * r * r
         return s ** e * np.minimum(bound, 1.0) ** (0.5 * e), _power_slack(s, err * s, e)
-
-    def cusp(t0, t1, e):
-        # a simple zero of sigma makes phi^e ~ |t - t_0|^e
-        if e >= 2.0:
-            return np.zeros(np.shape(t0), dtype=bool)
-        pc, slope, r = around(t0, t1)
-        return pc <= 3.0 * err + slope * r + 0.5 * m2 * r * r
 
     def derivs(t, e):
         sig, d1, d2 = horner(t, 3)
@@ -273,7 +276,7 @@ def _theta_kernels(th: tuple) -> tuple[Callable, Callable, Callable]:
         ratio = np.divide(p1 * p1, p0, out=np.zeros_like(p0), where=p0 > 0.0)
         return q * p1, q * (p2 + (h - 1.0) * ratio)
 
-    return cell_sup, derivs, cusp
+    return cell_sup, derivs, zeros
 
 
 def phi_steklov(m: int) -> PhiFunction:
@@ -298,10 +301,7 @@ def phi_steklov(m: int) -> PhiFunction:
         monotone_to=_SINC_MIN_ARG, label=f"steklov:{m}",
         # 1 - sinc to a few ulps absolute
         cell_sup=_crest_sup(ev, _sinc_crests, lambda e: _power_slack(1.0 - _SINC_MIN, 4.0 * _EPS, m * e)),
-        derivs=derivs,
-        # the one zero, at t = 0, where g ~ (t^2 / 6)^(m e)
-        cusp=lambda t0, t1, e: (m * e < 1.0) & (np.minimum(np.abs(t0), np.abs(t1)) == 0.0),
-        cuts=lambda top, e: np.empty(0),
+        derivs=derivs, order=2.0 * m,
     )
 
 
@@ -369,26 +369,6 @@ def _crest_sup(ev: Callable, crests: Callable, slack: Callable) -> Callable:
     return cell_sup
 
 
-def _holds_zero(t0, t1, period: float, c: float):
-    """Whether each phase cell between t0 and t1 (of one sign) may hold a
-    zero of phi, at the multiples of period, where phi^e ~ |t - t_0|^c with
-    c < 2 (none when c >= 2); cell ends are widened by a few ulps."""
-    if c >= 2.0:
-        return np.zeros(np.shape(t0), dtype=bool)
-    a, b = np.abs(t0), np.abs(t1)
-    a, b = np.minimum(a, b) * (1.0 - 8.0 * _EPS), np.maximum(a, b) * (1.0 + 8.0 * _EPS)
-    return np.ceil(a / period) * period <= b
-
-
-def _zero_phases(top: float, c: float) -> np.ndarray:
-    """The multiples of 2 pi in (0, top] when phi^e ~ |t - t_0|^c there with
-    c not an even integer (so that phi^e is not smooth there); none
-    otherwise."""
-    if c % 2.0 == 0.0:
-        return np.empty(0)
-    return 2.0 * math.pi * np.arange(1.0, math.floor(top / (2.0 * math.pi)) + 1.0)
-
-
 def _power_slack(b: float, d: float, g: float) -> float:
     """Error of a computed x^g for x in [0, b] known to within d: the spread
     |x^g - y^g| <= g (b + d)^(g - 1) d (g >= 1) or d^g (g < 1), plus the
@@ -407,7 +387,7 @@ def phi_custom(
     def ev(t, e):
         return np.asarray(fn(t), dtype=np.float64) ** e
 
-    return PhiFunction("custom", ev, sup=sup, monotone_to=monotone_to, label=label)
+    return PhiFunction("custom", ev, sup=sup, monotone_to=monotone_to, label=label)._validate()
 
 
 # ---------------------------------------------------------------------------
@@ -749,10 +729,10 @@ def _objective_grid(
     return out
 
 
-# Refinement of sampled maxima (the dense scan, and the cusp cells of a
-# certified one): every round resamples each bracket at _REFINE_CELLS + 1
-# equispaced points and keeps the two cells around the best sample,
-# shrinking the bracket 32-fold.  A bracket is done once it spans at most
+# Refinement of sampled maxima (the dense scan):
+# every round resamples each bracket at _REFINE_CELLS + 1 equispaced
+# points and keeps the two cells around the best sample, shrinking the
+# bracket 32-fold.  A bracket is done once it spans at most
 # _REFINE_PHASE radians of the fastest frequency's phase
 # (6e-10 in h at lam_max = 16), or 1e-13 |h| for shifts so large that
 # rounding h alone moves the phase by more; at a smooth maximum the best
@@ -797,62 +777,87 @@ def _refine_maxima(
     return best_h, best_v
 
 
-# Peaks of a certified scan: S' is sampled at _SLOPE_CELLS + 1 equispaced
-# points of each refined cell, and every fall of S' from + to - between
+# Peaks of a certified scan: S' is sampled at 5 equispaced points of each
+# refined cell and, toward an end at a cusp of phi^p, at 2^-3, 2^-4, ...,
+# 2^-30 of the width from that end (the features of a cusp |t - t_0|^c
+# scale with the distance from it; a peak closer than 2^-30 is within the
+# stopping width of it); _SLOPE_AT holds these fractions, ascending,
+# and _SLOPE_SIDE says which are sampled always (0) or toward a cusp at
+# the left (-1) or right (+1) end.  Every fall of S' from + to - between
 # samples is refined by safeguarded Newton on S' (rtsafe; Press et al.,
-# Numerical Recipes, 9.4) to the stopping width of _refine_maxima.
-# _NEWTON_STEPS caps the loop (bisection alone closes any cell in fewer).
-_SLOPE_CELLS = 4
-_SLOPE_AT = np.linspace(0.0, 1.0, _SLOPE_CELLS + 1)
-# where a running-maximum scan samples a cusp cell: a maximum next to a term
-# zero at a cell end, within 2^-30 of the width, moves S by far less than
-# the tolerance of an integral of the running maximum
-_CUSP_ENDS = 2.0 ** -np.arange(7.0, 31.0)
-_CUSP_AT = np.sort(np.concatenate((_REFINE_AT, _CUSP_ENDS, 1.0 - _CUSP_ENDS)))
+# Numerical Recipes, 9.4) to the stopping width of _refine_maxima, or to
+# a Newton step below half of it.  _NEWTON_STEPS caps the loop (bisection
+# alone closes any cell in fewer).
+_CUSP_ENDS = 2.0 ** -np.arange(30.0, 2.0, -1.0)
+_SLOPE_AT = np.concatenate(([0.0], _CUSP_ENDS, [0.25, 0.5, 0.75], 1.0 - _CUSP_ENDS[::-1], [1.0]))
+_SLOPE_SIDE = np.concatenate(([0], -np.ones_like(_CUSP_ENDS), [0, 0, 0], np.ones_like(_CUSP_ENDS), [0]))
 _NEWTON_STEPS = 64
 
 
 def _slopes(phi: PhiFunction, lams: np.ndarray, amps_p: np.ndarray, p: float, hs: np.ndarray):
-    """S'(h) and S''(h) of S(h) = sum_k phi(lam_k h)^p amps_p[k], elementwise over hs."""
-    d1, d2 = phi.derivs(np.multiply.outer(hs, lams), p)
-    return d1 @ (lams * amps_p), d2 @ (lams * lams * amps_p)
+    """S'(h) and S''(h) of S(h) = sum_k phi(lam_k h)^p amps_p[k] over the
+    shifts hs, in chunks of shifts that keep the (shifts x frequencies)
+    block within 2^12 values (theta's derivatives hold a dozen complex
+    arrays of that size)."""
+    out = np.empty((2, hs.shape[0]))
+    chunk = max(8, 2 ** 12 // max(1, lams.shape[0]))
+    for start in range(0, hs.shape[0], chunk):
+        d1, d2 = phi.derivs(np.multiply.outer(hs[start:start + chunk], lams), p)
+        out[:, start:start + d1.shape[0]] = d1 @ (lams * amps_p), d2 @ (lams * lams * amps_p)
+    return out
 
 
 def _cell_peaks(
     objective: Callable[[np.ndarray], np.ndarray], phi: PhiFunction,
     lams: np.ndarray, amps_p: np.ndarray, p: float,
-    lo: np.ndarray, hi: np.ndarray, lam_max: float, even: bool, every: bool = False,
+    lo: np.ndarray, hi: np.ndarray, lam_max: float, even: bool, cuts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shifts and objective values of the candidate maxima inside the cells
-    [lo_i, hi_i] of a certified scan, besides the cell ends (grid samples
-    already): the shifts where S' falls through zero, for S and, unless S
-    is ``even``, for S(-h) too (S on [-hi_i, -lo_i]).
+    """Shifts and objective values of the local maxima inside the cells
+    [lo_i, hi_i] of a certified scan, besides the cell ends: the shifts
+    where S' falls through zero, for S and, unless S is ``even``, for
+    S(-h) too (S on [-hi_i, -lo_i]).  ``cuts`` are the shifts where a term
+    meets a cusp of phi^p (S'' unbounded there); they lie only at cell
+    ends.
 
-    A cell where some term's phase cell may hold a cusp of phi^p
-    (``phi.cusp``), or where a sample of S' is not finite, is refined by
-    ``_refine_maxima`` instead: there S'' is unbounded, and a peak next to
-    the cusp need not show in the samples.  That keeps the cell's best
-    peak; with ``every`` the cell is sampled first (``_CUSP_AT``: 65
-    equispaced points, and more that close in geometrically on both ends,
-    where a term zero may sit), and every sampled local maximum is refined
-    within its neighbouring samples.  Elsewhere each root is
-    bracketed between samples of S' with S' > 0 at the left and <= 0 at the
-    right, from the regula falsi point.  A Newton step S'/S'' that leaves
-    the bracket, or comes from S'' >= 0, is replaced by bisection; one
-    shorter than half the stopping width is lengthened to half of it, so
-    that the bracket closes."""
+    S' is sampled at 5 equispaced points of each cell and, toward an end
+    at a cut (within rounding), at 2^-3 ... 2^-30 of the width from that
+    end (``_SLOPE_AT``), which bracket a peak next to the cusp.  A sample
+    where S' is NaN (0 times inf at an exact zero of a term) is left out.
+    Each root is bracketed between samples of S' with S' > 0 at the left
+    and <= 0 at the right, and sought from the regula falsi point.  A
+    Newton step S'/S'' that leaves the bracket, or comes from S'' >= 0, is
+    replaced by bisection; one shorter than half the stopping width ends
+    the search at its end point, whose error is of the order of the step
+    squared (the stopping width alone is too coarse next to a cusp, where
+    S'' is large)."""
     nz = lams != 0.0  # the zero frequency adds phi(0) = 0
     lams, amps_p = lams[nz], amps_p[nz]
-    folds = 1 if even else 2
-    a, b = (lo, hi) if folds == 1 else (np.concatenate((lo, -hi)), np.concatenate((hi, -lo)))
-    hs = a[:, None] + (b - a)[:, None] * _SLOPE_AT
-    with np.errstate(all="ignore"):  # a cusp cell's slopes are dropped below
+    # which of the ends lo, hi lie within rounding of a cut (the cuts and
+    # the grid round apart), where S' may take the sign of the far side of
+    # the cusp
+    x = np.concatenate((lo, hi))
+    j = np.searchsorted(cuts, x)
+    pad = np.concatenate(([-np.inf], cuts, [np.inf]))
+    ends = np.minimum(x - pad[j], pad[j + 1] - x) <= 8.0 * _EPS * x
+    n = lo.shape[0]
+    if even:
+        a, b, at_a, at_b = lo, hi, ends[:n], ends[n:]
+    else:
+        # the cells [-hi, -lo] of S(-h) end at -lo
+        a, b = np.concatenate((lo, -hi)), np.concatenate((hi, -lo))
+        at_a, at_b = ends, np.roll(ends, n)
+    # the samples of every cell, row by row, ascending within a row
+    side = _SLOPE_SIDE
+    row, col = np.nonzero((side == 0) | ((side < 0) & at_a[:, None]) | ((side > 0) & at_b[:, None]))
+    hs = a[row] + (b - a)[row] * _SLOPE_AT[col]
+    with np.errstate(all="ignore"):  # a sample without a sign is dropped just below
         d1 = _slopes(phi, lams, amps_p, p, hs)[0]
-        cusp = phi.cusp(np.multiply.outer(a, lams), np.multiply.outer(b, lams), p).any(axis=1)
-        cusp = (cusp | ~np.isfinite(d1).all(axis=1)).reshape(folds, -1).any(axis=0)
-        rows, cols = np.nonzero((d1[:, :-1] > 0.0) & (d1[:, 1:] <= 0.0) & ~np.tile(cusp, folds)[:, None])
-        xl, xh = hs[rows, cols], hs[rows, cols + 1]
-        fl, fh = d1[rows, cols], d1[rows, cols + 1]
+    signed = ~np.isnan(d1)
+    row, hs, d1 = row[signed], hs[signed], d1[signed]
+    fall = np.flatnonzero((d1[:-1] > 0.0) & (d1[1:] <= 0.0) & (row[:-1] == row[1:]))
+    xl, xh = hs[fall], hs[fall + 1]
+    fl, fh = d1[fall], d1[fall + 1]
+    with np.errstate(all="ignore"):  # a non-finite step is replaced by bisection
         x = xl + (xh - xl) * (fl / (fl - fh))
         for _ in range(_NEWTON_STEPS):
             tol = np.maximum(_REFINE_PHASE / lam_max, _REFINE_REL * np.abs(x))
@@ -862,25 +867,13 @@ def _cell_peaks(
             s1, s2 = _slopes(phi, lams, amps_p, p, x)
             xl, xh = np.where(run & (s1 >= 0.0), x, xl), np.where(run & (s1 <= 0.0), x, xh)
             step = s1 / s2
-            nxt = x - np.copysign(np.maximum(np.abs(step), 0.5 * tol), step)
-            newton = (s2 < 0.0) & (xl < nxt) & (nxt < xh)
-            x = np.where(run, np.where(newton, nxt, 0.5 * (xl + xh)), x)
+            newton = (s2 < 0.0) & (xl <= x - step) & (x - step <= xh)
+            x = np.where(run, np.where(newton, x - step, 0.5 * (xl + xh)), x)
+            # a Newton step shorter than half the stopping width ends there
+            done = run & newton & (np.abs(step) < 0.5 * tol)
+            xl, xh = np.where(done, x, xl), np.where(done, x, xh)
     peak_h = np.abs(np.clip(x, xl, xh))
-    peak_v = objective(peak_h) if peak_h.size else peak_h
-    if cusp.any():
-        if every:
-            pts = lo[cusp][:, None] + (hi - lo)[cusp][:, None] * _CUSP_AT
-            vals = objective(pts.ravel()).reshape(pts.shape)
-            vals = np.pad(vals, ((0, 0), (1, 1)), constant_values=-np.inf)
-            rows, cols = np.nonzero((vals[:, 1:-1] >= vals[:, :-2]) & (vals[:, 1:-1] >= vals[:, 2:]))
-            last = _CUSP_AT.shape[0] - 1
-            old_h, old_v = _refine_maxima(
-                objective, pts[rows, np.maximum(cols - 1, 0)], pts[rows, np.minimum(cols + 1, last)], lam_max
-            )
-        else:
-            old_h, old_v = _refine_maxima(objective, lo[cusp], hi[cusp], lam_max)
-        peak_h, peak_v = np.concatenate((peak_h, old_h)), np.concatenate((peak_v, old_v))
-    return peak_h, peak_v
+    return peak_h, (objective(peak_h) if peak_h.size else peak_h)
 
 
 _N_GRID = 2048  # least cells of a dense scan
@@ -929,17 +922,22 @@ def _split(lo: np.ndarray, hi: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray
 
 
 def _shift_cuts(phi: PhiFunction, lams: np.ndarray, p: float, delta: float) -> np.ndarray:
-    """The shifts in (0, delta] where some term's phase lam_k h reaches one
-    of phi's cuts, ascending and distinct (none for a custom generator)."""
+    """The shifts in (0, delta] where some term's phase |lam_k| h reaches a
+    zero 2 pi j +- z of phi (z in ``phi.zeros``), ascending and distinct;
+    none where phi^p ~ |t - t_0|^(phi.order p) is smooth there, an even
+    integer power."""
     rates = np.abs(lams[lams != 0.0])
-    if phi.cuts is None or not rates.size:
+    zeros = np.asarray(phi.zeros, dtype=np.float64)
+    if not (zeros.size and rates.size) or (phi.order * p) % 2.0 == 0.0:
         return np.empty(0)
-    cuts = np.divide.outer(phi.cuts(float(np.max(rates)) * delta, p), rates).ravel()
+    turns = 2.0 * math.pi * np.arange(math.floor(float(np.max(rates)) * delta / (2.0 * math.pi)) + 2.0)
+    phases = np.add.outer(turns, np.concatenate((-zeros, zeros))).ravel()
+    cuts = np.divide.outer(phases[phases > 0.0], rates).ravel()
     cuts = np.sort(cuts[cuts <= delta])
     return cuts[np.append(cuts[:1] == cuts[:1], cuts[1:] > cuts[:-1])]
 
 
-def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, cuts: np.ndarray | None = None):
+def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, running: bool = False):
     """The one scan of the shift objective S(h) = sum_k phi(lam_k h)^p |A_k|^p
     over [0, delta], folded to max(S(h), S(-h)) unless S is even (an even
     phi, or |A_k|^p the same at k and -k for every frequency).  The grid is
@@ -949,12 +947,11 @@ def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, cu
     Certified scan (a builtin generator): each cell gets the upper bound U
     = sum_k |A_k|^p phi.cell_sup of the term's phase cell.  The cells whose
     U exceeds, by more than the sum's rounding ((2K + 8) eps relative for K
-    terms), the best sample, or, given the term zeros ``cuts``
-    (``_shift_cuts``), the running maximum of the samples at the cell's
-    left end, are refined (``_cell_peaks``); in the second case they are
-    split first at the cuts, so that a sub-cell meets a term zero only at
-    its ends and refinement keeps every local maximum of S that may raise
-    its running maximum, not just the best of a cell.  A
+    terms), the best sample, or, for a ``running`` scan, the running
+    maximum of the samples at the cell's left end, are split where a term
+    meets a cusp of phi^p (``_shift_cuts``, when ``phi.order`` p < 2), so
+    that a cusp lies only at a sub-cell end, and every local maximum of S
+    inside them is refined by Newton's method on S' (``_cell_peaks``).  A
     refined value lies in a cell with a finite U, so refinement skips the
     finiteness check that the samples get.  upper, the largest U plus that
     rounding and twice the generator's slack per unit of sum_k |A_k|^p,
@@ -977,10 +974,9 @@ def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, cu
         return None
     amps_p = f.abs_coefficients() ** p
     even = phi.is_even or _mirrored(lams, amps_p)
-    # a running-maximum scan refines many cusp cells at once, so it
-    # evaluates S in smaller blocks, which keeps its peak memory that of
-    # the dense scan
-    block = 2 ** 16 if cuts is None else 2 ** 14
+    # a running-maximum scan evaluates S in smaller blocks, which keeps its
+    # peak memory that of the dense scan
+    block = 2 ** 14 if running else 2 ** 16
 
     def unchecked(hs):
         signed = hs if even else np.concatenate((hs, -hs))
@@ -1002,19 +998,15 @@ def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, cu
             rounding = (2.0 * lams.shape[0] + 8.0) * _EPS
             upper = float(np.max(bounds)) * (1.0 + rounding) + 2.0 * slack * float(np.sum(amps_p))
         if math.isfinite(upper):
-            if cuts is not None:
-                keep = np.flatnonzero(bounds > np.maximum.accumulate(obj[:-1]) * (1.0 + rounding))
-                # every term rises from its zero at h = 0, so S has no
-                # maximum within 2^-30 of the first cell's width; that cell
-                # is refined from there on, clear of the zero
-                lo, hi = hs[keep], hs[keep + 1]
-                lo, hi = _split(np.where(lo == 0.0, hi * 2.0 ** -30, lo), hi, cuts)
-            else:
-                keep = np.flatnonzero(bounds > float(np.max(obj)) * (1.0 + rounding))
-                lo, hi = hs[keep], hs[keep + 1]
-            peak_h, peak_v = _cell_peaks(
-                unchecked, phi, lams, amps_p, p, lo, hi, lam_max, even, cuts is not None
-            )
+            best = np.maximum.accumulate(obj[:-1]) if running else float(np.max(obj))
+            keep = np.flatnonzero(bounds > best * (1.0 + rounding))
+            cuts = _shift_cuts(phi, lams, p, delta) if phi.order * p < 2.0 else np.empty(0)
+            # every term rises from its zero at h = 0, so S has no maximum
+            # within 2^-30 of the first cell's width; that cell is refined
+            # from there on, clear of the zero
+            lo, hi = hs[keep], hs[keep + 1]
+            lo, hi = _split(np.where(lo == 0.0, hi * 2.0 ** -30, lo), hi, cuts)
+            peak_h, peak_v = _cell_peaks(unchecked, phi, lams, amps_p, p, lo, hi, lam_max, even, cuts)
             nz = lams != 0.0  # the zero frequency adds phi(0) = 0
 
             def slope(hs):
@@ -1059,11 +1051,12 @@ def omega_phi(f: Spectrum, phi: PhiFunction, delta: float, p: float = 1.0) -> fl
     fastest frequency's phase, which at a smooth maximum pins the value to
     double precision.  Builtin generators take the certified scan (16
     cells per oscillation of the fastest frequency; only the cells whose
-    upper bound beats the best sample are refined, by Newton's method on
-    the objective's derivative, or by resampling next to a cusp of
-    phi^p); custom generators take the dense scan of at least ``_N_GRID``
-    cells, refined by resampling.  delta must be finite and >= 0.  A
-    repeated request returns the stored value (see the module docstring).
+    upper bound beats the best sample are refined, split where a term
+    meets a cusp of phi^p, by Newton's method on the objective's
+    derivative); custom generators take the dense scan of at least
+    ``_N_GRID`` cells, refined by resampling.  delta must be finite and
+    >= 0.  A repeated request returns the stored value (see the module
+    docstring).
     """
     if not 0 <= delta < math.inf:
         raise InputDomainError("delta must be finite and >= 0")
@@ -1166,7 +1159,7 @@ class OmegaEvaluator:
         self._request = (f, phi)
         lams = f.scalar_frequencies()
         self.cuts = _shift_cuts(phi, lams, p, self.delta_max)
-        scan = _sampled_objective(f, phi, p, self.delta_max, self.cuts)
+        scan = _sampled_objective(f, phi, p, self.delta_max, running=True)
         self.trivial = scan is None
         if self.trivial:
             return

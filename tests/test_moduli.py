@@ -748,16 +748,29 @@ def _mp_phi_pow(phi, t, e):
     return abs(mpmath.fsum(mpmath.mpc(c) * mpmath.expj(-j * t) for j, c in enumerate(phi.theta))) ** e
 
 
-def _mp_max_power(f, phi, delta, e):
+def _mp_grid(delta, cells, near):
+    """np.linspace(0, delta, cells + 1) with more points toward each shift
+    in ``near``, 2^-10 .. 2^-50 of delta away on both sides."""
+    hs = np.linspace(0.0, delta, cells + 1)
+    if len(near):
+        offsets = delta * 2.0 ** -np.arange(10.0, 51.0)
+        extra = np.add.outer(np.asarray(near, dtype=float), np.concatenate((-offsets, offsets))).ravel()
+        hs = np.unique(np.concatenate((hs, extra[(extra > 0.0) & (extra < delta)])))
+    return hs
+
+
+def _mp_max_power(f, phi, delta, e, near=()):
     """sup over |h| <= delta of S(h) = sum_k phi(lam_k h)^e |A_k|^e at 30
-    digits: a 4,001-point numpy grid finds the candidates (grid maxima within
-    1e-3 of the top, and both ends), and mpmath ``findroot`` of S' refines
-    each one whose neighbouring samples bracket a sign change of S'."""
+    digits: a 4,001-point numpy grid (with more points toward the shifts
+    ``near``, where S may peak next to a zero of a term) finds the
+    candidates (grid maxima within 1e-3 of the top, and both ends), and
+    mpmath ``findroot`` of S' refines each one whose neighbouring samples
+    bracket a sign change of S'."""
     # phi(0) = 0 (a scheme's weights sum to 0 in the kernel's order, not
     # always in exact arithmetic), so the zero frequency adds nothing
     terms = [(k, abs(c)) for k, c in f.items() if k != 0.0]
     lams = np.array([k for k, _ in terms])
-    hs = np.linspace(0.0, delta, 4001)
+    hs = _mp_grid(delta, 4000, near)
     best = mpmath.mpf(0)
     with mpmath.workdps(30):
         for sign in (1, -1):
@@ -965,6 +978,169 @@ def test_smooth_alpha_modulus_takes_no_resampling(monkeypatch):
     assert calls == []
 
 
+@given(
+    gen=st.one_of(st.floats(1e-3, 1023.0).map(lambda a: ("alpha", a)),
+                  st.integers(1, 3000).map(lambda m: ("steklov", m))),
+    # a subnormal phase loses bits when alpha halves it
+    ts=st.lists(st.floats(-60.0, 60.0, allow_subnormal=False), min_size=1, max_size=8),
+)
+@settings(max_examples=80, deadline=None)
+def test_unprobed_generators_have_the_probed_properties(gen, ts):
+    # alpha and Steklov generators skip the construction probe that theta
+    # and custom ones get; what it checks holds for them by construction:
+    # phi(0) = 0, finite nonnegative values, and phi(-t) = phi(t) bit for
+    # bit.  The values agree with mpmath at 30 digits (and 2 more per
+    # decade of |t| below 1, where 1 - sin(t)/t cancels) to (8 c + 8) eps
+    # relative (c = alpha, or m for Steklov: the power carries c times the
+    # error of its base), above the underflow of the power's base, 2^-1074
+    # times 2^alpha
+    kind, param = gen
+    phi = phi_alpha(param) if kind == "alpha" else phi_steklov(param)
+    assert phi.is_even
+    assert phi(0.0) == 0.0
+    t = np.array(ts)
+    got = phi(t)
+    assert np.isfinite(got).all() and (got >= 0.0).all()
+    assert np.array_equal(phi(-t), got)
+    floor = 2.0 ** (param - 1074.0) if kind == "alpha" else 2.0 ** -1074
+    for x, value in zip(ts, got.tolist()):
+        with mpmath.workdps(30 + 2 * max(0, -math.floor(math.log10(abs(x) or 1.0)))):
+            want = float(_mp_phi_pow(phi, mpmath.mpf(x), 1))
+        assert abs(value - want) <= (8.0 * param + 8.0) * _EPS * want + floor
+
+
+def _theta_from_roots(*roots):
+    """phi_theta of R(w) = (w - 1) prod_i (w - roots_i), whose coefficient
+    of w^j is theta_j: phi vanishes at t = -arg w_0 for a root on the unit
+    circle, and comes near 0 there for one off it."""
+    return phi_theta(np.poly((1.0,) + roots)[::-1].tolist())
+
+
+def test_builtin_generators_take_no_resampling(monkeypatch):
+    # every zero of a builtin generator is a known phase, a cut where the
+    # scan splits its cells, so even where phi^p has a cusp (alpha p < 2;
+    # a theta root on the unit circle and one near it at p < 2; Steklov at
+    # h = 0 with m p < 1) every refined cell takes Newton: neither
+    # omega_phi nor OmegaEvaluator reaches _refine_maxima, which the dense
+    # scan of a custom generator still calls
+    calls = []
+    original = moduli._refine_maxima
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(moduli, "_refine_maxima", counting)
+    _omega.cache_clear()
+    rng = np.random.default_rng(11)
+    cases = [(phi_alpha(0.7), 1.5), (phi_alpha(0.4), 1.0), (phi_alpha(1.9), 1.0)]
+    for gap in (1e-3, 1e-2, 1e-1):
+        near = (1.0 + gap) * np.exp(1j * rng.uniform(-3.0, 3.0))
+        cases.append((_theta_from_roots(np.exp(1j * rng.uniform(0.2, 3.0)), near), 1.0))
+        cases.append((_theta_from_roots(np.exp(1j * rng.uniform(-3.0, -0.2)), near.conjugate()), 1.5))
+    cases += [(phi_steklov(1), 0.5), (phi_steklov(2), 0.4)]
+    for phi, p in cases:
+        for _ in range(6):
+            f = random_spectrum(rng, max_index=12, size=8)
+            delta = float(rng.uniform(0.05, math.pi))
+            value, upper = _omega(f, phi, delta, p)
+            assert value <= upper
+            assert OmegaEvaluator(f, phi, p, delta).value(0.5 * delta) <= value * (1 + 1e-12)
+    assert calls == []
+    omega_phi(random_spectrum(rng, max_index=12, size=8), _even_custom(), 1.0, 1.0)
+    assert calls
+
+
+def _mp_running_max(f, phi, delta, e, queries, near=()):
+    """max over |h| <= q of S(h) = sum_k phi(lam_k h)^e |A_k|^e at each q
+    of ``queries``: a 32,768-cell numpy grid (with more points toward the
+    shifts ``near``, and the queries), and every grid maximum within 1e-3
+    of the running maximum refined by mpmath ``findroot`` of S' at 30
+    digits where its neighbouring samples bracket a sign change of S'."""
+    terms = [(k, abs(c)) for k, c in f.items() if k != 0.0]
+    lams = np.array([k for k, _ in terms])
+    hs = np.unique(np.concatenate((_mp_grid(delta, 32768, near), queries)))
+    out = np.zeros(len(queries))
+    with mpmath.workdps(30):
+        for sign in (1, -1):
+            def S(h):
+                return mpmath.fsum(
+                    mpmath.mpf(a) ** e * _mp_phi_pow(phi, sign * k * mpmath.mpf(h), e) for k, a in terms
+                )
+
+            def dS(h):
+                return mpmath.diff(S, h)
+
+            g = _np_phi_pow(phi, sign * np.multiply.outer(hs, lams), e) @ np.abs(
+                np.array([c for _, c in terms])) ** e
+            run = np.maximum.accumulate(g)
+            peaks = []
+            for i in range(1, hs.size - 1):
+                if g[i] < max(g[i - 1], g[i + 1]) or g[i] < run[i - 1] * (1 - 1e-3):
+                    continue
+                for a, b in ((i - 1, i), (i, i + 1), (i - 1, i + 1)):
+                    if dS(hs[a]) > 0 > dS(hs[b]):
+                        root = mpmath.findroot(dS, (mpmath.mpf(hs[a]), mpmath.mpf(hs[b])), solver="anderson")
+                        peaks.append((float(root), float(S(root))))
+                        break
+            for j, q in enumerate(queries):
+                out[j] = max(out[j], run[np.searchsorted(hs, q)], *(v for h, v in peaks if h <= q))
+    return out
+
+
+@st.composite
+def _next_to_a_zero(draw):
+    """(f, phi, p, delta, near): S has a dominant slow term, frequency 1,
+    and a small fast one, frequency 8..40, one of whose zeros of phi^p
+    lies near the crest of the slow term and inside [0, delta]; phi^p has
+    cusps there: alpha p in [0.3, 2), or theta at p = 1 or 1.5 with one
+    root on the unit circle and one 1e-3 .. 1e-1 off it.  ``near`` lists
+    the shifts of every zero of both terms."""
+    p = draw(st.sampled_from([1.0, 1.5]))
+    if draw(st.booleans()):
+        phi = phi_alpha(draw(st.floats(0.3, 1.999)) / p)
+        zeros = [0.0]
+    else:
+        on, off = draw(st.floats(0.2, 3.0)) * draw(st.sampled_from([-1.0, 1.0])), draw(st.floats(-3.0, 3.0))
+        gap = draw(st.floats(1e-3, 1e-1)) * draw(st.sampled_from([-1.0, 1.0]))
+        phi = _theta_from_roots(np.exp(1j * on), (1.0 + gap) * np.exp(1j * off))
+        zeros = [0.0, abs(on), abs(off)]
+    ts = np.linspace(0.0, 2.0 * math.pi, 4097)
+    crest = float(ts[np.argmax(phi(ts))])
+    fast = float(draw(st.integers(8, 40)))
+    phases = [2.0 * math.pi * j + s * z for j in range(42) for z in zeros for s in (1.0, -1.0)]
+    h0 = min((t / fast for t in phases if t > 0.0), key=lambda h: abs(h - crest))
+    if draw(st.booleans()):
+        delta = h0 * (1.0 + draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6])))
+    else:
+        delta = draw(st.floats(h0, 6.0))
+    f = Spectrum.real({1.0: 1.0, fast: draw(st.floats(1e-3, 0.3)) * np.exp(1j * draw(st.floats(0.0, 6.0)))})
+    near = sorted({t / rate for t in phases for rate in (1.0, fast) if 0.0 < t / rate <= delta})
+    return f, phi, p, delta, near
+
+
+@given(case=_next_to_a_zero())
+@settings(max_examples=20, deadline=None)
+def test_peaks_next_to_a_zero_match_mpmath(case):
+    # a maximum of S next to a cusp of its small fast term is found by
+    # Newton's method from the samples of S' that close in on the cusp; the
+    # modulus and the evaluator's running maximum agree with mpmath, the
+    # running maximum to 1e-13 of itself or of the modulus (S loses its
+    # relative digits where a term nearly vanishes: near a root of theta
+    # off the unit circle, by cancellation)
+    f, phi, p, delta, near = case
+    _omega.cache_clear()
+    value, upper = _omega(f, phi, delta, p)
+    assert value <= upper
+    want = float(_mp_max_power(f, phi, delta, p, near))
+    assert omega_phi(f, phi, delta, p) ** p == pytest.approx(want, rel=1e-13)
+    assert want <= upper ** p
+    queries = np.sort(np.concatenate((np.linspace(0.1, 1.0, 10) * delta, [h * (1.0 + 1e-9) for h in near])))
+    queries = queries[queries <= delta]
+    got = OmegaEvaluator(f, phi, p, delta).power_values(queries)
+    np.testing.assert_allclose(got, _mp_running_max(f, phi, delta, p, queries, near), rtol=1e-13, atol=1e-13 * want)
+
+
 @pytest.mark.parametrize("step", [math.nan, math.inf, -0.5])
 def test_omega_phi_rejects_a_non_finite_step(step):
     with pytest.raises(InputDomainError):
@@ -987,12 +1163,14 @@ def test_averaged_omega_rejects_a_non_finite_step(u):
 # the averaged modulus, piece by piece
 
 
-def _mp_averaged_integral(terms, g_np, g_mp, even, v, u):
+def _mp_averaged_integral(terms, g_np, g_mp, even, v, u, zeros=(0,)):
     """integral over (0, tau] of M(u s / tau) dv(s) at 30 digits, where M(d)
     = max_{h <= d} S(h) and S(h) = sum_k a_k g(lam_k h) for terms (lam_k,
     a_k), folded to max(S(h), S(-h)) unless ``even``.
 
-    S is split at its terms' zeros (2 pi j / |lam_k|) and, folded, where its
+    S is split at its terms' zeros and near-zeros ((2 pi j +- z) / |lam_k|
+    for z in ``zeros``, phases in [0, pi] where g vanishes or nearly does,
+    up to sign and a multiple of 2 pi) and, folded, where its
     two branches cross (bisection in mpmath).  On each piece a numpy grid,
     graded toward both ends, brackets the local maxima, which golden-section
     search refines in mpmath; their records are the plateaus of M, and
@@ -1016,8 +1194,8 @@ def _mp_averaged_integral(terms, g_np, g_mp, even, v, u):
         def S(h):
             return branch(h) if even else max(branch(h), branch(-h))
 
-        kinks = {2 * mpmath.pi * j / abs(mpmath.mpf(k))
-                 for k in lam for j in range(1, int(abs(k) * u / 2 / math.pi) + 2)}
+        kinks = {(2 * mpmath.pi * j + sign * z) / abs(mpmath.mpf(k)) for k in lam for z in zeros
+                 for sign in (1, -1) for j in range(int(abs(k) * u / 2 / math.pi) + 2)}
         if not even:
             hs = np.linspace(0.0, u, 4001)
             gap = g_np(np.multiply.outer(hs, lam)) @ amp - g_np(np.multiply.outer(-hs, lam)) @ amp
@@ -1112,6 +1290,7 @@ def _averaged_reference(f, phi, v, u, p):
             lambda t: (abs(mpmath.sin(t / 2)) * (1 + mpmath.mpf(0.6) * mpmath.cos(t) ** 2)) ** p,
             phi.is_even, v, u,
         )
+    zeros = (0,)
     if phi.kind == "theta":
         def g_mp(t):
             # sum_j theta_j z^j at z = e^{-it}, by Horner's rule
@@ -1119,10 +1298,16 @@ def _averaged_reference(f, phi, v, u, p):
             for c in reversed(phi.theta):
                 acc = acc * z + mpmath.mpc(c)
             return abs(acc) ** p
+
+        # phi vanishes, or comes near 0, at t = -arg w for each root w of
+        # sum_j theta_j w^j: a sharp feature inside a piece can fool quad
+        with mpmath.workdps(30):
+            roots = mpmath.polyroots([mpmath.mpc(c) for c in reversed(phi.theta)], maxsteps=200, extraprec=60)
+            zeros = tuple(abs(mpmath.arg(w)) for w in roots if w != 0)
     else:
         def g_mp(t):
             return _mp_phi_pow(phi, t, p)
-    return _mp_averaged_integral(terms, lambda t: _np_phi_pow(phi, t, p), g_mp, phi.is_even, v, u)
+    return _mp_averaged_integral(terms, lambda t: _np_phi_pow(phi, t, p), g_mp, phi.is_even, v, u, zeros)
 
 
 # default-seed jackson slack cases (frequency: (re, im)), with (n, weight,
@@ -1165,6 +1350,28 @@ def test_averaged_modulus_of_pinned_slack_cases_matches_mpmath(case):
     got = averaged_omega(f, ph, v.tau, v, u, p) ** p * v.total_mass()
     want = _averaged_reference(f, ph, v, u, p)
     assert abs(got - want) <= 1e-10
+
+
+def test_averaged_modulus_keeps_a_peak_a_few_percent_of_a_cell_before_a_cusp():
+    # seed-7 jackson slack case 636 (alpha p = 1.21): S peaks at h = 0.69397,
+    # 12% of a cell's width before the zero 2 pi / 9 of its frequency-9 term
+    # at the cell's end, and S' is positive again closer to that zero; S'
+    # sampled toward the cusp only from 2^-7 of the width missed the peak,
+    # and the integral by 2.0e-8
+    spectrum = {
+        0.0: (0.8776598555277226, -0.4792840264342815), 4.0: (0.15259592657280202, 0.19561722340867113),
+        -4.0: (0.22337605050306392, 0.10795719041537985), 8.0: (0.021184008491376756, -0.08863693740651897),
+        -8.0: (0.08156268069036456, 0.04065461852202672), -9.0: (0.05885308531836497, 0.04789931995837689),
+        -3.0: (-0.13260102437953664, 0.18233511166881983), 10.0: (-0.049028459783946994, 0.010051775094494437),
+        11.0: (0.010777147538445527, -0.03197585199025726), -11.0: (-0.023649636139723276, -0.024068583880796898),
+        5.0: (-0.03326405228978963, 0.17310444635229164), -5.0: (0.010135928312703076, -0.17597985532131516),
+        -6.0: (0.026396930951861203, 0.09439285697718505),
+    }
+    f = Spectrum.real({k: complex(*c) for k, c in spectrum.items()})
+    v, ph, p = weight_cos(), phi_alpha(0.6054454378165307), 2.0
+    u = math.pi / 3
+    got = averaged_omega(f, ph, v.tau, v, u, p) ** p * v.total_mass()
+    assert abs(got - _averaged_reference(f, ph, v, u, p)) <= 1e-10
 
 
 _AVERAGED_GENERATORS = dict(_GENERATORS, alpha=lambda: phi_alpha(0.6), alpha2=lambda: phi_alpha(1.4))
