@@ -937,6 +937,39 @@ def _shift_cuts(phi: PhiFunction, lams: np.ndarray, p: float, delta: float) -> n
     return cuts[np.append(cuts[:1] == cuts[:1], cuts[1:] > cuts[:-1])]
 
 
+def _term_minima(phi: PhiFunction, lams: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """The shifts inside (hs[0], hs[-1]) where a term phi(lam h) of S, or
+    phi(-lam h) unless phi is even, has a local minimum, for a generator
+    whose zeros are not known: every interior sampled minimum of a term on
+    the grid hs, refined by golden-section search within its two
+    neighbouring cells to the stopping width of ``_refine_maxima``;
+    ascending and distinct.  A zero of phi is such a minimum, and so is a
+    cusp of phi^p there."""
+    rates = np.abs(lams) if phi.is_even else np.concatenate((lams, -lams))
+    rates = np.unique(rates[rates != 0.0])
+    lo, hi, rate = [], [], []
+    for r in rates.tolist():
+        g = phi(r * hs)
+        i = np.flatnonzero((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:])) + 1
+        lo.append(hs[i - 1])
+        hi.append(hs[i + 1])
+        rate.append(np.full(i.shape, r))
+    lo, hi, rate = (np.concatenate(x) for x in (lo, hi, rate))
+    golden = 0.5 * (math.sqrt(5.0) - 1.0)
+    tol = np.maximum(_REFINE_PHASE / np.abs(rate), _REFINE_REL * hi)
+    for _ in range(_NEWTON_STEPS):
+        r = np.flatnonzero(hi - lo > tol)
+        if not r.size:
+            break
+        c = hi[r] - golden * (hi[r] - lo[r])
+        d = lo[r] + golden * (hi[r] - lo[r])
+        left = phi(rate[r] * c) <= phi(rate[r] * d)  # a minimum in [lo, d]
+        hi[r] = np.where(left, d, hi[r])
+        lo[r] = np.where(left, lo[r], c)
+    at = 0.5 * (lo + hi)
+    return np.unique(at[(at > hs[0]) & (at < hs[-1])])
+
+
 def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, running: bool = False):
     """The one scan of the shift objective S(h) = sum_k phi(lam_k h)^p |A_k|^p
     over [0, delta], folded to max(S(h), S(-h)) unless S is even (an even
@@ -1143,7 +1176,9 @@ class OmegaEvaluator:
     would need a maximum above peak_v[j] in between), and ``_crossings``
     finds it there: by Newton's method on the closed-form S' of a builtin
     generator, by regula falsi for a custom one.  ``cuts`` are the shifts
-    of the term zeros (``_shift_cuts``), kinks of S on the rising stretches.
+    of the term zeros (``_shift_cuts``), kinks of S on the rising stretches;
+    for a custom generator, whose zeros are not known, they are the
+    refined local minima of its terms on the scan's grid (``_term_minima``).
 
     A query reads max(S(delta), the last record at or below delta).
     ``value(delta_max)`` is ``omega_phi(f, phi, delta_max, p)``, whose scan
@@ -1164,6 +1199,8 @@ class OmegaEvaluator:
         if self.trivial:
             return
         self._objective, slope, hs, samples, peak_h, peak_v, _ = scan
+        if phi.derivs is None:
+            self.cuts = _term_minima(phi, lams, hs)
         h = np.concatenate((hs, peak_h))
         order = np.argsort(h, kind="stable")
         h, val = h[order], np.concatenate((samples, peak_v))[order]
@@ -1214,7 +1251,8 @@ def averaged_omega(
     running maximum of an ``OmegaEvaluator`` on [0, u]: each plateau is its
     value times the v-mass of its interval (``WeightMeasure.mass``), and
     the rising stretches, where the modulus is the objective S itself, are
-    cut at the term zeros and the knots of a piecewise-linear weight into
+    cut at the evaluator's ``cuts`` (the term zeros, or the term minima of a
+    custom generator) and the knots of a piecewise-linear weight into
     pieces that one batched ``_adaptive_block`` call integrates, each with
     a share of tol in proportion to its length.  A piece [s0, s0 + w] is
     integrated in y over [0, 1] with s = s0 + w y^3 (10 - 15 y + 6 y^2),

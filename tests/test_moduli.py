@@ -1395,6 +1395,21 @@ def test_averaged_modulus_matches_the_mpmath_pieces(f, kind, p, v, u):
     assert got <= omega_phi(f, ph, u, p) * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("spectrum, u", [
+    ({2.0: 1.03125, 3.0: 2.0, -9.0: 0.453125}, 0.75),
+    ({0.0: 1.0, 3.0: 2.0, 10.0: 0.125}, 0.701171875),
+])
+def test_averaged_modulus_of_a_custom_generator_cuts_at_term_minima(spectrum, u):
+    # a rising stretch of S crosses the cusp of a small fast term at its zero
+    # 2 pi / |lam|, which sat just outside the Gauss-Legendre nodes of the
+    # panels at both levels of bisection: the panel and its halves agreed,
+    # and the integral was low by 2.7e-8 and 1.1e-7 before the custom
+    # generator's term minima became cuts
+    f, v, ph = Spectrum.real(spectrum), weight_cos(), _even_custom()
+    got = averaged_omega(f, ph, v.tau, v, u, 1.0) * v.total_mass()
+    assert abs(got - _averaged_reference(f, ph, v, u, 1.0)) <= 1e-10
+
+
 def test_mirrored_spectrum_scans_one_sign(monkeypatch):
     # |A_k|^p equal at k and -k makes S(-h) = S(h) for any generator, so a
     # theta generator that is not even scans h >= 0 only
