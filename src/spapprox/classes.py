@@ -407,9 +407,13 @@ class IdentityResult:
     convergence_ok: bool = True
 
 
-def _shell_power_sums(
+def _level_tails(
     f: Spectrum, psi: PsiSystem, p: float, min_levels: int = 1
-) -> tuple[dict, CharSeq]:
+) -> tuple[list, CharSeq]:
+    """The tails of f by psi level, with the characteristic data read: entry
+    m is the sum of |c|^p over the coefficients at levels >= m, one
+    correctly rounded fsum over those terms, for m = 0 .. deepest level + 1
+    (the last is 0)."""
     mags = [psi.magnitude(k) for k in f.frequencies]
     positive = [m for m in mags if m > 0]
     if len(positive) < len(mags):
@@ -422,15 +426,12 @@ def _shell_power_sums(
     except CertificationError:
         # finite system with fewer levels than requested: take all of them
         cs = build_charseq(psi, down_to_value=0.0)
-    sums: dict[int, list] = {}
-    for (k, c), m in zip(f.items(), mags):
-        lvl = cs.level_of_value(m)
-        sums.setdefault(lvl, []).append(abs(c) ** p)
-    return {lvl: math.fsum(vals) for lvl, vals in sums.items()}, cs
-
-
-def _suffix(sums: dict, m: int) -> float:
-    return math.fsum(v for lvl, v in sums.items() if lvl >= m)
+    levels = np.array([cs.level_of_value(m) for m in mags], dtype=np.int64)
+    order = np.argsort(-levels)
+    terms = np.array([abs(c) ** p for c in f.coefficients], dtype=np.float64)[order]
+    # with the terms deepest level first, each tail is a head of them
+    heads = np.searchsorted(-levels[order], -np.arange(levels.max(initial=0) + 1), side="right")
+    return [math.fsum(memoryview(terms[:h])) for h in heads.tolist()] + [0.0], cs
 
 
 def _identity_check(
@@ -443,9 +444,9 @@ def _identity_check(
     if n < 1:
         raise InputDomainError("n must be >= 1")
     fd = psi_derivative(f, psi)
-    sums_f, cs = _shell_power_sums(f, psi, p, min_levels=n + 2)
-    sums_d, _ = _shell_power_sums(fd, psi, p)
-    K = max(sums_f, default=0)
+    tails_f, cs = _level_tails(f, psi, p, min_levels=n + 2)
+    tails_d, _ = _level_tails(fd, psi, p)
+    K = len(tails_f) - 2
 
     def eps_pow(i: int, power: float) -> float:
         j = i + convention.eps_offset
@@ -455,22 +456,23 @@ def _identity_check(
             raise PreconditionError("characteristic data does not reach the required depth")
         return cs.eps[j - 1] ** power
 
-    def tail(sums: dict, m: int) -> float:
-        return _suffix(sums, max(1, m + convention.tail_offset))
+    def tail(tails: list, m: int) -> float:
+        m = max(1, m + convention.tail_offset)
+        return tails[m] if m < len(tails) else 0.0
 
-    lhs_sums, series_sums, power = (sums_d, sums_f, -p) if inverse else (sums_f, sums_d, p)
-    lhs = tail(lhs_sums, n)
-    if lhs == 0.0 and tail(series_sums, n) == 0.0:
+    lhs_tails, series_tails, power = (tails_d, tails_f, -p) if inverse else (tails_f, tails_d, p)
+    lhs = tail(lhs_tails, n)
+    if lhs == 0.0 and tail(series_tails, n) == 0.0:
         return IdentityResult(0.0, 0.0, 0.0, convention)
-    terms = [eps_pow(n, power) * tail(series_sums, n)]
+    terms = [eps_pow(n, power) * tail(series_tails, n)]
     for k in range(n + 1, K + abs(convention.tail_offset) + 2):
-        t = tail(series_sums, k)
+        t = tail(series_tails, k)
         if t == 0.0:
             break
         terms.append((eps_pow(k, power) - eps_pow(k - 1, power)) * t)
     rhs = math.fsum(terms)
     # finite spectra: tails vanish beyond the deepest occupied level
-    convergence_ok = not inverse or tail(sums_f, K + 1 - convention.tail_offset) == 0.0
+    convergence_ok = not inverse or tail(tails_f, K + 1 - convention.tail_offset) == 0.0
     return IdentityResult(lhs, rhs, abs(lhs - rhs), convention, convergence_ok)
 
 

@@ -21,12 +21,19 @@ system keeps one sorted prefix of it as plain arrays (magnitudes and an
 magnitude exceeds a threshold t, and every index outside it has magnitude at
 most t.  Product systems build the block axis by axis from partial products,
 radial ones from signed-permutation orbits in a box, sequence forms from
-positions directly.  A block is sorted by (-magnitude, position vector),
-where an axis reads the positions 0, -1, 1, -2, 2, ...; that order is total,
-so a grown prefix extends the old one and every stream on a system replays
-one enumeration.  A magnitude that is not a positive double ends the stream
-of a finite system; on an infinite system it can only be an underflow (or an
-overflowing weight), and the stream raises ``CertificationError`` there.
+positions directly.  The first block aims at 256 pairs or the read, if
+larger, and each later one at twice the prefix or the read, so a prefix
+grows in a few blocks.  A radial box starts at the smallest power of two
+radius whose box can hold the aim, and evaluates the profile (and any power
+of it) once per distinct norm.  A block raises only when it cannot certify
+the read; short of its aim it keeps what it certified, so a read never
+depends on the reads before it.  A block is sorted by (-magnitude, position
+vector), where an axis reads the positions 0, -1, 1, -2, 2, ...; that order
+is total, so a grown prefix extends the old one and every stream on a system
+replays one enumeration.  A magnitude that is not a positive double ends the
+stream of a finite system; on an infinite system it can only be an underflow
+(or an overflowing weight), and the stream raises ``CertificationError``
+there.
 Magnitudes are evaluated in a canonical order (integer accumulation where
 possible) so that equal-by-construction values compare equal as doubles;
 level grouping uses exact comparison.
@@ -140,11 +147,11 @@ def _orbit_norms(reps: np.ndarray, r: float) -> np.ndarray:
 
 
 def _orbit_fsum(terms: np.ndarray, sizes: np.ndarray) -> float:
-    """Correctly rounded sum of each term counted its orbit size times.
+    """Correctly rounded sum of each term counted ``sizes`` times.
 
     A size is split into its binary digits and a term times a power of two
     is exact, so the addends sum exactly to the box's sum and fsum rounds
-    it once, at most log2(d! 2^d) + 1 addends per term."""
+    it once, at most log2(size) + 1 addends per term."""
     parts = [terms[((sizes >> j) & 1).astype(bool)] * 2.0 ** j
              for j in range(int(sizes.max()).bit_length())]
     return math.fsum(memoryview(np.concatenate(parts)))
@@ -166,6 +173,7 @@ def _orbit_members(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(points), np.concatenate(rows)
 
 
+_FIRST_BLOCK = 256  # pairs the first block of a new prefix aims at
 _ULP = 2.0 ** -52  # one unit in the last place, relative to the value
 _HEAD = 64  # terms a power sum adds one by one before its Euler-Maclaurin tail
 
@@ -348,16 +356,19 @@ class PsiSystem:
 
     def _rearranged(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The certified prefix, magnitudes and (N, d) indices sorted by
-        (-magnitude, position vector), grown to ``count`` pairs by
-        ``_block(size)``: (magnitudes, indices, complete), in any order, of
-        every index whose magnitude exceeds a threshold no other index
-        exceeds, at least ``size`` of them or, if complete, every positive
-        one.  It ends at the first magnitude that is not a positive double:
-        a finite system's prefix is short there, an infinite one raises."""
+        (-magnitude, position vector), grown to ``count`` pairs by one
+        ``_block(count, aim)``: (magnitudes, indices, complete), in any
+        order, of every index whose magnitude exceeds a threshold no other
+        index exceeds, at least ``count`` of them, and ``aim`` unless the
+        system cannot certify that many, or, if complete, every positive
+        one.  A new prefix aims at ``max(count, _FIRST_BLOCK)``, a grown one
+        at ``max(count, 2N)``, so a few blocks serve every later read.  It
+        ends at the first magnitude that is not a positive double: a finite
+        system's prefix is short there, an infinite one raises."""
         pre = self._prefix
         if pre is None or (pre[0].shape[0] < count and not pre[2]):
             vals, idx, complete = self._block(
-                count if pre is None else max(count, 2 * pre[0].shape[0]))
+                count, max(count, _FIRST_BLOCK if pre is None else 2 * pre[0].shape[0]))
             order = np.lexsort((*_seq_position(idx).T[::-1], -vals))
             vals, idx = vals[order], idx[order]
             stop = np.append(np.flatnonzero(~(vals > 0)), vals.shape[0])[0]
@@ -422,21 +433,21 @@ class ProductPsi(PsiSystem):
     def stream(self) -> Iterator[tuple[float, tuple]]:
         return _replay(self)
 
-    def _block(self, count: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    def _block(self, count: int, aim: int) -> tuple[np.ndarray, np.ndarray, bool]:
         if self._all_geom_same:
             # ratio ** sum|k_j| is the geometric profile of the l1 norm
             return RadialPsi(("geom", self.axes[0].ratio), self.d, r=1.0,
-                             origin="exact")._block(count)
-        # lower the threshold t until the cross above it holds count indices,
+                             origin="exact")._block(count, aim)
+        # lower the threshold t until the cross above it holds aim indices,
         # aiming at twice that by the growth from the last cross (first from
         # one index at t = 1) but at most to t**2; t = 0 takes every positive one
         t, seen = 0.5, (1.0, 1)
         while True:
             mags, pos = self._cross(t)
-            if mags.shape[0] >= count or t == 0.0:
+            if mags.shape[0] >= aim or t == 0.0:
                 return mags, _axis_index(pos), t == 0.0
             rate = max(math.log(mags.shape[0] / seen[1]) / math.log(seen[0] / t), 1e-3)
-            seen, t = (t, mags.shape[0]), max(t * (mags.shape[0] / (2.0 * count)) ** (1 / rate), t * t)
+            seen, t = (t, mags.shape[0]), max(t * (mags.shape[0] / (2.0 * aim)) ** (1 / rate), t * t)
 
     def _cross(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Magnitudes and position vectors of every index whose magnitude
@@ -558,31 +569,46 @@ class RadialPsi(PsiSystem):
         return _replay(self)
 
     def _profile_values(self, t: np.ndarray) -> np.ndarray:
-        """``profile`` at each norm in t, by the same arithmetic."""
-        if self.origin == "clamp":
-            t = np.maximum(t, 1.0)
+        """``profile`` at each norm in t, by the same arithmetic, evaluated
+        once per distinct norm (a box at r = inf has only B + 1), which is bit
+        for bit the same."""
+        t, inverse = np.unique(np.maximum(t, 1.0) if self.origin == "clamp" else t,
+                               return_inverse=True)
         if self.form is not None and self.form[0] == "pow":
-            return _pow(t, -float(self.form[1]))
-        return np.fromiter(map(self._func, memoryview(t)), np.float64, t.shape[0])
+            return _pow(t, -float(self.form[1]))[inverse]
+        return np.fromiter(map(self._func, memoryview(t)), np.float64, t.shape[0])[inverse]
 
-    def _block(self, count: int) -> tuple[np.ndarray, np.ndarray, bool]:
-        # every index outside the box [-B, B]^d reads at most profile(B + 1):
-        # double B until the count-th largest magnitude in the box, with its
-        # ties, exceeds that, or that is 0 and the box holds every positive one
+    def _block(self, count: int, aim: int) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Every index outside the box [-B, B]^d reads at most profile(B + 1),
+        so the box certifies its largest magnitudes down to the aim-th, with
+        its ties, once that exceeds profile(B + 1), or every positive one
+        once that is 0.  B starts at the smallest power of two whose box can
+        hold ``aim`` points and doubles until the box certifies the aim or
+        grows past its limit.  There the box keeps what it certifies, every
+        magnitude above profile(B + 1), which must be at least ``count``
+        indices; only when it is fewer does the block raise."""
         B = 1
+        while (2 * B + 1) ** self.d < aim:
+            B *= 2
         while True:
             reps, sizes = _orbit_representatives(self.d, B)
             values = self._profile_values(_orbit_norms(reps, self.r))
             edge = self.profile(float(B + 1))
-            order = np.argsort(-values)
-            i = int(np.searchsorted(np.cumsum(sizes[order]), count))
-            if not edge > 0 or (i < order.shape[0] and values[order[i]] > edge):
+            if not edge > 0:
+                keep = slice(None)
                 break
-            if math.comb(B + self.d, self.d) > 64 * count + 2 ** 20:
+            order = np.argsort(-values)
+            i = int(np.searchsorted(np.cumsum(sizes[order]), aim))
+            if i < order.shape[0] and values[order[i]] > edge:
+                keep = values >= values[order[i]]
+                break
+            if math.comb(B + self.d, self.d) > 64 * aim + 2 ** 20:
+                keep = values > edge
+                if int(sizes[keep].sum()) >= count:
+                    break
                 raise CertificationError(f"no box up to [-{B}, {B}]^{self.d} certifies "
                                          f"{count} indices: the profile must decrease to 0")
             B *= 2
-        keep = values >= values[order[i]] if edge > 0 else slice(None)
         points, rows = _orbit_members(reps[keep])
         return values[keep][rows], points, not edge > 0
 
@@ -600,11 +626,14 @@ class RadialPsi(PsiSystem):
 
     def _box_sum(self, e: float, B: int) -> float:
         """Sum of magnitude^e over the box [-B, B]^d, with one profile
-        evaluation per orbit of the signed-permutation group (its members
-        share |k|_r, as ``lattice_norm`` canonicalizes)."""
+        evaluation and one power per distinct norm: the members of an orbit
+        of the signed-permutation group share |k|_r, as ``lattice_norm``
+        canonicalizes, and a norm's term is counted the total size of its
+        orbits, which leaves the exact sum that fsum rounds unchanged."""
         reps, sizes = _orbit_representatives(self.d, B)
-        values = self._profile_values(_orbit_norms(reps, self.r))
-        return _orbit_fsum(_pow(values, e), sizes)
+        norms, inverse = np.unique(_orbit_norms(reps, self.r), return_inverse=True)
+        counts = np.bincount(inverse, sizes).astype(np.int64)
+        return _orbit_fsum(_pow(self._profile_values(norms), e), counts)
 
     def _tail_outside(self, e: float, B: int) -> tuple[float, float]:
         """(estimate, bound) for the sum of magnitude^e outside [-B, B]^d;
@@ -689,7 +718,7 @@ class ExplicitTablePsi(PsiSystem):
     def stream(self) -> Iterator[tuple[float, tuple]]:
         return _replay(self)
 
-    def _block(self, count: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    def _block(self, count: int, aim: int) -> tuple[np.ndarray, np.ndarray, bool]:
         keys = np.array(list(self.entries), dtype=np.int64).reshape(-1, self.d)
         return np.array(list(self.entries.values())), keys, True
 
@@ -778,8 +807,8 @@ class ExplicitSeqPsi(PsiSystem):
     def stream(self) -> Iterator[tuple[float, tuple]]:
         return _replay(self)
 
-    def _block(self, count: int) -> tuple[np.ndarray, np.ndarray, bool]:
-        j = np.arange(1, count + 1)
+    def _block(self, count: int, aim: int) -> tuple[np.ndarray, np.ndarray, bool]:
+        j = np.arange(1, aim + 1)
         return self._values(j), _axis_index(j - 1)[:, None], False
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
@@ -905,7 +934,7 @@ def build_charseq(
         vals, idx = psi._rearranged(count)
         exhausted = vals.shape[0] < count  # only a finite system ends short
         # a level is certified once a smaller value follows it or the system ends
-        ends = np.flatnonzero(np.r_[vals[1:] != vals[:-1], exhausted][: vals.shape[0]]) + 1
+        ends = np.flatnonzero(np.append(vals[1:] != vals[:-1], exhausted)[: vals.shape[0]]) + 1
         met = np.arange(1, ends.shape[0] + 1) >= (levels or 1)
         if down_to_value is not None:
             met &= vals[ends - 1] <= down_to_value
@@ -915,7 +944,7 @@ def build_charseq(
     m = int(np.argmax(met)) + 1 if met.any() else ends.shape[0]
     if levels is not None and m < levels:
         raise CertificationError(f"system has only {m} levels, {levels} requested")
-    ends = np.r_[0, ends[:m]].tolist()
+    ends = [0, *ends[:m].tolist()]
     keys = list(map(tuple, idx[: ends[-1]].tolist()))
     return CharSeq(
         eps=tuple(vals[ends[:-1]].tolist()),

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from spapprox import (
     ProductPsi,
     RadialPsi,
     Spectrum,
+    build_charseq,
     class_best_approx,
     class_sigma,
     class_widths,
@@ -25,6 +27,7 @@ from spapprox import (
     kolmogorov_ladder,
     order_estimate_check,
     pin_convention,
+    psi_derivative,
     psi_integral,
 )
 from spapprox.classes import dyadic_doubling_check
@@ -222,6 +225,21 @@ def test_identities_exact_on_families(rng):
     assert worst < 1e-12
 
 
+def test_identity_tails_are_rounded_once(rng):
+    # each side's level tail is the exact sum of its |c|^p terms, rounded
+    # once; a sum of per-level sums rounds twice and can miss by an ulp
+    for psi in identity_psi_families():
+        for trial in range(20):
+            f, _ = random_integral_pair(rng, psi, max_index=4)
+            n, p = int(rng.integers(1, 5)), float(rng.choice([1.0, 1.5, 2.0]))
+            mags = {k: psi.magnitude(k) for k in f.frequencies}
+            cs = build_charseq(psi, down_to_value=min(mags.values()))
+            for check, g in ((direct_identity_check, f), (inverse_identity_check, psi_derivative(f, psi))):
+                exact = sum(Fraction(abs(c) ** p) for k, c in g.items()
+                            if cs.level_of_value(mags[k]) >= n)
+                assert check(f, psi, n, p=p).lhs == float(exact)
+
+
 def test_identity_trivial_inside_levels(geom_psi):
     # spectrum inside the first n-1 levels: both sides vanish
     f = Spectrum.lattice({0: 1.0, 1: 0.5j, -1: -0.25})
@@ -297,7 +315,9 @@ nan = math.nan
 
 # (lhs, rhs, residual, convergence_ok) of the direct and the inverse identity
 # per (eps_offset, tail_offset), recorded before both identities shared one
-# implementation; None where a PreconditionError was raised
+# implementation and re-recorded when each level tail became one correctly
+# rounded fsum (every lhs that moved then equals the exact tail rounded
+# once); None where a PreconditionError was raised
 IDENTITY_PINS = {
     (3, 0, 1): {
         (-1, -1): [(1.8875874652554938, nan, nan, True), (4.459663693244699, nan, nan, True)],
@@ -314,20 +334,20 @@ IDENTITY_PINS = {
                  (3.043448974311225, 3.043448974311225, 0.0, True)],
     },
     (4, 1, 2): {
-        (-1, -1): [(2.2194662965492897, 2.2194662965492897, 0.0, True),
-                   (6.029971766357123, 6.029971766357123, 0.0, True)],
-        (-1, 0): [(1.2762451863369544, 1.8920196921890682, 0.6157745058521138, True),
-                  (5.086750656144788, 3.810505469807834, 1.2762451863369537, True)],
-        (-1, 1): [(0.9787972527545084, 1.996673267213324, 1.0178760144588157, True),
+        (-1, -1): [(2.2194662965492897, 2.21946629654929, 4.440892098500626e-16, True),
+                   (6.029971766357124, 6.029971766357123, 8.881784197001252e-16, True)],
+        (-1, 0): [(1.2762451863369544, 1.892019692189069, 0.6157745058521147, True),
+                  (5.086750656144789, 3.810505469807834, 1.2762451863369546, True)],
+        (-1, 1): [(0.9787972527545085, 1.996673267213324, 1.0178760144588157, True),
                   (4.4918547889798965, 2.5342602834708794, 1.9575945055090171, True)],
         (0, -1): [None, None],
-        (0, 0): [(1.2762451863369544, 1.276245186336954, 4.440892098500626e-16, True),
-                 (5.086750656144788, 5.086750656144789, 8.881784197001252e-16, True)],
-        (0, 1): [(0.9787972527545084, 1.297123825024177, 0.31832657226966865, True),
+        (0, 0): [(1.2762451863369544, 1.2762451863369544, 0.0, True),
+                 (5.086750656144789, 5.086750656144789, 0.0, True)],
+        (0, 1): [(0.9787972527545085, 1.297123825024177, 0.31832657226966854, True),
                  (4.4918547889798965, 3.513057536225388, 0.9787972527545086, True)],
         (1, -1): [None, None],
         (1, 0): [None, None],
-        (1, 1): [(0.9787972527545084, 0.9787972527545086, 2.220446049250313e-16, True),
+        (1, 1): [(0.9787972527545085, 0.9787972527545086, 1.1102230246251565e-16, True),
                  (4.4918547889798965, 4.4918547889798965, 0.0, True)],
     },
 }

@@ -453,28 +453,33 @@ def _plain_norm(k, r):
     return sum(abs(x) ** r for x in k) ** (1.0 / r)
 
 
-@pytest.mark.parametrize("profile,r,e", [
-    (("pow", 3.0), 2.0, 1.5),
-    (("pow", 1.3), 1.5, 2.7),
-    (("pow", 2.0), 1.0, 3.0),
-    (("geom", 0.7), 0.5, 2.0),
-    (("geom", 0.5), math.inf, 1.0),
-    (lambda t: (1.0 + t) ** -2.5, 3.0, 2.0),
-], ids=["pow-r2", "pow-r1.5", "pow-r1", "geom-r0.5", "geom-inf", "callable-r3"])
-def test_radial_box_sum_matches_full_box_fsum(profile, r, e):
-    B = 30
-    psi = RadialPsi(profile, d=2, r=r)
+@pytest.mark.parametrize("profile,r,e,d", [
+    pytest.param(("pow", 3.0), 2.0, 1.5, 2, id="pow-r2"),
+    pytest.param(("pow", 1.3), 1.5, 2.7, 2, id="pow-r1.5"),
+    pytest.param(("pow", 2.0), 1.0, 3.0, 2, id="pow-r1"),
+    pytest.param(("geom", 0.7), 0.5, 2.0, 2, id="geom-r0.5"),
+    pytest.param(("geom", 0.5), math.inf, 1.0, 2, id="geom-inf"),
+    pytest.param(lambda t: (1.0 + t) ** -2.5, 3.0, 2.0, 2, id="callable-r3"),
+] + [
+    pytest.param(profile, r, e, d, id=f"{profile[0]}-r{r:g}-d{d}")
+    for profile, e in ((("pow", 1.3), 2.7), (("geom", 0.7), 1.5))
+    for r in (1.0, 2.0, math.inf) for d in (1, 2, 3)
+])
+def test_radial_box_sum_matches_full_box_fsum(profile, r, e, d):
+    B = {1: 60, 2: 30, 3: 6}[d]
+    psi = RadialPsi(profile, d=d, r=r)
     func = profile if callable(profile) else lambda t: _shape_value(profile, t)
     plain = math.fsum(
         func(max(_plain_norm(k, r), 1.0)) ** e
-        for k in itertools.product(range(-B, B + 1), repeat=2)
+        for k in itertools.product(range(-B, B + 1), repeat=d)
     )
     scalar = math.fsum(
-        psi.magnitude(k) ** e for k in itertools.product(range(-B, B + 1), repeat=2)
+        psi.magnitude(k) ** e for k in itertools.product(range(-B, B + 1), repeat=d)
     )
     got = psi._box_sum(e, B)
     assert got == pytest.approx(plain, rel=1e-15, abs=0)
-    # the same arithmetic per point as the scalar magnitude, so the same sum
+    # one power per distinct norm, counted its orbits' total size, rounds
+    # once to the same double as every point's own term, the scalar magnitude
     assert got == scalar
 
 
@@ -536,6 +541,54 @@ def test_second_read_evaluates_no_magnitude():
     again = rearrangement(psi, 10_000)
     assert calls == 0
     assert again.tolist() == first.tolist()
+
+
+@pytest.mark.parametrize("make,most", [
+    (lambda: ProductPsi([AxisPow(1.0), AxisPow(1.0)]), 2),
+    # twelve levels need the 626th index, past the first block's box of
+    # 289, so the prefix grows 289 -> 625 -> 1369 before the long read
+    (lambda: RadialPsi(("pow", 3.0), d=2), 4),
+], ids=["hyperbolic", "radial"])
+def test_prefix_grows_in_few_blocks(monkeypatch, make, most):
+    # the lattice benchmark's deepest read; growing from one index took 5
+    # product and 7 radial blocks
+    psi = make()
+    aims, boxes = [], []
+    block, reps = type(psi)._block, _orbit_representatives
+    monkeypatch.setattr(type(psi), "_block",
+                        lambda self, count, aim: aims.append(aim) or block(self, count, aim))
+    monkeypatch.setattr("spapprox.psi._orbit_representatives",
+                        lambda d, B: boxes.append((aims[-1], (2 * B + 1) ** d)) or reps(d, B))
+    build_charseq(psi, levels=12)
+    rearrangement(psi, 9600)
+    assert len(aims) <= most
+    # no box is built that cannot hold its aim
+    assert all(size >= aim for aim, size in boxes)
+
+
+def _plateau():
+    # not a psi system: it never falls below 0.3, so only the 49 indices of
+    # |k|_inf <= 3 can be certified, and a block may fall short of its aim
+    return RadialPsi(lambda t: max(1.0 / t, 0.3), d=2)
+
+
+@pytest.mark.parametrize("lengths", [[26], [25, 26], [9, 26], [3]])
+def test_certification_does_not_depend_on_growth_history(lengths):
+    # a block raises only when it cannot certify the read; a doubled aim of
+    # 50 once made [25, 26] raise where [26] alone did not
+    psi = _plateau()
+    for n in lengths:
+        got = rearrangement(psi, n)
+    assert got.tolist() == ([1.0] * 9 + [0.5] * 16 + [1.0 / 3.0])[: lengths[-1]]
+
+
+def test_plateau_certifies_the_levels_above_it():
+    # level 2 ends at index 25 and the certified 26th is smaller; level 3
+    # needs the 50th, which lies on the plateau
+    cs = build_charseq(_plateau(), levels=2)
+    assert (cs.eps, cs.delta) == ((1.0, 0.5), (9, 25))
+    with pytest.raises(CertificationError, match="certifies 50 indices"):
+        build_charseq(_plateau(), levels=3)
 
 
 @pytest.mark.parametrize("axis,error,length", [
@@ -716,11 +769,17 @@ def test_radial_rearrangement_matches_full_sort(profile, r, d, K, exact):
         assert {k for _, k in group} == {k for k in box if psi.magnitude(k) == v}
 
 
-# a product (mixed axis shapes) or radial (profile, r, d) system
+# a product (mixed axis shapes), radial (profile, r, d) or sequence (head
+# values at least 1, then a power, geometric or zero continuation below 1)
 _SPEC = st.one_of(
     st.tuples(st.just("product"), st.lists(_AXIS, min_size=1, max_size=3)),
     st.tuples(st.just("radial"), st.tuples(_PROFILE, st.sampled_from([0.5, 1.0, 2.0, math.inf]),
                                            st.integers(1, 3))),
+    st.tuples(st.just("sequence"), st.tuples(
+        st.lists(st.sampled_from([1.0, 2.0, 3.0]) | st.floats(1.0, 4.0), max_size=40),
+        st.tuples(st.just("pow"), st.floats(0.5, 3.0), st.floats(0.1, 1.0))
+        | st.tuples(st.just("geom"), st.floats(0.7, 0.99), st.floats(0.1, 1.0))
+        | st.just(("zero",)))),
 )
 
 
@@ -728,14 +787,22 @@ def _make(spec):
     kind, params = spec
     if kind == "product":
         return ProductPsi([AxisPow(b) if shape == "pow" else AxisGeom(b) for shape, b in params])
+    if kind == "sequence":
+        head, tail = params
+        return ExplicitSeqPsi(sorted(head, reverse=True) or [1.0], tail)
     profile, r, d = params
     return RadialPsi(profile, d=d, r=r)
 
 
 @settings(max_examples=80, deadline=None)
-@given(spec=_SPEC, lengths=st.lists(st.integers(1, 400), min_size=1, max_size=4))
+@given(spec=_SPEC, lengths=st.lists(st.integers(1, 2000), min_size=1, max_size=4))
 def test_prefix_is_one_certified_sort_whatever_the_growth_order(spec, lengths):
     grown, whole = _make(spec), _make(spec)
+    if grown.d == 1 and not grown.magnitude((1000,)) > 0:
+        # a one-dimensional geometric system with ratio below about 0.47
+        # underflows before index 2000, where its rearrangement must raise
+        # (ratio 0.2 at index 925); read it only up to 400
+        lengths = [min(n, 400) for n in lengths]
     for n in lengths:
         rearrangement(grown, n)
     # the whole prefix, block ends included
@@ -745,6 +812,11 @@ def test_prefix_is_one_certified_sort_whatever_the_growth_order(spec, lengths):
     keys = [(-v, _walk_position(k)) for v, k in got]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert all(v == grown.magnitude(k) for v, k in got)
+    if spec[0] == "sequence":
+        # position j carries the j-th value; only a zero tail ends it early
+        assert got == [(grown.seq(j), (_axis_index(j - 1),)) for j in range(1, len(got) + 1)]
+        assert len(got) >= max(lengths) or grown.seq(len(got) + 1) == 0.0
+        return
     # every index outside [-b, b]^d has some |k_j| > b, so its magnitude is
     # at most that of one axis (product) or the profile (radial) at b + 1
     b = {1: 400, 2: 20, 3: 6}[grown.d]
