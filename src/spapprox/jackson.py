@@ -296,7 +296,7 @@ _STORE_RATIOS = 2 ** 12
 
 
 @functools.lru_cache(maxsize=8)
-def _integral_store(phi: PhiFunction, p: float, v: WeightMeasure, tau: float, quad_tol: float) -> dict:
+def _integral_store(phi: PhiFunction, p: float, v: WeightMeasure, tau: float, quad_tol: float | None) -> dict:
     """{ratio: integral_0^tau phi(ratio t)^p dv(t)} of one request, which
     the n-sweeps of one generator share; ``_scaled_phi_integrals`` fills it."""
     return {}
@@ -313,13 +313,13 @@ def _scaled_phi_integrals(
     against densities and piecewise-linear weights by Gauss-Jacobi rules
     (``_alpha_scan_integrals_jacobi``), everything else by
     ``weight_integrals`` (exact atom sums for atomic weights).  Only the
-    adaptive rule reads ``quad_tol``."""
+    adaptive rule reads ``quad_tol``, so only its store is keyed on it."""
     ratios = np.asarray(ratios, dtype=np.float64)
     if not (np.isfinite(ratios) & (ratios >= 0)).all():
         raise InputDomainError("scan ratios must be finite and >= 0")
     ratios = ratios.tolist()
     jacobi = phi.kind == "alpha" and v.kind != "atomic"
-    known = _integral_store(phi, p, v, tau, quad_tol)
+    known = _integral_store(phi, p, v, tau, None if jacobi else quad_tol)
     if len(known) > _STORE_RATIOS:
         known.clear()
     todo = list(dict.fromkeys(r for r in ratios if r not in known))

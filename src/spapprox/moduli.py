@@ -30,10 +30,14 @@ sampled more densely toward that cut.  Custom generators take the dense
 scan of at least ``_N_GRID`` cells, each sampled peak refined by
 resampling.  ``OmegaEvaluator`` keeps the running maximum of the objective
 by pieces: its records, the plateaus after them and the rising stretches
-where it is the objective itself.  The averaged modulus integrates
-omega_phi^p against a nondecreasing weight (Riemann-Stieltjes) over those
-pieces, normalized by the weight's total mass; it never exceeds omega_phi
-at the right endpoint.
+where it is the objective itself, cut at the term zeros (for a custom
+generator, at the local minima of its terms, refined by resampling); each
+plateau ends where Newton finds S climbing back through its record.  The
+averaged modulus integrates omega_phi^p against a nondecreasing weight
+(Riemann-Stieltjes) over those pieces, normalized by the weight's total
+mass; it never exceeds omega_phi at the right endpoint.  Every bracket is
+refined by one of two loops, ``_newton_root`` or ``_refine_maxima``, to
+one stopping width (``_stop_width``).
 
 ``omega_phi`` keeps its 2^10 most recently used requests (f, phi, delta,
 p) in ``_omega``, each value with the upper bound of a certified scan
@@ -729,52 +733,94 @@ def _objective_grid(
     return out
 
 
-# Refinement of sampled maxima (the dense scan):
-# every round resamples each bracket at _REFINE_CELLS + 1 equispaced
-# points and keeps the two cells around the best sample, shrinking the
-# bracket 32-fold.  A bracket is done once it spans at most
-# _REFINE_PHASE radians of the fastest frequency's phase
-# (6e-10 in h at lam_max = 16), or 1e-13 |h| for shifts so large that
-# rounding h alone moves the phase by more; at a smooth maximum the best
-# sample's value is then exact to double precision.  _REFINE_ROUNDS caps
-# the loop (32^16 exceeds any ratio of grid cell to tolerance).
-_REFINE_CELLS = 64
+# Every bracket of the modulus scan is refined by one of two loops:
+# resampling (_refine_maxima) where no derivative is known, safeguarded
+# Newton (_newton_root) where one is.  Both stop at _stop_width:
+# _REFINE_PHASE rad of the bracket's phase rate (6e-10 in h at rate 16), or
+# 1e-13 |h| where rounding h alone moves the phase by more; at a smooth
+# maximum the value is then exact to double precision.  A resampling round
+# keeps the two of _REFINE_CELLS cells around the best sample (32-fold);
+# _REFINE_ROUNDS caps it (32^16 exceeds any ratio of grid cell to stopping
+# width), _NEWTON_STEPS caps Newton (bisection alone closes any cell sooner).
 _REFINE_PHASE = 1e-8
 _REFINE_REL = 1e-13
+_REFINE_CELLS = 64
 _REFINE_ROUNDS = 16
 _REFINE_AT = np.linspace(0.0, 1.0, _REFINE_CELLS + 1)
+_NEWTON_STEPS = 64
+
+
+def _stop_width(x, rate):
+    """The stopping width of a bracket at shift x with phase rate ``rate``."""
+    return np.maximum(_REFINE_PHASE / rate, _REFINE_REL * np.abs(x))
 
 
 def _refine_maxima(
-    objective: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    lam_max: float,
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, rate,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best shift and objective value found inside each bracket [lo_i, hi_i].
+    """Best point and value of g found inside each bracket [lo_i, hi_i]
+    (g as in ``_gl_sums``: g(t, rows) with rows[k] the bracket of t[k]),
+    each refined to the stopping width of its own phase rate ``rate_i``.
 
-    All brackets are refined together: each round makes one vectorized
-    objective call over (brackets x (_REFINE_CELLS + 1)) points."""
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
+    All brackets are refined together, until the last one is narrow
+    enough: each round makes one vectorized call of g over (brackets x
+    (_REFINE_CELLS + 1)) points."""
+    lo, hi = (np.asarray(x, dtype=np.float64) for x in (lo, hi))
     rows = np.arange(lo.shape[0])
-    frac = _REFINE_AT
+    owner = np.repeat(rows, _REFINE_CELLS + 1)
     best_h = np.empty_like(lo)
     best_v = np.full_like(lo, -np.inf)
-    for _ in range(_REFINE_ROUNDS):
-        pts = lo[:, None] + (hi - lo)[:, None] * frac
-        vals = objective(pts.ravel()).reshape(pts.shape)
+    for _ in range(_REFINE_ROUNDS if lo.size else 0):
+        pts = lo[:, None] + (hi - lo)[:, None] * _REFINE_AT
+        vals = np.asarray(g(pts.ravel(), owner), dtype=np.float64).reshape(pts.shape)
         j = np.argmax(vals, axis=1)
         top = vals[rows, j]
         better = top > best_v
-        best_v[better] = top[better]
-        best_h[better] = pts[rows, j][better]
-        lo = pts[rows, np.maximum(j - 1, 0)]
-        hi = pts[rows, np.minimum(j + 1, _REFINE_CELLS)]
-        tol = np.maximum(_REFINE_PHASE / lam_max, _REFINE_REL * np.abs(best_h))
-        if np.all(hi - lo <= tol):
+        best_v[better], best_h[better] = top[better], pts[rows, j][better]
+        lo, hi = pts[rows, np.maximum(j - 1, 0)], pts[rows, np.minimum(j + 1, _REFINE_CELLS)]
+        if np.all(hi - lo <= _stop_width(best_h, rate)):
             break
     return best_h, best_v
+
+
+def _newton_root(fn: Callable, xl, xh, fl, fh, rate) -> np.ndarray:
+    """The root of an increasing g inside each bracket [xl_i, xh_i] (arrays),
+    given fl_i = g(xl_i) <= 0 < fh_i = g(xh_i), to the stopping width of
+    the phase rate ``rate``: safeguarded Newton's method (rtsafe; Press et
+    al., Numerical Recipes, 9.4) from the regula falsi point.  fn(x, rows)
+    returns g and g' at the points x of the open brackets rows; a g' of None
+    takes the bracket's secant (regula falsi).  A step is taken when g' > 0,
+    it lands inside the closed bracket and it is at most half the step
+    before, else the bracket is bisected.  A step shorter than half the
+    stopping width ends the search at the point it reaches, whose error is
+    of the order of the step squared (next to a cusp, where g' changes fast,
+    the stopping width alone is too coarse).  Returns the last points."""
+    if not xl.size:
+        return xl
+    with np.errstate(all="ignore"):  # a non-finite step is replaced by bisection
+        x = xl - (xh - xl) * (fl / (fh - fl))
+        x = np.where((xl <= x) & (x <= xh), x, 0.5 * (xl + xh))
+        out, last, r = x.copy(), xh - xl, np.arange(x.shape[0])
+        run = last > _stop_width(x, rate)
+        for _ in range(_NEWTON_STEPS):
+            if not run.all():  # the open brackets only
+                r, x, xl, xh, fl, fh, last = (a[run] for a in (r, x, xl, xh, fl, fh, last))
+                if not r.size:
+                    break
+            g, dg = fn(x, r)
+            low = g <= 0.0
+            xl, fl = np.where(low, x, xl), np.where(low, g, fl)
+            xh, fh = np.where(low, xh, x), np.where(low, fh, g)
+            dg = (fh - fl) / (xh - xl) if dg is None else dg
+            step = -g / dg
+            nxt = x + step
+            newton = (dg > 0.0) & (xl <= nxt) & (nxt <= xh) & (np.abs(step) <= 0.5 * last)
+            nxt = np.where(newton, nxt, 0.5 * (xl + xh))
+            last, x = np.abs(nxt - x), nxt
+            out[r] = x
+            tol = _stop_width(x, rate)
+            run = ~(newton & (np.abs(step) < 0.5 * tol)) & (xh - xl > tol)
+    return out
 
 
 # Peaks of a certified scan: S' is sampled at 5 equispaced points of each
@@ -783,15 +829,10 @@ def _refine_maxima(
 # scale with the distance from it; a peak closer than 2^-30 is within the
 # stopping width of it); _SLOPE_AT holds these fractions, ascending,
 # and _SLOPE_SIDE says which are sampled always (0) or toward a cusp at
-# the left (-1) or right (+1) end.  Every fall of S' from + to - between
-# samples is refined by safeguarded Newton on S' (rtsafe; Press et al.,
-# Numerical Recipes, 9.4) to the stopping width of _refine_maxima, or to
-# a Newton step below half of it.  _NEWTON_STEPS caps the loop (bisection
-# alone closes any cell in fewer).
+# the left (-1) or right (+1) end.
 _CUSP_ENDS = 2.0 ** -np.arange(30.0, 2.0, -1.0)
 _SLOPE_AT = np.concatenate(([0.0], _CUSP_ENDS, [0.25, 0.5, 0.75], 1.0 - _CUSP_ENDS[::-1], [1.0]))
 _SLOPE_SIDE = np.concatenate(([0], -np.ones_like(_CUSP_ENDS), [0, 0, 0], np.ones_like(_CUSP_ENDS), [0]))
-_NEWTON_STEPS = 64
 
 
 def _slopes(phi: PhiFunction, lams: np.ndarray, amps_p: np.ndarray, p: float, hs: np.ndarray):
@@ -824,12 +865,7 @@ def _cell_peaks(
     end (``_SLOPE_AT``), which bracket a peak next to the cusp.  A sample
     where S' is NaN (0 times inf at an exact zero of a term) is left out.
     Each root is bracketed between samples of S' with S' > 0 at the left
-    and <= 0 at the right, and sought from the regula falsi point.  A
-    Newton step S'/S'' that leaves the bracket, or comes from S'' >= 0, is
-    replaced by bisection; one shorter than half the stopping width ends
-    the search at its end point, whose error is of the order of the step
-    squared (the stopping width alone is too coarse next to a cusp, where
-    S'' is large)."""
+    and <= 0 at the right, and found by ``_newton_root`` on -S'."""
     nz = lams != 0.0  # the zero frequency adds phi(0) = 0
     lams, amps_p = lams[nz], amps_p[nz]
     # which of the ends lo, hi lie within rounding of a cut (the cuts and
@@ -855,24 +891,10 @@ def _cell_peaks(
     signed = ~np.isnan(d1)
     row, hs, d1 = row[signed], hs[signed], d1[signed]
     fall = np.flatnonzero((d1[:-1] > 0.0) & (d1[1:] <= 0.0) & (row[:-1] == row[1:]))
-    xl, xh = hs[fall], hs[fall + 1]
-    fl, fh = d1[fall], d1[fall + 1]
-    with np.errstate(all="ignore"):  # a non-finite step is replaced by bisection
-        x = xl + (xh - xl) * (fl / (fl - fh))
-        for _ in range(_NEWTON_STEPS):
-            tol = np.maximum(_REFINE_PHASE / lam_max, _REFINE_REL * np.abs(x))
-            run = xh - xl > tol
-            if not run.any():
-                break
-            s1, s2 = _slopes(phi, lams, amps_p, p, x)
-            xl, xh = np.where(run & (s1 >= 0.0), x, xl), np.where(run & (s1 <= 0.0), x, xh)
-            step = s1 / s2
-            newton = (s2 < 0.0) & (xl <= x - step) & (x - step <= xh)
-            x = np.where(run, np.where(newton, x - step, 0.5 * (xl + xh)), x)
-            # a Newton step shorter than half the stopping width ends there
-            done = run & newton & (np.abs(step) < 0.5 * tol)
-            xl, xh = np.where(done, x, xl), np.where(done, x, xh)
-    peak_h = np.abs(np.clip(x, xl, xh))
+    peak_h = np.abs(_newton_root(
+        lambda x, rows: -_slopes(phi, lams, amps_p, p, x),
+        hs[fall], hs[fall + 1], -d1[fall], -d1[fall + 1], lam_max,
+    ))
     return peak_h, (objective(peak_h) if peak_h.size else peak_h)
 
 
@@ -941,10 +963,9 @@ def _term_minima(phi: PhiFunction, lams: np.ndarray, hs: np.ndarray) -> np.ndarr
     """The shifts inside (hs[0], hs[-1]) where a term phi(lam h) of S, or
     phi(-lam h) unless phi is even, has a local minimum, for a generator
     whose zeros are not known: every interior sampled minimum of a term on
-    the grid hs, refined by golden-section search within its two
-    neighbouring cells to the stopping width of ``_refine_maxima``;
-    ascending and distinct.  A zero of phi is such a minimum, and so is a
-    cusp of phi^p there."""
+    the grid hs, refined within its two neighbouring cells as a maximum of
+    -phi(lam h) by ``_refine_maxima``; ascending and distinct.  A zero of
+    phi is such a minimum, and so is a cusp of phi^p there."""
     rates = np.abs(lams) if phi.is_even else np.concatenate((lams, -lams))
     rates = np.unique(rates[rates != 0.0])
     lo, hi, rate = [], [], []
@@ -954,19 +975,10 @@ def _term_minima(phi: PhiFunction, lams: np.ndarray, hs: np.ndarray) -> np.ndarr
         lo.append(hs[i - 1])
         hi.append(hs[i + 1])
         rate.append(np.full(i.shape, r))
-    lo, hi, rate = (np.concatenate(x) for x in (lo, hi, rate))
-    golden = 0.5 * (math.sqrt(5.0) - 1.0)
-    tol = np.maximum(_REFINE_PHASE / np.abs(rate), _REFINE_REL * hi)
-    for _ in range(_NEWTON_STEPS):
-        r = np.flatnonzero(hi - lo > tol)
-        if not r.size:
-            break
-        c = hi[r] - golden * (hi[r] - lo[r])
-        d = lo[r] + golden * (hi[r] - lo[r])
-        left = phi(rate[r] * c) <= phi(rate[r] * d)  # a minimum in [lo, d]
-        hi[r] = np.where(left, d, hi[r])
-        lo[r] = np.where(left, lo[r], c)
-    at = 0.5 * (lo + hi)
+    rate = np.concatenate(rate)
+    at, _ = _refine_maxima(
+        lambda t, rows: -phi(rate[rows] * t), np.concatenate(lo), np.concatenate(hi), np.abs(rate),
+    )
     return np.unique(at[(at > hs[0]) & (at < hs[-1])])
 
 
@@ -979,24 +991,25 @@ def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, ru
 
     Certified scan (a builtin generator): each cell gets the upper bound U
     = sum_k |A_k|^p phi.cell_sup of the term's phase cell.  The cells whose
-    U exceeds, by more than the sum's rounding ((2K + 8) eps relative for K
-    terms), the best sample, or, for a ``running`` scan, the running
-    maximum of the samples at the cell's left end, are split where a term
-    meets a cusp of phi^p (``_shift_cuts``, when ``phi.order`` p < 2), so
-    that a cusp lies only at a sub-cell end, and every local maximum of S
-    inside them is refined by Newton's method on S' (``_cell_peaks``).  A
-    refined value lies in a cell with a finite U, so refinement skips the
-    finiteness check that the samples get.  upper, the largest U plus that
-    rounding and twice the generator's slack per unit of sum_k |A_k|^p,
-    bounds every exact and computed value of S.
+    U is not a finite double or exceeds, by more than the sum's rounding
+    ((2K + 8) eps relative for K terms), the best sample, or, for a
+    ``running`` scan, the running maximum of the samples at the cell's left
+    end, are split where a term meets a cusp of phi^p (``_shift_cuts``,
+    when ``phi.order`` p < 2), so that a cusp lies only at a sub-cell end,
+    and every local maximum of S inside them is refined by Newton's method
+    on S' (``_cell_peaks``), without the finiteness check of the samples
+    where every U is finite.  upper, the largest U plus that rounding and
+    twice the generator's slack per unit of sum_k |A_k|^p, bounds every
+    exact and computed value of S; it is inf when that is not a finite
+    double.
 
-    Dense scan (custom generators, or when a cell bound is not a finite
-    double): the grid has at least ``_N_GRID`` cells, and every sampled
-    peak, each interior local maximum and both grid ends, is refined within
-    its clipped neighbours by one ``_refine_maxima`` call.
+    Dense scan (custom generators): the grid has at least ``_N_GRID``
+    cells, and every sampled peak, each interior local maximum and both
+    grid ends, is refined within its clipped neighbours by one
+    ``_refine_maxima`` call.
 
     Returns (objective, slope, grid, samples, peak shifts, peak values,
-    upper): slope(h) gives S and S' (None for a custom generator, upper
+    upper): slope(h) gives S and S' (S' None for a custom generator, upper
     None for a dense scan), or None when the modulus vanishes identically
     (no terms, delta <= 0, or only the zero frequency)."""
     if len(f) == 0 or delta <= 0:
@@ -1007,61 +1020,60 @@ def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, ru
         return None
     amps_p = f.abs_coefficients() ** p
     even = phi.is_even or _mirrored(lams, amps_p)
+    nz = lams != 0.0  # the zero frequency adds phi(0) = 0
     # a running-maximum scan evaluates S in smaller blocks, which keeps its
     # peak memory that of the dense scan
     block = 2 ** 14 if running else 2 ** 16
 
-    def unchecked(hs):
+    def folded(hs, slope=False):
+        # S, and S' where ``slope``, of the larger of S(h) and S(-h), with
+        # d/dh S(-h) = -S'(-h)
         signed = hs if even else np.concatenate((hs, -hs))
-        out = _objective_grid(lams, amps_p, phi, p, signed, block)
-        return out if even else np.maximum(out[:hs.shape[0]], out[hs.shape[0]:])
+        val = _objective_grid(lams, amps_p, phi, p, signed, block)
+        d1 = _slopes(phi, lams[nz], amps_p[nz], p, signed)[0] if slope else None
+        if not even:
+            n = hs.shape[0]
+            back = val[n:] > val[:n]
+            val = np.maximum(val[:n], val[n:])
+            d1 = None if d1 is None else np.where(back, -d1[n:], d1[:n])
+        return val, d1
 
     def objective(hs):
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            out = unchecked(hs)
+            out = folded(hs)[0]
         _require_finite(out, p)
         return out
 
     turns = int(math.ceil(_CELLS_PER_TURN * (lam_max * delta / (2.0 * math.pi))))
-    if phi.cell_sup is not None:
-        hs = np.linspace(0.0, delta, max(1, turns) + 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            obj, bounds, slack = _cell_bounds(lams, amps_p, phi, p, hs, even)
-            _require_finite(obj, p)
-            rounding = (2.0 * lams.shape[0] + 8.0) * _EPS
-            upper = float(np.max(bounds)) * (1.0 + rounding) + 2.0 * slack * float(np.sum(amps_p))
-        if math.isfinite(upper):
-            best = np.maximum.accumulate(obj[:-1]) if running else float(np.max(obj))
-            keep = np.flatnonzero(bounds > best * (1.0 + rounding))
-            cuts = _shift_cuts(phi, lams, p, delta) if phi.order * p < 2.0 else np.empty(0)
-            # every term rises from its zero at h = 0, so S has no maximum
-            # within 2^-30 of the first cell's width; that cell is refined
-            # from there on, clear of the zero
-            lo, hi = hs[keep], hs[keep + 1]
-            lo, hi = _split(np.where(lo == 0.0, hi * 2.0 ** -30, lo), hi, cuts)
-            peak_h, peak_v = _cell_peaks(unchecked, phi, lams, amps_p, p, lo, hi, lam_max, even, cuts)
-            nz = lams != 0.0  # the zero frequency adds phi(0) = 0
-
-            def slope(hs):
-                signed = hs if even else np.concatenate((hs, -hs))
-                val = _objective_grid(lams, amps_p, phi, p, signed, block)
-                d1 = _slopes(phi, lams[nz], amps_p[nz], p, signed)[0]
-                if even:
-                    return val, d1
-                n = hs.shape[0]
-                back = val[n:] > val[:n]  # d/dh S(-h) = -S'(-h)
-                return np.where(back, val[n:], val[:n]), np.where(back, -d1[n:], d1[:n])
-
-            return objective, slope, hs, obj, peak_h, peak_v, upper
-    n = max(_N_GRID, turns)
-    hs = np.linspace(0.0, delta, n + 1)
-    obj = objective(hs)
-    interior = np.flatnonzero((obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:])) + 1
-    peaks = np.concatenate(([0], interior, [n]))
-    peak_h, peak_v = _refine_maxima(
-        objective, hs[np.maximum(peaks - 1, 0)], hs[np.minimum(peaks + 1, n)], lam_max
+    if phi.cell_sup is None:
+        n = max(_N_GRID, turns)
+        hs = np.linspace(0.0, delta, n + 1)
+        obj = objective(hs)
+        interior = np.flatnonzero((obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:])) + 1
+        peaks = np.concatenate(([0], interior, [n]))
+        peak_h, peak_v = _refine_maxima(
+            lambda t, rows: objective(t), hs[np.maximum(peaks - 1, 0)], hs[np.minimum(peaks + 1, n)], lam_max,
+        )
+        return objective, lambda hs: (objective(hs), None), hs, obj, peak_h, peak_v, None
+    hs = np.linspace(0.0, delta, max(1, turns) + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        obj, bounds, slack = _cell_bounds(lams, amps_p, phi, p, hs, even)
+        _require_finite(obj, p)
+        rounding = (2.0 * lams.shape[0] + 8.0) * _EPS
+        upper = float(np.max(bounds)) * (1.0 + rounding) + 2.0 * slack * float(np.sum(amps_p))
+    best = np.maximum.accumulate(obj[:-1]) if running else float(np.max(obj))
+    keep = np.flatnonzero(~(bounds <= best * (1.0 + rounding)))
+    cuts = _shift_cuts(phi, lams, p, delta) if phi.order * p < 2.0 else np.empty(0)
+    # every term rises from its zero at h = 0, so S has no maximum within
+    # 2^-30 of the first cell's width; that cell is refined from there on,
+    # clear of the zero
+    lo, hi = hs[keep], hs[keep + 1]
+    lo, hi = _split(np.where(lo == 0.0, hi * 2.0 ** -30, lo), hi, cuts)
+    finite = math.isfinite(upper)
+    peak_h, peak_v = _cell_peaks(
+        (lambda hs: folded(hs)[0]) if finite else objective, phi, lams, amps_p, p, lo, hi, lam_max, even, cuts,
     )
-    return objective, None, hs, obj, peak_h, peak_v, None
+    return objective, lambda hs: folded(hs, True), hs, obj, peak_h, peak_v, (upper if finite else math.inf)
 
 
 def _require_finite(values: np.ndarray, p: float):
@@ -1117,49 +1129,6 @@ def _omega(f: Spectrum, phi: PhiFunction, delta: float, p: float) -> tuple[float
     return value, upper
 
 
-def _crossings(slope: Callable, level, xl, xh, fl, fh, lam_max: float) -> np.ndarray:
-    """For each j, where S climbs through level_j inside [xl_j, xh_j], given
-    fl_j = S(xl_j) <= level_j < fh_j = S(xh_j) and one crossing there (xh_j
-    when fh_j <= level_j, a tie).
-
-    Safeguarded Newton's method on S - level from the regula falsi point
-    (rtsafe; Press et al., Numerical Recipes, 9.4), with S and S' from
-    slope(h), or the secant of the bracket where slope gives no S' (regula
-    falsi).  A step that leaves the bracket, or is not at most half the
-    step before, is replaced by bisection; one shorter than half the
-    stopping width of ``_refine_maxima`` is lengthened to half of it,
-    toward the crossing, so that the bracket closes.  Returns the brackets'
-    left ends, where S <= level, or xl itself when that is within the
-    stopping width of it, or the level is 0, which S >= 0 never falls
-    below."""
-    start = np.array(xl, dtype=np.float64)
-    xl, fl, fh = (np.array(x, dtype=np.float64) for x in (xl, fl, fh))
-    xh = np.where(level > 0.0, xh, xl)
-    with np.errstate(all="ignore"):  # a non-finite step is replaced by bisection
-        x = xl + (xh - xl) * ((level - fl) / (fh - fl))
-        x = np.where((xl <= x) & (x <= xh), x, 0.5 * (xl + xh))
-        last = xh - xl
-        for _ in range(_NEWTON_STEPS):
-            tol = np.maximum(_REFINE_PHASE / lam_max, _REFINE_REL * np.abs(xh))
-            r = np.flatnonzero(xh - xl > tol)
-            if not r.size:
-                break
-            s, ds = slope(x[r])
-            low = s <= level[r]
-            xl[r[low]], fl[r[low]] = x[r[low]], s[low]
-            xh[r[~low]], fh[r[~low]] = x[r[~low]], s[~low]
-            step = (level[r] - s) / ((fh[r] - fl[r]) / (xh[r] - xl[r]) if ds is None else ds)
-            short = np.abs(step) < 0.5 * tol[r]
-            step = np.where(short, np.where(low, 0.5, -0.5) * tol[r], step)
-            nxt = x[r] + step
-            ok = (xl[r] < nxt) & (nxt < xh[r]) & (short | (np.abs(step) <= 0.5 * last[r]))
-            nxt = np.where(ok, nxt, 0.5 * (xl[r] + xh[r]))
-            last[r] = np.abs(nxt - x[r])
-            x[r] = nxt
-    near = xl - start <= np.maximum(_REFINE_PHASE / lam_max, _REFINE_REL * np.abs(xl))
-    return np.where(near, start, xl)
-
-
 class OmegaEvaluator:
     """Reusable evaluator of delta -> omega_phi(f, phi, delta, p)^p on [0,
     delta_max], kept as the pieces of the running maximum M(delta) =
@@ -1173,9 +1142,12 @@ class OmegaEvaluator:
     on the rising stretch [cross[j], peak_h[j + 1]]; the last plateau runs
     to delta_max.  S climbs through peak_v[j] once between the last sample
     or peak at or below it and record j + 1, the first one above it (twice
-    would need a maximum above peak_v[j] in between), and ``_crossings``
-    finds it there: by Newton's method on the closed-form S' of a builtin
-    generator, by regula falsi for a custom one.  ``cuts`` are the shifts
+    would need a maximum above peak_v[j] in between), and ``_newton_root``
+    finds it there as the root of S - peak_v[j]: by Newton's method on the
+    closed-form S' of a builtin generator, by regula falsi for a custom
+    one (a crossing within the stopping width of the bracket's left end is
+    that end, so a rising run of samples keeps plateaus of length 0).
+    ``cuts`` are the shifts
     of the term zeros (``_shift_cuts``), kinks of S on the rising stretches;
     for a custom generator, whose zeros are not known, they are the
     refined local minima of its terms on the scan's grid (``_term_minima``).
@@ -1208,12 +1180,20 @@ class OmegaEvaluator:
         self.peak_h, self.peak_v = h[rec], val[rec]
         up = rec[1:]
         # S passes a record by more than the rounding of its sum (a peak
-        # evaluated again may round a few ulps above its stored value)
-        self.cross = _crossings(
-            slope or (lambda x: (self._objective(x), None)),
-            self.peak_v[:-1] * (1.0 + (2.0 * lams.shape[0] + 8.0) * _EPS),
-            h[up - 1], h[up], val[up - 1], val[up], float(np.max(np.abs(lams))),
+        # evaluated again may round a few ulps above its stored value); S >=
+        # 0 never falls below level 0, so that crossing is its start
+        level = self.peak_v[:-1] * (1.0 + (2.0 * lams.shape[0] + 8.0) * _EPS)
+        start, rate = h[up - 1], float(np.max(np.abs(lams)))
+
+        def excess(x, rows):
+            s, ds = slope(x)
+            return s - level[rows], ds
+
+        x = _newton_root(
+            excess, start, np.where(level > 0.0, h[up], start), val[up - 1] - level, val[up] - level, rate,
         )
+        # a crossing within the stopping width of its start is the start
+        self.cross = np.where(x - start <= _stop_width(x, rate), start, x)
 
     def power_values(self, deltas: np.ndarray) -> np.ndarray:
         """omega^p at each step (vectorized; steps within [0, delta_max])."""

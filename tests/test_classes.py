@@ -240,6 +240,21 @@ def test_identity_tails_are_rounded_once(rng):
                 assert check(f, psi, n, p=p).lhs == float(exact)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_identity_tails_of_a_system_with_fewer_levels_than_asked(n, p):
+    # the identities ask for n + 2 levels; a two-level table has fewer, so
+    # its tails are read from all of its levels, and with dyadic values
+    # both sides are exact: the lhs is the exact tail and the residual 0
+    psi = ExplicitTablePsi({0: 1.0, 1: 0.5, -1: 0.5})
+    level = {(0,): 1, (1,): 2, (-1,): 2}
+    f = Spectrum.lattice({0: 0.75, 1: -0.375, -1: 0.625})
+    for check, g in ((direct_identity_check, f), (inverse_identity_check, psi_derivative(f, psi))):
+        r = check(f, psi, n, p=p)
+        assert r.lhs == sum(Fraction(abs(c)) ** int(p) for k, c in g.items() if level[k] >= n)
+        assert r.residual == 0.0
+
+
 def test_identity_trivial_inside_levels(geom_psi):
     # spectrum inside the first n-1 levels: both sides vanish
     f = Spectrum.lattice({0: 1.0, 1: 0.5j, -1: -0.25})

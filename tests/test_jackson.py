@@ -10,6 +10,7 @@ from scipy.special import roots_jacobi
 
 from spapprox import (
     ConvergenceError,
+    DifferenceScheme,
     ExplicitSeqPsi,
     FrequencyLadder,
     InputDomainError,
@@ -28,6 +29,7 @@ from spapprox import (
     phi_custom,
     phi_steklov,
     phi_theta,
+    psi_derivative,
     sigma_series,
     sine_moment,
     weight_atomic,
@@ -230,6 +232,52 @@ def test_bound_with_psi_class_constant():
     b = jackson_bound(setup)
     assert b.lhs is None
     assert b.rhs == pytest.approx(jackson_constant(setup) * psi.nu(3), abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    coefs=st.dictionaries(
+        st.integers(-12, 12), st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)).map(lambda c: complex(*c)),
+        min_size=1, max_size=8,
+    ),
+    n=st.integers(1, 5),
+    p=st.sampled_from([1.0, 2.0]),
+    s=st.one_of(st.just(1.0), st.floats(0.5, 3.0)),
+)
+def test_class_form_bound_is_nu_times_the_plain_bound_of_the_derivative(coefs, n, p, s):
+    # the class form of a spectrum f, for the harmonic system (s = 1) and
+    # power sequences: rhs is nu(n) times the plain-form rhs of its
+    # psi-derivative f' (the integer ladder has lam_n = n, so both read the
+    # averaged modulus at tau / n), and E_n(f) <= nu(n) E_n(f') (psi falls
+    # in |k|) with the plain inequality for f' gives slack >= 0
+    psi = ExplicitSeqPsi.harmonic() if s == 1.0 else ExplicitSeqPsi.power(s)
+    f = Spectrum.lattice(coefs)
+    common = dict(n=n, phi=phi_alpha(1.3), p=p, tau=math.pi, v=weight_cos())
+    b = jackson_bound(JacksonSetup(**common, psi=psi), f, quad_tol=1e-6)
+    plain = jackson_bound(JacksonSetup(**common), psi_derivative(f, psi), quad_tol=1e-6)
+    assert b.factors["nu"] == psi.nu(n)
+    assert b.slack >= -1e-10
+    assert b.rhs == pytest.approx(psi.nu(n) * plain.rhs, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_even_theta_period_mean_matches_mpmath(p):
+    # the real scheme (1, -3, 2) is even; its period mean of |sigma|^p,
+    # sigma(t) = 1 - 3 e^{-it} + 2 e^{-2it}, comes from the quadrature route
+    phi = phi_theta([1.0, -3.0, 2.0])
+    assert phi.is_even
+    v = weight_cos()
+    res = jackson_I(JacksonSetup(n=1, phi=phi, p=p, tau=math.pi, v=v))
+    with mpmath.workdps(30):
+        def sigma_p(t):
+            return abs(1 - 3 * mpmath.expj(-t) + 2 * mpmath.expj(-2 * t)) ** p
+
+        mean = mpmath.quad(sigma_p, [0, mpmath.pi, 2 * mpmath.pi]) / (2 * mpmath.pi)
+    assert res.certificate["tail_mean"] == pytest.approx(float(mean) * v.total_mass(), rel=1e-10)
+    # the classical second difference: |sigma| = 2 - 2 cos t, mean C(2, 1) = 2
+    classical = jackson_I(JacksonSetup(n=1, phi=phi_theta(DifferenceScheme.classical(2)), p=1.0,
+                                       tau=math.pi, v=v))
+    assert classical.certificate["tail_mean"] == pytest.approx(4.0, rel=1e-10)
 
 
 def test_steklov_generator_scan_runs():
@@ -718,7 +766,7 @@ def test_integral_store_is_emptied_past_its_ratio_bound():
     ratios = [1.0 + k / 64 for k in range(2 ** 12 + 1)]
     _integral_store.cache_clear()
     first = _scaled_phi_integrals(phi, 1.0, v, math.pi, ratios[:-1])
-    store = _integral_store(phi, 1.0, v, math.pi, 1e-11)
+    store = _integral_store(phi, 1.0, v, math.pi, None)  # the Gauss-Jacobi route's store
     assert len(store) == 2 ** 12
     assert _scaled_phi_integrals(phi, 1.0, v, math.pi, ratios) == first + [store[ratios[-1]]]
     assert len(store) == 2 ** 12 + 1
@@ -758,10 +806,12 @@ def test_scaled_integral_rejects_negative_and_non_finite_ratios(ratio):
         with pytest.raises(InputDomainError):
             _scaled_phi_integrals(phi, p, weight_cos(), math.pi, [2.0, ratio])
         assert scaled_phi_integral(phi, p, weight_cos(), math.pi, 0.0) == 0.0
-    # nothing but the ratios 0 was stored
+    # nothing but the ratios 0 was stored (the Gauss-Jacobi route's stores,
+    # of the alpha generators, are not keyed on quad_tol)
     assert _integral_store.cache_info().currsize == 3
-    assert all(list(_integral_store(phi, p, weight_cos(), math.pi, 1e-11)) == [0.0]
-               for phi, p in ((phi_alpha(1.3), 1.0), (phi_alpha(1.0), 2.0), (phi_steklov(1), 1.0)))
+    assert all(list(_integral_store(phi, p, weight_cos(), math.pi, tol)) == [0.0]
+               for phi, p, tol in ((phi_alpha(1.3), 1.0, None), (phi_alpha(1.0), 2.0, None),
+                                   (phi_steklov(1), 1.0, 1e-11)))
 
 
 def test_array_ladder_past_its_end_is_an_input_error():
@@ -876,23 +926,29 @@ def test_sine_power_scan_needs_no_quadrature(monkeypatch):
         jackson_I(JacksonSetup(n=8, phi=phi_alpha(2.0), p=2.0, tau=math.pi, v=_ATOMIC))
 
 
-def test_scan_store_is_keyed_on_quad_tol_on_every_route():
-    # alpha p = 10 against t on [0, 0.04], at ratios 1 and 100, on the
-    # Gauss-Jacobi route, which does not read quad_tol: every request is
-    # still keyed on quad_tol, whichever route serves it
-    phi, v = phi_alpha(5.0), weight_linear(0.04)
+def test_jacobi_scan_store_is_shared_across_quad_tol(monkeypatch):
+    # the Gauss-Jacobi route (every alpha generator against a density or
+    # piecewise-linear weight) does not read quad_tol, so its store is one
+    # whatever quad_tol: after a scan at quad_tol = 1e-6 (190 ratios at n =
+    # 3), the scan at the default computes none, and reads the same values
+    computed = []
+    original = jackson._alpha_scan_integrals_jacobi
+
+    def counting(alpha, p, v, tau, ratios):
+        computed.extend(ratios.tolist())
+        return original(alpha, p, v, tau, ratios)
+
+    monkeypatch.setattr(jackson, "_alpha_scan_integrals_jacobi", counting)
     _integral_store.cache_clear()
-    first = [scaled_phi_integral(phi, 2.0, v, 0.04, r, quad_tol=1e-11) for r in (1.0, 100.0)]
-    tight = _integral_store(phi, 2.0, v, 0.04, 1e-11)
-    assert sorted(tight) == [1.0, 100.0]
-    assert [scaled_phi_integral(phi, 2.0, v, 0.04, r, quad_tol=1e-11) for r in (1.0, 100.0)] == first
-    assert sorted(tight) == [1.0, 100.0] and _integral_store.cache_info().currsize == 1
-    scaled_phi_integral(phi, 2.0, v, 0.04, 100.0, quad_tol=1e-6)
-    loose_store = _integral_store(phi, 2.0, v, 0.04, 1e-6)
-    assert list(loose_store) == [100.0] and _integral_store.cache_info().currsize == 2
-    loose = scaled_phi_integral(phi, 2.0, v, 0.04, 1.0, quad_tol=1e-6)
-    assert sorted(loose_store) == [1.0, 100.0] and sorted(tight) == [1.0, 100.0]
-    assert loose == pytest.approx(0.04 ** 11 / 11, rel=1e-2)
+    setup = JacksonSetup(n=3, phi=phi_alpha(1.37), p=2.0, tau=math.pi, v=weight_cos())
+    loose = jackson_I(setup, quad_tol=1e-6)
+    assert len(computed) == len(set(computed)) == 190
+    computed.clear()
+    tight = jackson_I(setup)
+    assert computed == []
+    assert (tight.value, tight.k_star, tight.certificate["min_gap"]) == (
+        loose.value, loose.k_star, loose.certificate["min_gap"])
+    assert _integral_store.cache_info().currsize == 1
 
 
 def test_sigma_series_default_arguments_fail_fast():

@@ -880,6 +880,50 @@ def test_only_builtin_generators_are_certified():
         assert _omega(f, _GENERATORS[make](), 0.0, 1.5) == (0.0, 0.0)
 
 
+def test_cells_without_a_finite_bound_are_refined(monkeypatch):
+    # a generator whose cell bound is inf on every third cell of the scan:
+    # the certified scan refines those cells too (never the dense scan),
+    # reads the modulus of the generator's own bounds and an upper of inf
+    rng = np.random.default_rng(3)
+    ph = phi_alpha(1.3)
+    holes = []
+
+    def holed(t0, t1, w0, w1, e):
+        bounds, slack = ph.cell_sup(t0, t1, w0, w1, e)
+        bounds = bounds.copy()
+        bounds[::3] = np.inf
+        holes.append(np.arange(bounds.shape[0])[::3])
+        return bounds, slack
+
+    fake = moduli.PhiFunction("alpha", ph._eval, param=ph.param, sup=ph.sup, cell_sup=holed,
+                              derivs=ph.derivs, zeros=ph.zeros, order=ph.order)
+    refined = []
+    original = moduli._cell_peaks
+
+    def recording(objective, phi, lams, amps_p, p, lo, hi, *rest):
+        refined.append((lo, hi))
+        return original(objective, phi, lams, amps_p, p, lo, hi, *rest)
+
+    def dense(*args):
+        raise AssertionError("dense scan")
+
+    monkeypatch.setattr(moduli, "_cell_peaks", recording)
+    monkeypatch.setattr(moduli, "_refine_maxima", dense)
+    for p in (1.0, 1.5):
+        f = random_spectrum(rng, max_index=12, size=8)
+        want = moduli._sampled_objective(f, ph, p, 2.0)
+        holes.clear()
+        refined.clear()
+        got = moduli._sampled_objective(f, fake, p, 2.0)
+        hs, (lo, hi) = got[2], refined[0]
+        mids = 0.5 * (hs[holes[0]] + hs[holes[0] + 1])
+        j = np.searchsorted(lo, mids, side="right") - 1
+        assert (j >= 0).all() and (mids < hi[j]).all()
+        value = max(np.max(got[3]), np.max(got[5], initial=0.0))
+        assert value == pytest.approx(max(np.max(want[3]), np.max(want[5], initial=0.0)), rel=1e-15, abs=0)
+        assert want[6] < math.inf and got[6] == math.inf
+
+
 # ---------------------------------------------------------------------------
 # Newton peaks: closed-form derivatives of the builtin generators
 
@@ -1151,6 +1195,22 @@ def test_omega_phi_rejects_a_non_finite_step(step):
 def test_omega_evaluator_rejects_a_non_finite_range(step):
     with pytest.raises(InputDomainError):
         OmegaEvaluator(Spectrum.real({1.0: 1.0}), phi_alpha(1.0), 1.0, step)
+
+
+def test_omega_evaluator_guards():
+    f, ph = Spectrum.real({1.0: 1.0, -2.0: 0.5}), phi_alpha(1.0)
+    for p in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InputDomainError):
+            OmegaEvaluator(f, ph, p, 1.0)
+    ev = OmegaEvaluator(f, ph, 1.0, 1.0)
+    with pytest.raises(InputDomainError):
+        ev.power_values(np.array([0.5, 1.01]))
+    # the zero frequency alone, no terms, or a range of 0: the modulus is 0
+    for g, top in ((Spectrum.real({0.0: 2.0}), 1.0), (Spectrum.real({}), 1.0), (f, 0.0)):
+        ev = OmegaEvaluator(g, ph, 1.5, top)
+        assert ev.trivial
+        assert ev.power_values(np.array([0.0, 0.5 * top, top])).tolist() == [0.0] * 3
+        assert ev.value(0.5 * top) == ev.value(top) == 0.0
 
 
 @pytest.mark.parametrize("u", [math.nan, math.inf, 0.0])
