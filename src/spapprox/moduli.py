@@ -1198,10 +1198,10 @@ class OmegaEvaluator:
     def power_values(self, deltas: np.ndarray) -> np.ndarray:
         """omega^p at each step (vectorized; steps within [0, delta_max])."""
         deltas = np.asarray(deltas, dtype=np.float64)
-        if self.trivial:
-            return np.zeros_like(deltas)
         if float(np.max(deltas, initial=0.0)) > self.delta_max * (1 + 1e-12):
             raise InputDomainError("query beyond the evaluator range")
+        if self.trivial:
+            return np.zeros_like(deltas)
         best = self._objective(np.clip(deltas, 0.0, None))
         idx = np.searchsorted(self.peak_h, deltas, side="right") - 1
         on = idx >= 0

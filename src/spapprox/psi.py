@@ -33,7 +33,8 @@ is total, so a grown prefix extends the old one and every stream on a system
 replays one enumeration.  A magnitude that is not a positive double ends the
 stream of a finite system; on an infinite system it can only be an underflow
 (or an overflowing weight), and the stream raises ``CertificationError``
-there.
+there.  With the prefix the system keeps the ends of its certified levels,
+found once per growth, so ``build_charseq`` is a slice of them.
 Magnitudes are evaluated in a canonical order (integer accumulation where
 possible) so that equal-by-construction values compare equal as doubles;
 level grouping uses exact comparison.
@@ -41,9 +42,9 @@ level grouping uses exact comparison.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -309,13 +310,20 @@ def _seq_position(k):
     return 2 * abs(k) + (k >= 0)
 
 
+def _level_ends(vals: np.ndarray, ended: bool) -> np.ndarray:
+    """1-based ends of the certified levels of sorted magnitudes: a level
+    counts once a smaller value follows it, the last one only if the system
+    has ended there."""
+    return np.flatnonzero(np.append(vals[1:] != vals[:-1], ended)[: vals.shape[0]]) + 1
+
+
 def _replay(psi: "PsiSystem") -> Iterator[tuple[float, tuple]]:
     """The pairs of the system's certified prefix as Python values, growing
     it as they are read: a finite system's stream ends after its last
     positive magnitude, an infinite one's raises there."""
     n = 0
     while True:
-        vals, idx = psi._rearranged(n + 1)
+        vals, idx, _, _ = psi._rearranged(n + 1)
         if vals.shape[0] <= n:
             return
         m = min(vals.shape[0], 2 * n + 64)
@@ -337,9 +345,10 @@ class PsiSystem:
     variant: str
     theorem_grade: bool  # satisfies nonzero + vanishing hypotheses everywhere
     finite = False  # finitely many nonzero magnitudes, so stream() may end
-    # (magnitudes, indices, complete) of the sorted prefix; data only, since
-    # a generator or closure over the system stored here would make a cycle
-    _prefix: tuple[np.ndarray, np.ndarray, bool] | None = None
+    # (magnitudes, indices, level ends, complete) of the sorted prefix; data
+    # only, since a generator or closure over the system stored here would
+    # make a cycle
+    _prefix: tuple[np.ndarray, np.ndarray, np.ndarray, bool] | None = None
 
     def magnitude(self, k) -> float:
         raise NotImplementedError
@@ -354,32 +363,36 @@ class PsiSystem:
         """Lazy certified (magnitude, index) pairs in nonincreasing order."""
         raise NotImplementedError
 
-    def _rearranged(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+    def _rearranged(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
         """The certified prefix, magnitudes and (N, d) indices sorted by
-        (-magnitude, position vector), grown to ``count`` pairs by one
+        (-magnitude, position vector), the ends of its certified levels and
+        whether it is complete, grown to ``count`` pairs by one
         ``_block(count, aim)``: (magnitudes, indices, complete), in any
         order, of every index whose magnitude exceeds a threshold no other
         index exceeds, at least ``count`` of them, and ``aim`` unless the
         system cannot certify that many, or, if complete, every positive
         one.  A new prefix aims at ``max(count, _FIRST_BLOCK)``, a grown one
-        at ``max(count, 2N)``, so a few blocks serve every later read.  It
-        ends at the first magnitude that is not a positive double: a finite
-        system's prefix is short there, an infinite one raises."""
+        at ``max(count, 2N)``, so a few blocks serve every later read, and
+        each growth finds its level ends once.  It ends at the first
+        magnitude that is not a positive double: a finite system's prefix is
+        short there, an infinite one raises."""
         pre = self._prefix
-        if pre is None or (pre[0].shape[0] < count and not pre[2]):
+        if pre is None or (pre[0].shape[0] < count and not pre[3]):
             vals, idx, complete = self._block(
                 count, max(count, _FIRST_BLOCK if pre is None else 2 * pre[0].shape[0]))
             order = np.lexsort((*_seq_position(idx).T[::-1], -vals))
             vals, idx = vals[order], idx[order]
             stop = np.append(np.flatnonzero(~(vals > 0)), vals.shape[0])[0]
-            pre = self._prefix = (vals[:stop], idx[:stop], complete or stop < vals.shape[0])
+            complete = complete or stop < vals.shape[0]
+            vals = vals[:stop]
+            pre = self._prefix = (vals, idx[:stop], _level_ends(vals, complete and self.finite), complete)
         if pre[0].shape[0] < count and not self.finite:
             raise CertificationError(
                 f"magnitude after rearrangement position {pre[0].shape[0]} of an "
                 "infinite system is not a positive double (underflow or overflow); "
                 "the rearrangement cannot be continued"
             )
-        return pre[0], pre[1]
+        return pre
 
     def power_sum_total(self, e: float) -> tuple[float, float]:
         """(sum over Z^d of magnitude^e, rigorous error bound)."""
@@ -584,12 +597,18 @@ class RadialPsi(PsiSystem):
         its ties, once that exceeds profile(B + 1), or every positive one
         once that is 0.  B starts at the smallest power of two whose box can
         hold ``aim`` points and doubles until the box certifies the aim or
-        grows past its limit.  There the box keeps what it certifies, every
-        magnitude above profile(B + 1), which must be at least ``count``
-        indices; only when it is fewer does the block raise."""
+        grows past its limit, the box [-top, top]^d.  That box certifies
+        every magnitude above profile(top + 1), and once profile(B + 1) is
+        that value every one of them lies in this box: the block keeps them,
+        which must be at least ``count`` indices, and raises, before any
+        larger box, when they are fewer."""
         B = 1
         while (2 * B + 1) ** self.d < aim:
             B *= 2
+        top = B
+        while math.comb(top + self.d, self.d) <= 64 * aim + 2 ** 20:
+            top *= 2
+        floor = self.profile(float(top + 1))
         while True:
             reps, sizes = _orbit_representatives(self.d, B)
             values = self._profile_values(_orbit_norms(reps, self.r))
@@ -602,12 +621,13 @@ class RadialPsi(PsiSystem):
             if i < order.shape[0] and values[order[i]] > edge:
                 keep = values >= values[order[i]]
                 break
-            if math.comb(B + self.d, self.d) > 64 * aim + 2 ** 20:
+            if edge == floor or B == top:
                 keep = values > edge
-                if int(sizes[keep].sum()) >= count:
+                if (kept := int(sizes[keep].sum())) >= count:
                     break
-                raise CertificationError(f"no box up to [-{B}, {B}]^{self.d} certifies "
-                                         f"{count} indices: the profile must decrease to 0")
+                raise CertificationError(
+                    f"no box up to [-{top}, {top}]^{self.d} certifies {count} indices, only the "
+                    f"{kept} above profile({top + 1}) = {edge!r}: the profile must decrease to 0")
             B *= 2
         points, rows = _orbit_members(reps[keep])
         return values[keep][rows], points, not edge > 0
@@ -858,7 +878,7 @@ class PhasedPsi(PsiSystem):
     def stream(self):
         return self.base.stream()
 
-    def _rearranged(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+    def _rearranged(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
         return self.base._rearranged(count)
 
     def power_sum_total(self, e: float):
@@ -872,19 +892,27 @@ class PhasedPsi(PsiSystem):
 # characteristic sequences
 
 
-@dataclass(frozen=True)
 class CharSeq:
-    """Distinct magnitudes in decreasing order with their level sets."""
+    """Distinct magnitudes in decreasing order (``eps``) with the cumulative
+    counts of their level sets (``delta``), both tuples.  ``shells`` (shell
+    n = g_n \\ g_{n-1}) is given, or built on first read from ``keys``, index
+    rows of the rearrangement (at least delta[-1] of them)."""
 
-    eps: tuple[float, ...]
-    delta: tuple[int, ...]
-    shells: tuple[tuple[tuple, ...], ...]  # shell n = g_n \ g_{n-1}
-
-    def __post_init__(self):
-        if any(a <= b for a, b in zip(self.eps, self.eps[1:])):
+    def __init__(self, eps: tuple[float, ...], delta: tuple[int, ...],
+                 shells: tuple[tuple[tuple, ...], ...] | None = None,
+                 keys: np.ndarray | None = None):
+        if any(a <= b for a, b in zip(eps, eps[1:])):
             raise InputDomainError("eps must be strictly decreasing")
-        if any(a >= b for a, b in zip(self.delta, self.delta[1:])):
+        if any(a >= b for a, b in zip(delta, delta[1:])):
             raise InputDomainError("delta must be strictly increasing")
+        self.eps, self.delta, self._shells, self._keys = eps, delta, shells, keys
+
+    @property
+    def shells(self) -> tuple[tuple[tuple, ...], ...]:
+        if self._shells is None:
+            self._shells = tuple(tuple(map(tuple, self._keys[a:b].tolist()))
+                                 for a, b in zip((0, *self.delta), self.delta))
+        return self._shells
 
     @property
     def n_levels(self) -> int:
@@ -892,26 +920,20 @@ class CharSeq:
 
     def g(self, n: int) -> frozenset:
         """Level set g_n (empty for n = 0)."""
-        if n < 0 or n > len(self.shells):
+        if n < 0 or n > len(self.eps):
             raise InputDomainError(f"level {n} outside materialized range")
-        out: set = set()
-        for shell in self.shells[:n]:
-            out.update(shell)
-        return frozenset(out)
+        return frozenset(itertools.chain.from_iterable(self.shells[:n]))
 
     def level_of_value(self, value: float) -> int:
         """1-based level index of an exact magnitude value."""
         try:
-            return self._index()[value]
+            return self._index[value]
         except KeyError:
             raise InputDomainError(f"magnitude {value!r} is not a materialized level") from None
 
+    @functools.cached_property
     def _index(self) -> dict:
-        idx = getattr(self, "_idx_cache", None)
-        if idx is None:
-            idx = {v: i + 1 for i, v in enumerate(self.eps)}
-            object.__setattr__(self, "_idx_cache", idx)
-        return idx
+        return {v: i + 1 for i, v in enumerate(self.eps)}
 
 
 def build_charseq(
@@ -919,11 +941,12 @@ def build_charseq(
     levels: int | None = None,
     down_to_value: float | None = None,
 ) -> CharSeq:
-    """Materialize characteristic data from the certified enumeration.
+    """Characteristic data as a slice of the certified prefix's level ends.
 
     Stop once ``levels`` distinct magnitudes (or all values >=
     ``down_to_value``) have been produced *and* the following value is
-    strictly smaller, which certifies the last level's multiplicity.
+    strictly smaller, which certifies the last level's multiplicity; the
+    prefix grows only when its certified levels fall short.
     """
     if levels is None and down_to_value is None:
         raise InputDomainError("specify levels or down_to_value")
@@ -931,26 +954,17 @@ def build_charseq(
         raise InputDomainError("levels must be >= 1")
     count = 1
     while True:
-        vals, idx = psi._rearranged(count)
-        exhausted = vals.shape[0] < count  # only a finite system ends short
-        # a level is certified once a smaller value follows it or the system ends
-        ends = np.flatnonzero(np.append(vals[1:] != vals[:-1], exhausted)[: vals.shape[0]]) + 1
-        met = np.arange(1, ends.shape[0] + 1) >= (levels or 1)
-        if down_to_value is not None:
-            met &= vals[ends - 1] <= down_to_value
-        if met.any() or exhausted:
+        vals, idx, ends, _ = psi._rearranged(count)
+        # the first level at or below down_to_value, and at least ``levels``
+        m = max(levels or 1, 1 if down_to_value is None else
+                1 + int(np.searchsorted(-vals[ends - 1], -down_to_value)))
+        if m <= ends.shape[0] or vals.shape[0] < count:  # only a finite system ends short
             break
         count = vals.shape[0] + 1
-    m = int(np.argmax(met)) + 1 if met.any() else ends.shape[0]
-    if levels is not None and m < levels:
-        raise CertificationError(f"system has only {m} levels, {levels} requested")
-    ends = [0, *ends[:m].tolist()]
-    keys = list(map(tuple, idx[: ends[-1]].tolist()))
-    return CharSeq(
-        eps=tuple(vals[ends[:-1]].tolist()),
-        delta=tuple(ends[1:]),
-        shells=tuple(tuple(keys[a:b]) for a, b in zip(ends, ends[1:])),
-    )
+    ends = ends[:m]
+    if levels is not None and ends.shape[0] < levels:
+        raise CertificationError(f"system has only {ends.shape[0]} levels, {levels} requested")
+    return CharSeq(eps=tuple(vals[ends - 1].tolist()), delta=tuple(ends.tolist()), keys=idx)
 
 
 def rearrangement(psi: PsiSystem, K: int) -> np.ndarray:

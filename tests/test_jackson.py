@@ -48,6 +48,7 @@ from spapprox.jackson import (
 )
 from spapprox.oracle import oracle_quadrature
 from spapprox.testing import random_spectrum
+from spapprox.verify import DEFAULT_SEED, suite_jackson
 
 
 def setup_v1(n=3, alpha=1.0, p=2.0):
@@ -1073,3 +1074,15 @@ def test_sigma_series_matches_mpmath_nsum(s):
     res = sigma_series(s, tol=1e-12)
     assert res.tail_bound <= 1e-12
     assert abs(res.value - _sigma_reference(s)) <= res.tail_bound
+
+
+def test_verify_jackson_suite_passes_at_the_default_seed():
+    # the acceptance tests run the other four verify suites; this one runs
+    # the Jackson suite as `spapprox verify jackson` does
+    summary = suite_jackson()
+    assert summary["suite"] == "jackson" and summary["seed"] == DEFAULT_SEED
+    assert [c["name"] for c in summary["checks"]] == [
+        "scan-closed-form", "sharp-constant", "correction-series-integer-zeros",
+        "moment-consistency", "sharpness-witness", "bound-slack-nonnegative",
+    ]
+    assert summary["passed"], [c for c in summary["checks"] if not c["passed"]]

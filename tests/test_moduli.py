@@ -1211,6 +1211,11 @@ def test_omega_evaluator_guards():
         assert ev.trivial
         assert ev.power_values(np.array([0.0, 0.5 * top, top])).tolist() == [0.0] * 3
         assert ev.value(0.5 * top) == ev.value(top) == 0.0
+        # past the range a trivial evaluator raises as a nontrivial one does
+        with pytest.raises(InputDomainError):
+            ev.power_values(np.array([5.0, -1.0]))
+        with pytest.raises(InputDomainError):
+            ev.value(7.0)
 
 
 @pytest.mark.parametrize("u", [math.nan, math.inf, 0.0])

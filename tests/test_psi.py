@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import itertools
@@ -29,6 +30,7 @@ from spapprox import (
     rearrangement,
     tail_sum,
 )
+from spapprox import psi as psi_module
 from spapprox.oracle import oracle_charseq
 from spapprox.psi import (
     _axis_index,
@@ -591,6 +593,28 @@ def test_plateau_certifies_the_levels_above_it():
         build_charseq(_plateau(), levels=3)
 
 
+@pytest.mark.parametrize("read,reached", [
+    (lambda psi: build_charseq(psi, levels=3), "certifies 50 indices, only the 49"),
+    (lambda psi: rearrangement(psi, 100), "certifies 100 indices, only the 49"),
+], ids=["levels", "rearrangement"])
+def test_plateau_read_fails_before_the_largest_box(monkeypatch, read, reached):
+    # every box [-B, B]^2 with B >= 3 has edge profile(B + 1) = 0.3, the
+    # largest box's edge, so it certifies the same 49 indices; the read
+    # raises from the first box
+    boxes, reps = [], _orbit_representatives
+    monkeypatch.setattr("spapprox.psi._orbit_representatives",
+                        lambda d, B: boxes.append(B) or reps(d, B))
+    seconds = []
+    for _ in range(3):
+        psi = _plateau()
+        start = time.perf_counter()
+        with pytest.raises(CertificationError, match=reached):
+            read(psi)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.01
+    assert max(boxes) <= 8
+
+
 @pytest.mark.parametrize("axis,error,length", [
     # 0.2**463 is the first power that underflows
     (AxisGeom(0.2), CertificationError, 1 + 2 * 462),
@@ -794,6 +818,19 @@ def _make(spec):
     return RadialPsi(profile, d=d, r=r)
 
 
+def _box_and_sup_outside(psi):
+    """A box [-b, b]^d and a bound on every magnitude outside it: such an
+    index has some |k_j| > b, so its magnitude is at most that of one axis
+    (product), the profile (radial) or the sequence (position 2b + 2) at
+    b + 1."""
+    b = {1: 400, 2: 20, 3: 6}[psi.d]
+    if isinstance(psi, ProductPsi):
+        return b, max(a.value(b + 1) for a in psi.axes)
+    if isinstance(psi, RadialPsi):
+        return b, psi.profile(float(b + 1))
+    return b, psi.seq(2 * b + 2)
+
+
 @settings(max_examples=80, deadline=None)
 @given(spec=_SPEC, lengths=st.lists(st.integers(1, 2000), min_size=1, max_size=4))
 def test_prefix_is_one_certified_sort_whatever_the_growth_order(spec, lengths):
@@ -806,7 +843,7 @@ def test_prefix_is_one_certified_sort_whatever_the_growth_order(spec, lengths):
     for n in lengths:
         rearrangement(grown, n)
     # the whole prefix, block ends included
-    vals, idx = grown._rearranged(max(lengths))
+    vals, idx, _, _ = grown._rearranged(max(lengths))
     got = list(zip(vals.tolist(), map(tuple, idx.tolist())))
     assert got == list(itertools.islice(whole.stream(), len(got)))
     keys = [(-v, _walk_position(k)) for v, k in got]
@@ -817,13 +854,7 @@ def test_prefix_is_one_certified_sort_whatever_the_growth_order(spec, lengths):
         assert got == [(grown.seq(j), (_axis_index(j - 1),)) for j in range(1, len(got) + 1)]
         assert len(got) >= max(lengths) or grown.seq(len(got) + 1) == 0.0
         return
-    # every index outside [-b, b]^d has some |k_j| > b, so its magnitude is
-    # at most that of one axis (product) or the profile (radial) at b + 1
-    b = {1: 400, 2: 20, 3: 6}[grown.d]
-    if spec[0] == "product":
-        sup_outside = max(a.value(b + 1) for a in grown.axes)
-    else:
-        sup_outside = grown.profile(float(b + 1))
+    b, sup_outside = _box_and_sup_outside(grown)
     head = _certified_head(grown, sup_outside, b)
     assert got[: len(head)] == head[: len(got)]
 
@@ -831,3 +862,77 @@ def test_prefix_is_one_certified_sort_whatever_the_growth_order(spec, lengths):
 def test_axis_index_inverts_seq_position():
     assert [_axis_index(j) for j in range(5)] == [0, -1, 1, -2, 2]
     assert all(_seq_position(_axis_index(j)) == j + 1 for j in range(10_000))
+
+
+# a read of a system: build_charseq by levels, by value (at or between the
+# oracle's certified levels, picked by a fraction of them) or a rearrangement
+_READ = st.lists(
+    st.tuples(st.just("levels"), st.integers(1, 40))
+    | st.tuples(st.just("down_to_value"), st.floats(0.0, 1.0, exclude_max=True), st.booleans())
+    | st.tuples(st.just("rearrangement"), st.integers(1, 2000)),
+    min_size=1, max_size=5)
+
+
+def _read(psi, kind, arg):
+    """What a read returns, as plain values, or the type of error it raises."""
+    try:
+        if kind == "rearrangement":
+            return rearrangement(psi, arg).tolist()
+        cs = build_charseq(psi, **{kind: arg})
+    except CertificationError as exc:
+        return type(exc)
+    return cs.eps, cs.delta, cs.shells
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_SPEC, reads=_READ)
+def test_charseq_is_the_full_sort_whatever_the_reads(spec, reads):
+    grown = _make(spec)
+    b, sup_outside = _box_and_sup_outside(grown)
+    ocs = oracle_charseq(_make(spec), b)
+    # a level above every magnitude outside the box holds all its indices
+    certified = sum(1 for e in ocs.eps if e > sup_outside)
+    for kind, arg, *between in reads:
+        if kind == "down_to_value":
+            i = int(arg * certified)
+            arg = ocs.eps[i]
+            if between[0] and i + 1 < certified:
+                arg = 0.5 * (arg + ocs.eps[i + 1])
+        got = _read(grown, kind, arg)
+        # growth history cannot leak: a fresh system reads the same
+        assert got == _read(_make(spec), kind, arg)
+        if kind == "rearrangement" or got is CertificationError:
+            continue
+        eps, delta, shells = got
+        n = min(len(eps), certified)
+        assert eps[:n] == ocs.eps[:n] and delta[:n] == ocs.delta[:n]
+        # the oracle orders a shell by index, the enumeration by position
+        assert [sorted(g) for g in shells[:n]] == [sorted(g) for g in ocs.shells[:n]]
+        if kind == "down_to_value":
+            # the read stops at the first level at or below the value
+            assert eps[-1] <= arg < min(eps[:-1], default=math.inf)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProductPsi([AxisPow(1.0), AxisPow(1.0)]),
+    lambda: RadialPsi(("pow", 3.0), d=2),
+    lambda: ExplicitSeqPsi.harmonic(),
+    lambda: ExplicitSeqPsi.table([3.0, 2.0, 2.0, 1.0]),
+], ids=["hyperbolic", "radial", "harmonic", "finite"])
+def test_level_ends_are_found_once_per_prefix_growth(monkeypatch, make):
+    psi = make()
+    blocks, ends = [], []
+    block, level_ends = type(psi)._block, psi_module._level_ends
+    monkeypatch.setattr(type(psi), "_block",
+                        lambda self, count, aim: blocks.append(aim) or block(self, count, aim))
+    monkeypatch.setattr(psi_module, "_level_ends",
+                        lambda vals, ended: ends.append(vals.shape[0]) or level_ends(vals, ended))
+    for n in (1, 4, 2, 12, 3, 30, 12, 1):
+        # the finite table has three levels
+        with contextlib.suppress(CertificationError):
+            build_charseq(psi, levels=n)
+            build_charseq(psi, levels=n, down_to_value=0.1)
+            rearrangement(psi, 40 * n)
+    # 24 reads (fewer on the table) grow the prefix at most five times, and
+    # each growth finds its level ends once
+    assert len(ends) == len(blocks) <= 5
