@@ -23,11 +23,14 @@ The direct/inverse series identities relating tails of a function and of its
 psi-derivative are implemented with a configurable indexing convention; the
 shipped default (tail over levels >= n, factor indices as displayed) is the
 one under which symbolic Abel summation makes both identities exact, and the
-convention-pinning gate in the test suite enforces it.
+convention-pinning gate in the test suite enforces it.  The tails do not
+depend on the convention: one level pass over the common support gives those
+of f and f', and both identities, under every convention, read that pass.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -408,13 +411,14 @@ class IdentityResult:
 
 
 def _level_tails(
-    f: Spectrum, psi: PsiSystem, p: float, min_levels: int = 1
-) -> tuple[list, CharSeq]:
-    """The tails of f by psi level, with the characteristic data read: entry
-    m is the sum of |c|^p over the coefficients at levels >= m, one
-    correctly rounded fsum over those terms, for m = 0 .. deepest level + 1
-    (the last is 0)."""
-    mags = [psi.magnitude(k) for k in f.frequencies]
+    spectra: Sequence[Spectrum], psi: PsiSystem, p: float, min_levels: int
+) -> tuple[list[list], CharSeq]:
+    """The tails by psi level of spectra on one support (the same
+    frequencies in the same order), with the characteristic data read once
+    for all of them: entry m of a spectrum's tails is the sum of |c|^p over
+    its coefficients at levels >= m, one correctly rounded fsum over those
+    terms, for m = 0 .. deepest level + 1 (the last is 0)."""
+    mags = [psi.magnitude(k) for k in spectra[0].frequencies]
     positive = [m for m in mags if m > 0]
     if len(positive) < len(mags):
         raise PreconditionError("psi vanishes on part of the support")
@@ -424,14 +428,29 @@ def _level_tails(
         else:
             cs = build_charseq(psi, levels=min_levels)
     except CertificationError:
+        if not psi.finite:
+            raise
         # finite system with fewer levels than requested: take all of them
         cs = build_charseq(psi, down_to_value=0.0)
     levels = np.array([cs.level_of_value(m) for m in mags], dtype=np.int64)
     order = np.argsort(-levels)
-    terms = np.array([abs(c) ** p for c in f.coefficients], dtype=np.float64)[order]
     # with the terms deepest level first, each tail is a head of them
     heads = np.searchsorted(-levels[order], -np.arange(levels.max(initial=0) + 1), side="right")
-    return [math.fsum(memoryview(terms[:h])) for h in heads.tolist()] + [0.0], cs
+    terms = [np.array([abs(c) ** p for c in g.coefficients])[order] for g in spectra]
+    return [[math.fsum(memoryview(t[:h])) for h in heads.tolist()] + [0.0] for t in terms], cs
+
+
+@functools.lru_cache(maxsize=4)
+def _identity_tails(f: Spectrum, psi: PsiSystem, p: float, n: int) -> tuple[tuple, tuple, CharSeq]:
+    """(tails of f, tails of its psi-derivative, characteristic data to
+    level n + 2 at least) from one ``_level_tails`` pass over the support.
+
+    Both identities of one (f, psi, p, n) read it, under every convention,
+    since the tails do not depend on the convention.  psi is keyed by
+    identity (``PsiSystem`` has no ``__eq__``), and a few entries keep no
+    growing set of prefixes alive."""
+    (tails_f, tails_d), cs = _level_tails((f, psi_derivative(f, psi)), psi, p, min_levels=n + 2)
+    return tuple(tails_f), tuple(tails_d), cs
 
 
 def _identity_check(
@@ -443,9 +462,9 @@ def _identity_check(
     -p (inverse)."""
     if n < 1:
         raise InputDomainError("n must be >= 1")
-    fd = psi_derivative(f, psi)
-    tails_f, cs = _level_tails(f, psi, p, min_levels=n + 2)
-    tails_d, _ = _level_tails(fd, psi, p)
+    if not 0 < p < math.inf:
+        raise InputDomainError(f"identity exponent p must be in (0, inf), got {p}")
+    tails_f, tails_d, cs = _identity_tails(f, psi, p, n)
     K = len(tails_f) - 2
 
     def eps_pow(i: int, power: float) -> float:
@@ -456,7 +475,7 @@ def _identity_check(
             raise PreconditionError("characteristic data does not reach the required depth")
         return cs.eps[j - 1] ** power
 
-    def tail(tails: list, m: int) -> float:
+    def tail(tails: tuple, m: int) -> float:
         m = max(1, m + convention.tail_offset)
         return tails[m] if m < len(tails) else 0.0
 
@@ -517,22 +536,23 @@ def pin_convention(
     """Rank candidate index conventions by worst-case residual over the given
     cases (both identities).  Offsets range over {0, +-1}^2; combinations that
     need undefined level values are reported with infinite residual."""
-    results = []
-    for eo, to in itertools.product((-1, 0, 1), repeat=2):
-        conv = IdentityConvention(eps_offset=eo, tail_offset=to)
-        worst = 0.0
-        for f, psi, n in cases:
+    convs = [IdentityConvention(eps_offset=eo, tail_offset=to)
+             for eo, to in itertools.product((-1, 0, 1), repeat=2)]
+    worst = dict.fromkeys(convs, 0.0)
+    # case by case, so that the nine conventions read one entry of tails
+    for f, psi, n in cases:
+        for conv in convs:
+            if worst[conv] == math.inf:
+                continue
             try:
                 r1 = direct_identity_check(f, psi, n, conv, p)
                 r2 = inverse_identity_check(f, psi, n, conv, p)
             except (PreconditionError, InputDomainError):
-                worst = math.inf
-                break
+                worst[conv] = math.inf
+                continue
             scale = max(1.0, abs(r1.lhs), abs(r2.lhs))
             resid = max(r1.residual, r2.residual) / scale
             if math.isnan(resid):
                 resid = math.inf
-            worst = max(worst, resid)
-        results.append((conv, worst))
-    results.sort(key=lambda cw: cw[1])
-    return results
+            worst[conv] = max(worst[conv], resid)
+    return sorted(worst.items(), key=lambda cw: cw[1])

@@ -235,6 +235,7 @@ class AxisPow:
         if not beta > 0:
             raise InputDomainError("axis power exponent must be positive")
         self.beta = float(beta)
+        self._table = np.empty(0)
 
     def weight(self, k: int) -> float:
         """Canonical reciprocal weight |k|'^beta (exact for beta = 1); a
@@ -255,8 +256,14 @@ class AxisPow:
         return 1.0 / self.weight(k)
 
     def weights(self, m: int) -> np.ndarray:
-        """``weight`` of |k| = 0, ..., m - 1; inf past the double range."""
-        return _pow(np.maximum(np.arange(m), 1), self.beta)
+        """``weight`` of |k| = 0, ..., m - 1; inf past the double range.  A
+        read-only slice of one table per axis, grown by doubling, so the
+        repeated reads of a product block cost one power per entry."""
+        if (n := self._table.shape[0]) < m:
+            fresh = _pow(np.maximum(np.arange(n, max(m, 2 * n)), 1), self.beta)
+            self._table = np.concatenate((self._table, fresh))
+            self._table.flags.writeable = False
+        return self._table[:m]
 
     def values(self, m: int) -> np.ndarray:
         return 1.0 / self.weights(m)
@@ -952,6 +959,10 @@ def build_charseq(
         raise InputDomainError("specify levels or down_to_value")
     if levels is not None and levels < 1:
         raise InputDomainError("levels must be >= 1")
+    if down_to_value is not None and not down_to_value > 0 and not psi.finite:
+        raise CertificationError(
+            f"no level of an infinite system is at or below down_to_value={down_to_value!r}; "
+            "the read cannot end")
     count = 1
     while True:
         vals, idx, ends, _ = psi._rearranged(count)

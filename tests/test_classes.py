@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from spapprox import (
     AxisPow,
+    CertificationError,
     ClassSpec,
     ExplicitSeqPsi,
     ExplicitTablePsi,
     IdentityConvention,
     InputDomainError,
+    PhasedPsi,
     PreconditionError,
     ProductPsi,
     RadialPsi,
@@ -30,7 +33,8 @@ from spapprox import (
     psi_derivative,
     psi_integral,
 )
-from spapprox.classes import dyadic_doubling_check
+from spapprox import classes as classes_module
+from spapprox.classes import DEFAULT_CONVENTION, _identity_tails, dyadic_doubling_check
 from spapprox.oracle import SearchBudget, oracle_sigma_class
 from spapprox.psi import _pow, rearrangement_padded
 from spapprox.testing import identity_psi_families, random_integral_pair
@@ -314,8 +318,6 @@ def test_order_estimate_singleton_trivially_bounded():
 
 
 def test_reported_values_ignore_phase(rng):
-    from spapprox import PhasedPsi
-
     base = RadialPsi(("geom", 0.5), d=1, origin="exact")
     phased = PhasedPsi(base, lambda k: complex(math.cos(0.7 * k[0]), math.sin(0.7 * k[0])))
     for n in (1, 2, 4):
@@ -383,6 +385,107 @@ def test_identity_values_pinned_for_every_convention(seed, family, n):
             got = (r.lhs, r.rhs, r.residual, r.convergence_ok)
             for a, b in zip(got, pinned):
                 assert a == b or (math.isnan(a) and math.isnan(b)), (check.__name__, eo, to, got)
+
+
+@pytest.mark.parametrize("p", [-1.0, 0.0, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("check", [direct_identity_check, inverse_identity_check])
+def test_identity_checks_reject_an_exponent_outside_zero_to_inf(check, p):
+    # p = -1 once divided by zero, p = 0 read 2.0 on both sides, p = inf
+    # raised from fsum or read inf, and p = nan read nan
+    f = Spectrum.lattice({0: 0.0, 1: 0.5})
+    before = _identity_tails.cache_info()
+    with pytest.raises(InputDomainError, match="exponent p"):
+        check(f, ExplicitSeqPsi.harmonic(), 1, p=p)
+    assert _identity_tails.cache_info() == before
+
+
+def _count_identity_passes(monkeypatch):
+    """Counts of psi_derivative calls and _level_tails passes, from cold."""
+    _identity_tails.cache_clear()
+    calls = collections.Counter()
+    for name in ("psi_derivative", "_level_tails"):
+        def counted(*args, _fn=getattr(classes_module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(classes_module, name, counted)
+    return calls
+
+
+def test_identity_pair_makes_one_derivative_and_one_level_pass(monkeypatch):
+    psi = identity_psi_families()[1]
+    f, _ = random_integral_pair(3, psi)
+    calls = _count_identity_passes(monkeypatch)
+    direct_identity_check(f, psi, 2, p=1.5)
+    inverse_identity_check(f, psi, 2, p=1.5)
+    assert calls == {"psi_derivative": 1, "_level_tails": 1}
+    # the nine conventions of one case read one entry too
+    g, _ = random_integral_pair(4, psi)
+    pin_convention([(g, psi, 2)], p=1.5)
+    assert calls == {"psi_derivative": 2, "_level_tails": 2}
+
+
+def test_identity_tails_are_keyed_by_system_exponent_and_level(monkeypatch):
+    psi, twin = identity_psi_families()[0], identity_psi_families()[0]
+    f, _ = random_integral_pair(5, psi)
+    calls = _count_identity_passes(monkeypatch)
+    keys = [(psi, 1.0, 2), (twin, 1.0, 2), (psi, 2.0, 2), (psi, 1.0, 3)]
+    for k, (system, p, n) in enumerate(keys):
+        direct_identity_check(f, system, n, p=p)
+        inverse_identity_check(f, system, n, p=p)
+        assert calls["_level_tails"] == k + 1
+    # an equal spectrum and an equal exponent of another type share the entry
+    direct_identity_check(Spectrum.lattice(f.as_dict()), psi, 2, p=1)
+    assert calls["_level_tails"] == 4
+
+
+_IDENTITY_SYSTEMS = {
+    "product": lambda: ProductPsi([AxisPow(1.0), AxisPow(2.0)]),
+    "radial": lambda: RadialPsi(("pow", 3.0), d=2),
+    "sequence": ExplicitSeqPsi.harmonic,
+    "phased": lambda: PhasedPsi(RadialPsi(("pow", 2.0), d=1),
+                                lambda k: complex(math.cos(0.7 * k[0]), math.sin(0.7 * k[0]))),
+}
+
+
+def _identity_outcome(check, f, psi, n, conv, p):
+    """(lhs, rhs, residual, convergence_ok), or the type of error raised."""
+    try:
+        r = check(f, psi, n, conv, p)
+    except PreconditionError as exc:
+        return type(exc)
+    return r.lhs, r.rhs, r.residual, r.convergence_ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.sampled_from(sorted(_IDENTITY_SYSTEMS)), seed=st.integers(0, 2 ** 16),
+       p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), n=st.integers(1, 5),
+       offsets=st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+def test_warm_identity_tails_read_as_cold_ones(system, seed, p, n, offsets):
+    psi = _IDENTITY_SYSTEMS[system]()
+    f, _ = random_integral_pair(seed, psi)
+    conv = IdentityConvention(*offsets)
+    checks = (direct_identity_check, inverse_identity_check)
+    _identity_tails.cache_clear()
+    for check in checks:
+        _identity_outcome(check, f, psi, n, DEFAULT_CONVENTION, p)
+    warm = [_identity_outcome(check, f, psi, n, conv, p) for check in checks]
+    _identity_tails.cache_clear()
+    cold = [_identity_outcome(check, f, psi, n, conv, p) for check in checks]
+    for a, b in zip(warm, cold):
+        if isinstance(a, type):
+            assert a is b
+            continue
+        assert all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b)), (a, b)
+
+
+def test_identity_tails_of_an_infinite_system_keep_its_first_error():
+    # the identities ask for n + 2 = 3 levels; this profile never falls
+    # below 0.3, so only two can be certified: the read raises, and no read
+    # down to 0 follows
+    psi = RadialPsi(lambda t: max(1.0 / t, 0.3), d=2)
+    f = Spectrum.lattice({(0, 0): 0.5, (1, 2): 0.25}, 2)
+    with pytest.raises(CertificationError, match="certifies 50 indices"):
+        direct_identity_check(f, psi, 1)
 
 
 def _lattice_workload_systems():

@@ -333,6 +333,15 @@ def test_cli_verify_small_suite(capsys):
     assert doc["passed"] is True and doc["suite"] == "nterm"
 
 
+def test_cli_verify_stdout_is_the_same_with_warm_caches(capsys):
+    # the second run reads every process-level cache the first one filled
+    outs = []
+    for _ in range(2):
+        assert run(["verify", "identities"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["passed"] is True
+
+
 def test_run_suite_raises_a_suites_type_error(monkeypatch):
     from spapprox import verify
 

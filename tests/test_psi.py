@@ -36,6 +36,7 @@ from spapprox.psi import (
     _axis_index,
     _orbit_norms,
     _orbit_representatives,
+    _pow,
     _power_tail,
     _seq_position,
     lattice_norm,
@@ -936,3 +937,34 @@ def test_level_ends_are_found_once_per_prefix_growth(monkeypatch, make):
     # 24 reads (fewer on the table) grow the prefix at most five times, and
     # each growth finds its level ends once
     assert len(ends) == len(blocks) <= 5
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("make", [
+    lambda: ProductPsi([AxisPow(1.0), AxisPow(1.0)]),
+    lambda: PhasedPsi(ExplicitSeqPsi.harmonic(), lambda k: 1.0),
+], ids=["hyperbolic", "phased-harmonic"])
+def test_reading_every_level_of_an_infinite_system_fails_fast(make, value):
+    # no magnitude of these systems underflows, so a read down to 0 would
+    # grow the prefix until memory runs out
+    psi = make()
+    start = time.perf_counter()
+    with pytest.raises(CertificationError, match=f"down_to_value={value!r}"):
+        build_charseq(psi, down_to_value=value)
+    assert time.perf_counter() - start < 0.01
+    assert getattr(psi, "base", psi)._prefix is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.sampled_from([1.0, 0.5, 2.5, 150.0, 400.0]),
+       reads=st.lists(st.integers(1, 3000), min_size=1, max_size=6))
+def test_axis_weights_are_one_table_read_in_any_order(beta, reads):
+    # beta = 150 overflows past |k| = 113 and beta = 400 past 5: those
+    # weights read inf, as the fresh power does
+    axis = AxisPow(beta)
+    for m in reads:
+        got = axis.weights(m)
+        want = _pow(np.maximum(np.arange(m), 1), beta)
+        assert got.tobytes() == want.tobytes() == AxisPow(beta).weights(m).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0.0
