@@ -50,6 +50,7 @@ from .psi import (
     PsiSystem,
     RadialPsi,
     _pow,
+    _power_sum,
     _tail_after,
     build_charseq,
     psi_derivative,
@@ -75,7 +76,6 @@ class ClassSpec:
     def __post_init__(self):
         if not (self.p > 0 and self.q > 0):
             raise InputDomainError("exponents p, q must be positive")
-        self._total: tuple[float, float] | None = None  # raw power_sum_total
 
     @property
     def regime(self) -> str:
@@ -89,14 +89,14 @@ class ClassSpec:
 
     def tail(self, head: Sequence[float] = ()) -> tuple[float, float]:
         """For q > p: (value, bound) of sum |psi|^{pq/(q-p)} outside the head
-        magnitudes; the lattice total is certified once per spec."""
+        magnitudes.  The lattice total is read from the store that equal psi
+        systems share (``psi._store``), so a spec, or one rebuilt from equal
+        parameters, certifies it once while the store holds it."""
         if self.q <= self.p:
             raise InputDomainError("no summability condition needed for q <= p")
         e = self.tail_exponent
         try:
-            if self._total is None:
-                self._total = self.psi.power_sum_total(e)
-            return _tail_after(self._total, head, e, self.tail_tol)
+            return _tail_after(_power_sum(self.psi, e), head, e, self.tail_tol)
         except ConvergenceError as err:
             raise PreconditionError(
                 f"summability of |psi|^(pq/(q-p)) not certified: {err}"

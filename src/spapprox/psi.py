@@ -15,26 +15,30 @@ library.  Three variants are provided:
   is given directly (power / geometric closed forms, or a head table with a
   tail rule).
 
-Enumeration of the decreasing rearrangement is lazy and *certified*.  Each
-system keeps one sorted prefix of it as plain arrays (magnitudes and an
-(N, d) index array) and grows it in blocks: a block holds every index whose
-magnitude exceeds a threshold t, and every index outside it has magnitude at
-most t.  Product systems build the block axis by axis from partial products,
-radial ones from signed-permutation orbits in a box, sequence forms from
-positions directly.  The first block aims at 256 pairs or the read, if
-larger, and each later one at twice the prefix or the read, so a prefix
-grows in a few blocks.  A radial box starts at the smallest power of two
-radius whose box can hold the aim, and evaluates the profile (and any power
-of it) once per distinct norm.  A block raises only when it cannot certify
-the read; short of its aim it keeps what it certified, so a read never
-depends on the reads before it.  A block is sorted by (-magnitude, position
-vector), where an axis reads the positions 0, -1, 1, -2, 2, ...; that order
-is total, so a grown prefix extends the old one and every stream on a system
-replays one enumeration.  A magnitude that is not a positive double ends the
-stream of a finite system; on an infinite system it can only be an underflow
-(or an overflowing weight), and the stream raises ``CertificationError``
-there.  With the prefix the system keeps the ends of its certified levels,
-found once per growth, so ``build_charseq`` is a slice of them.
+Enumeration of the decreasing rearrangement is lazy and *certified*.  Equal
+systems share one sorted prefix of it as read-only arrays (magnitudes and an
+(N, d) index array) and one table of certified power sums, held in
+``_store`` under the system's value key (see ``PsiSystem``), so a system
+built again from the same parameters reads what an earlier one certified.
+The prefix grows in blocks of at most ``_PREFIX_CAP`` pairs: a block holds
+every index whose magnitude exceeds a threshold t, and every index outside
+it has magnitude at most t.  Product systems build the block axis by axis
+from partial products, radial ones from signed-permutation orbits in a box,
+sequence forms from positions directly.  The first block aims at 256 pairs
+or the read, if larger, and each later one at twice the prefix or the read,
+so a prefix grows in a few blocks.  A radial box starts at the smallest
+power of two radius whose box can hold the aim, and evaluates the profile
+(and any power of it) once per distinct norm.  A block raises only when it
+cannot certify the read; short of its aim it keeps what it certified, so a
+read never depends on the reads before it.  A block is sorted by
+(-magnitude, position vector), where an axis reads the positions 0, -1, 1,
+-2, 2, ...; that order is total, so a grown prefix extends the old one and
+every stream on a system replays one enumeration.  A magnitude that is not
+a positive double ends the stream of a finite system; on an infinite system
+it can only be an underflow (or an overflowing weight), and the stream
+raises ``CertificationError`` there.  With the prefix the store keeps the
+ends of its certified levels, found once per growth, so ``build_charseq``
+is a slice of them.
 Magnitudes are evaluated in a canonical order (integer accumulation where
 possible) so that equal-by-construction values compare equal as doubles;
 level grouping uses exact comparison.
@@ -45,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -175,6 +180,9 @@ def _orbit_members(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _FIRST_BLOCK = 256  # pairs the first block of a new prefix aims at
+# no block aims past this many pairs, about twice the deepest budgeted read
+# (classes.SIGMA_SCAN_BUDGET + _SIGMA_STEP_CAP); a longer read raises
+_PREFIX_CAP = 2 ** 21
 _ULP = 2.0 ** -52  # one unit in the last place, relative to the value
 _HEAD = 64  # terms a power sum adds one by one before its Euler-Maclaurin tail
 
@@ -324,6 +332,23 @@ def _level_ends(vals: np.ndarray, ended: bool) -> np.ndarray:
     return np.flatnonzero(np.append(vals[1:] != vals[:-1], ended)[: vals.shape[0]]) + 1
 
 
+@functools.lru_cache(maxsize=8)
+def _store(key) -> types.SimpleNamespace:
+    """What the systems with value key ``key`` share: ``prefix``, the
+    certified (magnitudes, indices, level ends, complete) or None, and
+    ``sums``, {e: power_sum_total(e)}.  The key holds its parameters, and a
+    callable or table itself, so a freed object's address never matches."""
+    return types.SimpleNamespace(prefix=None, sums={})
+
+
+def _power_sum(psi: "PsiSystem", e: float) -> tuple[float, float]:
+    """``psi.power_sum_total(e)``, computed once per value key and exponent."""
+    sums = _store(psi._key).sums
+    if e not in sums:
+        sums[e] = psi.power_sum_total(e)
+    return sums[e]
+
+
 def _replay(psi: "PsiSystem") -> Iterator[tuple[float, tuple]]:
     """The pairs of the system's certified prefix as Python values, growing
     it as they are read: a finite system's stream ends after its last
@@ -345,17 +370,25 @@ def _replay(psi: "PsiSystem") -> Iterator[tuple[float, tuple]]:
 class PsiSystem:
     """Common interface; see module docstring for the variants.
 
-    A system is immutable after construction: its streams and array
-    readers share one certified prefix, which keeps every magnitude read."""
+    A system is immutable after construction, and equal systems share one
+    certified prefix, which keeps every magnitude read: streams and array
+    readers of every system with the same value key ``_key`` read it.  The
+    key is recorded at construction from what fixes every magnitude:
+
+    * product: the class and ``beta`` or ``ratio`` of each axis (any other
+      axis by identity);
+    * radial: the form tuple, or the profile callable itself, with ``d``,
+      ``r``, ``origin`` and ``power_bound``;
+    * sequence: ``head`` and ``continuation``;
+    * table: the system itself; a phased system reads its base's.
+
+    Systems themselves compare by identity (no ``__eq__``)."""
 
     d: int
     variant: str
     theorem_grade: bool  # satisfies nonzero + vanishing hypotheses everywhere
     finite = False  # finitely many nonzero magnitudes, so stream() may end
-    # (magnitudes, indices, level ends, complete) of the sorted prefix; data
-    # only, since a generator or closure over the system stored here would
-    # make a cycle
-    _prefix: tuple[np.ndarray, np.ndarray, np.ndarray, bool] | None = None
+    _key: object  # what ``_store`` is keyed by
 
     def magnitude(self, k) -> float:
         raise NotImplementedError
@@ -379,20 +412,27 @@ class PsiSystem:
         index exceeds, at least ``count`` of them, and ``aim`` unless the
         system cannot certify that many, or, if complete, every positive
         one.  A new prefix aims at ``max(count, _FIRST_BLOCK)``, a grown one
-        at ``max(count, 2N)``, so a few blocks serve every later read, and
-        each growth finds its level ends once.  It ends at the first
-        magnitude that is not a positive double: a finite system's prefix is
-        short there, an infinite one raises."""
-        pre = self._prefix
+        at ``max(count, 2N)``, both at most ``_PREFIX_CAP``, so a few blocks
+        serve every later read, and each growth finds its level ends once.
+        A read past the cap raises before any block.  The prefix ends at the
+        first magnitude that is not a positive double: a finite system's is
+        short there, an infinite one raises.  Equal systems share it, read-only."""
+        pre = (store := _store(self._key)).prefix
         if pre is None or (pre[0].shape[0] < count and not pre[3]):
+            reached = 0 if pre is None else pre[0].shape[0]
+            if count > _PREFIX_CAP:
+                raise CertificationError(f"a read of {count} pairs is past the rearrangement's cap of "
+                                         f"{_PREFIX_CAP}; the certified prefix reached {reached}")
             vals, idx, complete = self._block(
-                count, max(count, _FIRST_BLOCK if pre is None else 2 * pre[0].shape[0]))
+                count, min(max(count, _FIRST_BLOCK if pre is None else 2 * reached), _PREFIX_CAP))
             order = np.lexsort((*_seq_position(idx).T[::-1], -vals))
             vals, idx = vals[order], idx[order]
             stop = np.append(np.flatnonzero(~(vals > 0)), vals.shape[0])[0]
             complete = complete or stop < vals.shape[0]
             vals = vals[:stop]
-            pre = self._prefix = (vals, idx[:stop], _level_ends(vals, complete and self.finite), complete)
+            pre = store.prefix = (vals, idx[:stop], _level_ends(vals, complete and self.finite), complete)
+            for a in pre[:3]:
+                a.flags.writeable = False
         if pre[0].shape[0] < count and not self.finite:
             raise CertificationError(
                 f"magnitude after rearrangement position {pre[0].shape[0]} of an "
@@ -433,6 +473,9 @@ class ProductPsi(PsiSystem):
             all(isinstance(a, AxisGeom) for a in self.axes)
             and len({a.ratio for a in self.axes}) == 1
         )
+        self._key = (type(self), *((type(a), a.beta) if type(a) is AxisPow else
+                                   (type(a), a.ratio) if type(a) is AxisGeom else a
+                                   for a in self.axes))
 
     def magnitude(self, k) -> float:
         k = self.key(k)
@@ -459,15 +502,16 @@ class ProductPsi(PsiSystem):
             return RadialPsi(("geom", self.axes[0].ratio), self.d, r=1.0,
                              origin="exact")._block(count, aim)
         # lower the threshold t until the cross above it holds aim indices,
-        # aiming at twice that by the growth from the last cross (first from
-        # one index at t = 1) but at most to t**2; t = 0 takes every positive one
-        t, seen = 0.5, (1.0, 1)
+        # aiming at twice that (at most the cap) by the growth from the last
+        # cross (first from one index at t = 1) but at most to t**2; t = 0
+        # takes every positive one
+        t, seen, target = 0.5, (1.0, 1), min(2.0 * aim, max(aim, _PREFIX_CAP))
         while True:
             mags, pos = self._cross(t)
             if mags.shape[0] >= aim or t == 0.0:
                 return mags, _axis_index(pos), t == 0.0
             rate = max(math.log(mags.shape[0] / seen[1]) / math.log(seen[0] / t), 1e-3)
-            seen, t = (t, mags.shape[0]), max(t * (mags.shape[0] / (2.0 * aim)) ** (1 / rate), t * t)
+            seen, t = (t, mags.shape[0]), max(t * (mags.shape[0] / target) ** (1 / rate), t * t)
 
     def _cross(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Magnitudes and position vectors of every index whose magnitude
@@ -546,7 +590,9 @@ class RadialPsi(PsiSystem):
                 raise InputDomainError(f"unknown radial profile form {kind!r}")
         else:
             self._func = profile
-        self.power_bound = power_bound
+        # floats, so that equal keys compute with the same arithmetic
+        self.power_bound = None if power_bound is None else tuple(map(float, power_bound))
+        self._key = (type(self), profile, self.d, self.r, origin, self.power_bound)
         self.variant = f"radial[{self._describe_form()}, r={self.r:g}, d={self.d}]"
         self.theorem_grade = True
         if self.form is None:
@@ -738,6 +784,8 @@ class ExplicitTablePsi(PsiSystem):
         self.variant = f"explicit-table[{len(norm)} entries]"
         self.theorem_grade = False
 
+    _key = property(lambda self: self)  # a table matches only itself
+
     def magnitude(self, k) -> float:
         k = self.key(k)
         return self.entries.get(k, 0.0)
@@ -791,6 +839,7 @@ class ExplicitSeqPsi(PsiSystem):
             raise InputDomainError("sequence form must be nonincreasing and nonnegative")
         self.d = 1
         self.variant = f"explicit-seq[{kind}]"
+        self._key = (type(self), self.head, tuple(continuation))
 
     @classmethod
     def power(cls, s: float, scale: float = 1.0) -> "ExplicitSeqPsi":
@@ -871,6 +920,7 @@ class PhasedPsi(PsiSystem):
         self.variant = base.variant + "+phase"
         self.theorem_grade = base.theorem_grade
         self.finite = base.finite
+        self._key = base._key
 
     def magnitude(self, k) -> float:
         return self.base.magnitude(k)
@@ -1029,15 +1079,15 @@ def tail_sum(
     """(value, bound) with value ~ sum_{j >= start} of rearrangement^exponent.
 
     The total over the lattice comes from the variant's certified closed-form
-    machinery; the finite prefix is subtracted exactly.  Raises
-    ``ConvergenceError`` when the series diverges or the rigorous bound cannot
-    be brought below ``tol``.
+    machinery, once per value key and exponent; the finite prefix is
+    subtracted exactly.  Raises ``ConvergenceError`` when the series diverges
+    or the rigorous bound cannot be brought below ``tol``.
     """
     if exponent <= 0:
         raise ConvergenceError("terms do not decay: exponent must be positive")
     if start < 1:
         raise InputDomainError("start index must be >= 1")
-    certified = psi.power_sum_total(exponent)
+    certified = _power_sum(psi, exponent)
     head = rearrangement_padded(psi, start - 1) if start > 1 else ()
     return _tail_after(certified, head, exponent, tol)
 

@@ -16,6 +16,7 @@ from spapprox import (
     AxisGeom,
     AxisPow,
     CertificationError,
+    ClassSpec,
     ConvergenceError,
     ExplicitSeqPsi,
     ExplicitTablePsi,
@@ -25,12 +26,14 @@ from spapprox import (
     RadialPsi,
     Spectrum,
     build_charseq,
+    class_widths,
     psi_derivative,
     psi_integral,
     rearrangement,
     tail_sum,
 )
 from spapprox import psi as psi_module
+from spapprox.classes import _SIGMA_STEP_CAP, SIGMA_SCAN_BUDGET
 from spapprox.oracle import oracle_charseq
 from spapprox.psi import (
     _axis_index,
@@ -952,7 +955,7 @@ def test_reading_every_level_of_an_infinite_system_fails_fast(make, value):
     with pytest.raises(CertificationError, match=f"down_to_value={value!r}"):
         build_charseq(psi, down_to_value=value)
     assert time.perf_counter() - start < 0.01
-    assert getattr(psi, "base", psi)._prefix is None
+    assert psi_module._store(psi._key).prefix is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -968,3 +971,155 @@ def test_axis_weights_are_one_table_read_in_any_order(beta, reads):
         assert got.tobytes() == want.tobytes() == AxisPow(beta).weights(m).tobytes()
         with pytest.raises(ValueError, match="read-only"):
             got[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the store that equal systems share
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProductPsi([AxisPow(1.0), AxisPow(1.0)]),
+    lambda: ProductPsi([AxisGeom(0.5), AxisPow(2.0)]),
+    lambda: RadialPsi(("pow", 3.0), d=2),
+    lambda: ExplicitSeqPsi((3.0, 2.0), ("pow", 2.0, 1.0)),
+    lambda: PhasedPsi(ExplicitSeqPsi.harmonic(), lambda k: 1.0),
+], ids=["hyperbolic", "mixed", "radial", "sequence", "phased-harmonic"])
+def test_equal_systems_share_one_prefix_and_one_power_sum(monkeypatch, make):
+    psi = make()
+    cls = type(getattr(psi, "base", psi))
+    blocks, sums = [], []
+    block, total = cls._block, cls.power_sum_total
+    monkeypatch.setattr(cls, "_block", lambda self, count, aim: blocks.append(aim) or block(self, count, aim))
+    monkeypatch.setattr(cls, "power_sum_total", lambda self, e: sums.append(e) or total(self, e))
+
+    def reads(psi):
+        cs = build_charseq(psi, levels=12)
+        tails = [tail_sum(psi, e, 5, tol=1e-6) for e in (2.0, 3.0, 2.0)]
+        width = class_widths(ClassSpec(psi, 1.0, 2.0), 3).value  # tail exponent 2
+        return cs.eps, cs.delta, rearrangement(psi, 3000).tobytes(), tails, width
+
+    first = reads(make())
+    grown = list(blocks)
+    assert reads(make()) == first
+    assert blocks == grown and sums == [2.0, 3.0]
+
+
+def test_distinct_profile_callables_never_share():
+    # every profile but the last is dropped with its system; keyed by its
+    # address, a later profile built at a freed one would read the earlier
+    # profile's prefix and power sums
+    for beta in (2.0, 3.0, 2.5, 4.0, 2.0, 3.5, 3.0, 2.25):
+        psi = RadialPsi(lambda t, b=beta: float(t) ** -b, d=2, power_bound=(1.0, 2.0, 1.0))
+        form = RadialPsi(("pow", beta), d=2)
+        assert rearrangement(psi, 300).tobytes() == rearrangement(form, 300).tobytes()
+        assert psi_module._power_sum(psi, 1.5) == RadialPsi(
+            lambda t, b=beta: float(t) ** -b, d=2, power_bound=(1.0, 2.0, 1.0)).power_sum_total(1.5)
+        profile = weakref.ref(psi._func)
+        del psi
+        gc.collect()
+        # the store holds the profile it keys by, so its address is not freed
+        assert profile() is not None
+
+
+def _cube(t):
+    return max(t, 1.0) ** -3.0
+
+
+def test_a_different_power_bound_shares_no_power_sum():
+    loose = RadialPsi(_cube, d=1, power_bound=(2.0, 3.0, 1.0))
+    tight = RadialPsi(_cube, d=1, power_bound=(1.0, 3.0, 1.0))
+    got = [psi_module._power_sum(psi, 1.0) for psi in (loose, tight)]
+    assert got == [loose.power_sum_total(1.0), tight.power_sum_total(1.0)]
+    assert got[0] != got[1]
+    # a bound given as a list of integers is the same bound
+    assert psi_module._power_sum(RadialPsi(_cube, d=1, power_bound=[1, 3, 1]), 1.0) == got[1]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProductPsi([AxisPow(1.0), AxisPow(1.0)]),
+    lambda: RadialPsi(("pow", 3.0), d=2),
+    lambda: ExplicitSeqPsi.harmonic(),
+    lambda: ExplicitTablePsi({0: 1.0, 1: 0.5, -1: 0.5}),
+], ids=["hyperbolic", "radial", "harmonic", "table"])
+def test_the_stored_prefix_is_read_only(make):
+    psi = make()
+    build_charseq(psi, levels=2)
+    for array in psi._rearranged(300)[:3]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # readers hand out copies
+    rearrangement(psi, 3)[0] = 0.0
+    assert psi._rearranged(3)[0][0] > 0.0
+
+
+def _shared_read(psi, kind, n):
+    """A read as bytes and tuples, or the type of error it raises."""
+    try:
+        if kind == "levels":
+            cs = build_charseq(psi, levels=n % 40 + 1)
+            return np.array(cs.eps).tobytes(), cs.delta, cs.shells
+        if kind == "rearrangement":
+            return rearrangement(psi, n).tobytes()
+        pairs = list(itertools.islice(psi.stream(), n))
+        return np.array([v for v, _ in pairs]).tobytes(), [k for _, k in pairs]
+    except CertificationError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_SPEC, other=_SPEC, reads=st.lists(st.tuples(
+    st.integers(0, 3), st.sampled_from(["levels", "rearrangement", "stream"]), st.integers(1, 600)),
+    min_size=1, max_size=8))
+def test_equal_systems_read_what_a_cold_store_reads(spec, other, reads):
+    # three equal systems, one behind a phase, grow one prefix between them;
+    # a fourth, most often different, system must never read theirs
+    specs = [spec, spec, spec, other]
+    cold = []
+    for which, kind, n in reads:
+        psi_module._store.cache_clear()
+        cold.append(_shared_read(_make(specs[which]), kind, n))
+    psi_module._store.cache_clear()
+    systems = [_make(spec), _make(spec), PhasedPsi(_make(spec), lambda k: 1.0), _make(other)]
+    for (which, kind, n), want in zip(reads, cold):
+        assert _shared_read(systems[which], kind, n) == want
+
+
+def test_a_read_past_the_prefix_cap_fails_fast(monkeypatch):
+    # the cap is about twice the deepest read the n-term scan's budget allows
+    assert psi_module._PREFIX_CAP >= 2 * (SIGMA_SCAN_BUDGET + _SIGMA_STEP_CAP)
+    monkeypatch.setattr(psi_module, "_PREFIX_CAP", 3000)
+    aims, block = [], ExplicitSeqPsi._block
+    monkeypatch.setattr(ExplicitSeqPsi, "_block",
+                        lambda self, count, aim: aims.append(aim) or block(self, count, aim))
+    psi = ExplicitSeqPsi.harmonic()
+    # every position is a level of its own, so 1e-12 lies 10^12 pairs deep;
+    # a sequence block holds exactly its aim, and the last one is cut to the cap
+    with pytest.raises(CertificationError, match="read of 3001 pairs .* cap of 3000; .* reached 3000"):
+        build_charseq(psi, down_to_value=1e-12)
+    assert aims == [256, 512, 1024, 2048, 3000]
+    # what was certified stays readable, and no block aims past the cap
+    assert rearrangement(psi, 3000)[-1] == 1.0 / 3000.0
+    with pytest.raises(CertificationError, match="reached 3000"):
+        rearrangement(psi, 5000)
+    assert aims == [256, 512, 1024, 2048, 3000]
+
+
+@pytest.mark.parametrize("one,other", [
+    (lambda: ProductPsi([AxisPow(0.5)]), lambda: ProductPsi([AxisGeom(0.5)])),
+    (lambda: ProductPsi([AxisPow(1.0), AxisPow(2.0)]), lambda: ProductPsi([AxisPow(2.0), AxisPow(1.0)])),
+    (lambda: RadialPsi(("pow", 2.0), d=2), lambda: RadialPsi(("pow", 2.0), d=3)),
+    (lambda: RadialPsi(("geom", 0.5), d=2), lambda: RadialPsi(("geom", 0.5), d=2, r=2.0)),
+    (lambda: RadialPsi(("geom", 0.5), d=2), lambda: RadialPsi(("geom", 0.5), d=2, origin="exact")),
+    (lambda: ExplicitSeqPsi((3.0,), ("pow", 1.0, 1.0)), lambda: ExplicitSeqPsi((2.0,), ("pow", 1.0, 1.0))),
+    (lambda: ExplicitSeqPsi((), ("pow", 1.0, 1.0)), lambda: ExplicitSeqPsi((), ("pow", 1.0, 0.5))),
+], ids=["axis-class", "axis-order", "d", "r", "origin", "head", "continuation"])
+def test_systems_that_differ_in_one_parameter_share_nothing(one, other):
+    def reads(psi):
+        return rearrangement(psi, 50).tobytes(), psi_module._power_sum(psi, 3.0)
+
+    cold = []
+    for make in (one, other):
+        psi_module._store.cache_clear()
+        cold.append(reads(make()))
+    psi_module._store.cache_clear()
+    assert [reads(one()), reads(other())] == cold
