@@ -20,13 +20,15 @@ systems share one sorted prefix of it as read-only arrays (magnitudes and an
 (N, d) index array) and one table of certified power sums, held in
 ``_store`` under the system's value key (see ``PsiSystem``), so a system
 built again from the same parameters reads what an earlier one certified.
-The prefix grows in blocks of at most ``_PREFIX_CAP`` pairs: a block holds
-every index whose magnitude exceeds a threshold t, and every index outside
-it has magnitude at most t.  Product systems build the block axis by axis
-from partial products, radial ones from signed-permutation orbits in a box,
-sequence forms from positions directly.  The first block aims at 256 pairs
-or the read, if larger, and each later one at twice the prefix or the read,
-so a prefix grows in a few blocks.  A radial box starts at the smallest
+A system holds its entry from its first read on.  The prefix grows in
+blocks: a block holds every index whose magnitude exceeds a threshold t,
+and every index outside it has magnitude at most t.  Product systems build
+the block axis by axis from partial products, radial ones from
+signed-permutation orbits in a box, sequence forms from positions directly.
+The first block aims at 256 pairs or the read, if larger, and each later
+one at twice the prefix or the read, so a prefix grows in a few blocks; the
+doubling stops once at ``_PREFIX_CAP`` pairs, where a read by value on an
+infinite system ends.  A radial box starts at the smallest
 power of two radius whose box can hold the aim, and evaluates the profile
 (and any power of it) once per distinct norm.  A block raises only when it
 cannot certify the read; short of its aim it keeps what it certified, so a
@@ -180,8 +182,9 @@ def _orbit_members(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _FIRST_BLOCK = 256  # pairs the first block of a new prefix aims at
-# no block aims past this many pairs, about twice the deepest budgeted read
-# (classes.SIGMA_SCAN_BUDGET + _SIGMA_STEP_CAP); a longer read raises
+# a read by value on an infinite system ends within this many pairs, and the
+# prefix's doubling stops here; about twice the deepest budgeted read
+# (classes.SIGMA_SCAN_BUDGET + _SIGMA_STEP_CAP).  Explicit counts pass it
 _PREFIX_CAP = 2 ** 21
 _ULP = 2.0 ** -52  # one unit in the last place, relative to the value
 _HEAD = 64  # terms a power sum adds one by one before its Euler-Maclaurin tail
@@ -332,18 +335,35 @@ def _level_ends(vals: np.ndarray, ended: bool) -> np.ndarray:
     return np.flatnonzero(np.append(vals[1:] != vals[:-1], ended)[: vals.shape[0]]) + 1
 
 
+class _Same:
+    """A key part that matches only the object it holds (a profile callable
+    need not be hashable, and equal callables need not compute alike); held,
+    the object's address is not freed for another to match."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __eq__(self, other):
+        return isinstance(other, _Same) and other.obj is self.obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+
 @functools.lru_cache(maxsize=8)
 def _store(key) -> types.SimpleNamespace:
     """What the systems with value key ``key`` share: ``prefix``, the
     certified (magnitudes, indices, level ends, complete) or None, and
-    ``sums``, {e: power_sum_total(e)}.  The key holds its parameters, and a
-    callable or table itself, so a freed object's address never matches."""
+    ``sums``, {e: power_sum_total(e)}.  A system holds its entry from its
+    first read on, so the store only decides what a new system finds."""
     return types.SimpleNamespace(prefix=None, sums={})
 
 
 def _power_sum(psi: "PsiSystem", e: float) -> tuple[float, float]:
     """``psi.power_sum_total(e)``, computed once per value key and exponent."""
-    sums = _store(psi._key).sums
+    sums = psi._entry.sums
     if e not in sums:
         sums[e] = psi.power_sum_total(e)
     return sums[e]
@@ -377,18 +397,23 @@ class PsiSystem:
 
     * product: the class and ``beta`` or ``ratio`` of each axis (any other
       axis by identity);
-    * radial: the form tuple, or the profile callable itself, with ``d``,
-      ``r``, ``origin`` and ``power_bound``;
-    * sequence: ``head`` and ``continuation``;
-    * table: the system itself; a phased system reads its base's.
+    * radial: the form's kind and parameter, or the profile callable by
+      identity, with ``d``, ``r``, ``origin`` and ``power_bound``;
+    * sequence: ``head`` and the continuation's kind and parameters;
+    * table: the system itself; a phased system reads its base's entry.
 
-    Systems themselves compare by identity (no ``__eq__``)."""
+    A system holds its entry from its first read on, so it keeps its prefix
+    while it lives.  Systems themselves compare by identity (no ``__eq__``)."""
 
     d: int
     variant: str
     theorem_grade: bool  # satisfies nonzero + vanishing hypotheses everywhere
     finite = False  # finitely many nonzero magnitudes, so stream() may end
     _key: object  # what ``_store`` is keyed by
+
+    @functools.cached_property
+    def _entry(self) -> types.SimpleNamespace:
+        return _store(self._key)
 
     def magnitude(self, k) -> float:
         raise NotImplementedError
@@ -412,19 +437,18 @@ class PsiSystem:
         index exceeds, at least ``count`` of them, and ``aim`` unless the
         system cannot certify that many, or, if complete, every positive
         one.  A new prefix aims at ``max(count, _FIRST_BLOCK)``, a grown one
-        at ``max(count, 2N)``, both at most ``_PREFIX_CAP``, so a few blocks
-        serve every later read, and each growth finds its level ends once.
-        A read past the cap raises before any block.  The prefix ends at the
-        first magnitude that is not a positive double: a finite system's is
-        short there, an infinite one raises.  Equal systems share it, read-only."""
-        pre = (store := _store(self._key)).prefix
+        at ``max(count, 2N)``, so a few blocks serve every later read, and
+        each growth finds its level ends once; short of ``_PREFIX_CAP`` the
+        doubling stops at the cap, where a read by value ends.  The prefix
+        ends at the first magnitude that is not a positive double: a finite
+        system's is short there, an infinite one raises.  Equal systems
+        share it, read-only."""
+        pre = (store := self._entry).prefix
         if pre is None or (pre[0].shape[0] < count and not pre[3]):
             reached = 0 if pre is None else pre[0].shape[0]
-            if count > _PREFIX_CAP:
-                raise CertificationError(f"a read of {count} pairs is past the rearrangement's cap of "
-                                         f"{_PREFIX_CAP}; the certified prefix reached {reached}")
+            grow = _FIRST_BLOCK if pre is None else 2 * reached
             vals, idx, complete = self._block(
-                count, min(max(count, _FIRST_BLOCK if pre is None else 2 * reached), _PREFIX_CAP))
+                count, max(count, grow if reached >= _PREFIX_CAP else min(grow, _PREFIX_CAP)))
             order = np.lexsort((*_seq_position(idx).T[::-1], -vals))
             vals, idx = vals[order], idx[order]
             stop = np.append(np.flatnonzero(~(vals > 0)), vals.shape[0])[0]
@@ -502,10 +526,11 @@ class ProductPsi(PsiSystem):
             return RadialPsi(("geom", self.axes[0].ratio), self.d, r=1.0,
                              origin="exact")._block(count, aim)
         # lower the threshold t until the cross above it holds aim indices,
-        # aiming at twice that (at most the cap) by the growth from the last
-        # cross (first from one index at t = 1) but at most to t**2; t = 0
-        # takes every positive one
-        t, seen, target = 0.5, (1.0, 1), min(2.0 * aim, max(aim, _PREFIX_CAP))
+        # aiming at twice that (at most the cap, for an aim within it) by the
+        # growth from the last cross (first from one index at t = 1) but at
+        # most to t**2; t = 0 takes every positive one
+        t, seen = 0.5, (1.0, 1)
+        target = 2.0 * aim if aim > _PREFIX_CAP else min(2.0 * aim, _PREFIX_CAP)
         while True:
             mags, pos = self._cross(t)
             if mags.shape[0] >= aim or t == 0.0:
@@ -592,7 +617,8 @@ class RadialPsi(PsiSystem):
             self._func = profile
         # floats, so that equal keys compute with the same arithmetic
         self.power_bound = None if power_bound is None else tuple(map(float, power_bound))
-        self._key = (type(self), profile, self.d, self.r, origin, self.power_bound)
+        form = _Same(profile) if self.form is None else (kind, float(profile[1]))
+        self._key = (type(self), form, self.d, self.r, origin, self.power_bound)
         self.variant = f"radial[{self._describe_form()}, r={self.r:g}, d={self.d}]"
         self.theorem_grade = True
         if self.form is None:
@@ -839,7 +865,8 @@ class ExplicitSeqPsi(PsiSystem):
             raise InputDomainError("sequence form must be nonincreasing and nonnegative")
         self.d = 1
         self.variant = f"explicit-seq[{kind}]"
-        self._key = (type(self), self.head, tuple(continuation))
+        params = () if kind == "zero" else tuple(map(float, continuation[1:3]))
+        self._key = (type(self), self.head, kind, *params)
 
     @classmethod
     def power(cls, s: float, scale: float = 1.0) -> "ExplicitSeqPsi":
@@ -922,6 +949,8 @@ class PhasedPsi(PsiSystem):
         self.finite = base.finite
         self._key = base._key
 
+    _entry = property(lambda self: self.base._entry)
+
     def magnitude(self, k) -> float:
         return self.base.magnitude(k)
 
@@ -1003,7 +1032,10 @@ def build_charseq(
     Stop once ``levels`` distinct magnitudes (or all values >=
     ``down_to_value``) have been produced *and* the following value is
     strictly smaller, which certifies the last level's multiplicity; the
-    prefix grows only when its certified levels fall short.
+    prefix grows only when its certified levels fall short.  On an infinite
+    system the level at or below ``down_to_value`` must be certified within
+    the first ``_PREFIX_CAP`` pairs, whatever the prefix holds; past them the
+    read raises and the prefix it grew is dropped.
     """
     if levels is None and down_to_value is None:
         raise InputDomainError("specify levels or down_to_value")
@@ -1017,8 +1049,15 @@ def build_charseq(
     while True:
         vals, idx, ends, _ = psi._rearranged(count)
         # the first level at or below down_to_value, and at least ``levels``
-        m = max(levels or 1, 1 if down_to_value is None else
-                1 + int(np.searchsorted(-vals[ends - 1], -down_to_value)))
+        by_value = 1 if down_to_value is None else 1 + int(np.searchsorted(-vals[ends - 1], -down_to_value))
+        if (down_to_value is not None and not psi.finite and vals.shape[0] >= _PREFIX_CAP
+                and by_value > np.searchsorted(ends, _PREFIX_CAP)):
+            psi._entry.prefix = None
+            raise CertificationError(
+                f"no level at or below down_to_value={down_to_value!r} is certified within the "
+                f"first {_PREFIX_CAP} pairs, the cap of a read by value; the certified prefix "
+                f"reached {vals.shape[0]}")
+        m = max(levels or 1, by_value)
         if m <= ends.shape[0] or vals.shape[0] < count:  # only a finite system ends short
             break
         count = vals.shape[0] + 1

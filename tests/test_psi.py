@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -33,7 +34,7 @@ from spapprox import (
     tail_sum,
 )
 from spapprox import psi as psi_module
-from spapprox.classes import _SIGMA_STEP_CAP, SIGMA_SCAN_BUDGET
+from spapprox.classes import _SIGMA_STEP_CAP, SIGMA_SCAN_BUDGET, order_estimate_check
 from spapprox.oracle import oracle_charseq
 from spapprox.psi import (
     _axis_index,
@@ -849,6 +850,8 @@ def test_prefix_is_one_certified_sort_whatever_the_growth_order(spec, lengths):
     # the whole prefix, block ends included
     vals, idx, _, _ = grown._rearranged(max(lengths))
     got = list(zip(vals.tolist(), map(tuple, idx.tolist())))
+    # the equal system reads its own cold prefix, not the one grown holds
+    psi_module._store.cache_clear()
     assert got == list(itertools.islice(whole.stream(), len(got)))
     keys = [(-v, _walk_position(k)) for v, k in got]
     assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -903,7 +906,9 @@ def test_charseq_is_the_full_sort_whatever_the_reads(spec, reads):
             if between[0] and i + 1 < certified:
                 arg = 0.5 * (arg + ocs.eps[i + 1])
         got = _read(grown, kind, arg)
-        # growth history cannot leak: a fresh system reads the same
+        # growth history cannot leak: a fresh system on a cold store (grown
+        # keeps its own entry) reads the same
+        psi_module._store.cache_clear()
         assert got == _read(_make(spec), kind, arg)
         if kind == "rearrangement" or got is CertificationError:
             continue
@@ -1035,6 +1040,49 @@ def test_a_different_power_bound_shares_no_power_sum():
     assert psi_module._power_sum(RadialPsi(_cube, d=1, power_bound=[1, 3, 1]), 1.0) == got[1]
 
 
+@dataclasses.dataclass
+class _PowerProfile:
+    # eq=True without frozen=True leaves the instances unhashable
+    beta: float
+
+    def __call__(self, t):
+        return max(float(t), 1.0) ** -self.beta
+
+
+def test_an_unhashable_profile_matches_only_itself():
+    one, two = _PowerProfile(3.0), _PowerProfile(3.0)
+    assert one == two and _PowerProfile.__hash__ is None
+    want = rearrangement(RadialPsi(("pow", 3.0), d=2), 200).tobytes()
+    for profile in (one, two, one):
+        assert rearrangement(RadialPsi(profile, d=2), 200).tobytes() == want
+    # the form, one and two: equal profiles that are distinct objects share nothing
+    assert psi_module._store.cache_info().currsize == 3
+    # a form's parameter is read as a float, so an integer one is the same form
+    rearrangement(RadialPsi(("pow", 3), d=2), 200)
+    assert psi_module._store.cache_info().currsize == 3
+    rep = order_estimate_check(one, 1, math.inf, 1.0, 2.0, [2, 4, 8], power_bound=(1.0, 3.0, 1.0))
+    assert rep.delta2_ok and rep.bounded
+
+
+def test_a_live_system_keeps_its_prefix_whatever_the_store_evicts(monkeypatch):
+    blocks, sums = [], []
+    block, total = ExplicitSeqPsi._block, ExplicitSeqPsi.power_sum_total
+    monkeypatch.setattr(ExplicitSeqPsi, "_block",
+                        lambda self, count, aim: blocks.append(aim) or block(self, count, aim))
+    monkeypatch.setattr(ExplicitSeqPsi, "power_sum_total",
+                        lambda self, e: sums.append(e) or total(self, e))
+    # twelve live systems, more than the store holds, read in turn twice
+    systems = [ExplicitSeqPsi.power(1.0 + j / 4) for j in range(12)]
+
+    def reads():
+        return [(rearrangement(psi, 300).tobytes(), tail_sum(psi, 2.0, 10)) for psi in systems]
+
+    first = reads()
+    assert len(blocks) == len(sums) == 12 and psi_module._store.cache_info().currsize == 8
+    assert reads() == first
+    assert len(blocks) == len(sums) == 12
+
+
 @pytest.mark.parametrize("make", [
     lambda: ProductPsi([AxisPow(1.0), AxisPow(1.0)]),
     lambda: RadialPsi(("pow", 3.0), d=2),
@@ -1084,7 +1132,7 @@ def test_equal_systems_read_what_a_cold_store_reads(spec, other, reads):
         assert _shared_read(systems[which], kind, n) == want
 
 
-def test_a_read_past_the_prefix_cap_fails_fast(monkeypatch):
+def test_a_read_by_value_past_the_prefix_cap_fails_fast(monkeypatch):
     # the cap is about twice the deepest read the n-term scan's budget allows
     assert psi_module._PREFIX_CAP >= 2 * (SIGMA_SCAN_BUDGET + _SIGMA_STEP_CAP)
     monkeypatch.setattr(psi_module, "_PREFIX_CAP", 3000)
@@ -1093,15 +1141,29 @@ def test_a_read_past_the_prefix_cap_fails_fast(monkeypatch):
                         lambda self, count, aim: aims.append(aim) or block(self, count, aim))
     psi = ExplicitSeqPsi.harmonic()
     # every position is a level of its own, so 1e-12 lies 10^12 pairs deep;
-    # a sequence block holds exactly its aim, and the last one is cut to the cap
-    with pytest.raises(CertificationError, match="read of 3001 pairs .* cap of 3000; .* reached 3000"):
+    # a sequence block holds exactly its aim, and the doubling stops at the cap
+    with pytest.raises(CertificationError, match="down_to_value=1e-12 .* first 3000 pairs.* reached 3000"):
         build_charseq(psi, down_to_value=1e-12)
     assert aims == [256, 512, 1024, 2048, 3000]
-    # what was certified stays readable, and no block aims past the cap
-    assert rearrangement(psi, 3000)[-1] == 1.0 / 3000.0
-    with pytest.raises(CertificationError, match="reached 3000"):
-        rearrangement(psi, 5000)
-    assert aims == [256, 512, 1024, 2048, 3000]
+    # the read's prefix is dropped, not kept for the system's life
+    assert psi._entry.prefix is None
+
+    # level 2999 is certified by pair 3000, within the cap; level 3000 is not,
+    # whether or not an explicit read grew the prefix past the cap before
+    def by_value(psi, j):
+        try:
+            return build_charseq(psi, down_to_value=psi.seq(j)).delta[-1]
+        except CertificationError:
+            return None
+
+    assert [by_value(ExplicitSeqPsi.harmonic(), j) for j in (2999, 3000)] == [2999, None]
+    psi_module._store.cache_clear()
+    assert rearrangement(psi, 5000)[-1] == psi.seq(5000)
+    assert [by_value(psi, j) for j in (2999, 3000)] == [2999, None]
+    # explicit counts pass the cap, as do reads by value on a finite system
+    assert build_charseq(ExplicitSeqPsi.harmonic(), levels=4000).delta[-1] == 4000
+    table = ExplicitSeqPsi([5000.0 - j for j in range(4500)], ("zero",))
+    assert build_charseq(table, down_to_value=0.0).delta[-1] == 4500
 
 
 @pytest.mark.parametrize("one,other", [
