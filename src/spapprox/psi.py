@@ -498,7 +498,7 @@ class ProductPsi(PsiSystem):
             and len({a.ratio for a in self.axes}) == 1
         )
         self._key = (type(self), *((type(a), a.beta) if type(a) is AxisPow else
-                                   (type(a), a.ratio) if type(a) is AxisGeom else a
+                                   (type(a), a.ratio) if type(a) is AxisGeom else _Same(a)
                                    for a in self.axes))
 
     def magnitude(self, k) -> float:
@@ -947,7 +947,6 @@ class PhasedPsi(PsiSystem):
         self.variant = base.variant + "+phase"
         self.theorem_grade = base.theorem_grade
         self.finite = base.finite
-        self._key = base._key
 
     _entry = property(lambda self: self.base._entry)
 

@@ -960,7 +960,7 @@ def test_reading_every_level_of_an_infinite_system_fails_fast(make, value):
     with pytest.raises(CertificationError, match=f"down_to_value={value!r}"):
         build_charseq(psi, down_to_value=value)
     assert time.perf_counter() - start < 0.01
-    assert psi_module._store(psi._key).prefix is None
+    assert psi._entry.prefix is None
 
 
 @settings(max_examples=40, deadline=None)
