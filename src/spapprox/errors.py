@@ -1,5 +1,8 @@
 """Exception hierarchy shared by all spapprox modules."""
 
+import math
+import numbers
+
 
 class SpapproxError(Exception):
     """Base class for all library errors."""
@@ -31,3 +34,11 @@ class ConvergenceError(SpapproxError):
 
 class DegenerateWeightError(SpapproxError, ValueError):
     """Weight function is constant on the interval (zero total mass)."""
+
+
+def require_count(value, name: str, least: int) -> int:
+    """value as an int, when it is an integer (of any real numeric type) of
+    at least ``least``; InputDomainError otherwise (NaN and infinities too)."""
+    if isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value) and value >= least:
+        return int(value)
+    raise InputDomainError(f"{name} must be an integer >= {least}, got {value!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceError, InputDomainError
+from .errors import BudgetError, ConvergenceError, InputDomainError, require_count
 from .ladder import FrequencyLadder
 from .moduli import (
     PhiFunction,
@@ -53,8 +53,7 @@ class JacksonSetup:
     psi: PsiSystem | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputDomainError("n must be >= 1")
+        self.n = require_count(self.n, "n", 1)
         if not self.p >= 1:
             raise InputDomainError("p must be >= 1")
         if not self.tau > 0:
@@ -668,11 +667,10 @@ def sigma_series(s: float, tol: float = 1e-8, budget: int = 1_000_000) -> SigmaS
         raise InputDomainError(f"s must be positive and finite, got {s}")
     if not 0 < tol < math.inf:
         raise InputDomainError(f"tol must be positive and finite, got {tol}")
-    if budget < 0:
-        raise InputDomainError(f"budget must be >= 0, got {budget}")
+    budget = require_count(budget, "budget", 0)
     if abs(s - round(s)) < 1e-12:
         return SigmaSeries(0.0, 0.0, 0)
-    s, tol, budget = float(s), float(tol), int(budget)
+    s, tol = float(s), float(tol)
     a0 = int(s / 2.0) + 1
     odd = 1.0 if int(s) % 2 == 1 else 0.0
     factor = 2.0 * odd + 4.0 * _SUM_INV_ODD
@@ -696,8 +694,7 @@ def sigma_series(s: float, tol: float = 1e-8, budget: int = 1_000_000) -> SigmaS
 def sine_moment(N: int) -> float:
     """integral_0^pi u^{2N} sin u du by the exact two-step recurrence
     M_m = pi^m - m (m-1) M_{m-2}, M_0 = 2."""
-    if N < 0:
-        raise InputDomainError("N must be >= 0")
+    N = require_count(N, "N", 0)
     val = 2.0
     for m in range(2, 2 * N + 1, 2):
         val = math.pi ** m - m * (m - 1) * val
@@ -706,9 +703,9 @@ def sine_moment(N: int) -> float:
 
 def kappa(N: int) -> float:
     """Moment constant: the even sine moment normalized by 2 * N!."""
-    if not 1 <= N <= 20:
+    if require_count(N, "N", 1) > 20:
         raise InputDomainError("N must be in 1..20")
-    return sine_moment(N) / (2.0 * math.factorial(N))
+    return sine_moment(N) / (2.0 * math.factorial(int(N)))
 
 
 def chernykh_constants(alpha: float | None = None, p: float | None = None, m: int | None = None) -> dict:

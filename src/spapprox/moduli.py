@@ -8,9 +8,10 @@ for a bounded generator phi with phi(0) = 0.  Builtin generators:
 
 * ``phi_alpha(a)``   -- 2^a |sin(t/2)|^a, the order-a modulus generator;
 * ``phi_theta(...)`` -- |sum_j theta_j e^{-ijt}|, matching a generalized
-  difference operator with weights theta, as |R(e^{it})| with R(w) =
-  theta_0 w^m + ... + theta_m by Horner's rule from theta_0 (one exponential
-  per point; at t = 0 the weights add as ``sum`` does);
+  difference operator with weights theta, factored as (2 |sin(t/2)|)^m0
+  |Q(e^{-it})| with sum_j theta_j w^j = (w - 1)^m0 Q(w); alpha is the case
+  Q = 1, and both share one constructor and its kernels (``_sine_power``),
+  so the classical scheme of order m is ``phi_alpha(m)`` to the bit;
 * ``phi_steklov(m)`` -- (1 - sinc t)^m, matching the m-fold defect of the
   centered sliding mean (1 - sinc t summed as a series at small phases).
 
@@ -19,7 +20,8 @@ for a bounded generator phi with phi(0) = 0.  Builtin generators:
 the fastest frequency.  For a builtin generator the scan is certified:
 every cell gets a closed-form upper bound of the objective
 (``PhiFunction.cell_sup``, term by term: the larger end value or a crest
-value for alpha and Steklov, a second-order bound on |symbol|^2 for theta),
+value for alpha and Steklov, times a second-order bound on |Q|^2 for
+theta),
 and only the cells whose bound beats the best sample (``omega_phi``) or the
 running maximum of the samples (``OmegaEvaluator``) are refined (branch
 and bound; Piyavskii 1972, Shubert 1972), by safeguarded Newton on the
@@ -54,7 +56,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, DegenerateWeightError, InputDomainError
+from .errors import BudgetError, DegenerateWeightError, InputDomainError, require_count
 from .spectrum import DifferenceScheme, Spectrum
 
 _SINC_MIN_ARG = 4.493409457909064  # first positive root of tan t = t
@@ -74,7 +76,9 @@ class PhiFunction:
     phi is evaluated (``__call__`` is e = 1, ``pow_p`` is e = p).
     ``monotone_to`` is the right end of a declared interval [0, a] on which
     phi is nondecreasing with phi(a) = sup; it is required by the sharpness
-    and inverse-theorem operations.
+    and inverse-theorem operations.  ``sup`` bounds phi: its least upper
+    bound for alpha, Steklov and a constant-Q theta, and sum_j |theta_j|
+    (the weights of (w - 1)^m0 Q) for other theta schemes.
 
     Builtin generators carry two closed-form kernels of g = phi**e, each
     None for custom ones, elementwise over phases:
@@ -86,10 +90,11 @@ class PhiFunction:
     * ``derivs(t, e)`` returns (g', g'') where g is twice differentiable.
 
     ``zeros`` are the phases z in [0, pi] such that phi vanishes at every
-    2 pi j + z or every 2 pi j - z: 0 for alpha and theta, and for theta
-    also |arg| of the other roots of its symbol on or near the unit circle
-    (off it, phi comes near 0).  Steklov (whose one zero is t = 0) and
-    custom generators have none.  At a zero, g behaves as |t -
+    2 pi j + z or every 2 pi j - z: 0 for alpha and theta (of order alpha,
+    or m0 for theta), and for theta also |arg| of the roots of its factor
+    Q on or near the unit circle (of order 1; off it, phi comes near 0).
+    ``order`` is the smallest of these orders.  Steklov (whose one zero is
+    t = 0) and custom generators have none.  At a zero, g behaves as |t -
     t_0|^(order e), a cusp with g'' unbounded when order e < 2.
 
     Only the theta and custom generators are probed (``_validate``) for
@@ -172,121 +177,145 @@ def phi_alpha(alpha: float) -> PhiFunction:
 
 @functools.lru_cache(maxsize=256)
 def _phi_alpha(alpha: float) -> PhiFunction:
-    def ev(t, e):
-        # a numpy power: 2^(alpha e) past the double range is inf, not OverflowError
-        return (np.float64(2.0) ** (alpha * e)) * np.abs(np.sin(0.5 * t)) ** (alpha * e)
-
-    def slack(e):
-        # sin to a few ulps relative, alpha e-fold through the power
-        return np.float64(2.0) ** (alpha * e) * (4.0 * alpha * e + 8.0) * _EPS
-
-    def derivs(t, e):
-        # g = 2^c |s|^c with s = sin(t/2), c = alpha e: g' = (c/2) cot(t/2) g
-        # and g'' = (c/4) (c cos^2(t/2) - 1) g / s^2, through q = 2^c |s|^(c-2)
-        c = alpha * e
-        s, co = np.sin(0.5 * t), np.cos(0.5 * t)
-        q = np.float64(2.0) ** c * np.abs(s) ** (c - 2.0)
-        return 0.5 * c * q * s * co, 0.25 * c * q * (c * co * co - 1.0)
-
-    return PhiFunction(
-        "alpha", ev, param=alpha, sup=2.0 ** alpha, monotone_to=math.pi,
-        label=f"alpha:{alpha:g}",
-        # crests at the odd multiples of pi
-        cell_sup=_crest_sup(ev, lambda top: math.pi * np.arange(1.0, top / math.pi + 2.0, 2.0), slack),
-        derivs=derivs, zeros=(0.0,), order=alpha,
-    )
+    return _sine_power("alpha", alpha, np.ones(1), param=alpha, label=f"alpha:{alpha:g}")
 
 
 def phi_theta(theta: Sequence[complex] | DifferenceScheme) -> PhiFunction:
-    """|sum_j theta_j e^{-ijt}| for a difference scheme (weights sum to 0)."""
-    scheme = theta if isinstance(theta, DifferenceScheme) else DifferenceScheme(tuple(theta))
-    th = scheme.theta
+    """|sum_j theta_j e^{-ijt}| for a difference scheme (weights sum to 0).
+
+    With R(w) = sum_j theta_j w^j, zero weights at either end dropped (a
+    power of w has modulus 1 on the unit circle), phi is
+    (2 |sin(t/2)|)^m0 |Q(e^{-it})| for R(w) = (w - 1)^m0 Q(w), Q found by
+    m0 rounds of synthetic division (the quotient of q by w - 1 is
+    -(q_0 + ... + q_j) at w^j).  The first round always runs; its remainder
+    sum theta is 0 up to the scheme's check and is dropped, so phi(0) = 0
+    exactly.  Each later round runs while Q has a root and Q(1), the next
+    remainder, is within 4 n eps sum_j |q_j| of 0 (n coefficients): exact
+    for integer weights, whose sums are exact and whose nonzero remainders
+    are at least 1, and typically no later round for float weights."""
+    th = (theta if isinstance(theta, DifferenceScheme) else DifferenceScheme(tuple(theta))).theta
+    q, m0 = np.trim_zeros(np.array(th, dtype=np.complex128)), 0
+    while q.shape[0] > 1 and (not m0 or abs(np.sum(q)) <= 4.0 * q.shape[0] * _EPS * float(np.sum(np.abs(q)))):
+        q, m0 = -np.cumsum(q)[:-1], m0 + 1
+    return _sine_power("theta", float(m0), q, theta=th, label=f"theta:{[complex(x) for x in th]}")._validate()
+
+
+def _sine_power(kind: str, beta: float, q: np.ndarray, **meta) -> PhiFunction:
+    """phi(t) = (2 |sin(t/2)|)^beta |Q(e^{-it})| with Q(w) = sum_j q_j w^j
+    and beta > 0, the alpha and theta generators: a constant Q (alpha has
+    Q = 1) is a scale c, so phi is c times a sine power, with neither a
+    Horner sum nor a root, and Q = 1 is alpha bit for bit.  Otherwise (theta,
+    beta = m0 an integer) phi^e = A B, with the sine power A = 2^b
+    |sin(t/2)|^b (b = beta e) in closed form and B = (c |U|)^e, U = Q / c
+    (c = sum_j |q_j|, so |U| <= 1), by Horner's rule; D_k = sum_j j^k u_j
+    e^{-ijt} (u = q / c) give P_Q = |U|^2 its P_Q' = 2 Im(conj(U) D_1) and
+    P_Q'' = 2 (|D_1|^2 - Re(conj(U) D_2)).
+
+    * ``cell_sup``: for a constant Q the larger end value, or the crest
+      c^e 2^b when the cell holds an odd multiple of pi; otherwise a
+      second-order bound on P = |R / s|^2, R(w) = (w - 1)^beta Q(w) with s
+      the sum of the magnitudes of its weights (so P <= 1): within r of a
+      cell midpoint m, |P - P(m)| <= |P'(m)| r + M2 r^2 / 2 with M2 =
+      sum_{j,l} (j - l)^2 |a_j| |a_l| bounding |P''| (a the weights of R /
+      s), where P = 4^beta (c / s)^2 sin(t/2)^(2 beta) P_Q and its P' are
+      taken from the factors, which keep their relative digits at small
+      phases (a bound on each factor's sup apart loses the first-order
+      cancellation at a peak of their product);
+    * ``derivs``: the product rule, g'/g = e (beta/2 cot(t/2) + P_Q' / (2 P_Q));
+    * ``zeros``: 0 (order beta), and the phases -arg w_0 of the roots w_0
+      of Q within 0.2 of the unit circle (order 1): there phi vanishes or
+      comes near 0.  A root at distance d from the circle leaves a dip
+      about d rad wide, which the samples of S' (at most pi/32 rad of the
+      fastest term's phase apart) resolve from d = 0.2 on.  ``order`` is
+      the smallest order among them."""
+    c = np.float64(math.fsum(abs(x) for x in q))
+    flat = q.shape[0] == 1
+
+    def horner(sn2, sc, k):
+        # U, D_1, ... to D_(k-1) at z = e^{-it}, from sn2 = sin(t/2)^2 and
+        # sc = sin(t/2) cos(t/2): two real sines cost less than one complex
+        # exponential
+        z = np.empty(sn2.shape, dtype=np.complex128)
+        z.real, z.imag = 1.0 - 2.0 * sn2, -2.0 * sc
+        acc = [np.asarray(w[-1] * z) for w in moments[:k]]  # in place, at a scalar phase too
+        for i in range(u.shape[0] - 2, 0, -1):
+            for a, w in zip(acc, moments):
+                a += w[i]
+                a *= z
+        return [a + w[0] for a, w in zip(acc, moments)]
 
     def ev(t, e):
-        w = np.exp(1j * t)
-        acc = th[0] * w
-        for c in th[1:-1]:
-            acc += c
-            acc *= w
-        return np.abs(acc + th[-1]) ** e
+        if flat:
+            # a numpy power: 2^(beta e) past the double range is inf, not OverflowError
+            return c ** e * ((np.float64(2.0) ** (beta * e)) * np.abs(np.sin(0.5 * t)) ** (beta * e))
+        sn = np.sin(0.5 * t)
+        sig = horner(sn * sn, sn * np.cos(0.5 * t), 1)[0]
+        return c ** e * (4.0 ** beta * (sn * sn) ** beta * (sig.real ** 2 + sig.imag ** 2)) ** (0.5 * e)
 
-    # classical alternating-binomial weights give 2^m |sin(t/2)|^m
-    m = len(th) - 1
-    classical = all(th[j] == (-1) ** j * math.comb(m, j) for j in range(m + 1))
-    grid = np.linspace(0.0, 2.0 * math.pi, 4097)
-    sup = float(np.max(ev(grid, 1.0)))
-    cell_sup, derivs, zeros = _theta_kernels(th)
-    return PhiFunction(
-        "theta", ev, theta=th, sup=sup,
-        monotone_to=math.pi if classical else None,
-        label=f"theta:{[complex(x) for x in th]}",
-        cell_sup=cell_sup, derivs=derivs, zeros=zeros,
-    )._validate()
+    def slack(e):
+        # sin to a few ulps relative, beta e-fold through the power; |U|
+        # within err, e-fold through its power
+        out = c ** e * (np.float64(2.0) ** (beta * e) * (4.0 * beta * e + 8.0) * _EPS)
+        return out if flat else out + np.float64(2.0) ** (beta * e) * _power_slack(c, err * c, e)
 
-
-def _theta_kernels(th: tuple) -> tuple[Callable, Callable, tuple]:
-    """``cell_sup``, ``derivs`` and ``zeros`` of |sigma(t)|, sigma(t) =
-    sum_j theta_j e^{-ijt}, through P = |sigma / s|^2 (s = sum_j |theta_j|,
-    so P <= 1 and phi^e = s^e P^(e/2)).  Within r of a cell midpoint c,
-    |P - P(c)| <= |P'(c)| r + M2 r^2 / 2 with M2 = sum_{j,l} (j - l)^2 |u_j|
-    |u_l| bounding |P''| (u = theta / s): the cell bound.  With D_k =
-    sum_j j^k u_j e^{-ijt}, P' = 2 Im(conj(sigma) D_1) / s^2 and P'' = 2
-    (|D_1|^2 - Re(conj(sigma) D_2)) / s^2.
-
-    sigma(t) = R(e^{-it}) with R(w) = sum_j u_j w^j, whose weights sum to
-    0: R(w) = (w - 1) Q(w) with Q(w) = -sum_j (u_0 + ... + u_j) w^j, and
-    phi vanishes, or comes near 0, at the phases -arg w_0 of the roots w_0
-    of Q within 0.2 of the unit circle.  A root at distance d from it
-    leaves |sigma| a dip about d rad wide, which the samples of S' (at most
-    pi/32 rad of the fastest term's phase apart) resolve from d = 0.2 on."""
-    s = np.float64(math.fsum(abs(x) for x in th))
-    u = np.array(th, dtype=np.complex128) / s
-    roots = np.roots(-np.cumsum(u)[-2::-1])
-    roots = roots[np.abs(np.abs(roots) - 1.0) < 0.2]
-    zeros = tuple(sorted({0.0, *np.abs(np.angle(roots)).tolist()}))
-    j = np.arange(u.shape[0], dtype=np.float64)
-    moments = [u, j * u, j * j * u]  # sigma / s, D_1, D_2 by Horner's rule
-    m2 = float(np.sum(np.subtract.outer(j, j) ** 2 * np.multiply.outer(np.abs(u), np.abs(u))))
-    # Horner (m steps, each a few ulps) leaves |sigma / s| within err of exact
-    err = (4.0 * u.shape[0] + 8.0) * _EPS
-
-    def horner(t, k):
-        z = np.exp(-1j * t)
-        acc = [np.full(t.shape, w[-1]) for w in moments[:k]]
-        for i in range(u.shape[0] - 2, -1, -1):
-            for a, w in zip(acc, moments):
-                a *= z
-                a += w[i]
-        return acc
+    if not flat:
+        # Horner (n - 1 steps) and the sine power (beta-fold) to a few ulps each
+        u, j, err = q / c, np.arange(q.shape[0], dtype=np.float64), (4.0 * (q.shape[0] + beta) + 8.0) * _EPS
+        moments = [(j ** k * u).tolist() for k in range(3)]  # U, D_1, D_2
+        # |weights| of R, their sum s, M2 and P / (sin(t/2)^(2 beta) P_Q)
+        full = np.abs(np.convolve(q, np.polynomial.polynomial.polypow((-1.0, 1.0), int(beta))))
+        s, gap = np.float64(math.fsum(full)), np.subtract.outer(*[np.arange(full.shape[0], dtype=np.float64)] * 2)
+        m2, kappa = float(full @ gap ** 2 @ full / (s * s)), 4.0 ** beta * float(c / s) ** 2
 
     def cell_sup(t0, t1, w0, w1, e):
-        # P at the cell midpoints, a bound on |P'| there (to within 4 m err)
-        # and the half-widths
-        c = 0.5 * (t0 + t1)
-        r = np.maximum(np.abs(t1 - c), np.abs(c - t0)) * (1.0 + 4.0 * _EPS)
-        sig, dz = horner(c, 2)
-        slope = 2.0 * np.abs(np.imag(np.conj(sig) * dz)) + 4.0 * j[-1] * err
-        bound = np.abs(sig) ** 2 + 3.0 * err + slope * r + 0.5 * m2 * r * r
-        return s ** e * np.minimum(bound, 1.0) ** (0.5 * e), _power_slack(s, err * s, e)
+        # P and P' at the cell midpoints (P to within 4 kappa sin^(2 beta)
+        # err, P' to within the slope's second term) and the half-widths
+        mid = 0.5 * (t0 + t1)
+        r = np.maximum(np.abs(t1 - mid), np.abs(mid - t0)) * (1.0 + 4.0 * _EPS)
+        sn, co = np.sin(0.5 * mid), np.cos(0.5 * mid)
+        sv, ds = (sn * sn) ** beta, beta * (sn * sn) ** (beta - 1.0) * (sn * co)
+        sig, dz = horner(sn * sn, sn * co, 2)
+        pq = np.abs(sig) ** 2
+        slope = kappa * (np.abs(ds * pq + 2.0 * sv * np.imag(np.conj(sig) * dz)) + (4.0 * np.abs(ds) + 6.0 * j[-1] * sv) * err)
+        bound = kappa * sv * (pq + 4.0 * err) + slope * r + 0.5 * m2 * r * r
+        return s ** e * np.minimum(bound, 1.0) ** (0.5 * e), slack(e)
 
     def derivs(t, e):
-        sig, d1, d2 = horner(t, 3)
-        p0 = np.abs(sig) ** 2
-        p1 = 2.0 * np.imag(np.conj(sig) * d1)
-        p2 = 2.0 * (np.abs(d1) ** 2 - np.real(np.conj(sig) * d2))
-        # g' = s^e (e/2) P^(e/2 - 1) P', g'' = s^e (e/2) P^(e/2 - 1) (P'' + (e/2 - 1) P'^2 / P)
-        h = 0.5 * e
-        q = s ** e * h * p0 ** (h - 1.0)
-        ratio = np.divide(p1 * p1, p0, out=np.zeros_like(p0), where=p0 > 0.0)
-        return q * p1, q * (p2 + (h - 1.0) * ratio)
+        sn, co = np.sin(0.5 * t), np.cos(0.5 * t)
+        if flat:
+            # A' = (b/2) cot(t/2) A and A'' = (b/4) (b cos^2(t/2) - 1) A /
+            # sin^2(t/2), through a = 2^b |sin(t/2)|^(b-2)
+            b = beta * e
+            a = np.float64(2.0) ** b * np.abs(sn) ** (b - 2.0)
+            return c ** e * (0.5 * b * a * sn * co), c ** e * (0.25 * b * a * (b * co * co - 1.0))
+        # G = (phi / c)^2 = S P_Q, S = 4^beta sin(t/2)^(2 beta), by the
+        # product rule; g = c^e G^h (h = e/2): g' = c^e h G^(h - 1) G' and
+        # g'' = c^e h G^(h - 1) (G'' + (h - 1) G'^2 / G)
+        sn2, sc = sn * sn, sn * co
+        lead = 4.0 ** beta * sn2 ** (beta - 1.0)
+        s0, s1, s2 = lead * sn2, beta * lead * sc, (0.5 * beta) * lead * ((2.0 * beta - 1.0) * co * co - sn2)
+        sig, d1, d2 = horner(sn2, sc, 3)
+        p0, p1 = sig.real ** 2 + sig.imag ** 2, 2.0 * np.imag(np.conj(sig) * d1)
+        p2 = 2.0 * (d1.real ** 2 + d1.imag ** 2 - np.real(np.conj(sig) * d2))
+        g0, g1, g2 = s0 * p0, s1 * p0 + s0 * p1, s2 * p0 + 2.0 * s1 * p1 + s0 * p2
+        k = c ** e * (0.5 * e) * g0 ** (0.5 * e - 1.0)
+        ratio = np.divide(g1 * g1, g0, out=np.zeros_like(g0), where=g0 > 0.0)
+        return k * g1, k * (g2 + (0.5 * e - 1.0) * ratio)
 
-    return cell_sup, derivs, zeros
+    roots = [w for w in (() if flat else np.roots(u[::-1])) if abs(abs(w) - 1.0) < 0.2]
+    # the crests of a constant Q's sine power lie at the odd multiples of pi
+    crest = _crest_sup(ev, lambda top: math.pi * np.arange(1.0, top / math.pi + 2.0, 2.0), slack)
+    return PhiFunction(
+        kind, ev, sup=float(c) * 2.0 ** beta if flat else float(s), monotone_to=math.pi if flat else None,
+        cell_sup=crest if flat else cell_sup, derivs=derivs,
+        zeros=tuple(sorted({0.0, *(abs(math.atan2(w.imag, w.real)) for w in roots)})),
+        order=min(beta, 1.0) if roots else beta, **meta,
+    )
 
 
 def phi_steklov(m: int) -> PhiFunction:
     """(1 - sinc t)^m; nondecreasing up to the sinc minimum at t ~ 4.4934."""
-    if m < 1:
-        raise InputDomainError("Steklov order must be >= 1")
+    m = require_count(m, "Steklov order m", 1)
 
     def ev(t, e):
         return _sinc_defect(t)[0] ** (m * e)

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import InputDomainError, ParseError
+from .errors import InputDomainError, ParseError, require_count
 
 LatticeKey = tuple[int, ...]
 
@@ -270,6 +270,8 @@ class DifferenceScheme:
     def __post_init__(self):
         th = tuple(complex(t) for t in self.theta)
         object.__setattr__(self, "theta", th)
+        if not all(cmath.isfinite(t) for t in th):
+            raise InputDomainError("difference weights must be finite")
         if not th or all(t == 0 for t in th):
             raise InputDomainError("difference scheme must have a nonzero weight")
         scale = max(abs(t) for t in th)
@@ -306,15 +308,13 @@ def _sinc(t: float) -> float:
 
 def steklov_multiplier(m: int, lam: float, h: float) -> float:
     """(1 - sinc(lam h))^m, the multiplier of the m-fold centered-mean defect."""
-    if m < 1:
-        raise InputDomainError("Steklov order m must be >= 1")
+    m = require_count(m, "Steklov order m", 1)
     return max(0.0, 1.0 - _sinc(lam * h)) ** m
 
 def apply_steklov_difference(f: Spectrum, m: int, h: float) -> Spectrum:
     """Apply (S_h - Id)^m coefficient-wise, where S_h is the centered
     sliding mean over [-h, h] (its multiplier on frequency lam is sinc(lam h))."""
-    if m < 1:
-        raise InputDomainError("Steklov order m must be >= 1")
+    m = require_count(m, "Steklov order m", 1)
     lams = f.scalar_frequencies()
     return Spectrum(
         f.kind,

@@ -242,6 +242,18 @@ def test_cli_overflowing_generator_is_a_usage_error(tmp_path, capsys, finite, ov
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("weights", ["[1,-1,nan]", "[inf,-inf]", "[1,nan,-1]"])
+def test_cli_non_finite_theta_weights_are_a_usage_error(tmp_path, capsys, weights):
+    path = tmp_path / "f.json"
+    save_spectrum(Spectrum.real({1.0: 1.0, 3.0: 1.0}), str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach the user's stderr too
+        assert run(["modulus", "--input", str(path), "--phi", f"theta:{weights}", "--delta", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("args", [
     # sup^p = 2^1200: past the double range
     ["jackson", "--phi", "alpha:600", "--p", "2", "--n", "2"],

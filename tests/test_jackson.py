@@ -169,6 +169,26 @@ def test_moment_constants():
         kappa(21)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: JacksonSetup(n=1.5, phi=phi_alpha(1.0), p=2.0, tau=math.pi, v=weight_cos()),
+    lambda: JacksonSetup(n=math.nan, phi=phi_alpha(1.0), p=2.0, tau=math.pi, v=weight_cos()),
+    lambda: sigma_series(1.5, budget=math.nan),
+    lambda: sigma_series(1.5, budget=2.5),
+    lambda: kappa(2.5),
+    lambda: kappa(math.inf),
+    lambda: sine_moment(1.5),
+    lambda: sine_moment(math.nan),
+])
+def test_integer_counts_are_typed_errors(call):
+    with pytest.raises(InputDomainError):
+        call()
+
+
+def test_integral_float_counts_are_integers():
+    assert kappa(3.0) == kappa(3) and sine_moment(2.0) == sine_moment(2)
+    assert JacksonSetup(n=2.0, phi=phi_alpha(1.0), p=2.0, tau=math.pi, v=weight_cos()).n == 2
+
+
 def test_constants_table():
     t = chernykh_constants(alpha=1.0, p=2.0, m=1)
     assert t["sharp_ratio_pow_p"] == pytest.approx(0.5, abs=0)

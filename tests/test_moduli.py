@@ -5,6 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -23,6 +24,7 @@ from spapprox import (
     phi_steklov,
     phi_theta,
     sp_norm,
+    steklov_multiplier,
     stieltjes,
     weight_atomic,
     weight_cos,
@@ -106,6 +108,105 @@ def test_phi_theta_accepts_scaled_schemes_with_exact_zero(scale):
         parts = [complex(*rng.normal(size=2)) * scale for _ in range(4)]
         phi = phi_theta(parts + [-sum(parts)])
         assert phi(0.0) == 0.0
+
+
+@st.composite
+def _integer_schemes(draw):
+    """An integer scheme of 2-7 taps in [-8, 8] that sums to 0 (zero
+    weights at either end allowed), with R(w) = sum_j theta_j w^j = (w -
+    1)^m0 Q(w) factored exactly by sympy: (theta, m0, the coefficients of Q)."""
+    parts = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=6))
+    assume(abs(sum(parts)) <= 8)
+    theta = parts + [-sum(parts)]
+    theta.insert(draw(st.integers(0, len(parts))), theta.pop())
+    assume(any(theta))
+    w = sympy.Symbol("w")
+    poly, m0 = sympy.Poly(theta[::-1], w), 0
+    while poly.eval(1) == 0:
+        poly, m0 = sympy.quo(poly, sympy.Poly(w - 1, w)), m0 + 1
+    return theta, m0, [int(c) for c in poly.all_coeffs()[::-1]]
+
+
+@given(case=_integer_schemes(), t=st.floats(1e-8, 2 * math.pi), e=st.sampled_from([1.0, 1.5, 2.0]))
+@settings(max_examples=150, deadline=None)
+def test_phi_theta_keeps_relative_digits_of_integer_schemes(case, t, e):
+    # phi = (2 |sin(t/2)|)^m0 |Q(e^{-it})| is exact to (4 m0 e + 8) eps
+    # relative from the sine power (as alpha), plus Horner's bound on Q
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 5.1: about 2
+    # m eps sum |q_j| absolute, doubled for complex products) relative to
+    # |Q|, e-fold through the power; infinite where Q vanishes.  The mpmath
+    # sum is taken at 150 digits: next to a root of order <= 6 at a double's
+    # distance it cancels at most about 100 of them, which leaves 40
+    theta, m0, q = case
+    got = float(phi_theta(theta).pow_p(np.array([t]), e)[0])
+    with mpmath.workdps(150):
+        z = mpmath.expj(-mpmath.mpf(t))
+        want = abs(mpmath.polyval(theta[::-1], z)) ** e
+        q_abs = abs(mpmath.polyval(q[::-1], z))
+    assume(q_abs > 0)
+    m = len(theta) - 1
+    bound = (4 * m0 * e + 8) * _EPS + 4 * m * e * _EPS * sum(abs(c) for c in q) / float(q_abs)
+    assert abs(got - float(want)) <= bound * float(want)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_classical_theta_moduli_are_alpha_moduli(m, p):
+    # (1 - w)^m is (w - 1)^m times a constant: the same function, the same
+    # kernels and the same scan as phi_alpha(m), down to steps of 1e-6 (the
+    # Horner sum of the weights lost every digit there)
+    theta, alpha = phi_theta(DifferenceScheme.classical(m)), phi_alpha(m)
+    assert theta.zeros == (0.0,) and theta.order == m and theta.monotone_to == math.pi
+    rng = np.random.default_rng(m)
+    spectra = [Spectrum.real({1.0: 1.0, 2.0: 0.5, -3.0: 0.25}), random_spectrum(rng, max_index=12, size=6)]
+    for f in spectra:
+        for delta in np.geomspace(1e-6, math.pi, 13).tolist():
+            assert omega_phi(f, theta, delta, p) == pytest.approx(omega_phi(f, alpha, delta, p), rel=1e-13, abs=0)
+        lams = f.scalar_frequencies()
+        assert np.array_equal(moduli._shift_cuts(theta, lams, p, 3.0), moduli._shift_cuts(alpha, lams, p, 3.0))
+
+
+@pytest.mark.parametrize("weights, zeros, order, like", [
+    # R = 1 - w^2 = -(w - 1)(w + 1): Q vanishes at w = -1, t = pi
+    ([1, 0, -1], (0.0, math.pi), 1.0, None),
+    # zero end weights multiply R by a power of w, of modulus 1 on the circle
+    ([0, 1, -2, 1, 0], (0.0,), 2.0, 2),
+    ([0, 0, -1, 3, -3, 1], (0.0,), 3.0, 3),
+    ([0, 1, 0, -1], (0.0, math.pi), 1.0, None),
+])
+def test_phi_theta_factors_its_zeros(weights, zeros, order, like):
+    phi = phi_theta(weights)
+    assert phi.zeros == pytest.approx(zeros, abs=1e-12) and phi.order == order
+    ts = np.linspace(-7.0, 7.0, 57)
+    want = np.abs(np.polyval(weights[::-1], np.exp(-1j * ts)))
+    np.testing.assert_allclose(phi(ts), want, rtol=1e-13, atol=1e-13)
+    if like is not None:
+        assert np.array_equal(phi(ts), phi_alpha(like)(ts))
+        assert phi.monotone_to == math.pi
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("at", range(3))
+def test_non_finite_weights_are_input_errors(bad, at):
+    weights = [1.0, -2.0, 1.0]
+    weights[at] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputDomainError):
+            DifferenceScheme(tuple(weights))
+        with pytest.raises(InputDomainError):
+            phi_theta(weights)
+
+
+@pytest.mark.parametrize("m", [1.5, 0.0, -1, math.nan, math.inf, "2"])
+def test_steklov_orders_are_positive_integers(m):
+    f = Spectrum.real({1.0: 1.0})
+    for call in (lambda: phi_steklov(m), lambda: steklov_multiplier(m, 1.0, 0.7),
+                 lambda: apply_steklov_difference(f, m, 0.7)):
+        with pytest.raises(InputDomainError):
+            call()
+    # an integral float is the integer order
+    assert phi_steklov(2.0) == phi_steklov(2)
 
 
 def test_overflowing_generators_are_input_errors():
