@@ -44,6 +44,7 @@ from .errors import (
     ConvergenceError,
     InputDomainError,
     PreconditionError,
+    require_count,
 )
 from .psi import (
     CharSeq,
@@ -166,8 +167,7 @@ def class_best_approx(
             )
         head = [spec.psi.magnitude(k) for k in gset]
         return _tail_report(spec, "best_approx", len(gset), warnings, head, form="set")
-    if level < 1:
-        raise InputDomainError("level must be >= 1")
+    level = require_count(level, "level", 1)
     cs = build_charseq(spec.psi, levels=level)
     if spec.q <= spec.p:
         return ExtremalReport(
@@ -182,8 +182,7 @@ def class_widths(spec: ClassSpec, n: int) -> ExtremalReport:
     """Trigonometric (basis) and projection width of order n: optimize the
     approximating n-point frequency set.  Equals the (n+1)-st rearrangement
     value (q <= p) or the rearrangement tail beyond position n (q > p)."""
-    if n < 0:
-        raise InputDomainError("width order n must be >= 0")
+    n = require_count(n, "width order n", 0)
     warnings = spec.grade_warnings()
     if spec.q <= spec.p:
         val = float(rearrangement_padded(spec.psi, n + 1)[n])
@@ -201,8 +200,7 @@ def kolmogorov_ladder(spec: ClassSpec, n: int) -> ExtremalReport:
         raise PreconditionError("the Kolmogorov ladder requires p = q")
     if not 1 <= spec.p < math.inf:
         raise PreconditionError("the Kolmogorov ladder requires p in [1, inf)")
-    if n < 1:
-        raise InputDomainError("level must be >= 1")
+    n = require_count(n, "level", 1)
     cs = build_charseq(spec.psi, levels=n)
     lo = 0 if n == 1 else cs.delta[n - 2]
     hi = cs.delta[n - 1] - 1
@@ -233,8 +231,7 @@ def class_sigma(
     certified tail sums.  The head-length rule (maximize the bracket) is
     cross-checked by the ellipsoid search oracle in the test suite.
     """
-    if n < 1:
-        raise InputDomainError("n must be >= 1")
+    n = require_count(n, "n", 1)
     warnings = spec.grade_warnings()
     p, q = spec.p, spec.q
     if q > p:
@@ -460,8 +457,7 @@ def _identity_check(
     of its psi-derivative f' (inverse), and the rhs weights the tails of the
     other spectrum by differences of level values raised to p (direct) or
     -p (inverse)."""
-    if n < 1:
-        raise InputDomainError("n must be >= 1")
+    n = require_count(n, "n", 1)
     if not 0 < p < math.inf:
         raise InputDomainError(f"identity exponent p must be in (0, inf), got {p}")
     tails_f, tails_d, cs = _identity_tails(f, psi, p, n)

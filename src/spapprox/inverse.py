@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputDomainError, PreconditionError
+from .errors import InputDomainError, PreconditionError, require_count
 from .ladder import FrequencyLadder
 from .moduli import PhiFunction, omega_phi, phi_alpha
 from .spectrum import Spectrum, _lp, ladder_tail_norm
@@ -59,8 +59,7 @@ def inverse_bound_general(
             (phi^p(tau lam_v / lam_n) - phi^p(tau lam_{v-1} / lam_n)) E_v^p
 
     where E_v is the tail norm over |frequency| >= lam_v."""
-    if n < 1:
-        raise InputDomainError("n must be >= 1")
+    n = require_count(n, "n", 1)
     phi.require_monotone(tau)
     if phi.sup is not None and phi(tau) < phi.sup * (1 - 1e-9):
         raise PreconditionError("phi(tau) must attain the global sup")
@@ -90,8 +89,7 @@ def inverse_bound_alpha(
     * ``gap``:      K alpha p (pi / lam_n)^{alpha p} sum lam_v^{alpha p - 1}
                     E_v^p, needing the ladder's uniform gap bound K.
     """
-    if n < 1:
-        raise InputDomainError("n must be >= 1")
+    n = require_count(n, "n", 1)
     if variant not in ("classic", "improved", "gap"):
         raise InputDomainError(f"unknown variant {variant!r}")
     ap = alpha * p

@@ -391,8 +391,7 @@ def jackson_I(
     certificate notes that values beyond the scan range are heuristically
     dominated ("tail-dominated").  The policy is always recorded, never silent.
     """
-    if k_factor < 1:
-        raise InputDomainError(f"k_factor must be >= 1, got {k_factor}")
+    k_factor = require_count(k_factor, "k_factor", 1)
     n = setup.n
     lam_n = setup.ladder.value(n)
     k_max = k_factor * n

@@ -177,7 +177,7 @@ def phi_alpha(alpha: float) -> PhiFunction:
 
 @functools.lru_cache(maxsize=256)
 def _phi_alpha(alpha: float) -> PhiFunction:
-    return _sine_power("alpha", alpha, np.ones(1), param=alpha, label=f"alpha:{alpha:g}")
+    return _sine_power("alpha", alpha, (1.0,), param=alpha, label=f"alpha:{alpha:g}")
 
 
 def phi_theta(theta: Sequence[complex] | DifferenceScheme) -> PhiFunction:
@@ -200,7 +200,7 @@ def phi_theta(theta: Sequence[complex] | DifferenceScheme) -> PhiFunction:
     return _sine_power("theta", float(m0), q, theta=th, label=f"theta:{[complex(x) for x in th]}")._validate()
 
 
-def _sine_power(kind: str, beta: float, q: np.ndarray, **meta) -> PhiFunction:
+def _sine_power(kind: str, beta: float, q: Sequence[complex], **meta) -> PhiFunction:
     """phi(t) = (2 |sin(t/2)|)^beta |Q(e^{-it})| with Q(w) = sum_j q_j w^j
     and beta > 0, the alpha and theta generators: a constant Q (alpha has
     Q = 1) is a scale c, so phi is c times a sine power, with neither a
@@ -228,8 +228,39 @@ def _sine_power(kind: str, beta: float, q: np.ndarray, **meta) -> PhiFunction:
       about d rad wide, which the samples of S' (at most pi/32 rad of the
       fastest term's phase apart) resolve from d = 0.2 on.  ``order`` is
       the smallest order among them."""
-    c = np.float64(math.fsum(abs(x) for x in q))
-    flat = q.shape[0] == 1
+    c = np.float64(math.fsum(map(abs, q)))
+
+    def slack(e):
+        # sin to a few ulps relative, beta e-fold through the power
+        return c ** e * (np.float64(2.0) ** (beta * e) * (4.0 * beta * e + 8.0) * _EPS)
+
+    if len(q) == 1:
+        def ev(t, e):
+            # a numpy power: 2^(beta e) past the double range is inf, not OverflowError
+            return c ** e * ((np.float64(2.0) ** (beta * e)) * np.abs(np.sin(0.5 * t)) ** (beta * e))
+
+        def derivs(t, e):
+            # A' = (b/2) cot(t/2) A and A'' = (b/4) (b cos^2(t/2) - 1) A /
+            # sin^2(t/2), through a = 2^b |sin(t/2)|^(b-2)
+            b = beta * e
+            sn, co = np.sin(0.5 * t), np.cos(0.5 * t)
+            a = np.float64(2.0) ** b * np.abs(sn) ** (b - 2.0)
+            return c ** e * (0.5 * b * a * sn * co), c ** e * (0.25 * b * a * (b * co * co - 1.0))
+
+        return PhiFunction(
+            kind, ev, sup=float(c) * 2.0 ** beta, monotone_to=math.pi,
+            # the crests of the sine power lie at the odd multiples of pi
+            cell_sup=_crest_sup(ev, lambda top: math.pi * np.arange(1.0, top / math.pi + 2.0, 2.0), slack),
+            derivs=derivs, zeros=(0.0,), order=beta, **meta,
+        )
+
+    # Horner (n - 1 steps) and the sine power (beta-fold) to a few ulps each
+    u, j, err = np.asarray(q) / c, np.arange(len(q), dtype=np.float64), (4.0 * (len(q) + beta) + 8.0) * _EPS
+    moments = [(j ** k * u).tolist() for k in range(3)]  # U, D_1, D_2
+    # |weights| of R, their sum s, M2 and P / (sin(t/2)^(2 beta) P_Q)
+    full = np.abs(np.convolve(q, np.polynomial.polynomial.polypow((-1.0, 1.0), int(beta))))
+    s, gap = np.float64(math.fsum(full)), np.subtract.outer(*[np.arange(full.shape[0], dtype=np.float64)] * 2)
+    m2, kappa = float(full @ gap ** 2 @ full / (s * s)), 4.0 ** beta * float(c / s) ** 2
 
     def horner(sn2, sc, k):
         # U, D_1, ... to D_(k-1) at z = e^{-it}, from sn2 = sin(t/2)^2 and
@@ -245,27 +276,9 @@ def _sine_power(kind: str, beta: float, q: np.ndarray, **meta) -> PhiFunction:
         return [a + w[0] for a, w in zip(acc, moments)]
 
     def ev(t, e):
-        if flat:
-            # a numpy power: 2^(beta e) past the double range is inf, not OverflowError
-            return c ** e * ((np.float64(2.0) ** (beta * e)) * np.abs(np.sin(0.5 * t)) ** (beta * e))
         sn = np.sin(0.5 * t)
         sig = horner(sn * sn, sn * np.cos(0.5 * t), 1)[0]
         return c ** e * (4.0 ** beta * (sn * sn) ** beta * (sig.real ** 2 + sig.imag ** 2)) ** (0.5 * e)
-
-    def slack(e):
-        # sin to a few ulps relative, beta e-fold through the power; |U|
-        # within err, e-fold through its power
-        out = c ** e * (np.float64(2.0) ** (beta * e) * (4.0 * beta * e + 8.0) * _EPS)
-        return out if flat else out + np.float64(2.0) ** (beta * e) * _power_slack(c, err * c, e)
-
-    if not flat:
-        # Horner (n - 1 steps) and the sine power (beta-fold) to a few ulps each
-        u, j, err = q / c, np.arange(q.shape[0], dtype=np.float64), (4.0 * (q.shape[0] + beta) + 8.0) * _EPS
-        moments = [(j ** k * u).tolist() for k in range(3)]  # U, D_1, D_2
-        # |weights| of R, their sum s, M2 and P / (sin(t/2)^(2 beta) P_Q)
-        full = np.abs(np.convolve(q, np.polynomial.polynomial.polypow((-1.0, 1.0), int(beta))))
-        s, gap = np.float64(math.fsum(full)), np.subtract.outer(*[np.arange(full.shape[0], dtype=np.float64)] * 2)
-        m2, kappa = float(full @ gap ** 2 @ full / (s * s)), 4.0 ** beta * float(c / s) ** 2
 
     def cell_sup(t0, t1, w0, w1, e):
         # P and P' at the cell midpoints (P to within 4 kappa sin^(2 beta)
@@ -278,19 +291,15 @@ def _sine_power(kind: str, beta: float, q: np.ndarray, **meta) -> PhiFunction:
         pq = np.abs(sig) ** 2
         slope = kappa * (np.abs(ds * pq + 2.0 * sv * np.imag(np.conj(sig) * dz)) + (4.0 * np.abs(ds) + 6.0 * j[-1] * sv) * err)
         bound = kappa * sv * (pq + 4.0 * err) + slope * r + 0.5 * m2 * r * r
-        return s ** e * np.minimum(bound, 1.0) ** (0.5 * e), slack(e)
+        # |U| within err, e-fold through its power
+        q_slack = np.float64(2.0) ** (beta * e) * _power_slack(c, err * c, e)
+        return s ** e * np.minimum(bound, 1.0) ** (0.5 * e), slack(e) + q_slack
 
     def derivs(t, e):
-        sn, co = np.sin(0.5 * t), np.cos(0.5 * t)
-        if flat:
-            # A' = (b/2) cot(t/2) A and A'' = (b/4) (b cos^2(t/2) - 1) A /
-            # sin^2(t/2), through a = 2^b |sin(t/2)|^(b-2)
-            b = beta * e
-            a = np.float64(2.0) ** b * np.abs(sn) ** (b - 2.0)
-            return c ** e * (0.5 * b * a * sn * co), c ** e * (0.25 * b * a * (b * co * co - 1.0))
         # G = (phi / c)^2 = S P_Q, S = 4^beta sin(t/2)^(2 beta), by the
         # product rule; g = c^e G^h (h = e/2): g' = c^e h G^(h - 1) G' and
         # g'' = c^e h G^(h - 1) (G'' + (h - 1) G'^2 / G)
+        sn, co = np.sin(0.5 * t), np.cos(0.5 * t)
         sn2, sc = sn * sn, sn * co
         lead = 4.0 ** beta * sn2 ** (beta - 1.0)
         s0, s1, s2 = lead * sn2, beta * lead * sc, (0.5 * beta) * lead * ((2.0 * beta - 1.0) * co * co - sn2)
@@ -302,12 +311,9 @@ def _sine_power(kind: str, beta: float, q: np.ndarray, **meta) -> PhiFunction:
         ratio = np.divide(g1 * g1, g0, out=np.zeros_like(g0), where=g0 > 0.0)
         return k * g1, k * (g2 + (0.5 * e - 1.0) * ratio)
 
-    roots = [w for w in (() if flat else np.roots(u[::-1])) if abs(abs(w) - 1.0) < 0.2]
-    # the crests of a constant Q's sine power lie at the odd multiples of pi
-    crest = _crest_sup(ev, lambda top: math.pi * np.arange(1.0, top / math.pi + 2.0, 2.0), slack)
+    roots = [w for w in np.roots(u[::-1]) if abs(abs(w) - 1.0) < 0.2]
     return PhiFunction(
-        kind, ev, sup=float(c) * 2.0 ** beta if flat else float(s), monotone_to=math.pi if flat else None,
-        cell_sup=crest if flat else cell_sup, derivs=derivs,
+        kind, ev, sup=float(s), cell_sup=cell_sup, derivs=derivs,
         zeros=tuple(sorted({0.0, *(abs(math.atan2(w.imag, w.real)) for w in roots)})),
         order=min(beta, 1.0) if roots else beta, **meta,
     )

@@ -387,6 +387,22 @@ def test_identity_values_pinned_for_every_convention(seed, family, n):
                 assert a == b or (math.isnan(a) and math.isnan(b)), (check.__name__, eo, to, got)
 
 
+@pytest.mark.parametrize("call", [
+    # each raised TypeError from a slice, and an infinite order ran the
+    # n-term scan out of budget
+    lambda spec: class_best_approx(spec, level=1.5),
+    lambda spec: class_widths(spec, 1.5),
+    lambda spec: kolmogorov_ladder(spec, 1.5),
+    lambda spec: class_sigma(spec, 1.5),
+    lambda spec: direct_identity_check(Spectrum.lattice({0: 0.0, 1: 0.5}), spec.psi, 1.5),
+    lambda spec: inverse_identity_check(Spectrum.lattice({0: 0.0, 1: 0.5}), spec.psi, 2.5),
+    lambda spec: class_sigma(spec, math.inf),
+])
+def test_levels_and_orders_must_be_integers(call):
+    with pytest.raises(InputDomainError):
+        call(ClassSpec(ExplicitSeqPsi.geometric(0.5), 1.0, 1.0))
+
+
 @pytest.mark.parametrize("p", [-1.0, 0.0, math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("check", [direct_identity_check, inverse_identity_check])
 def test_identity_checks_reject_an_exponent_outside_zero_to_inf(check, p):

@@ -104,6 +104,16 @@ def test_general_requires_monotone_phi():
         inverse_bound_general(f, phi_alpha(1.0), LAD, 2, 2 * math.pi, 2.0)
 
 
+@pytest.mark.parametrize("n", [1.5, math.nan, math.inf])
+def test_inverse_bounds_reject_a_non_integer_n(n):
+    # each raised TypeError from inside the ladder
+    f = Spectrum.real({1.0: 1.0, 3.0: 0.5})
+    with pytest.raises(InputDomainError):
+        inverse_bound_general(f, phi_alpha(1.0), LAD, n, math.pi, 2.0)
+    with pytest.raises(InputDomainError):
+        inverse_bound_alpha(f, 1.0, 2.0, LAD, n)
+
+
 def test_pi_alpha_sharpness_threshold():
     for alpha in (1.0, 2.0):
         target = math.pi ** alpha - 0.1

@@ -178,6 +178,8 @@ def test_moment_constants():
     lambda: kappa(math.inf),
     lambda: sine_moment(1.5),
     lambda: sine_moment(math.nan),
+    lambda: jackson_I(JacksonSetup(n=2, phi=phi_alpha(1.0), p=2.0, tau=math.pi, v=weight_cos()), 1.5),
+    lambda: jackson_I(JacksonSetup(n=2, phi=phi_alpha(1.0), p=2.0, tau=math.pi, v=weight_cos()), math.inf),
 ])
 def test_integer_counts_are_typed_errors(call):
     with pytest.raises(InputDomainError):
