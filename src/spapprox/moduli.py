@@ -237,15 +237,15 @@ def _sine_power(kind: str, beta: float, q: Sequence[complex], **meta) -> PhiFunc
     if len(q) == 1:
         def ev(t, e):
             # a numpy power: 2^(beta e) past the double range is inf, not OverflowError
-            return c ** e * ((np.float64(2.0) ** (beta * e)) * np.abs(np.sin(0.5 * t)) ** (beta * e))
+            return (c ** e * np.float64(2.0) ** (beta * e)) * np.abs(np.sin(0.5 * t)) ** (beta * e)
 
         def derivs(t, e):
-            # A' = (b/2) cot(t/2) A and A'' = (b/4) (b cos^2(t/2) - 1) A /
-            # sin^2(t/2), through a = 2^b |sin(t/2)|^(b-2)
+            # g' = (b/2) cot(t/2) g and g'' = (b/4) (b cos^2(t/2) - 1) g /
+            # sin^2(t/2), through a = c^e 2^b |sin(t/2)|^(b-2)
             b = beta * e
             sn, co = np.sin(0.5 * t), np.cos(0.5 * t)
-            a = np.float64(2.0) ** b * np.abs(sn) ** (b - 2.0)
-            return c ** e * (0.5 * b * a * sn * co), c ** e * (0.25 * b * a * (b * co * co - 1.0))
+            a = (c ** e * np.float64(2.0) ** b) * np.abs(sn) ** (b - 2.0)
+            return 0.5 * b * a * sn * co, 0.25 * b * a * (b * co * co - 1.0)
 
         return PhiFunction(
             kind, ev, sup=float(c) * 2.0 ** beta, monotone_to=math.pi,
