@@ -261,55 +261,65 @@ def _sine_power(kind: str, beta: float, q: Sequence[complex], **meta) -> PhiFunc
     full = np.abs(np.convolve(q, np.polynomial.polynomial.polypow((-1.0, 1.0), int(beta))))
     s, gap = np.float64(math.fsum(full)), np.subtract.outer(*[np.arange(full.shape[0], dtype=np.float64)] * 2)
     m2, kappa = float(full @ gap ** 2 @ full / (s * s)), 4.0 ** beta * float(c / s) ** 2
+    # the rounding of P' in ``cell_sup``: 4 |ds| + 6 (n - 1) sv in units of
+    # kappa err, with |ds| <= beta / 2 and sv <= 1 (n coefficients)
+    slope_err = kappa * (2.0 * beta + 6.0 * j[-1]) * err
 
     def horner(sn2, sc, k):
         # U, D_1, ... to D_(k-1) at z = e^{-it}, from sn2 = sin(t/2)^2 and
         # sc = sin(t/2) cos(t/2): two real sines cost less than one complex
         # exponential
-        z = np.empty(sn2.shape, dtype=np.complex128)
-        z.real, z.imag = 1.0 - 2.0 * sn2, -2.0 * sc
+        z = np.empty(np.shape(sn2), dtype=np.complex128)
+        np.multiply(sn2, -2.0, out=z.real)
+        np.multiply(sc, -2.0, out=z.imag)
+        z.real += 1.0
         acc = [np.asarray(w[-1] * z) for w in moments[:k]]  # in place, at a scalar phase too
-        for i in range(u.shape[0] - 2, 0, -1):
+        for i in range(u.shape[0] - 2, -1, -1):
             for a, w in zip(acc, moments):
                 a += w[i]
-                a *= z
-        return [a + w[0] for a, w in zip(acc, moments)]
+                if i:
+                    a *= z
+        return acc
 
     def ev(t, e):
         sn = np.sin(0.5 * t)
         sig = horner(sn * sn, sn * np.cos(0.5 * t), 1)[0]
-        return c ** e * (4.0 ** beta * (sn * sn) ** beta * (sig.real ** 2 + sig.imag ** 2)) ** (0.5 * e)
+        return (c * np.float64(2.0) ** beta) ** e * (np.abs(sn) ** beta * np.abs(sig)) ** e
 
     def cell_sup(t0, t1, w0, w1, e):
         # P and P' at the cell midpoints (P to within 4 kappa sin^(2 beta)
-        # err, P' to within the slope's second term) and the half-widths
+        # err, P' to within slope_err) and the half-widths
         mid = 0.5 * (t0 + t1)
         r = np.maximum(np.abs(t1 - mid), np.abs(mid - t0)) * (1.0 + 4.0 * _EPS)
-        sn, co = np.sin(0.5 * mid), np.cos(0.5 * mid)
-        sv, ds = (sn * sn) ** beta, beta * (sn * sn) ** (beta - 1.0) * (sn * co)
-        sig, dz = horner(sn * sn, sn * co, 2)
+        sn = np.sin(0.5 * mid)
+        sn2, sc = sn * sn, sn * np.cos(0.5 * mid)
+        sv, ds = sn2 ** beta, beta * sn2 ** (beta - 1.0) * sc
+        sig, dz = horner(sn2, sc, 2)
         pq = np.abs(sig) ** 2
-        slope = kappa * (np.abs(ds * pq + 2.0 * sv * np.imag(np.conj(sig) * dz)) + (4.0 * np.abs(ds) + 6.0 * j[-1] * sv) * err)
+        slope = kappa * np.abs(ds * pq + 2.0 * sv * np.imag(np.conj(sig) * dz)) + slope_err
         bound = kappa * sv * (pq + 4.0 * err) + slope * r + 0.5 * m2 * r * r
         # |U| within err, e-fold through its power
         q_slack = np.float64(2.0) ** (beta * e) * _power_slack(c, err * c, e)
         return s ** e * np.minimum(bound, 1.0) ** (0.5 * e), slack(e) + q_slack
 
     def derivs(t, e):
-        # G = (phi / c)^2 = S P_Q, S = 4^beta sin(t/2)^(2 beta), by the
-        # product rule; g = c^e G^h (h = e/2): g' = c^e h G^(h - 1) G' and
-        # g'' = c^e h G^(h - 1) (G'' + (h - 1) G'^2 / G)
+        # G = (phi / c)^2 = S P_Q with S = 4^beta sin(t/2)^(2 beta) = L
+        # sin^2(t/2), L = 4^beta sin(t/2)^(2 beta - 2): by the product rule
+        # G = L a0, G' = L a1 and G'' = L a2, so g = c^e G^h (h = e/2) has
+        # g' = k a1 and g'' = k (a2 + (h - 1) a1^2 / a0), k = c^e h L^h a0^(h - 1)
+        h = 0.5 * e
         sn, co = np.sin(0.5 * t), np.cos(0.5 * t)
         sn2, sc = sn * sn, sn * co
-        lead = 4.0 ** beta * sn2 ** (beta - 1.0)
-        s0, s1, s2 = lead * sn2, beta * lead * sc, (0.5 * beta) * lead * ((2.0 * beta - 1.0) * co * co - sn2)
         sig, d1, d2 = horner(sn2, sc, 3)
-        p0, p1 = sig.real ** 2 + sig.imag ** 2, 2.0 * np.imag(np.conj(sig) * d1)
-        p2 = 2.0 * (d1.real ** 2 + d1.imag ** 2 - np.real(np.conj(sig) * d2))
-        g0, g1, g2 = s0 * p0, s1 * p0 + s0 * p1, s2 * p0 + 2.0 * s1 * p1 + s0 * p2
-        k = c ** e * (0.5 * e) * g0 ** (0.5 * e - 1.0)
-        ratio = np.divide(g1 * g1, g0, out=np.zeros_like(g0), where=g0 > 0.0)
-        return k * g1, k * (g2 + (0.5 * e - 1.0) * ratio)
+        cs = np.conj(sig)
+        p0, p1 = (cs * sig).real, 2.0 * (cs * d1).imag
+        p2 = 2.0 * ((np.conj(d1) * d1).real - (cs * d2).real)
+        a0, a1 = sn2 * p0, beta * sc * p0 + sn2 * p1
+        # cos^2(t/2) = 1 - sin^2(t/2) in S''
+        a2 = (0.5 * beta) * ((2.0 * beta - 1.0) - 2.0 * beta * sn2) * p0 + 2.0 * beta * sc * p1 + sn2 * p2
+        k = (c ** e * h * 4.0 ** (beta * h)) * sn2 ** ((beta - 1.0) * h) * a0 ** (h - 1.0)
+        ratio = np.divide(a1 * a1, a0, out=np.zeros_like(a0), where=a0 > 0.0)
+        return k * a1, k * (a2 + (h - 1.0) * ratio)
 
     roots = [w for w in np.roots(u[::-1]) if abs(abs(w) - 1.0) < 0.2]
     return PhiFunction(
