@@ -269,10 +269,8 @@ def _sine_power(kind: str, beta: float, q: Sequence[complex], **meta) -> PhiFunc
         # U, D_1, ... to D_(k-1) at z = e^{-it}, from sn2 = sin(t/2)^2 and
         # sc = sin(t/2) cos(t/2): two real sines cost less than one complex
         # exponential
-        z = np.empty(np.shape(sn2), dtype=np.complex128)
-        np.multiply(sn2, -2.0, out=z.real)
-        np.multiply(sc, -2.0, out=z.imag)
-        z.real += 1.0
+        z = np.asarray(sc * -2j)
+        z.real = 1.0 - 2.0 * sn2
         acc = [np.asarray(w[-1] * z) for w in moments[:k]]  # in place, at a scalar phase too
         for i in range(u.shape[0] - 2, -1, -1):
             for a, w in zip(acc, moments):

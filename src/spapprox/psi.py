@@ -60,6 +60,7 @@ from .errors import (
     CertificationError,
     ConvergenceError,
     InputDomainError,
+    require_count,
 )
 from .spectrum import Spectrum
 
@@ -584,10 +585,8 @@ class RadialPsi(PsiSystem):
         power_bound: tuple[float, float, float] | None = None,
         origin: str = "clamp",
     ):
-        self.d = int(d)
+        self.d = require_count(d, "dimension", 1)
         self.r = float(r) if r != math.inf else math.inf
-        if self.d < 1:
-            raise InputDomainError("dimension must be >= 1")
         if not self.r > 0:
             raise InputDomainError(f"norm order must be in (0, inf], got {r}")
         if origin not in ("clamp", "exact"):

@@ -57,6 +57,13 @@ def test_charseq_geometric_radial_levels():
     assert cs.g(2) == {(0,), (1,), (-1,)}
 
 
+@pytest.mark.parametrize("d", [1.5, 0.0, math.nan, math.inf])
+def test_radial_dimension_must_be_a_positive_integer(d):
+    # 1.5 was truncated to 1; NaN and inf raised ValueError and OverflowError
+    with pytest.raises(InputDomainError):
+        RadialPsi(("pow", 2.0), d=d)
+
+
 def test_radial_geometric_profile_whose_far_values_underflow():
     # 0.2**512 is 0.0 in double precision; the profile is still valid
     psi = RadialPsi(("geom", 0.2), d=1, origin="exact")
