@@ -20,8 +20,9 @@ for a bounded generator phi with phi(0) = 0.  Builtin generators:
 the fastest frequency.  For a builtin generator the scan is certified:
 every cell gets a closed-form upper bound of the objective
 (``PhiFunction.cell_sup``, term by term: the larger end value or a crest
-value for alpha and Steklov, times a second-order bound on |Q|^2 for
-theta),
+value for alpha, Steklov and a constant-Q theta, and for other theta
+schemes a second-order bound on |symbol|^2 whose value and slope at the
+cell midpoint come from the factors),
 and only the cells whose bound beats the best sample (``omega_phi``) or the
 running maximum of the samples (``OmegaEvaluator``) are refined (branch
 and bound; Piyavskii 1972, Shubert 1972), by safeguarded Newton on the
