@@ -294,11 +294,35 @@ _SMOOTH_CHUNK = 8
 _STORE_RATIOS = 2 ** 12
 
 
+class _IntegralStore:
+    """The ratios of one request, ascending and distinct, and their
+    integrals, which the n-sweeps of one generator share;
+    ``_scaled_phi_integrals`` fills it."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.ratios = self.values = np.empty(0)
+
+    def find(self, ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slot, held): each ratio's place in ``ratios``, and whether it is there."""
+        slot = np.searchsorted(self.ratios, ratios)
+        if not self.ratios.shape[0]:
+            return slot, np.zeros(slot.shape, dtype=bool)
+        return slot, self.ratios.take(slot, mode="clip") == ratios
+
+    def add(self, ratios: np.ndarray, values: np.ndarray):
+        """Store new ratios, none of them held, with their integrals."""
+        keys = np.concatenate((self.ratios, ratios))
+        order = np.argsort(keys, kind="stable")  # timsort: one merge for a sorted scan
+        self.ratios, self.values = keys[order], np.concatenate((self.values, values))[order]
+
+
 @functools.lru_cache(maxsize=8)
-def _integral_store(phi: PhiFunction, p: float, v: WeightMeasure, tau: float, quad_tol: float | None) -> dict:
-    """{ratio: integral_0^tau phi(ratio t)^p dv(t)} of one request, which
-    the n-sweeps of one generator share; ``_scaled_phi_integrals`` fills it."""
-    return {}
+def _integral_store(phi: PhiFunction, p: float, v: WeightMeasure, tau: float, quad_tol: float | None) -> _IntegralStore:
+    """The store of one request, integral_0^tau phi(ratio t)^p dv(t) by ratio."""
+    return _IntegralStore()
 
 
 def _scaled_phi_integrals(
@@ -307,41 +331,45 @@ def _scaled_phi_integrals(
 ) -> list[float]:
     """integral_0^tau phi(r t)^p dv(t) for every finite ratio r >= 0.
 
-    The ratios missing from the request's ``_integral_store`` are computed
-    in chunks, one batched pass per chunk, on one of two routes: sine powers
-    against densities and piecewise-linear weights by Gauss-Jacobi rules
-    (``_alpha_scan_integrals_jacobi``), everything else by
+    One ``searchsorted`` pass finds the ratios missing from the request's
+    ``_integral_store``; they are computed in chunks, in the order they
+    first appear, one batched pass per chunk, on one of two routes: sine
+    powers against densities and piecewise-linear weights by Gauss-Jacobi
+    rules (``_alpha_scan_integrals_jacobi``), everything else by
     ``weight_integrals`` (exact atom sums for atomic weights).  Only the
     adaptive rule reads ``quad_tol``, so only its store is keyed on it."""
     ratios = np.asarray(ratios, dtype=np.float64)
     if not (np.isfinite(ratios) & (ratios >= 0)).all():
         raise InputDomainError("scan ratios must be finite and >= 0")
-    ratios = ratios.tolist()
     jacobi = phi.kind == "alpha" and v.kind != "atomic"
     known = _integral_store(phi, p, v, tau, None if jacobi else quad_tol)
-    if len(known) > _STORE_RATIOS:
+    if known.ratios.shape[0] > _STORE_RATIOS:
         known.clear()
-    todo = list(dict.fromkeys(r for r in ratios if r not in known))
-    if jacobi and 0.0 in todo:
-        # a sine power vanishes at 0, and ratio 0 has no sine period
-        todo.remove(0.0)
-        known[0.0] = 0.0
-    if jacobi:
-        chunk = max(1, _JACOBI_CHUNK // (v.knots_t.shape[0] if v.kind == "pwl" else 1))
-    else:
-        chunk = _SMOOTH_CHUNK
-    for start in range(0, len(todo), chunk):
-        batch = todo[start:start + chunk]
-        rs = np.asarray(batch, dtype=np.float64)
+    slot, held = known.find(ratios)
+    if not held.all():
+        todo = ratios[~held]
+        if not (todo[1:] > todo[:-1]).all():  # each once, where it first appears
+            todo = todo[np.sort(np.unique(todo, return_index=True)[1])]
+        if jacobi and (todo == 0.0).any():
+            # a sine power vanishes at 0, and ratio 0 has no sine period
+            todo = todo[todo != 0.0]
+            known.add(np.zeros(1), np.zeros(1))
         if jacobi:
-            vals = _alpha_scan_integrals_jacobi(phi.param, p, v, tau, rs)
+            chunk = max(1, _JACOBI_CHUNK // (v.knots_t.shape[0] if v.kind == "pwl" else 1))
         else:
-            vals = weight_integrals(
-                lambda t, rows: phi.pow_p(rs[rows] * t, p), v, 0.0, tau, quad_tol,
-                np.maximum(1.0, rs * tau / math.pi),
-            )[0]
-        known.update(zip(batch, vals.tolist()))
-    return [known[r] for r in ratios]
+            chunk = _SMOOTH_CHUNK
+        for start in range(0, todo.shape[0], chunk):
+            rs = todo[start:start + chunk]
+            if jacobi:
+                vals = _alpha_scan_integrals_jacobi(phi.param, p, v, tau, rs)
+            else:
+                vals = weight_integrals(
+                    lambda t, rows: phi.pow_p(rs[rows] * t, p), v, 0.0, tau, quad_tol,
+                    np.maximum(1.0, rs * tau / math.pi),
+                )[0]
+            known.add(rs, vals)
+        slot = known.find(ratios)[0]
+    return known.values[slot].tolist()
 
 
 def scaled_phi_integral(

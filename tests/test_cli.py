@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -414,3 +416,16 @@ def test_modulus_of_malformed_spectrum_never_raises(kind, entries):
             json.dump({"kind": kind, "entries": entries}, fh)
         code = main(["modulus", "--input", path, "--phi", "alpha:1", "--delta", "1"])
     assert code in (0, 2)
+
+
+def test_cli_import_loads_no_scipy_mpmath_or_sympy():
+    # every CLI call and every benchmark segment's set-up pays for what
+    # importing the CLI loads; these libraries serve only the tests
+    import spapprox
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spapprox.__file__)))
+    code = ("import sys, spapprox.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'sympy'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

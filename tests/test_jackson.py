@@ -781,6 +781,11 @@ def test_integral_store_is_bounded():
     assert _integral_store.cache_info().misses == misses + 1
 
 
+def _stored(store) -> dict:
+    """A request's integral store read as {ratio: integral}."""
+    return dict(zip(store.ratios.tolist(), store.values.tolist()))
+
+
 def test_integral_store_is_emptied_past_its_ratio_bound():
     # a store holding more than 2^12 ratios is emptied before the next scan
     # of its request; one holding 2^12 is not
@@ -790,11 +795,11 @@ def test_integral_store_is_emptied_past_its_ratio_bound():
     _integral_store.cache_clear()
     first = _scaled_phi_integrals(phi, 1.0, v, math.pi, ratios[:-1])
     store = _integral_store(phi, 1.0, v, math.pi, None)  # the Gauss-Jacobi route's store
-    assert len(store) == 2 ** 12
-    assert _scaled_phi_integrals(phi, 1.0, v, math.pi, ratios) == first + [store[ratios[-1]]]
-    assert len(store) == 2 ** 12 + 1
+    assert len(_stored(store)) == 2 ** 12
+    assert _scaled_phi_integrals(phi, 1.0, v, math.pi, ratios) == first + [_stored(store)[ratios[-1]]]
+    assert len(_stored(store)) == 2 ** 12 + 1
     assert scaled_phi_integral(phi, 1.0, v, math.pi, ratios[0]) == first[0]
-    assert list(store) == [ratios[0]]
+    assert list(_stored(store)) == [ratios[0]]
 
 
 def test_fractional_sweep_computes_each_ratio_once(monkeypatch):
@@ -832,7 +837,7 @@ def test_scaled_integral_rejects_negative_and_non_finite_ratios(ratio):
     # nothing but the ratios 0 was stored (the Gauss-Jacobi route's stores,
     # of the alpha generators, are not keyed on quad_tol)
     assert _integral_store.cache_info().currsize == 3
-    assert all(list(_integral_store(phi, p, weight_cos(), math.pi, tol)) == [0.0]
+    assert all(list(_stored(_integral_store(phi, p, weight_cos(), math.pi, tol))) == [0.0]
                for phi, p, tol in ((phi_alpha(1.3), 1.0, None), (phi_alpha(1.0), 2.0, None),
                                    (phi_steklov(1), 1.0, 1e-11)))
 
@@ -859,6 +864,68 @@ def test_array_ladder_past_its_end_is_an_input_error():
         assert list(FrequencyLadder(values).values(len(values))) == [0.0] + values
     with pytest.raises(InputDomainError, match="increasing"):
         FrequencyLadder([1.0, 3.0, 2.0])
+
+
+def _values_per_index(ladder, n):
+    return np.array([ladder.value(k) for k in range(n + 1)], dtype=np.float64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["integer", "array", "rule"]),
+    steps=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
+    n=st.integers(-3, 45),
+)
+def test_ladder_values_are_the_per_index_values_to_the_bit(kind, steps, n):
+    # the integer ladder's arange, an array ladder's stored prefix and a
+    # rule ladder's loop all equal value(0..n) bit for bit (empty for n < 0);
+    # past an array ladder's end both raise the error of its first missing index
+    arr = np.cumsum(steps).tolist()
+    ladder = {
+        "integer": FrequencyLadder.integer(),
+        "array": FrequencyLadder(arr),
+        "rule": FrequencyLadder(lambda k: k + 0.3 * math.sin(k)),
+    }[kind]
+    if kind == "array" and n > len(arr):
+        for call in (ladder.values, lambda n: _values_per_index(ladder, n)):
+            with pytest.raises(InputDomainError, match=f"index {len(arr) + 1} is past the end"):
+                call(n)
+        return
+    got, want = ladder.values(n), _values_per_index(ladder, n)
+    assert got.dtype == want.dtype and got.shape == want.shape == (max(n + 1, 0),)
+    assert got.tobytes() == want.tobytes()
+    # what values hands out is read-only or a copy of its own
+    if got.flags.writeable:
+        got[:] = -1.0
+    assert _values_per_index(ladder, n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("phi, p, v", [
+    (phi_alpha(1.3), 1.0, weight_cos()),  # Gauss-Jacobi, closed-form period sums
+    (phi_alpha(0.7), 2.0, _reference_weight("pwl")),  # Gauss-Jacobi, knot segments
+    (phi_alpha(1.3), 1.5, _ATOMIC),  # atom sums
+    (phi_theta([1.0, -2.0 + 0.5j, 1.0 - 0.5j]), 1.5, weight_linear(3 * math.pi / 4)),  # adaptive
+], ids=["jacobi", "pwl", "atomic", "adaptive"])
+def test_scan_values_are_the_same_from_a_cold_warm_or_shuffled_store(phi, p, v):
+    # an n = 3 scan reads the same values from an empty store as from one
+    # that holds the scan already, and from one filled by shuffled pieces of
+    # it, each ratio the value its piece computed.  A Gauss-Jacobi batch's
+    # row sums (BLAS) round by the row's place in the batch, so those pieces
+    # may differ from the cold scan in the last ulp; the other routes do not
+    ratios = np.arange(3, 64 * 3 + 1) / 3.0
+    _integral_store.cache_clear()
+    cold = _scaled_phi_integrals(phi, p, v, v.tau, ratios)
+    assert _scaled_phi_integrals(phi, p, v, v.tau, ratios) == cold
+    _integral_store.cache_clear()
+    shuffled = ratios[np.random.default_rng(5).permutation(ratios.shape[0])]
+    pieces = {}
+    for piece in np.array_split(shuffled, 7):
+        pieces.update(zip(piece.tolist(), _scaled_phi_integrals(phi, p, v, v.tau, piece)))
+    filled = _scaled_phi_integrals(phi, p, v, v.tau, ratios)
+    assert filled == [pieces[r] for r in ratios.tolist()]
+    if phi.kind != "alpha" or v.kind == "atomic":
+        assert filled == cold
+    np.testing.assert_allclose(filled, cold, rtol=1e-14, atol=0)
 
 
 def test_kinked_custom_generator_at_default_arguments():

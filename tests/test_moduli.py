@@ -1286,6 +1286,28 @@ def test_peaks_next_to_a_zero_match_mpmath(case):
     np.testing.assert_allclose(got, _mp_running_max(f, phi, delta, p, queries, near), rtol=1e-13, atol=1e-13 * want)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the peak lies 1.03e-11 left of the cusp, closer than the cusp-end slope "
+    "samples (2^-30 of a cell, 4.6e-11 here) reach; the scan reads S at the cusp"))
+def test_evaluator_finds_the_peak_just_left_of_a_cusp():
+    # S(h) = (2 sin(h/2))^0.75 + 2^-12 (2 |sin 4h|)^0.75: the fast term's
+    # zero at h = pi/2 is a cusp, and S' (slow slope 0.49 against the fast
+    # term's -0.75 c d^-0.25) falls through zero at d = pi/2 - h = 1.03e-11,
+    # where S is 1.29e-12 relative above S(pi/2) (mpmath findroot of S' on
+    # [pi/2 - 1e-6, pi/2)); the running maximum at pi/2 is that peak
+    f, phi, p = Spectrum.real({1: 1, 8: 2 ** -8}), phi_alpha(0.5), 1.5
+    with mpmath.workdps(40):
+        def S(h):
+            return (2 * abs(mpmath.sin(h / 2))) ** 0.75 + mpmath.mpf(2) ** -12 * (2 * abs(mpmath.sin(4 * h))) ** 0.75
+
+        top = mpmath.pi / 2
+        root = mpmath.findroot(lambda h: mpmath.diff(S, h), (top - mpmath.mpf("1e-6"), top - mpmath.mpf("1e-30")),
+                               solver="anderson")
+        want = float(S(root))
+    got = OmegaEvaluator(f, phi, p, math.pi).power_values(np.array([math.pi / 2]))[0]
+    assert got == pytest.approx(want, rel=1e-13)
+
+
 @pytest.mark.parametrize("step", [math.nan, math.inf, -0.5])
 def test_omega_phi_rejects_a_non_finite_step(step):
     with pytest.raises(InputDomainError):
