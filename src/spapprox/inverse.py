@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputDomainError, PreconditionError, require_count
 from .ladder import FrequencyLadder
 from .moduli import PhiFunction, omega_phi, phi_alpha
-from .spectrum import Spectrum, ladder_tail_norm
+from .spectrum import Spectrum, _lp, ladder_tail_norm
 
 
 @dataclass
@@ -39,21 +39,9 @@ def _holds(lhs: float, rhs: float) -> bool:
 
 def _tail_powers(f: Spectrum, lam: np.ndarray, p: float) -> np.ndarray:
     """E_v^p for v = 1..n, the tails over |frequency| >= lam_v (lam = lam_0..lam_n),
-    each ``ladder_tail_norm(f, lam_v, p) ** p`` to the bit: each modulus of
-    the widest tail is raised to p once, and each tail sums its share of
-    them with one ``math.fsum`` (which rounds once whatever the order of its
-    terms) and takes the root as ``_lp`` does, with its overflow error."""
-    lams = lam[1:].tolist()
-    if not 0 < p < math.inf:  # ``_lp``'s domain error, or its max at p = inf
-        return np.array([ladder_tail_norm(f, lam_v, p) ** p for lam_v in lams])
-    mods = np.abs(f.scalar_frequencies()).tolist()
-    widest = min(lams, default=math.inf)
-    try:
-        terms = [(x, abs(c) ** p) for x, c in zip(mods, f.coefficients) if x >= widest]
-        norms = [math.fsum([w for x, w in terms if x >= lam_v]) ** (1.0 / p) for lam_v in lams]
-    except OverflowError:
-        raise InputDomainError(f"the l_p norm is not a finite double (p={p:g})") from None
-    return np.array([e ** p for e in norms])
+    each ``ladder_tail_norm``'s one ``_lp`` over the same terms."""
+    terms = list(zip(np.abs(f.scalar_frequencies()).tolist(), f.coefficients))
+    return np.array([_lp([c for x, c in terms if x >= lam_v], p) ** p for lam_v in lam[1:].tolist()])
 
 
 def inverse_bound_general(

@@ -333,11 +333,12 @@ def _scaled_phi_integrals(
 
     One ``searchsorted`` pass finds the ratios missing from the request's
     ``_integral_store``; they are computed in chunks, in the order they
-    first appear, one batched pass per chunk, on one of two routes: sine
-    powers against densities and piecewise-linear weights by Gauss-Jacobi
-    rules (``_alpha_scan_integrals_jacobi``), everything else by
-    ``weight_integrals`` (exact atom sums for atomic weights).  Only the
-    adaptive rule reads ``quad_tol``, so only its store is keyed on it."""
+    first appear, one batched pass per chunk, and merged in at once, on one
+    of two routes: sine powers against densities and piecewise-linear
+    weights by Gauss-Jacobi rules (``_alpha_scan_integrals_jacobi``),
+    everything else by ``weight_integrals`` (exact atom sums for atomic
+    weights).  Only the adaptive rule reads ``quad_tol``, so only its store
+    is keyed on it."""
     ratios = np.asarray(ratios, dtype=np.float64)
     if not (np.isfinite(ratios) & (ratios >= 0)).all():
         raise InputDomainError("scan ratios must be finite and >= 0")
@@ -350,10 +351,11 @@ def _scaled_phi_integrals(
         todo = ratios[~held]
         if not (todo[1:] > todo[:-1]).all():  # each once, where it first appears
             todo = todo[np.sort(np.unique(todo, return_index=True)[1])]
+        keys, parts = [], []
         if jacobi and (todo == 0.0).any():
             # a sine power vanishes at 0, and ratio 0 has no sine period
             todo = todo[todo != 0.0]
-            known.add(np.zeros(1), np.zeros(1))
+            keys, parts = [np.zeros(1)], [np.zeros(1)]
         if jacobi:
             chunk = max(1, _JACOBI_CHUNK // (v.knots_t.shape[0] if v.kind == "pwl" else 1))
         else:
@@ -367,7 +369,8 @@ def _scaled_phi_integrals(
                     lambda t, rows: phi.pow_p(rs[rows] * t, p), v, 0.0, tau, quad_tol,
                     np.maximum(1.0, rs * tau / math.pi),
                 )[0]
-            known.add(rs, vals)
+            parts.append(vals)
+        known.add(np.concatenate(keys + [todo]), np.concatenate(parts))
         slot = known.find(ratios)[0]
     return known.values[slot].tolist()
 

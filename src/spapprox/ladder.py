@@ -22,14 +22,10 @@ class FrequencyLadder:
         if callable(rule):
             self._fn = rule
             self._len = math.inf
-            self._arr = None
         else:
             arr = [float(x) for x in rule]
             self._fn = lambda k: arr[k - 1]
             self._len = len(arr)
-            # lam_0..lam_len, read-only: ``values`` hands out its prefixes
-            self._arr = np.array([0.0] + arr)
-            self._arr.setflags(write=False)
         self.gap_bound = gap_bound
         self.label = label
         for k in range(1, min(4, self._len)):
@@ -50,16 +46,11 @@ class FrequencyLadder:
 
     def values(self, n: int) -> np.ndarray:
         """lam_0..lam_n (empty for n < 0), each ``value(k)`` to the bit: the
-        integer ladder from ``np.arange``, an array ladder as a read-only
-        prefix of its values, a rule ladder by its rule at every k (``math``
-        and ``numpy`` functions may round a rule's values apart)."""
+        integer ladder from ``np.arange``, any other ladder index by index
+        (``math`` and ``numpy`` functions may round a rule's values apart)."""
         if self._fn is float:
             return np.arange(n + 1, dtype=np.float64)
-        if self._arr is None:
-            return np.array([self.value(k) for k in range(n + 1)], dtype=np.float64)
-        if n > self._len:
-            self.value(self._len + 1)  # the error of the first index past the end
-        return self._arr[:max(n + 1, 0)]
+        return np.array([self.value(k) for k in range(n + 1)], dtype=np.float64)
 
     def check_gap(self, n: int) -> float:
         """Validate the claimed gap bound over indices 1..n; returns it."""

@@ -1028,9 +1028,7 @@ def _term_minima(phi: PhiFunction, lams: np.ndarray, hs: np.ndarray) -> np.ndarr
     return np.unique(at[(at > hs[0]) & (at < hs[-1])])
 
 
-def _sampled_objective(
-    f: Spectrum, phi: PhiFunction, p: float, delta: float, running: bool = False, cuts: np.ndarray | None = None,
-):
+def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, running: bool = False):
     """The one scan of the shift objective S(h) = sum_k phi(lam_k h)^p |A_k|^p
     over [0, delta], folded to max(S(h), S(-h)) unless S is even (an even
     phi, or |A_k|^p the same at k and -k for every frequency).  The grid is
@@ -1042,14 +1040,14 @@ def _sampled_objective(
     U is not a finite double or exceeds, by more than the sum's rounding
     ((2K + 8) eps relative for K terms), the best sample, or, for a
     ``running`` scan, the running maximum of the samples at the cell's left
-    end, are split where a term meets a cusp of phi^p (``_shift_cuts``, or
-    ``cuts`` when the caller has them, when ``phi.order`` p < 2), so that a
-    cusp lies only at a sub-cell end, and every local maximum of S inside
-    them is refined by Newton's method on S' (``_cell_peaks``), without the
-    finiteness check of the samples where every U is finite.  upper, the
-    largest U plus that rounding and twice the generator's slack per unit
-    of sum_k |A_k|^p, bounds every exact and computed value of S; it is inf
-    when that is not a finite double.
+    end, are split where a term meets a cusp of phi^p (``_shift_cuts``,
+    when ``phi.order`` p < 2), so that a cusp lies only at a sub-cell end,
+    and every local maximum of S inside them is refined by Newton's method
+    on S' (``_cell_peaks``), without the finiteness check of the samples
+    where every U is finite.  upper, the largest U plus that rounding and
+    twice the generator's slack per unit of sum_k |A_k|^p, bounds every
+    exact and computed value of S; it is inf when that is not a finite
+    double.
 
     Dense scan (custom generators): the grid has at least ``_N_GRID``
     cells, and every sampled peak, each interior local maximum and both
@@ -1111,10 +1109,7 @@ def _sampled_objective(
         upper = float(np.max(bounds)) * (1.0 + rounding) + 2.0 * slack * float(np.sum(amps_p))
     best = np.maximum.accumulate(obj[:-1]) if running else float(np.max(obj))
     keep = np.flatnonzero(~(bounds <= best * (1.0 + rounding)))
-    if not phi.order * p < 2.0:
-        cuts = np.empty(0)
-    elif cuts is None:
-        cuts = _shift_cuts(phi, lams, p, delta)
+    cuts = _shift_cuts(phi, lams, p, delta) if phi.order * p < 2.0 else np.empty(0)
     # every term rises from its zero at h = 0, so S has no maximum within
     # 2^-30 of the first cell's width; that cell is refined from there on,
     # clear of the zero
@@ -1217,7 +1212,7 @@ class OmegaEvaluator:
         self._request = (f, phi)
         lams = f.scalar_frequencies()
         self.cuts = _shift_cuts(phi, lams, p, self.delta_max)
-        scan = _sampled_objective(f, phi, p, self.delta_max, running=True, cuts=self.cuts)
+        scan = _sampled_objective(f, phi, p, self.delta_max, running=True)
         self.trivial = scan is None
         if self.trivial:
             return

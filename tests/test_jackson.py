@@ -877,9 +877,9 @@ def _values_per_index(ladder, n):
     n=st.integers(-3, 45),
 )
 def test_ladder_values_are_the_per_index_values_to_the_bit(kind, steps, n):
-    # the integer ladder's arange, an array ladder's stored prefix and a
-    # rule ladder's loop all equal value(0..n) bit for bit (empty for n < 0);
-    # past an array ladder's end both raise the error of its first missing index
+    # values(n) equals value(0..n) bit for bit on every ladder kind (empty
+    # for n < 0); past an array ladder's end both raise the error of its
+    # first missing index
     arr = np.cumsum(steps).tolist()
     ladder = {
         "integer": FrequencyLadder.integer(),
@@ -894,10 +894,6 @@ def test_ladder_values_are_the_per_index_values_to_the_bit(kind, steps, n):
     got, want = ladder.values(n), _values_per_index(ladder, n)
     assert got.dtype == want.dtype and got.shape == want.shape == (max(n + 1, 0),)
     assert got.tobytes() == want.tobytes()
-    # what values hands out is read-only or a copy of its own
-    if got.flags.writeable:
-        got[:] = -1.0
-    assert _values_per_index(ladder, n).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("phi, p, v", [
