@@ -56,12 +56,16 @@ from .ladder import FrequencyLadder
 from .moduli import (
     PhiFunction,
     WeightMeasure,
+    apply_difference,
+    apply_steklov_difference,
     averaged_omega,
+    difference_multiplier,
     omega_phi,
     phi_alpha,
     phi_custom,
     phi_steklov,
     phi_theta,
+    steklov_multiplier,
     stieltjes,
     weight_atomic,
     weight_cos,
@@ -89,10 +93,7 @@ from .spectrum import (
     DifferenceScheme,
     GreedyResult,
     Spectrum,
-    apply_difference,
-    apply_steklov_difference,
     best_tail_approx,
-    difference_multiplier,
     greedy_select,
     ladder_tail_norm,
     load_spectrum,
@@ -101,7 +102,6 @@ from .spectrum import (
     sp_norm,
     spectrum_from_json_dict,
     spectrum_to_json_dict,
-    steklov_multiplier,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,9 @@ for a bounded generator phi with phi(0) = 0.  Builtin generators:
 * ``phi_steklov(m)`` -- (1 - sinc t)^m, matching the m-fold defect of the
   centered sliding mean (1 - sinc t summed as a series at small phases).
 
+The difference and Steklov operators on a spectrum (``apply_difference``,
+``difference_multiplier`` and the Steklov pair) read these kernels.
+
 ``omega_phi`` and ``OmegaEvaluator`` read one scan of the shift objective
 (``_sampled_objective``) on a uniform grid with 16 cells per oscillation of
 the fastest frequency.  For a builtin generator the scan is certified:
@@ -195,10 +198,20 @@ def phi_theta(theta: Sequence[complex] | DifferenceScheme) -> PhiFunction:
     for integer weights, whose sums are exact and whose nonzero remainders
     are at least 1, and typically no later round for float weights."""
     th = (theta if isinstance(theta, DifferenceScheme) else DifferenceScheme(tuple(theta))).theta
-    q, m0 = np.trim_zeros(np.array(th, dtype=np.complex128)), 0
+    m0, q, _ = _factor(th)
+    return _sine_power("theta", float(m0), q, theta=th, label=f"theta:{[complex(x) for x in th]}")._validate()
+
+
+def _factor(theta: tuple) -> tuple[int, np.ndarray, int]:
+    """(m0, q, lead) with sum_j theta_j w^j = w^lead (w - 1)^m0 Q(w),
+    Q(w) = sum_j q_j w^j and lead the count of leading zero weights, by the
+    synthetic division ``phi_theta`` describes."""
+    q = np.array(theta, dtype=np.complex128)
+    lead = int(np.flatnonzero(q)[0])
+    q, m0 = np.trim_zeros(q[lead:]), 0
     while q.shape[0] > 1 and (not m0 or abs(np.sum(q)) <= 4.0 * q.shape[0] * _EPS * float(np.sum(np.abs(q)))):
         q, m0 = -np.cumsum(q)[:-1], m0 + 1
-    return _sine_power("theta", float(m0), q, theta=th, label=f"theta:{[complex(x) for x in th]}")._validate()
+    return m0, q, lead
 
 
 def _sine_power(kind: str, beta: float, q: Sequence[complex], **meta) -> PhiFunction:
@@ -436,6 +449,45 @@ def phi_custom(
         return np.asarray(fn(t), dtype=np.float64) ** e
 
     return PhiFunction("custom", ev, sup=sup, monotone_to=monotone_to, label=label)._validate()
+
+
+# ---------------------------------------------------------------------------
+# difference and Steklov operators, on the generators' kernels
+
+
+def difference_multiplier(scheme: DifferenceScheme, lam: float, h: float) -> float:
+    """|sum_j theta_j e^{-i j lam h}| -- the coefficient multiplier magnitude,
+    ``phi_theta(scheme)`` at the phase lam h."""
+    return phi_theta(scheme)(lam * h)
+
+
+def apply_difference(f: Spectrum, scheme: DifferenceScheme, h: float) -> Spectrum:
+    """Apply the difference operator coefficient-wise: the coefficient at
+    frequency lam times the symbol sum_j theta_j z^j at z = e^{-it}, t = lam
+    h, factored by ``_factor`` as z^lead (z - 1)^m0 Q(z) with z - 1 = -2i
+    sin(t/2) e^{-it/2}, so that it keeps its relative digits, phase
+    included, at small steps."""
+    m0, q, lead = _factor(scheme.theta)
+    t = f.scalar_frequencies() * h
+    sym = (-2j) ** m0 * np.sin(0.5 * t) ** m0 * np.exp(-1j * ((lead + 0.5 * m0) * t))
+    sym *= np.polyval(q[::-1], np.exp(-1j * t))
+    return Spectrum(f.kind, {k: c * s for (k, c), s in zip(f.items(), sym.tolist())}, f.d)
+
+
+def steklov_multiplier(m: int, lam: float, h: float) -> float:
+    """(1 - sinc(lam h))^m, the multiplier of the m-fold centered-mean defect,
+    ``phi_steklov(m)`` at the phase lam h."""
+    return phi_steklov(m)(lam * h)
+
+
+def apply_steklov_difference(f: Spectrum, m: int, h: float) -> Spectrum:
+    """Apply (S_h - Id)^m coefficient-wise, where S_h is the centered
+    sliding mean over [-h, h] (its multiplier on frequency lam is sinc(lam
+    h)): the coefficient times (-u)^m with u = 1 - sinc(lam h) as
+    ``phi_steklov`` sums it."""
+    m = require_count(m, "Steklov order m", 1)
+    u = _sinc_defect(f.scalar_frequencies() * h)[0]
+    return Spectrum(f.kind, {k: c * v ** m for (k, c), v in zip(f.items(), (-u).tolist())}, f.d)
 
 
 # ---------------------------------------------------------------------------

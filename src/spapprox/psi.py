@@ -370,20 +370,6 @@ def _power_sum(psi: "PsiSystem", e: float) -> tuple[float, float]:
     return sums[e]
 
 
-def _replay(psi: "PsiSystem") -> Iterator[tuple[float, tuple]]:
-    """The pairs of the system's certified prefix as Python values, growing
-    it as they are read: a finite system's stream ends after its last
-    positive magnitude, an infinite one's raises there."""
-    n = 0
-    while True:
-        vals, idx, _, _ = psi._rearranged(n + 1)
-        if vals.shape[0] <= n:
-            return
-        m = min(vals.shape[0], 2 * n + 64)
-        yield from zip(vals[n:m].tolist(), map(tuple, idx[n:m].tolist()))
-        n = m
-
-
 # ---------------------------------------------------------------------------
 # psi-system variants
 
@@ -426,8 +412,20 @@ class PsiSystem:
         return self.phase(k) * self.magnitude(k)
 
     def stream(self) -> Iterator[tuple[float, tuple]]:
-        """Lazy certified (magnitude, index) pairs in nonincreasing order."""
-        raise NotImplementedError
+        """Lazy certified (magnitude, index) pairs in nonincreasing order:
+        the pairs of the certified prefix as Python values, growing it as
+        they are read.  A finite system's stream ends after its last
+        positive magnitude, an infinite one's raises there.  Each variant
+        binds this one method as its own ``stream``, the attribute that
+        ``perfbench/tracing.py`` wraps per class."""
+        n = 0
+        while True:
+            vals, idx, _, _ = self._rearranged(n + 1)
+            if vals.shape[0] <= n:
+                return
+            m = min(vals.shape[0], 2 * n + 64)
+            yield from zip(vals[n:m].tolist(), map(tuple, idx[n:m].tolist()))
+            n = m
 
     def _rearranged(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
         """The certified prefix, magnitudes and (N, d) indices sorted by
@@ -518,8 +516,7 @@ class ProductPsi(PsiSystem):
             v *= a.value(kj)
         return v
 
-    def stream(self) -> Iterator[tuple[float, tuple]]:
-        return _replay(self)
+    stream = PsiSystem.stream
 
     def _block(self, count: int, aim: int) -> tuple[np.ndarray, np.ndarray, bool]:
         if self._all_geom_same:
@@ -656,8 +653,7 @@ class RadialPsi(PsiSystem):
             raise InputDomainError(f"index {k} has wrong dimension for d={self.d}")
         return self.profile(lattice_norm(k, self.r))
 
-    def stream(self) -> Iterator[tuple[float, tuple]]:
-        return _replay(self)
+    stream = PsiSystem.stream
 
     def _profile_values(self, t: np.ndarray) -> np.ndarray:
         """``profile`` at each norm in t, by the same arithmetic, evaluated
@@ -815,8 +811,7 @@ class ExplicitTablePsi(PsiSystem):
         k = self.key(k)
         return self.entries.get(k, 0.0)
 
-    def stream(self) -> Iterator[tuple[float, tuple]]:
-        return _replay(self)
+    stream = PsiSystem.stream
 
     def _block(self, count: int, aim: int) -> tuple[np.ndarray, np.ndarray, bool]:
         keys = np.array(list(self.entries), dtype=np.int64).reshape(-1, self.d)
@@ -906,8 +901,7 @@ class ExplicitSeqPsi(PsiSystem):
             raise InputDomainError("sequence systems are one-dimensional")
         return self.seq(_seq_position(k[0]))
 
-    def stream(self) -> Iterator[tuple[float, tuple]]:
-        return _replay(self)
+    stream = PsiSystem.stream
 
     def _block(self, count: int, aim: int) -> tuple[np.ndarray, np.ndarray, bool]:
         j = np.arange(1, aim + 1)
@@ -959,8 +953,7 @@ class PhasedPsi(PsiSystem):
             raise InputDomainError("phase values must lie on the unit circle")
         return ph
 
-    def stream(self):
-        return self.base.stream()
+    stream = PsiSystem.stream
 
     def _rearranged(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
         return self.base._rearranged(count)

@@ -5,6 +5,9 @@ map from frequencies to complex coefficients.  All norms here are
 coefficient-space (discrete-metric) norms: ``||f||_p = (sum |coef|^p)^{1/p}``,
 computed coordinate by coordinate by one kernel, ``_lp``.  Operations never
 mutate their inputs; a Spectrum is safe to share between threads.
+
+A :class:`DifferenceScheme` holds difference weights; the operators and
+multipliers read the generator kernels, in ``moduli``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import InputDomainError, ParseError, require_count
+from .errors import InputDomainError, ParseError
 
 LatticeKey = tuple[int, ...]
 
@@ -257,7 +260,7 @@ def greedy_select(f: Spectrum, n: int, p: float) -> GreedyResult:
 
 
 # ---------------------------------------------------------------------------
-# difference and Steklov multipliers
+# difference schemes (their multipliers and operators are in ``moduli``)
 
 
 @dataclass(frozen=True)
@@ -284,46 +287,9 @@ class DifferenceScheme:
         return cls(tuple((-1) ** j * math.comb(m, j) for j in range(m + 1)))
 
     def symbol(self, t: float) -> complex:
+        """sum_j theta_j e^{-ijt}, summed term by term: an independent check
+        of ``moduli.phi_theta``, which it loses digits to at small t."""
         return sum(th * cmath.exp(-1j * j * t) for j, th in enumerate(self.theta))
-
-
-def difference_multiplier(scheme: DifferenceScheme, lam: float, h: float) -> float:
-    """|sum_j theta_j e^{-i j lam h}| -- the coefficient multiplier magnitude."""
-    return abs(scheme.symbol(lam * h))
-
-
-def apply_difference(f: Spectrum, scheme: DifferenceScheme, h: float) -> Spectrum:
-    """Apply the difference operator coefficient-wise."""
-    lams = f.scalar_frequencies()
-    return Spectrum(
-        f.kind,
-        {k: c * scheme.symbol(float(lam) * h) for (k, c), lam in zip(f.items(), lams)},
-        f.d,
-    )
-
-
-def _sinc(t: float) -> float:
-    return 1.0 if t == 0.0 else math.sin(t) / t
-
-
-def steklov_multiplier(m: int, lam: float, h: float) -> float:
-    """(1 - sinc(lam h))^m, the multiplier of the m-fold centered-mean defect."""
-    m = require_count(m, "Steklov order m", 1)
-    return max(0.0, 1.0 - _sinc(lam * h)) ** m
-
-def apply_steklov_difference(f: Spectrum, m: int, h: float) -> Spectrum:
-    """Apply (S_h - Id)^m coefficient-wise, where S_h is the centered
-    sliding mean over [-h, h] (its multiplier on frequency lam is sinc(lam h))."""
-    m = require_count(m, "Steklov order m", 1)
-    lams = f.scalar_frequencies()
-    return Spectrum(
-        f.kind,
-        {
-            k: c * (_sinc(float(lam) * h) - 1.0) ** m
-            for (k, c), lam in zip(f.items(), lams)
-        },
-        f.d,
-    )
 
 
 # ---------------------------------------------------------------------------

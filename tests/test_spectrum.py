@@ -245,6 +245,10 @@ def test_difference_multiplier_examples():
     second = DifferenceScheme((1, -2, 1))
     assert difference_multiplier(second, 1.0, math.pi / 2) == pytest.approx(2.0, abs=1e-14)
     assert difference_multiplier(second, 3.7, 0.0) == 0.0
+    # a small step, where a direct sum of the weights is 0.11 off
+    t = 1e-4
+    assert difference_multiplier(DifferenceScheme.classical(4), 1.0, t) == pytest.approx(
+        (2.0 * math.sin(t / 2.0)) ** 4, rel=1e-14, abs=0)
 
 
 def test_alternating_binomial_multiplier_closed_form():
@@ -267,6 +271,10 @@ def test_steklov_multiplier_examples():
     assert steklov_multiplier(1, 1.0, 0.0) == 0.0
     assert steklov_multiplier(1, 1.0, math.pi) == pytest.approx(1.0, abs=1e-15)
     assert steklov_multiplier(2, 1.0, math.pi / 2) == pytest.approx((1 - 2 / math.pi) ** 2, abs=1e-15)
+    # 1 - sinc t = t^2/6 (1 - t^2/20 + ...): (t^2/6)^2 to 1e-17 relative at
+    # t = 1e-8, where 1 - sin(t)/t rounds to 0
+    t = 1e-8
+    assert steklov_multiplier(2, 1.0, t) == pytest.approx((t * t / 6.0) ** 2, rel=1e-15, abs=0)
 
 
 def test_apply_steklov_matches_multiplier(rng):
