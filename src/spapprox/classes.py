@@ -50,7 +50,6 @@ from .psi import (
     CharSeq,
     PsiSystem,
     RadialPsi,
-    _pow,
     _power_sum,
     _tail_after,
     build_charseq,
@@ -58,7 +57,7 @@ from .psi import (
     rearrangement_padded,
 )
 from .reports import ExtremalReport
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _pow
 
 SIGMA_SCAN_BUDGET = 1_000_000
 # the n-term scan reads the rearrangement in doubling steps of at most this
@@ -433,7 +432,7 @@ def _level_tails(
     order = np.argsort(-levels)
     # with the terms deepest level first, each tail is a head of them
     heads = np.searchsorted(-levels[order], -np.arange(levels.max(initial=0) + 1), side="right")
-    terms = [np.array([abs(c) ** p for c in g.coefficients])[order] for g in spectra]
+    terms = [_pow(g.abs_coefficients(), p)[order] for g in spectra]
     return [[math.fsum(memoryview(t[:h])) for h in heads.tolist()] + [0.0] for t in terms], cs
 
 

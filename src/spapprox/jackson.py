@@ -171,7 +171,7 @@ def _partial_pieces(gamma: float, vprime, ratio, lo, hi) -> np.ndarray:
         d = (0.5 * (d_hi + d_lo))[:, None] + d_half[:, None] * _LEGENDRE_NODES
         t = lo[owner][:, None] + 2.0 * (math.pi - d) / ratio[owner][:, None]
         dens = np.asarray(vprime(t.ravel()), dtype=np.float64).reshape(t.shape)
-        sub = (np.sin(d) ** gamma * dens) @ _LEGENDRE_WEIGHTS * d_half
+        sub = np.einsum("ij,j->i", np.sin(d) ** gamma * dens, _LEGENDRE_WEIGHTS) * d_half
         out[far] += 2.0 / ratio * np.bincount(owner, sub, minlength=count.shape[0])
     return out
 
@@ -201,7 +201,7 @@ def _alpha_scan_integrals_jacobi(alpha: float, p: float, v: WeightMeasure, tau, 
             gamma, np.repeat(ratios, ends.shape[0] - 1),
             np.tile(ends[:-1], ratios.shape[0]), np.tile(ends[1:], ratios.shape[0]),
         )
-        return 2.0 ** gamma * (segments.reshape(ratios.shape[0], -1) @ v.slopes)
+        return 2.0 ** gamma * np.einsum("ij,j->i", segments.reshape(ratios.shape[0], -1), v.slopes)
     ends = np.broadcast_to(tau, ratios.shape)
     rows = np.arange(ratios.shape[0])
     period = 2.0 * math.pi / ratios
@@ -217,7 +217,7 @@ def _alpha_scan_integrals_jacobi(alpha: float, p: float, v: WeightMeasure, tau, 
         half = 0.5 * period[owner]
         t = half[:, None] * ((2.0 * m + 1.0)[:, None] + nodes)
         dens = np.asarray(v.vprime(t.ravel()), dtype=np.float64).reshape(t.shape)
-    vals = (dens @ _period_kernel(gamma)) * half
+    vals = np.einsum("ij,j->i", dens, _period_kernel(gamma)) * half
     start = full * period
     tail = start < ends * (1.0 - 1e-15)
     tail_vals = _partial_pieces(gamma, v.vprime, ratios[tail], start[tail], ends[tail])
@@ -270,7 +270,7 @@ def _segment_integrals(gamma: float, ratio, lo, hi) -> np.ndarray:
         half = 0.5 * width[smooth]
         t = (0.5 * (lo + hi)[smooth])[:, None] + half[:, None] * _LEGENDRE_NODES
         power = np.abs(np.sin(0.5 * ratio[smooth][:, None] * t)) ** gamma
-        out[smooth] = (power @ _LEGENDRE_WEIGHTS) * half
+        out[smooth] = np.einsum("ij,j->i", power, _LEGENDRE_WEIGHTS) * half
     return out
 
 

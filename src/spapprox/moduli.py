@@ -61,7 +61,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetError, DegenerateWeightError, InputDomainError, require_count
-from .spectrum import DifferenceScheme, Spectrum
+from .spectrum import DifferenceScheme, Spectrum, _pow
 
 _SINC_MIN_ARG = 4.493409457909064  # first positive root of tan t = t
 _SINC_MIN = math.cos(_SINC_MIN_ARG)
@@ -274,7 +274,7 @@ def _sine_power(kind: str, beta: float, q: Sequence[complex], **meta) -> PhiFunc
     # |weights| of R, their sum s, M2 and P / (sin(t/2)^(2 beta) P_Q)
     full = np.abs(np.convolve(q, np.polynomial.polynomial.polypow((-1.0, 1.0), int(beta))))
     s, gap = np.float64(math.fsum(full)), np.subtract.outer(*[np.arange(full.shape[0], dtype=np.float64)] * 2)
-    m2, kappa = float(full @ gap ** 2 @ full / (s * s)), 4.0 ** beta * float(c / s) ** 2
+    m2, kappa = float(np.einsum("i,ij,j", full, gap ** 2, full) / (s * s)), 4.0 ** beta * float(c / s) ** 2
     # the rounding of P' in ``cell_sup``: 4 |ds| + 6 (n - 1) sv in units of
     # kappa err, with |ds| <= beta / 2 and sv <= 1 (n coefficients)
     slope_err = kappa * (2.0 * beta + 6.0 * j[-1]) * err
@@ -396,7 +396,7 @@ def _sinc_defect(t, order: int = 0) -> list:
         x = t[small]
         x2 = x * x
         # the powers of t^2 and one product sum every series at once
-        for arr, col, scale in zip(out, (x2[:, None] ** _SINC_K @ _SINC_COEF).T, (x2, x, 1.0)):
+        for arr, col, scale in zip(out, np.einsum("ij,jk->ik", x2[:, None] ** _SINC_K, _SINC_COEF).T, (x2, x, 1.0)):
             arr[small] = scale * col
     return out
 
@@ -827,7 +827,7 @@ def _objective_grid(
     for start in range(0, hs.shape[0], chunk):
         blk = hs[start:start + chunk]
         w = phi.pow_p(np.multiply.outer(blk, lams), p)
-        out[start:start + blk.shape[0]] = w @ amps_p
+        out[start:start + blk.shape[0]] = np.einsum("ij,j->i", w, amps_p)
     return out
 
 
@@ -942,7 +942,8 @@ def _slopes(phi: PhiFunction, lams: np.ndarray, amps_p: np.ndarray, p: float, hs
     chunk = max(8, 2 ** 12 // max(1, lams.shape[0]))
     for start in range(0, hs.shape[0], chunk):
         d1, d2 = phi.derivs(np.multiply.outer(hs[start:start + chunk], lams), p)
-        out[:, start:start + d1.shape[0]] = d1 @ (lams * amps_p), d2 @ (lams * lams * amps_p)
+        out[:, start:start + d1.shape[0]] = (
+            np.einsum("ij,j->i", d1, lams * amps_p), np.einsum("ij,j->i", d2, lams * lams * amps_p))
     return out
 
 
@@ -1019,8 +1020,8 @@ def _cell_bounds(
             w = phi.pow_p(t, p)
             top, slack = phi.cell_sup(t[:-1], t[1:], w[:-1], w[1:], p)
             at, cells = slice(start, start + blk.shape[0]), slice(start, start + blk.shape[0] - 1)
-            samples[at] = np.maximum(samples[at], w @ amps_p)
-            bounds[cells] = np.maximum(bounds[cells], top @ amps_p)
+            samples[at] = np.maximum(samples[at], np.einsum("ij,j->i", w, amps_p))
+            bounds[cells] = np.maximum(bounds[cells], np.einsum("ij,j->i", top, amps_p))
     return samples, bounds, slack
 
 
@@ -1116,7 +1117,7 @@ def _sampled_objective(f: Spectrum, phi: PhiFunction, p: float, delta: float, ru
     lam_max = float(np.max(np.abs(lams)))
     if lam_max == 0.0:
         return None
-    amps_p = f.abs_coefficients() ** p
+    amps_p = _pow(f.abs_coefficients(), p)
     even = phi.is_even or _mirrored(lams, amps_p)
     nz = lams != 0.0  # the zero frequency adds phi(0) = 0
     # a running-maximum scan evaluates S in smaller blocks, which keeps its

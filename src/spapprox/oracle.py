@@ -42,6 +42,8 @@ def oracle_modulus(f: Spectrum, phi: PhiFunction, delta: float, p: float = 1.0) 
     if len(f) == 0 or delta == 0.0:
         return 0.0
     lams = f.scalar_frequencies()
+    # numpy's abs, power and @, not the package's |c|, _pow and einsum: the
+    # oracle shares no kernel with the modulus it checks
     amps_p = np.abs(np.array(f.coefficients, dtype=np.complex128)) ** p
     if phi.is_even:
         hs = np.linspace(0.0, delta, 100_001)

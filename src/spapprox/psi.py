@@ -62,7 +62,7 @@ from .errors import (
     InputDomainError,
     require_count,
 )
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _pow
 
 # ---------------------------------------------------------------------------
 # lattice norms and orbit sums
@@ -89,26 +89,6 @@ def lattice_norm(k: Sequence[int], r: float) -> float:
     for m in mags:
         acc += float(m) ** r
     return acc ** (1.0 / r)
-
-
-def _pow(x, y: float) -> np.ndarray:
-    """x ** y elementwise through the C library's ``pow``, which Python's
-    float ``**`` calls: numpy's own power may differ from it in the last
-    bit, and the power sums reproduce the scalar magnitudes exactly.  A
-    power past the double range reads inf."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    try:
-        return np.fromiter(map(math.pow, memoryview(x), itertools.repeat(y)),
-                           np.float64, x.shape[0])
-    except OverflowError:
-        return np.array([_pow_or_inf(v, y) for v in x.tolist()], dtype=np.float64)
-
-
-def _pow_or_inf(x: float, y: float) -> float:
-    try:
-        return math.pow(x, y)
-    except OverflowError:
-        return math.inf
 
 
 def _orbit_representatives(d: int, B: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,8 +3,10 @@
 A :class:`Spectrum` is the universal function model of the library: a finite
 map from frequencies to complex coefficients.  All norms here are
 coefficient-space (discrete-metric) norms: ``||f||_p = (sum |coef|^p)^{1/p}``,
-computed coordinate by coordinate by one kernel, ``_lp``.  Operations never
-mutate their inputs; a Spectrum is safe to share between threads.
+computed by one kernel, ``_lp``, from the moduli of the coefficients (an
+array, as ``Spectrum.abs_coefficients`` returns it) and their powers from
+``_pow``.  Operations never mutate their inputs; a Spectrum is safe to
+share between threads.
 
 A :class:`DifferenceScheme` holds difference weights; the operators and
 multipliers read the generator kernels, in ``moduli``.
@@ -13,6 +15,7 @@ multipliers read the generator kernels, in ``moduli``.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -58,7 +61,7 @@ def _freq_order_key(freq) -> tuple:
 class Spectrum:
     """Immutable finite spectrum (frequency -> complex coefficient)."""
 
-    __slots__ = ("kind", "d", "_freqs", "_coeffs", "_lookup", "_scalar_cache")
+    __slots__ = ("kind", "d", "_freqs", "_coeffs", "_lookup", "_scalar_cache", "_abs_cache")
 
     def __init__(self, kind: str, entries: Mapping, d: int | None = None):
         if kind not in ("lattice", "real"):
@@ -93,6 +96,7 @@ class Spectrum:
         object.__setattr__(self, "_coeffs", tuple(norm[k] for k in order))
         object.__setattr__(self, "_lookup", norm)
         object.__setattr__(self, "_scalar_cache", None)
+        object.__setattr__(self, "_abs_cache", None)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("Spectrum is immutable")
@@ -153,45 +157,72 @@ class Spectrum:
     def scalar_frequencies(self) -> np.ndarray:
         """Frequencies as real numbers (lattice d=1 or real kind only)."""
         if self._scalar_cache is None:
-            if self.kind == "lattice":
-                if self.d != 1:
-                    raise InputDomainError(
-                        "scalar frequencies require a one-dimensional spectrum"
-                    )
-                vals = np.array([k[0] for k in self._freqs], dtype=np.float64)
-            else:
-                vals = np.array(self._freqs, dtype=np.float64)
-            object.__setattr__(self, "_scalar_cache", vals)
+            if self.kind == "lattice" and self.d != 1:
+                raise InputDomainError("scalar frequencies require a one-dimensional spectrum")
+            # a d = 1 lattice index is a 1-tuple: one column, flattened
+            object.__setattr__(self, "_scalar_cache", np.array(self._freqs, dtype=np.float64).reshape(-1))
         return self._scalar_cache
 
     def abs_coefficients(self) -> np.ndarray:
-        return np.abs(np.array(self._coeffs, dtype=np.complex128))
+        """|c| of each coefficient, in the canonical order: np.hypot(re, im),
+        the C library's hypot, which Python's abs(c) calls too (numpy's abs
+        of a complex may differ in the last bit); inf past the double range.
+        Computed once per spectrum, and read-only."""
+        if self._abs_cache is None:
+            coefs = np.array(self._coeffs, dtype=np.complex128)
+            with np.errstate(over="ignore"):
+                object.__setattr__(self, "_abs_cache", np.hypot(coefs.real, coefs.imag))
+            self._abs_cache.flags.writeable = False
+        return self._abs_cache
 
 
 # ---------------------------------------------------------------------------
 # norms and approximations
 
 
-def _lp(coefs, p: float) -> float:
-    """The l_p norm of the coefficients: max |c| at p = inf, else
-    (sum |c|^p)^{1/p} with the sum rounded once (``math.fsum``);
-    InputDomainError when a modulus, a power, the sum or the root is past
-    the double range."""
+def _pow(x, y: float) -> np.ndarray:
+    """x ** y elementwise through the C library's ``pow``, which Python's
+    float ``**`` calls (numpy's own power may differ from it in the last
+    bit): the one power of moduli and magnitudes, so that a sum of powers
+    reads the same bits from an array as from Python floats.  A power past
+    the double range reads inf."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    try:
+        return np.fromiter(map(math.pow, memoryview(x), itertools.repeat(y)),
+                           np.float64, x.shape[0])
+    except OverflowError:
+        return np.array([_pow_or_inf(v, y) for v in x.tolist()], dtype=np.float64)
+
+
+def _pow_or_inf(x: float, y: float) -> float:
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
+
+
+def _lp(mags: np.ndarray, p: float) -> float:
+    """The l_p norm of the moduli ``mags``: their max at p = inf, else
+    (sum mags^p)^{1/p} with the powers from ``_pow`` and the sum rounded
+    once (``math.fsum``); InputDomainError when a modulus, a power, the sum
+    or the root is past the double range."""
     if not 0 < p <= math.inf:
         raise InputDomainError(f"exponent p must satisfy 0 < p <= inf, got {p}")
     try:
-        if p == math.inf:
-            return max((abs(c) for c in coefs), default=0.0)
-        return math.fsum(abs(c) ** p for c in coefs) ** (1.0 / p)
+        norm = (float(np.max(mags, initial=0.0)) if p == math.inf
+                else math.fsum(memoryview(_pow(mags, p))) ** (1.0 / p))
     except OverflowError:
-        raise InputDomainError(f"the l_p norm is not a finite double (p={p:g})") from None
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise InputDomainError(f"the l_p norm is not a finite double (p={p:g})")
+    return norm
 
 
 def sp_norm(f: Spectrum, p: float) -> float:
     """Coefficient-space norm: (sum |coef|^p)^{1/p}, or sup|coef| for p=inf."""
     if not p >= 1:
         raise InputDomainError(f"norm exponent must satisfy p >= 1, got {p}")
-    return _lp(f.coefficients, p)
+    return _lp(f.abs_coefficients(), p)
 
 
 def _region_predicate(region) -> Callable:
@@ -224,14 +255,13 @@ def best_tail_approx(f: Spectrum, gamma, p: float) -> float:
     """Error of the best approximation by spectra supported in ``gamma``:
     the coefficient-norm of f outside gamma."""
     pred = _region_predicate(gamma)
-    return _lp((c for k, c in f.items() if not pred(k)), p)
+    return _lp(f.abs_coefficients()[[not pred(k) for k in f.frequencies]], p)
 
 
 def ladder_tail_norm(f: Spectrum, lam: float, p: float) -> float:
     """Tail norm over |frequency| >= lam (best approximation by lower-band
     spectra); the scalar-frequency analogue of :func:`best_tail_approx`."""
-    freqs = f.scalar_frequencies().tolist()
-    return _lp((c for x, c in zip(freqs, f.coefficients) if abs(x) >= lam), p)
+    return _lp(f.abs_coefficients()[np.abs(f.scalar_frequencies()) >= lam], p)
 
 
 @dataclass(frozen=True)
@@ -244,19 +274,19 @@ class GreedyResult:
 def greedy_select(f: Spectrum, n: int, p: float) -> GreedyResult:
     """Keep the n largest coefficients; return the kept set and the tail norm.
 
-    Tie-break among equal magnitudes: smaller |frequency| first, negative
-    before positive, then lexicographic lattice order.  The tail value does
-    not depend on how ties are resolved; ``tie`` reports whether they made
-    the selected set non-unique.
+    Tie-break among equal magnitudes: the canonical order (smaller
+    |frequency| first, negative before positive, then lexicographic lattice
+    order), which a stable sort keeps.  The tail value does not depend on
+    how ties are resolved; ``tie`` reports whether they made the selected
+    set non-unique.
     """
     if n < 0:
         raise InputDomainError("n must be >= 0")
-    ranked = sorted(f.items(), key=lambda kc: (-abs(kc[1]), _freq_order_key(kc[0])))
-    kept = ranked[:n]
-    dropped = ranked[n:]
-    tie = bool(kept and dropped and abs(kept[-1][1]) == abs(dropped[0][1]))
-    value = _lp((c for _, c in dropped), p)
-    return GreedyResult(frozenset(k for k, _ in kept), value, tie)
+    mags = f.abs_coefficients()
+    ranked = np.argsort(-mags, kind="stable")
+    kept, dropped = ranked[:n], ranked[n:]
+    tie = bool(kept.size and dropped.size and mags[kept[-1]] == mags[dropped[0]])
+    return GreedyResult(frozenset(f.frequencies[i] for i in kept.tolist()), _lp(mags[dropped], p), tie)
 
 
 # ---------------------------------------------------------------------------

@@ -709,6 +709,37 @@ def test_averaged_modulus_at_most_endpoint_modulus(f, kind, p, v, u):
     assert averaged_omega(f, ph, v.tau, v, u, p) <= omega_phi(f, ph, u, p) * (1 + 1e-9)
 
 
+_BATCH_GENERATORS = {
+    "alpha": lambda: phi_alpha(1.3),
+    "steklov": lambda: phi_steklov(2),
+    "theta": lambda: phi_theta((1, -0.5 + 0.8j, -0.5 - 0.8j)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BATCH_GENERATORS))
+def test_evaluator_steps_do_not_depend_on_the_other_steps_of_a_query(kind):
+    # every row sum of the objective reads only its own row, so a step's
+    # omega^p is the same bits in a query of 201 steps as in a query of one
+    phi, rng = _BATCH_GENERATORS[kind](), np.random.default_rng(11)
+    steps = np.linspace(0.0, 1.0, 201)
+    for _ in range(4):
+        keys = rng.choice(np.arange(-12, 13), size=5, replace=False)
+        f = Spectrum.lattice({int(k): complex(*rng.normal(size=2)) for k in keys})
+        ev = OmegaEvaluator(f, phi, 1.5, 1.0)
+        assert ev.power_values(steps).tolist() == [ev.power_values(steps[j:j + 1])[0] for j in range(201)]
+
+
+def test_steklov_series_does_not_depend_on_the_other_phases_of_a_call():
+    # below |t| = 1 the sinc defect and its derivatives are power series in
+    # t^2, summed phase by phase
+    t = np.random.default_rng(3).uniform(-1.0, 1.0, 500)
+    phi = phi_steklov(2)
+    assert phi(t).tolist() == [phi(t[j:j + 1])[0] for j in range(t.shape[0])]
+    whole = _sinc_defect(t, 2)
+    for j in range(t.shape[0]):
+        assert [d[j] for d in whole] == [d[0] for d in _sinc_defect(t[j:j + 1], 2)]
+
+
 def test_adaptive_block_batch_matches_batches_of_one():
     # int_0^b cos(c t) dt = sin(c b) / c; every interval's panels are
     # bisected on their own, so a batch gives each interval's batch-of-one value
@@ -724,7 +755,7 @@ def test_adaptive_block_batch_matches_batches_of_one():
     assert np.all(errs <= 1e-12)
     for i in range(4):
         one, _ = _adaptive_block(lambda t, rows: np.cos(c[i] * t), 0.0, b[i], 1e-12, p0[i], 2 ** 16)
-        assert vals[i] == pytest.approx(one[0], rel=1e-14, abs=0)
+        assert vals[i] == one[0]
     # an interval that cannot meet its tolerance stops the whole batch:
     # sin(1 / (t - x0)) oscillates without end toward the irrational x0
     x0 = 1.0 / math.sqrt(8.0)

@@ -1,11 +1,13 @@
 """Static checks on the package source (``ast`` only): every imported name
 is used, every private module-level function, class and constant is read
-somewhere in the package, and every public function is exported or
-referenced somewhere in the repository's code."""
+somewhere in the package, every public function is exported or referenced
+somewhere in the repository's code, and the scan layers sum rows without
+BLAS products; and a pin of the numpy behaviour that last check relies on."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spapprox"
@@ -154,3 +156,33 @@ def test_traced_names_resolve():
         if meth not in vars(getattr(importlib.import_module(f"spapprox.{mod}"), cls, object)):
             missing.append(f"{mod}.{cls}.{meth}")
     assert not missing, f"traced names missing from spapprox: {', '.join(missing)}"
+
+
+@pytest.mark.parametrize("name", ["moduli.py", "jackson.py"])
+def test_scan_layers_have_no_matrix_product(name):
+    # a BLAS product may round a row's sum by the row's place in the batch;
+    # the scan layers sum rows with np.einsum (pinned below)
+    lines = [
+        node.lineno for node in ast.walk(TREES[name])
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert not lines, f"{name} multiplies matrices with @ at lines {lines}"
+
+
+@pytest.mark.parametrize("shape", [(190, 24), (2048, 14)])
+def test_einsum_row_sums_do_not_depend_on_the_batch(shape):
+    # observed on numpy 2.4.6, not a documented guarantee: np.einsum sums
+    # each row of "ij,j->i" and "ij,jk->ik" in one order, so a row reads the
+    # same bits alone, in a batch of 5 rows and in the whole batch
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+    vec, mat = rng.standard_normal(shape[1]), rng.standard_normal((shape[1], 3))
+    whole = np.einsum("ij,j->i", a, vec), np.einsum("ij,jk->ik", a, mat)
+    for start in range(0, shape[0], 5):
+        rows = a[start:start + 5]
+        assert np.einsum("ij,j->i", rows, vec).tobytes() == whole[0][start:start + 5].tobytes()
+        assert np.einsum("ij,jk->ik", rows, mat).tobytes() == whole[1][start:start + 5].tobytes()
+    for i in range(shape[0]):
+        row = a[i:i + 1]
+        assert np.einsum("ij,j->i", row, vec).tobytes() == whole[0][i:i + 1].tobytes()
+        assert np.einsum("ij,jk->ik", row, mat).tobytes() == whole[1][i:i + 1].tobytes()

@@ -21,7 +21,9 @@ from spapprox import (
     greedy_select,
     ladder_tail_norm,
     load_spectrum,
+    omega_phi,
     partial_sum,
+    phi_alpha,
     save_spectrum,
     sp_norm,
     spectrum_from_json_dict,
@@ -132,6 +134,15 @@ _TIED_SPECTRA = st.one_of(
 )
 
 
+def _documented_rank(freq):
+    # the canonical order as documented: smaller |frequency| first (the
+    # squared length of a lattice index, exact in integers), negative before
+    # positive by the first nonzero component, then lexicographic
+    x = freq if isinstance(freq, tuple) else (freq,)
+    first = next((v for v in x if v != 0), 0)
+    return (sum(v * v for v in x), first >= 0, x)
+
+
 @given(f=_TIED_SPECTRA, n=st.integers(0, 9), p=st.sampled_from([1.0, 1.5, 2.0, math.inf]))
 @settings(max_examples=200, deadline=None)
 def test_greedy_matches_exhaustive_small(f, n, p):
@@ -140,6 +151,9 @@ def test_greedy_matches_exhaustive_small(f, n, p):
     assert g.value == val
     mags = sorted((abs(c) for c in f.coefficients), reverse=True)
     assert g.tie == (0 < n < len(mags) and mags[n - 1] == mags[n])
+    # ties are kept in the documented order
+    ranked = sorted(f.items(), key=lambda kc: (-abs(kc[1]), _documented_rank(kc[0])))
+    assert g.indices == {k for k, _ in ranked[:n]}
 
 
 # components 0 or of magnitude in [2^-10, 2^10]: no term |c|^p (p <= 4)
@@ -200,6 +214,14 @@ def test_norms_match_mpmath_within_the_rounding_bound(f, p, data):
         assert sp_norm(f, p) == got
 
 
+@given(f=_NORM_SPECTRA)
+@settings(max_examples=100, deadline=None)
+def test_abs_coefficients_are_python_abs_computed_once(f):
+    mags = f.abs_coefficients()
+    assert mags.tolist() == [abs(c) for c in f.coefficients]
+    assert f.abs_coefficients() is mags and not mags.flags.writeable
+
+
 # p >= 1/16 keeps every tail below 8^16 * 2^11, inside the double range
 @given(f=_NORM_SPECTRA, p=st.one_of(st.floats(1 / 16, 4.0), st.just(math.inf)),
        lam=st.floats(0.0, 7.0), n=st.integers(0, 9))
@@ -226,15 +248,23 @@ def test_norm_entry_points_reject_p_outside_0_inf(p):
             call()
 
 
+# |c| = 1.7e308 sqrt(2) is past the double range, while re and im are not
+_HUGE = Spectrum.real({1.0: complex(1.7e308, 1.7e308)})
+
+
 @pytest.mark.parametrize("call", [
     # a power |c|^p past the double range
     lambda: sp_norm(Spectrum.real({0.0: 1e200}), 2),
-    # a modulus |c| past the double range
-    lambda: greedy_select(Spectrum.real({0.0: complex(1e308, 1e308)}), 0, 2.0),
+    # a modulus |c| past the double range, at p = 1
+    lambda: greedy_select(_HUGE, 0, 1.0),
+    lambda: ladder_tail_norm(_HUGE, 1.0, 1.0),
+    lambda: omega_phi(_HUGE, phi_alpha(1.0), 1.0, 1.0),
     # the root: S = 2 to the 1/p = 1e84
     lambda: best_tail_approx(Spectrum.real({0.0: 1j, 0.25: 1j}), (), 1e-84),
-], ids=["power", "modulus", "root"])
+], ids=["power", "modulus", "modulus-ladder", "modulus-omega", "root"])
 def test_norm_past_the_double_range_is_an_input_error(call):
+    # np.hypot's overflow warning would be an error under the test settings,
+    # so these calls check that |c| is taken with the warning silenced
     with pytest.raises(InputDomainError, match="not a finite double"):
         call()
 
